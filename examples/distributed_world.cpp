@@ -3,10 +3,13 @@
 // process, wired over loopback TCP by serve::RunCluster — the publisher
 // streams each node's feed (kHello, every source tick, a scripted
 // failure/recovery, kShutdown) through a net::SocketTransport, each
-// node replays it through a core::Engine, frames its EngineMetrics as a
-// kEngineReport and sends it back to the collector. The parent runs the
-// same three worlds as direct library calls and compares: every scalar
-// bit-for-bit, the per-member loss vector by count + FNV-1a hash.
+// node replays it through a core::Engine, which publishes its
+// EngineMetrics into the node's obs::Registry as "engine.*" entries,
+// and ships the registry snapshot back to the collector as a
+// kObsSnapshot stream. The parent runs the same three worlds as direct
+// library calls, each into its own registry, and requires every one of
+// those entries in the node's snapshot: doubles bit-for-bit, the
+// per-member loss vector by length + FNV-1a digest.
 //
 //   $ ./build/examples/distributed_world
 //   $ ./build/examples/distributed_world --chaos [--trace-out=PATH]
@@ -25,14 +28,14 @@
 // crash actually restarted, and that the metrics are STILL byte-
 // identical to the fault-free direct runs.
 //
-// Observability: every node process carries an obs::Registry and a
-// flight recorder, chunks the snapshot + retained trace into
-// kObsSnapshot frames and ships them to the collector, which
-// reassembles each node's stream byte-identically through a
-// serve::ObsAccumulator. The summary table is rendered entirely from
-// the reassembled snapshots; `--trace-out=PATH` merges the reassembled
-// recorder rings into one Chrome-trace JSON (one process track per
-// node).
+// Observability: kObsSnapshot is the one result channel. Every node
+// process chunks its registry snapshot + retained flight-recorder
+// trace into kObsSnapshot frames, the publisher ships its feed
+// transport counters the same way, and the collector reassembles each
+// stream byte-identically through a serve::ObsAccumulator. The summary
+// table is rendered entirely from the reassembled snapshots;
+// `--trace-out=PATH` merges the reassembled recorder rings into one
+// Chrome-trace JSON (one process track per node).
 
 #include <csignal>
 #include <cstdint>
@@ -80,16 +83,23 @@ d3t::Result<d3t::core::Overlay> BuildNodeOverlay(
   return std::move(built).value().overlay;
 }
 
-// Report frames are tiny next to the ring, but honor backpressure
-// anyway: a stall is a pause, never a drop.
-d3t::Status SendToCollector(d3t::serve::ProcessContext& ctx,
-                            const d3t::net::wire::Frame& frame) {
-  for (;;) {
-    d3t::Status sent = ctx.transport.Send(ctx.self, ctx.collector, frame);
-    if (sent.ok() || !sent.IsCapacityExhausted()) return sent;
-    d3t::Status waited = ctx.transport.WaitIo(10000);
-    if (!waited.ok()) return waited;
+// Chunks a registry snapshot (plus the recorder's retained trace, when
+// given) into kObsSnapshot frames and sends them to the collector,
+// honoring backpressure: a stall is a pause, never a drop.
+d3t::Status ShipObs(d3t::serve::ProcessContext& ctx,
+                    const d3t::obs::Registry& registry,
+                    const d3t::obs::Recorder* recorder) {
+  for (const d3t::net::wire::Frame& frame : d3t::serve::MakeObsSnapshotFrames(
+           ctx.self, registry.TakeSnapshot(), recorder)) {
+    for (;;) {
+      d3t::Status sent = ctx.transport.Send(ctx.self, ctx.collector, frame);
+      if (sent.ok()) break;
+      if (!sent.IsCapacityExhausted()) return sent;
+      d3t::Status waited = ctx.transport.WaitIo(10000);
+      if (!waited.ok()) return waited;
+    }
   }
+  return d3t::Status::Ok();
 }
 
 // Body of one repository-node process: ingest the socket feed, serve
@@ -178,24 +188,14 @@ d3t::Status RunNode(d3t::serve::ProcessContext& ctx,
     }
   }
 
+  // Serve() publishes the engine's results into the registry; fold the
+  // transports in under their conventional prefixes, then ship it all.
   auto report = node.Serve();
   if (!report.ok()) return report.status();
-  d3t::Status sent = SendToCollector(
-      ctx, d3t::serve::MakeEngineReport(ctx.self, report->engine));
-  if (!sent.ok()) return sent;
-  // Fold the transports into the registry under their conventional
-  // prefixes, then chunk snapshot + retained trace onto the wire. The
-  // collector reassembles the stream byte-identically.
   d3t::net::PublishTransportMetrics(registry, "feed",
                                     ctx.transport.metrics());
   d3t::net::PublishTransportMetrics(registry, "data", report->data);
-  const d3t::obs::Snapshot snapshot = registry.TakeSnapshot();
-  for (const d3t::net::wire::Frame& frame :
-       d3t::serve::MakeObsSnapshotFrames(ctx.self, snapshot, &recorder)) {
-    d3t::Status shipped = SendToCollector(ctx, frame);
-    if (!shipped.ok()) return shipped;
-  }
-  return d3t::Status::Ok();
+  return ShipObs(ctx, registry, &recorder);
 }
 
 // The publisher's scripted damage: two drops and a reorder against
@@ -297,17 +297,13 @@ d3t::Status RunPublisher(d3t::serve::ProcessContext& ctx,
     seen_resubs = resubs;
     if (sent == 0) (void)ctx.transport.WaitIo(250);
   }
-  if (chaos) {
-    // Report the damage done (wrapper counters merged over the socket
-    // endpoint's own) so the collector can render the chaos row.
-    const d3t::net::TransportMetrics& m = faulty.metrics();
-    d3t::Status reported = SendToCollector(
-        ctx, d3t::net::wire::Frame::MetricsReport(
-                 ctx.self, m.frames_tx, m.frames_rx, m.bytes_tx, m.bytes_rx,
-                 m.backpressure_stalls, m.decode_errors, m.faults_injected,
-                 m.frames_dropped, m.reconnects));
-    if (!reported.ok()) return reported;
-  }
+  // Report the feed side (under chaos, the fault wrapper's counters
+  // merged over the socket endpoint's own) so the collector can render
+  // the feed row and check that the faults fired.
+  d3t::obs::Registry registry;
+  d3t::net::PublishTransportMetrics(registry, "feed", wire.metrics());
+  d3t::Status reported = ShipObs(ctx, registry, /*recorder=*/nullptr);
+  if (!reported.ok()) return reported;
   for (d3t::net::PeerId node = 0; node < kNodes; ++node) {
     d3t::Status closed = ctx.transport.CloseSend(node);
     if (!closed.ok()) return closed;
@@ -363,9 +359,10 @@ int main(int argc, char** argv) {
   engine_options.repair_delay = d3t::sim::Millis(500);
 
   // Reference runs: the same three worlds as plain library calls, no
-  // process boundary anywhere. (ThreadPool use is scoped inside world
-  // building above, so the forks below start thread-free.)
-  std::vector<d3t::core::EngineMetrics> direct(kNodes);
+  // process boundary anywhere, each publishing into its own registry.
+  // (ThreadPool use is scoped inside world building above, so the forks
+  // below start thread-free.)
+  std::vector<d3t::obs::Registry> direct(kNodes);
   std::vector<size_t> member_counts(kNodes, 0);
   for (size_t source = 0; source < kNodes; ++source) {
     auto overlay = BuildNodeOverlay(world, source);
@@ -377,16 +374,16 @@ int main(int argc, char** argv) {
     member_counts[source] = overlay->member_count();
     std::unique_ptr<d3t::core::Disseminator> policy =
         d3t::core::MakeDisseminator("distributed");
+    d3t::core::EngineOptions direct_options = engine_options;
+    direct_options.registry = &direct[source];
     d3t::core::Engine engine(*overlay, world.delays(source), world.traces(),
-                             *policy, engine_options,
+                             *policy, direct_options,
                              /*change_timelines=*/nullptr, &*scenario);
-    auto metrics = engine.Run();
-    if (!metrics.ok()) {
+    if (auto run = engine.Run(); !run.ok()) {
       std::fprintf(stderr, "direct run: %s\n",
-                   metrics.status().ToString().c_str());
+                   run.status().ToString().c_str());
       return 1;
     }
-    direct[source] = *metrics;
   }
 
   // The cluster: processes 0..2 are repository nodes, process 3 the
@@ -427,67 +424,35 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Reassemble what the children shipped: one kEngineReport per node
-  // (the byte-identity pin), one kObsSnapshot chunk stream per node
-  // (the whole observability story), plus the publisher's chaos-mode
-  // kMetricsReport.
-  std::vector<const d3t::net::wire::EngineReportPayload*> reports(kNodes,
-                                                                  nullptr);
-  std::vector<d3t::serve::ObsAccumulator> obs_streams(kNodes);
-  const d3t::net::wire::MetricsReportPayload* feed_stats = nullptr;
+  // Reassemble what the children shipped: one kObsSnapshot chunk stream
+  // per process — each node's engine results, transports and trace
+  // ring, then the publisher's feed counters.
+  std::vector<d3t::serve::ObsAccumulator> obs_streams(kNodes + 1);
   for (size_t i = 0; i < cluster->frames.size(); ++i) {
     const d3t::net::wire::Frame& frame = cluster->frames[i];
     const d3t::net::PeerId source = cluster->frame_sources[i];
-    if (frame.type == d3t::net::wire::FrameType::kEngineReport) {
-      if (source < kNodes) reports[source] = &frame.u.engine_report;
-    } else if (frame.type == d3t::net::wire::FrameType::kObsSnapshot) {
-      if (source < kNodes) {
-        d3t::Status accepted =
-            obs_streams[source].Accept(frame.u.obs_snapshot);
-        if (!accepted.ok()) {
-          std::fprintf(stderr, "obs stream from node %u: %s\n", source,
-                       accepted.ToString().c_str());
-          return 1;
-        }
-      }
-    } else if (frame.type == d3t::net::wire::FrameType::kMetricsReport) {
-      if (source >= kNodes) feed_stats = &frame.u.metrics;
+    if (frame.type != d3t::net::wire::FrameType::kObsSnapshot) continue;
+    d3t::Status accepted = obs_streams[source].Accept(frame.u.obs_snapshot);
+    if (!accepted.ok()) {
+      std::fprintf(stderr, "obs stream from process %u: %s\n", source,
+                   accepted.ToString().c_str());
+      return 1;
     }
   }
-
-  // The publisher reports plain transport counters; fold them into a
-  // collector-side registry so the shared table renders every row from
-  // a snapshot.
-  d3t::obs::Registry feed_registry;
-  d3t::obs::Snapshot feed_snapshot{};
-  if (feed_stats != nullptr) {
-    d3t::net::TransportMetrics m;
-    m.frames_tx = feed_stats->frames_tx;
-    m.frames_rx = feed_stats->frames_rx;
-    m.bytes_tx = feed_stats->bytes_tx;
-    m.bytes_rx = feed_stats->bytes_rx;
-    m.backpressure_stalls = feed_stats->backpressure_stalls;
-    m.decode_errors = feed_stats->decode_errors;
-    m.faults_injected = feed_stats->faults_injected;
-    m.frames_dropped = feed_stats->frames_dropped;
-    m.reconnects = feed_stats->reconnects;
-    d3t::net::PublishTransportMetrics(feed_registry, "feed", m);
-    feed_snapshot = feed_registry.TakeSnapshot();
+  for (size_t process = 0; process <= kNodes; ++process) {
+    if (!obs_streams[process].complete()) {
+      std::fprintf(stderr, "process %zu shipped an incomplete obs stream\n",
+                   process);
+      return 1;
+    }
   }
 
   bool all_identical = true;
   std::vector<d3t::obs::NodeSummaryRow> rows;
   std::vector<std::string> identities(kNodes);
   for (size_t node = 0; node < kNodes; ++node) {
-    if (reports[node] == nullptr || !obs_streams[node].complete()) {
-      std::fprintf(stderr,
-                   "node %zu reported no metrics or an incomplete obs "
-                   "stream\n",
-                   node);
-      return 1;
-    }
-    d3t::Status match = d3t::serve::EngineReportMatches(*reports[node],
-                                                        direct[node]);
+    d3t::Status match =
+        d3t::obs::EntriesMatch(direct[node], obs_streams[node].snapshot());
     all_identical = all_identical && match.ok();
     identities[node] = match.ok() ? "yes" : match.ToString();
     rows.push_back(
@@ -496,9 +461,8 @@ int main(int argc, char** argv) {
               cluster->restarts[node])),
           identities[node]}});
   }
-  if (feed_stats != nullptr) {
-    rows.push_back({"feed", &feed_snapshot, {"-", "-"}});
-  }
+  const d3t::obs::Snapshot& feed = obs_streams[kNodes].snapshot();
+  rows.push_back({"feed", &feed, {"-", "-"}});
   d3t::obs::NodeSummaryTable(rows, {"restarts", "identical"}).Print();
 
   if (!trace_out.empty()) {
@@ -522,16 +486,14 @@ int main(int argc, char** argv) {
   // byte-identity.
   bool chaos_ok = true;
   if (chaos) {
-    chaos_ok = feed_stats != nullptr && feed_stats->faults_injected > 0 &&
-               cluster->restarts[1] >= 1;
+    const uint64_t faults =
+        d3t::obs::SnapshotCounter(feed, "feed.faults_injected");
+    chaos_ok = faults > 0 && cluster->restarts[1] >= 1;
     if (!chaos_ok) {
       std::fprintf(stderr,
                    "chaos drill incomplete: faults_injected=%llu "
                    "restarts[1]=%d\n",
-                   feed_stats == nullptr
-                       ? 0ull
-                       : static_cast<unsigned long long>(
-                             feed_stats->faults_injected),
+                   static_cast<unsigned long long>(faults),
                    cluster->restarts[1]);
     }
   }

@@ -13,7 +13,8 @@
 # mode (D3T_BUILD_BENCH=ON — here a missing google-benchmark *fails*,
 # that is the point) and run every bench binary briefly: the
 # google-benchmark drivers with --benchmark_min_time=1x, the paper-
-# figure CLI drivers at a tiny scale. Keeps the perf binaries from
+# figure CLI binaries at a tiny scale, and the end-to-end benchmark
+# (bench/e2e/run.sh --smoke). Keeps the perf binaries from
 # bitrotting without turning CI into a benchmarking farm. Each
 # google-benchmark driver also emits machine-readable results to
 # bench-results/BENCH_<name>.json (--benchmark_format console output
@@ -26,15 +27,17 @@
 #
 # Distributed smoke: set D3T_DISTRIBUTED_SMOKE=1 to instead build the
 # examples and run examples/distributed_world — four real processes
-# over loopback TCP; it exits 0 iff every node's EngineMetrics match
-# the direct in-process runs byte for byte, so one run asserts the
-# whole socket/cluster path end to end.
+# over loopback TCP, each shipping its results home as one kObsSnapshot
+# stream; it exits 0 iff every node's snapshot holds every "engine.*"
+# entry of the direct in-process run's registry byte for byte, so one
+# run asserts the whole socket/cluster path end to end.
 #
 # Chaos smoke: set D3T_CHAOS_SMOKE=1 to instead run the same example
 # with --chaos: scripted feed faults (drops, a reorder, a corrupted
 # byte) plus one supervised SIGKILL/restart of a node. Exit 0 requires
-# the faults to have fired, the crash to have been restarted, AND the
-# metrics to still match the fault-free direct runs byte for byte.
+# the faults to have fired (feed.faults_injected in the publisher's
+# shipped snapshot), the crash to have been restarted, AND the metrics
+# to still match the fault-free direct runs byte for byte.
 #
 # Both smokes pass --trace-out so the merged flight-recorder dump
 # (obs/ trace events shipped back over kObsSnapshot frames) lands in
@@ -94,6 +97,12 @@ if [[ -n "${D3T_BENCH_SMOKE:-}" ]]; then
   echo "== bench smoke: scalability --churn =="
   "$BUILD_DIR/bench/scalability" --repositories 8 --items 4 --ticks 120 \
     --churn
+  # The end-to-end benchmark (BENCHMARK.json): run.sh builds it in
+  # Release, checks its workload and metric names against
+  # BENCHMARK.json, and --smoke runs its selftest plus every workload at
+  # toy scale, untraced and traced.
+  echo "== bench smoke: bench/e2e =="
+  bash bench/e2e/run.sh --smoke
   exit 0
 fi
 

@@ -19,6 +19,48 @@ namespace {
 constexpr double kForcedResyncSeed =
     -std::numeric_limits<double>::infinity();
 
+// Whoever adds a field to EngineMetrics must publish it below as well,
+// or it silently drops out of the cross-process identity check (a
+// cluster node's results reach the collector only through this list).
+static_assert(sizeof(EngineMetrics) ==
+                  20 * sizeof(uint64_t) + sizeof(std::vector<double>),
+              "EngineMetrics changed: publish the new field in "
+              "PublishEngineMetrics");
+
+/// Every EngineMetrics field under "engine.*", in declaration order.
+/// Doubles are gauges (compared as raw bits), integers counters (SimTime
+/// values keep their bits through the unsigned cast), and the per-member
+/// vector a length plus an FNV-1a digest of its bytes.
+void PublishEngineMetrics(const EngineMetrics& m, obs::Registry& reg) {
+  reg.Set(reg.Gauge("engine.loss_percent"), m.loss_percent);
+  reg.Set(reg.Gauge("engine.pair_loss_percent"), m.pair_loss_percent);
+  reg.Add(reg.Counter("engine.tracked_pairs"), m.tracked_pairs);
+  reg.Add(reg.Counter("engine.per_member_loss_len"),
+          m.per_member_loss.size());
+  reg.Add(reg.Counter("engine.per_member_loss_digest"),
+          obs::HashBytes(m.per_member_loss.data(),
+                         m.per_member_loss.size() * sizeof(double)));
+  reg.Add(reg.Counter("engine.messages"), m.messages);
+  reg.Add(reg.Counter("engine.source_messages"), m.source_messages);
+  reg.Add(reg.Counter("engine.checks"), m.checks);
+  reg.Add(reg.Counter("engine.source_checks"), m.source_checks);
+  reg.Add(reg.Counter("engine.source_updates"), m.source_updates);
+  reg.Add(reg.Counter("engine.events"), m.events);
+  reg.Add(reg.Counter("engine.delivery_batches"), m.delivery_batches);
+  reg.Add(reg.Counter("engine.coalesced_messages"), m.coalesced_messages);
+  reg.Add(reg.Counter("engine.process_wakeups"), m.process_wakeups);
+  reg.Add(reg.Counter("engine.scenario_ops"), m.scenario_ops);
+  reg.Add(reg.Counter("engine.repairs"), m.repairs);
+  reg.Add(reg.Counter("engine.orphaned_ticks"), m.orphaned_ticks);
+  reg.Add(reg.Counter("engine.dropped_jobs"), m.dropped_jobs);
+  reg.Add(reg.Counter("engine.outage_pair_time"),
+          static_cast<uint64_t>(m.outage_pair_time));
+  reg.Add(reg.Counter("engine.outage_out_of_sync_time"),
+          static_cast<uint64_t>(m.outage_out_of_sync_time));
+  reg.Set(reg.Gauge("engine.outage_loss_percent"), m.outage_loss_percent);
+  reg.Add(reg.Counter("engine.horizon"), static_cast<uint64_t>(m.horizon));
+}
+
 }  // namespace
 
 Engine::Engine(Overlay& overlay, const net::OverlayDelayModel& delays,
@@ -231,21 +273,7 @@ Result<EngineMetrics> Engine::Run() {
           ? 0.0
           : pair_loss_sum / static_cast<double>(total_pairs);
   if (options_.registry != nullptr) {
-    obs::Registry& reg = *options_.registry;
-    reg.Add(reg.Counter("engine.messages"), metrics_.messages);
-    reg.Add(reg.Counter("engine.checks"), metrics_.checks);
-    reg.Add(reg.Counter("engine.source_updates"), metrics_.source_updates);
-    reg.Add(reg.Counter("engine.events"), metrics_.events);
-    reg.Add(reg.Counter("engine.scenario_ops"), metrics_.scenario_ops);
-    reg.Add(reg.Counter("engine.repairs"), metrics_.repairs);
-    reg.Add(reg.Counter("engine.dropped_jobs"), metrics_.dropped_jobs);
-    reg.Add(reg.Counter("engine.delivery_batches"),
-            metrics_.delivery_batches);
-    reg.Add(reg.Counter("engine.process_wakeups"),
-            metrics_.process_wakeups);
-    reg.Set(reg.Gauge("engine.loss_percent"), metrics_.loss_percent);
-    reg.Set(reg.Gauge("engine.pair_loss_percent"),
-            metrics_.pair_loss_percent);
+    PublishEngineMetrics(metrics_, *options_.registry);
   }
   return metrics_;
 }

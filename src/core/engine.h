@@ -78,10 +78,12 @@ struct EngineOptions {
   /// frame tx/rx records carry logical stamps too. Must outlive the
   /// engine; null (the default) records nothing.
   obs::Recorder* recorder = nullptr;
-  /// When non-null, Run() publishes its final EngineMetrics into this
-  /// registry as "engine.*" counters/gauges (cold, once per run) and
-  /// feeds the "engine.span_jobs" histogram per process wakeup. Must
-  /// outlive the engine.
+  /// When non-null, Run() publishes every field of its final
+  /// EngineMetrics into this registry under "engine.*" (cold, once per
+  /// run: doubles as gauges, integers as counters, per_member_loss as a
+  /// length plus an FNV-1a digest) and feeds the "engine.span_jobs"
+  /// histogram per process wakeup. This is how engine results leave a
+  /// process. Must outlive the engine.
   obs::Registry* registry = nullptr;
 };
 

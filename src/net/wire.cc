@@ -50,12 +50,8 @@ const char* FrameTypeName(FrameType type) {
       return "poll";
     case FrameType::kScenarioOp:
       return "scenario-op";
-    case FrameType::kMetricsReport:
-      return "metrics-report";
     case FrameType::kShutdown:
       return "shutdown";
-    case FrameType::kEngineReport:
-      return "engine-report";
     case FrameType::kResubscribe:
       return "resubscribe";
     case FrameType::kObsSnapshot:
@@ -150,27 +146,6 @@ Frame Frame::ScenarioOp(int64_t at_us, uint32_t kind, uint32_t member,
   return f;
 }
 
-Frame Frame::MetricsReport(uint32_t node, uint64_t frames_tx,
-                           uint64_t frames_rx, uint64_t bytes_tx,
-                           uint64_t bytes_rx, uint64_t backpressure_stalls,
-                           uint64_t decode_errors, uint64_t faults_injected,
-                           uint64_t frames_dropped, uint64_t reconnects) {
-  Frame f;
-  f.type = FrameType::kMetricsReport;
-  f.u.metrics = MetricsReportPayload{node,
-                                     0,
-                                     frames_tx,
-                                     frames_rx,
-                                     bytes_tx,
-                                     bytes_rx,
-                                     backpressure_stalls,
-                                     decode_errors,
-                                     faults_injected,
-                                     frames_dropped,
-                                     reconnects};
-  return f;
-}
-
 Frame Frame::Shutdown(uint32_t node, uint32_t seq) {
   Frame f;
   f.type = FrameType::kShutdown;
@@ -182,13 +157,6 @@ Frame Frame::Resubscribe(uint32_t node, uint32_t resume_seq) {
   Frame f;
   f.type = FrameType::kResubscribe;
   f.u.resubscribe = ResubscribePayload{node, resume_seq};
-  return f;
-}
-
-Frame Frame::EngineReport(const EngineReportPayload& payload) {
-  Frame f;
-  f.type = FrameType::kEngineReport;
-  f.u.engine_report = payload;
   return f;
 }
 
@@ -213,12 +181,8 @@ size_t PayloadSize(FrameType type) {
       return sizeof(PollPayload);
     case FrameType::kScenarioOp:
       return sizeof(ScenarioOpPayload);
-    case FrameType::kMetricsReport:
-      return sizeof(MetricsReportPayload);
     case FrameType::kShutdown:
       return sizeof(ShutdownPayload);
-    case FrameType::kEngineReport:
-      return sizeof(EngineReportPayload);
     case FrameType::kResubscribe:
       return sizeof(ResubscribePayload);
     case FrameType::kObsSnapshot:

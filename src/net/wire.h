@@ -13,14 +13,16 @@ namespace d3t::net::wire {
 
 /// Versioned packed frame format for inter-repository traffic: every
 /// message the engines move between overlay members (update pushes,
-/// poll round trips), plus the control vocabulary a serving node needs
-/// (feed ticks, scenario ops, metrics reports, shutdown). A frame is an
-/// 8-byte header followed by one fixed-size POD payload whose shape is
-/// selected by the header's type byte:
+/// poll round trips), the feed a serving node ingests (hello, source
+/// ticks, scenario ops, shutdown, resubscribe), and the one result
+/// channel back to a collector (obs-snapshot chunks: a registry
+/// snapshot plus a flight-recorder spill). A frame is an 8-byte header
+/// followed by one fixed-size POD payload whose shape is selected by
+/// the header's type byte:
 ///
 ///   offset  size  field
 ///        0     2  magic     (0xD37A)
-///        2     1  version   (1)
+///        2     1  version   (3)
 ///        3     1  type      (FrameType)
 ///        4     2  length    (payload bytes; must match the type)
 ///        6     2  checksum  (Fletcher-16 over header bytes 0..5 + payload)
@@ -42,7 +44,11 @@ inline constexpr uint16_t kMagic = 0xD37A;
 /// an explicit sequence number, kResubscribe joins the vocabulary, and
 /// metrics reports grow fault/recovery counters. v1 peers reject v2
 /// frames by version byte — there is no mixed-version negotiation.
-inline constexpr uint8_t kVersion = 2;
+/// v3: the metrics-report (6) and engine-report (8) kinds are retired;
+/// results travel only as obs-snapshot streams. Their type bytes stay
+/// unassigned (decoding them is "unknown frame type") and the other
+/// kinds keep their numbers.
+inline constexpr uint8_t kVersion = 3;
 inline constexpr size_t kHeaderSize = 8;
 
 /// Discriminator of the payload variant. Values are wire contract:
@@ -60,21 +66,18 @@ enum class FrameType : uint8_t {
   kPoll = 4,
   /// One scripted world-mutation op (mirrors core::ScenarioOp).
   kScenarioOp = 5,
-  /// A node's transport counters, reported upstream.
-  kMetricsReport = 6,
+  // 6: the metrics-report kind, retired in v3.
   /// End of feed.
   kShutdown = 7,
-  /// A node's full engine results (every EngineMetrics scalar plus a
-  /// digest of the per-member loss vector), reported upstream. This is
-  /// the frame a cluster collector compares byte-for-byte against a
-  /// direct in-process run.
-  kEngineReport = 8,
+  // 8: the engine-report kind, retired in v3.
   /// Feed recovery: a consumer that detected a sequence gap asks the
   /// publisher to rewind its cursor and retransmit from `resume_seq`.
   kResubscribe = 9,
   /// One seq-numbered chunk of a node's observability stream (metrics
   /// snapshot entries or flight-recorder trace events), reported
-  /// upstream. serve/ owns the chunking/reassembly bridge.
+  /// upstream. The only result channel: a node's engine, feed and
+  /// transport numbers all travel as registry entries. serve/ owns the
+  /// chunking/reassembly bridge.
   kObsSnapshot = 10,
 };
 
@@ -189,67 +192,6 @@ static_assert(std::is_trivially_copyable_v<ScenarioOpPayload>,
               "wire payloads must stay trivially copyable");
 
 // d3t-lint: pod-event
-struct MetricsReportPayload {
-  uint32_t node;
-  uint32_t reserved;
-  uint64_t frames_tx;
-  uint64_t frames_rx;
-  uint64_t bytes_tx;
-  uint64_t bytes_rx;
-  uint64_t backpressure_stalls;
-  uint64_t decode_errors;
-  /// Fault-injection / recovery counters (0 outside chaos runs).
-  uint64_t faults_injected;
-  uint64_t frames_dropped;
-  uint64_t reconnects;
-};
-static_assert(sizeof(MetricsReportPayload) == 80,
-              "metrics-report frames are 80-byte PODs");
-static_assert(std::is_trivially_copyable_v<MetricsReportPayload>,
-              "wire payloads must stay trivially copyable");
-
-/// Wire image of core::EngineMetrics: every scalar verbatim, the
-/// per-member loss vector as a length + FNV-1a digest (a fixed-size
-/// payload cannot carry a member-count-sized array; the digest still
-/// pins the vector byte-for-byte). The wire layer sits below core/ in
-/// the include DAG, so it re-states the field shapes instead of
-/// including them; serve/ owns the EngineMetrics <-> payload bridge.
-// d3t-lint: pod-event
-struct EngineReportPayload {
-  /// Reporting node (cluster peer id).
-  uint32_t node;
-  /// Length of the per-member loss vector the digest covers.
-  uint32_t member_count;
-  double loss_percent;
-  double pair_loss_percent;
-  double outage_loss_percent;
-  uint64_t tracked_pairs;
-  uint64_t messages;
-  uint64_t source_messages;
-  uint64_t checks;
-  uint64_t source_checks;
-  uint64_t source_updates;
-  uint64_t events;
-  uint64_t delivery_batches;
-  uint64_t coalesced_messages;
-  uint64_t process_wakeups;
-  uint64_t scenario_ops;
-  uint64_t repairs;
-  uint64_t orphaned_ticks;
-  uint64_t dropped_jobs;
-  int64_t outage_pair_time;
-  int64_t outage_out_of_sync_time;
-  int64_t horizon;
-  /// FNV-1a (64-bit) over the raw bytes of per_member_loss.
-  uint64_t per_member_loss_hash;
-};
-static_assert(sizeof(EngineReportPayload) == 176,
-              "engine-report frames are 176-byte PODs (2 u32 ids + 21 "
-              "8-byte metric fields)");
-static_assert(std::is_trivially_copyable_v<EngineReportPayload>,
-              "wire payloads must stay trivially copyable");
-
-// d3t-lint: pod-event
 struct ShutdownPayload {
   uint32_t node;
   /// Feed sequence number (see SourceTickPayload::seq); shutdown is the
@@ -333,9 +275,7 @@ struct Frame {
     UpdatePayload update;
     PollPayload poll;
     ScenarioOpPayload scenario;
-    MetricsReportPayload metrics;
     ShutdownPayload shutdown;
-    EngineReportPayload engine_report;
     ResubscribePayload resubscribe;
     ObsSnapshotPayload obs_snapshot;
   };
@@ -354,18 +294,8 @@ struct Frame {
                     uint32_t state_index, uint32_t phase, double value);
   static Frame ScenarioOp(int64_t at_us, uint32_t kind, uint32_t member,
                           uint32_t item, double c, uint32_t seq = 0);
-  static Frame MetricsReport(uint32_t node, uint64_t frames_tx,
-                             uint64_t frames_rx, uint64_t bytes_tx,
-                             uint64_t bytes_rx, uint64_t backpressure_stalls,
-                             uint64_t decode_errors,
-                             uint64_t faults_injected = 0,
-                             uint64_t frames_dropped = 0,
-                             uint64_t reconnects = 0);
   static Frame Shutdown(uint32_t node, uint32_t seq = 0);
   static Frame Resubscribe(uint32_t node, uint32_t resume_seq);
-  /// `payload` must have every field set (serve::MakeEngineReport is
-  /// the one bridge from core::EngineMetrics).
-  static Frame EngineReport(const EngineReportPayload& payload);
   /// `payload` must have every field set, unused `words` zeroed
   /// (serve::MakeObsSnapshotFrames is the one bridge from
   /// obs::Snapshot / obs::TraceEvent streams).

@@ -4,6 +4,16 @@
 
 namespace d3t::obs {
 
+uint64_t HashBytes(const void* data, size_t size) {
+  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  uint64_t hash = kFnvOffset;
+  for (size_t i = 0; i < size; ++i) {
+    hash ^= bytes[i];
+    hash *= kFnvPrime;
+  }
+  return hash;
+}
+
 Registry::Registry(size_t max_metrics)
     : max_metrics_(std::min(max_metrics, Snapshot::kMaxEntries)) {
   slots_.reserve(max_metrics_);
@@ -163,6 +173,27 @@ bool SnapshotsIdentical(const Snapshot& a, const Snapshot& b) {
   if (a.count != b.count || a.truncated != b.truncated) return false;
   return std::memcmp(a.entries, b.entries,
                      a.count * sizeof(SnapshotEntry)) == 0;
+}
+
+Status EntriesMatch(const Registry& expected, const Snapshot& actual) {
+  const Snapshot want = expected.TakeSnapshot();
+  for (uint32_t i = 0; i < want.count; ++i) {
+    const SnapshotEntry& entry = want.entries[i];
+    const SnapshotEntry* got =
+        FindEntry(actual, entry.name_hash, entry.index);
+    if (got != nullptr && got->kind == entry.kind &&
+        got->value == entry.value) {
+      continue;
+    }
+    // The entry came from `expected`'s own slots, so its name is there.
+    std::string msg(got == nullptr ? "metric missing: " : "metric mismatch: ");
+    msg += *expected.NameOf(entry.name_hash);
+    if (entry.kind == static_cast<uint32_t>(MetricKind::kHistogram)) {
+      msg += " bucket " + std::to_string(entry.index);
+    }
+    return Status::Internal(msg);
+  }
+  return Status::Ok();
 }
 
 }  // namespace d3t::obs

@@ -8,6 +8,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/status.h"
+
 namespace d3t::obs {
 
 /// Metric slot handle. Registration returns one; the hot mutation calls
@@ -25,17 +27,26 @@ enum class MetricKind : uint32_t {
 
 inline constexpr size_t kHistogramBuckets = 16;
 
+inline constexpr uint64_t kFnvOffset = 1469598103934665603ull;
+inline constexpr uint64_t kFnvPrime = 1099511628211ull;
+
 /// FNV-1a 64 over the metric name. The hash is the cross-process
 /// identity of a metric: snapshots carry hashes, not strings, so a
 /// Snapshot POD stays fixed-size and checksummable on the wire.
 constexpr uint64_t HashMetricName(const char* name) {
-  uint64_t hash = 1469598103934665603ull;
+  uint64_t hash = kFnvOffset;
   for (size_t i = 0; name[i] != '\0'; ++i) {
     hash ^= static_cast<uint8_t>(name[i]);
-    hash *= 1099511628211ull;
+    hash *= kFnvPrime;
   }
   return hash;
 }
+
+/// FNV-1a 64 over `size` raw bytes. A variable-length result (such as a
+/// per-member loss vector) cannot ride a fixed-size snapshot entry, but
+/// its length plus this digest still pin it bit for bit: any change of
+/// value, order or length breaks the match.
+uint64_t HashBytes(const void* data, size_t size);
 
 /// Gauges travel through uint64-shaped slots and wire words as raw IEEE
 /// bits; these keep the conversion in one place.
@@ -172,6 +183,15 @@ double SnapshotGauge(const Snapshot& snapshot, const char* name);
 
 /// Byte-wise equality over the live prefix — the wire round-trip pin.
 bool SnapshotsIdentical(const Snapshot& a, const Snapshot& b);
+
+/// Ok iff `actual` holds every entry of `expected`'s snapshot with the
+/// same kind and the same value bits (gauges compare as raw IEEE bits,
+/// so NaN and signed-zero drift count). Entries only `actual` carries
+/// are ignored. This is the cross-process identity check: a collector
+/// runs the direct engine into its own registry and matches a node's
+/// reassembled snapshot against it. Otherwise Internal naming the first
+/// expected metric that is missing or differs.
+Status EntriesMatch(const Registry& expected, const Snapshot& actual);
 
 }  // namespace d3t::obs
 

@@ -15,19 +15,6 @@
 namespace d3t::serve {
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-bool BitEqualDouble(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(double)) == 0;
-}
-
-Status Mismatch(const char* field) {
-  std::string msg("engine report mismatch: ");
-  msg += field;
-  return Status::Internal(msg);
-}
-
 /// Maps a waitpid status onto the report taxonomy.
 Status ChildExitStatus(size_t node, int wstatus) {
   if (WIFEXITED(wstatus)) {
@@ -52,121 +39,6 @@ Status ChildExitStatus(size_t node, int wstatus) {
   return Status::Internal(msg);
 }
 
-}  // namespace
-
-uint64_t HashPerMemberLoss(const std::vector<double>& per_member_loss) {
-  uint64_t hash = kFnvOffset;
-  const uint8_t* bytes =
-      reinterpret_cast<const uint8_t*>(per_member_loss.data());
-  const size_t size = per_member_loss.size() * sizeof(double);
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-net::wire::Frame MakeEngineReport(uint32_t node,
-                                  const core::EngineMetrics& metrics) {
-  net::wire::EngineReportPayload p{};
-  p.node = node;
-  p.member_count = static_cast<uint32_t>(metrics.per_member_loss.size());
-  p.loss_percent = metrics.loss_percent;
-  p.pair_loss_percent = metrics.pair_loss_percent;
-  p.outage_loss_percent = metrics.outage_loss_percent;
-  p.tracked_pairs = metrics.tracked_pairs;
-  p.messages = metrics.messages;
-  p.source_messages = metrics.source_messages;
-  p.checks = metrics.checks;
-  p.source_checks = metrics.source_checks;
-  p.source_updates = metrics.source_updates;
-  p.events = metrics.events;
-  p.delivery_batches = metrics.delivery_batches;
-  p.coalesced_messages = metrics.coalesced_messages;
-  p.process_wakeups = metrics.process_wakeups;
-  p.scenario_ops = metrics.scenario_ops;
-  p.repairs = metrics.repairs;
-  p.orphaned_ticks = metrics.orphaned_ticks;
-  p.dropped_jobs = metrics.dropped_jobs;
-  p.outage_pair_time = metrics.outage_pair_time;
-  p.outage_out_of_sync_time = metrics.outage_out_of_sync_time;
-  p.horizon = metrics.horizon;
-  p.per_member_loss_hash = HashPerMemberLoss(metrics.per_member_loss);
-  return net::wire::Frame::EngineReport(p);
-}
-
-Status EngineReportMatches(const net::wire::EngineReportPayload& report,
-                           const core::EngineMetrics& expected) {
-  if (report.member_count != expected.per_member_loss.size()) {
-    return Mismatch("member_count");
-  }
-  if (!BitEqualDouble(report.loss_percent, expected.loss_percent)) {
-    return Mismatch("loss_percent");
-  }
-  if (!BitEqualDouble(report.pair_loss_percent, expected.pair_loss_percent)) {
-    return Mismatch("pair_loss_percent");
-  }
-  if (!BitEqualDouble(report.outage_loss_percent,
-                      expected.outage_loss_percent)) {
-    return Mismatch("outage_loss_percent");
-  }
-  if (report.tracked_pairs != expected.tracked_pairs) {
-    return Mismatch("tracked_pairs");
-  }
-  if (report.messages != expected.messages) return Mismatch("messages");
-  if (report.source_messages != expected.source_messages) {
-    return Mismatch("source_messages");
-  }
-  if (report.checks != expected.checks) return Mismatch("checks");
-  if (report.source_checks != expected.source_checks) {
-    return Mismatch("source_checks");
-  }
-  if (report.source_updates != expected.source_updates) {
-    return Mismatch("source_updates");
-  }
-  if (report.events != expected.events) return Mismatch("events");
-  if (report.delivery_batches != expected.delivery_batches) {
-    return Mismatch("delivery_batches");
-  }
-  if (report.coalesced_messages != expected.coalesced_messages) {
-    return Mismatch("coalesced_messages");
-  }
-  if (report.process_wakeups != expected.process_wakeups) {
-    return Mismatch("process_wakeups");
-  }
-  if (report.scenario_ops != expected.scenario_ops) {
-    return Mismatch("scenario_ops");
-  }
-  if (report.repairs != expected.repairs) return Mismatch("repairs");
-  if (report.orphaned_ticks != expected.orphaned_ticks) {
-    return Mismatch("orphaned_ticks");
-  }
-  if (report.dropped_jobs != expected.dropped_jobs) {
-    return Mismatch("dropped_jobs");
-  }
-  if (report.outage_pair_time != expected.outage_pair_time) {
-    return Mismatch("outage_pair_time");
-  }
-  if (report.outage_out_of_sync_time != expected.outage_out_of_sync_time) {
-    return Mismatch("outage_out_of_sync_time");
-  }
-  if (report.horizon != expected.horizon) return Mismatch("horizon");
-  if (report.per_member_loss_hash !=
-      HashPerMemberLoss(expected.per_member_loss)) {
-    return Mismatch("per_member_loss_hash");
-  }
-  return Status::Ok();
-}
-
-Status ClusterReport::FirstError() const {
-  for (const Status& exit : exits) {
-    if (!exit.ok()) return exit;
-  }
-  return Status::Ok();
-}
-
-namespace {
-
 /// Records per kObsSnapshot chunk: 20 words carry 6 snapshot entries
 /// (3 words each) or 5 trace events (4 words each).
 constexpr size_t kEntriesPerChunk =
@@ -184,17 +56,30 @@ Status ObsStreamError(const char* what, uint32_t seq) {
   return Status::InvalidArgument(msg);
 }
 
+/// Chunks a stream carrying `entries` snapshot entries and `events`
+/// trace events occupies: the header plus each record run rounded up to
+/// whole chunks. Cannot overflow for any counts a header announces
+/// (1/6 + 1/5 of the 64-bit range still fits in it).
+uint64_t StreamChunks(uint64_t entries, uint64_t events) {
+  return 1 + entries / kEntriesPerChunk + (entries % kEntriesPerChunk != 0) +
+         events / kEventsPerChunk + (events % kEventsPerChunk != 0);
+}
+
 }  // namespace
+
+Status ClusterReport::FirstError() const {
+  for (const Status& exit : exits) {
+    if (!exit.ok()) return exit;
+  }
+  return Status::Ok();
+}
 
 std::vector<net::wire::Frame> MakeObsSnapshotFrames(
     uint32_t node, const obs::Snapshot& snapshot,
     const obs::Recorder* recorder) {
   const size_t events = recorder != nullptr ? recorder->size() : 0;
-  const uint32_t entry_chunks = static_cast<uint32_t>(
-      (snapshot.count + kEntriesPerChunk - 1) / kEntriesPerChunk);
-  const uint32_t event_chunks =
-      static_cast<uint32_t>((events + kEventsPerChunk - 1) / kEventsPerChunk);
-  const uint32_t total = 1 + entry_chunks + event_chunks;
+  const uint32_t total =
+      static_cast<uint32_t>(StreamChunks(snapshot.count, events));
 
   std::vector<net::wire::Frame> frames;
   frames.reserve(total);
@@ -255,19 +140,26 @@ Status ObsAccumulator::Accept(const net::wire::ObsSnapshotPayload& payload) {
       return ObsStreamError("stream does not start with a header",
                             payload.seq);
     }
-    if (payload.total == 0) return ObsStreamError("zero total", payload.seq);
-    total_ = payload.total;
-    expected_entries_ = payload.words[0];
-    snapshot_.count = 0;
-    snapshot_.truncated = static_cast<uint32_t>(payload.words[1]);
-    expected_events_ = payload.words[2];
-    recorded_ = payload.words[3];
-    dropped_ = payload.words[4];
-    if (expected_entries_ > obs::Snapshot::kMaxEntries) {
+    // The header is untrusted: its record counts must fit and agree
+    // with its chunk total before anything is sized from them, and the
+    // trace then grows only with chunks that actually arrive.
+    const uint64_t entries = payload.words[0];
+    const uint64_t events = payload.words[2];
+    if (entries > obs::Snapshot::kMaxEntries) {
       return ObsStreamError("snapshot entry total exceeds capacity",
                             payload.seq);
     }
-    trace_.reserve(expected_events_);
+    if (payload.total != StreamChunks(entries, events)) {
+      return ObsStreamError("chunk total disagrees with announced records",
+                            payload.seq);
+    }
+    total_ = payload.total;
+    expected_entries_ = entries;
+    snapshot_.count = 0;
+    snapshot_.truncated = static_cast<uint32_t>(payload.words[1]);
+    expected_events_ = events;
+    recorded_ = payload.words[3];
+    dropped_ = payload.words[4];
     ++next_seq_;
     return Status::Ok();
   }

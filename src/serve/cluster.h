@@ -8,32 +8,12 @@
 
 #include "common/result.h"
 #include "common/status.h"
-#include "core/engine.h"
 #include "net/socket_transport.h"
 #include "net/wire.h"
 #include "obs/recorder.h"
 #include "obs/registry.h"
 
 namespace d3t::serve {
-
-/// FNV-1a 64 over the raw bytes of a per-member loss vector. A fixed-
-/// size wire payload cannot carry the variable-length vector, but the
-/// hash still pins it bit-for-bit: a cluster child hashes the vector it
-/// computed, the collector hashes the one the direct run computed, and
-/// any divergence — value, order, or length — breaks the match.
-uint64_t HashPerMemberLoss(const std::vector<double>& per_member_loss);
-
-/// Frames a node's EngineMetrics for the wire: every scalar verbatim,
-/// the per-member vector as count + FNV-1a hash.
-net::wire::Frame MakeEngineReport(uint32_t node,
-                                  const core::EngineMetrics& metrics);
-
-/// Ok iff `report` is byte-identical to `expected` — every scalar
-/// compared bit-for-bit (doubles by bit pattern, not ==, so NaN and
-/// signed-zero differences count) and the per-member vector matched by
-/// count + hash. Otherwise Internal naming the first mismatched field.
-Status EngineReportMatches(const net::wire::EngineReportPayload& report,
-                           const core::EngineMetrics& expected);
 
 /// Packs one node's observability stream — a registry snapshot plus,
 /// when `recorder` is non-null, its whole trace ring (oldest first) —
@@ -47,9 +27,12 @@ std::vector<net::wire::Frame> MakeObsSnapshotFrames(
     const obs::Recorder* recorder = nullptr);
 
 /// Reassembles one node's kObsSnapshot chunk stream, strictly in
-/// sequence: a gap, duplicate, reorder, or malformed chunk is a precise
-/// InvalidArgument (the transport below already guarantees per-channel
-/// FIFO, so any violation is a real protocol bug, not weather).
+/// sequence: a gap, duplicate, reorder, or malformed chunk — including
+/// a header whose chunk total disagrees with the records it announces —
+/// is a precise InvalidArgument (the transport below already guarantees
+/// per-channel FIFO, so any violation is a real protocol bug, not
+/// weather). Memory grows only with chunks that arrive, never with what
+/// a header claims.
 class ObsAccumulator {
  public:
   /// Feeds the next chunk. Chunks must arrive with seq 0, 1, 2, ...

@@ -1,6 +1,7 @@
 // serve::RunCluster: real forked processes over loopback TCP. The
 // byte-identity acceptance pin — a world served across a process
-// boundary reproduces the direct run's EngineMetrics bit for bit — plus
+// boundary ships home, as a kObsSnapshot stream, every "engine.*" entry
+// the direct run publishes, bit for bit — plus
 // the failure taxonomy: a SIGKILLed child is reported as exactly that,
 // a publisher feeding a killed node observes a precise IoError (not a
 // hang, not a silent success), and a wedged child is killed at the
@@ -38,48 +39,27 @@ net::wire::Frame TestUpdate(uint32_t item) {
                                   static_cast<double>(item), 0.0);
 }
 
-TEST(ClusterHashTest, PerMemberLossHashPinsValuesOrderAndLength) {
-  const std::vector<double> base = {0.0, 1.25, -1.0, 3.5};
-  const uint64_t hash = HashPerMemberLoss(base);
-  EXPECT_EQ(hash, HashPerMemberLoss({0.0, 1.25, -1.0, 3.5}));
-  EXPECT_NE(hash, HashPerMemberLoss({0.0, 1.25, -1.0}));        // length
-  EXPECT_NE(hash, HashPerMemberLoss({1.25, 0.0, -1.0, 3.5}));   // order
-  EXPECT_NE(hash, HashPerMemberLoss({0.0, 1.25, -1.0, 3.51}));  // value
-}
-
-TEST(ClusterHashTest, EngineReportRoundTripsAndDetectsDrift) {
-  core::EngineMetrics metrics;
-  metrics.loss_percent = 1.5;
-  metrics.pair_loss_percent = 2.25;
-  metrics.tracked_pairs = 11;
-  metrics.per_member_loss = {0.0, 1.0, 2.0};
-  metrics.messages = 1234;
-  metrics.events = 999;
-  metrics.horizon = 5000000;
-  net::wire::Frame frame = MakeEngineReport(3, metrics);
-  ASSERT_EQ(frame.type, net::wire::FrameType::kEngineReport);
-  EXPECT_EQ(frame.u.engine_report.node, 3u);
-  EXPECT_TRUE(EngineReportMatches(frame.u.engine_report, metrics).ok());
-
-  core::EngineMetrics drifted = metrics;
-  drifted.messages += 1;
-  Status mismatch = EngineReportMatches(frame.u.engine_report, drifted);
-  ASSERT_FALSE(mismatch.ok());
-  EXPECT_NE(mismatch.message().find("messages"), std::string::npos);
-
-  core::EngineMetrics reordered = metrics;
-  reordered.per_member_loss = {1.0, 0.0, 2.0};
-  EXPECT_FALSE(
-      EngineReportMatches(frame.u.engine_report, reordered).ok());
+// Sends every frame to the collector, honoring backpressure.
+Status SendAll(ProcessContext& ctx,
+               const std::vector<net::wire::Frame>& frames) {
+  for (const net::wire::Frame& frame : frames) {
+    for (;;) {
+      Status sent = ctx.transport.Send(ctx.self, ctx.collector, frame);
+      if (sent.ok()) break;
+      if (!sent.IsCapacityExhausted()) return sent;
+      Status waited = ctx.transport.WaitIo(10000);
+      if (!waited.ok()) return waited;
+    }
+  }
+  return Status::Ok();
 }
 
 TEST(ClusterTest, ChildrenReportFramesAndExitCleanly) {
   std::vector<ProcessBody> bodies;
   for (uint32_t node = 0; node < 2; ++node) {
     bodies.push_back([node](ProcessContext& ctx) {
-      return ctx.transport.Send(
-          ctx.self, ctx.collector,
-          net::wire::Frame::MetricsReport(node, node + 1, 0, 0, 0, 0, 0));
+      return ctx.transport.Send(ctx.self, ctx.collector,
+                                net::wire::Frame::Shutdown(node, node + 1));
     });
   }
   auto report = RunCluster(bodies);
@@ -91,9 +71,9 @@ TEST(ClusterTest, ChildrenReportFramesAndExitCleanly) {
   // frame to its child and check the pair.
   ASSERT_EQ(report->frame_sources.size(), 2u);
   for (size_t i = 0; i < report->frames.size(); ++i) {
-    ASSERT_EQ(report->frames[i].type, net::wire::FrameType::kMetricsReport);
-    EXPECT_EQ(report->frames[i].u.metrics.node, report->frame_sources[i]);
-    EXPECT_EQ(report->frames[i].u.metrics.frames_tx,
+    ASSERT_EQ(report->frames[i].type, net::wire::FrameType::kShutdown);
+    EXPECT_EQ(report->frames[i].u.shutdown.node, report->frame_sources[i]);
+    EXPECT_EQ(report->frames[i].u.shutdown.seq,
               report->frame_sources[i] + 1u);
   }
 }
@@ -207,8 +187,7 @@ TEST(ClusterTest, SupervisorRestartsCrashedChildWithinBudget) {
     }
     return ctx.transport.Send(
         ctx.self, ctx.collector,
-        net::wire::Frame::MetricsReport(
-            static_cast<uint32_t>(ctx.incarnation), 1, 0, 0, 0, 0, 0));
+        net::wire::Frame::Shutdown(static_cast<uint32_t>(ctx.incarnation), 1));
   });
   ClusterOptions options;
   options.max_restarts = 1;
@@ -220,7 +199,7 @@ TEST(ClusterTest, SupervisorRestartsCrashedChildWithinBudget) {
   // incarnation's frame arrived.
   EXPECT_TRUE(report->exits[0].ok()) << report->exits[0].ToString();
   ASSERT_EQ(report->frames.size(), 1u);
-  EXPECT_EQ(report->frames[0].u.metrics.node, 1u);  // incarnation 1
+  EXPECT_EQ(report->frames[0].u.shutdown.node, 1u);  // incarnation 1
 }
 
 TEST(ClusterTest, SupervisorGivesUpPastTheRestartBudget) {
@@ -269,8 +248,10 @@ TEST(ClusterTest, WedgedChildIsKilledAtTheDeadline) {
 // ---------------------------------------------------------------------------
 // The acceptance pin: a world served across a real process boundary and
 // a real TCP stream reproduces the direct run's EngineMetrics byte for
-// byte — every scalar bit-identical, the per-member loss vector pinned
-// by count + FNV-1a hash.
+// byte. The node ships its registry home as a kObsSnapshot stream; every
+// "engine.*" entry the direct run publishes must be in it with the same
+// bits (doubles as raw bits, the per-member loss vector as length +
+// FNV-1a digest).
 
 d3t::Result<core::Overlay> BuildWorldOverlay(const exp::World& world) {
   core::LelaOptions lela;
@@ -299,13 +280,17 @@ TEST(ClusterTest, ProcessBoundaryPreservesEngineMetricsByteForByte) {
   const exp::World& world = session->world();
   core::EngineOptions engine_options;
 
-  // Direct run: one library call, no wire, no processes.
+  // Direct run: one library call, no wire, no processes, publishing into
+  // its own registry.
   auto direct_overlay = BuildWorldOverlay(world);
   ASSERT_TRUE(direct_overlay.ok()) << direct_overlay.status().ToString();
   std::unique_ptr<core::Disseminator> policy =
       core::MakeDisseminator("distributed");
+  obs::Registry direct_registry;
+  core::EngineOptions direct_options = engine_options;
+  direct_options.registry = &direct_registry;
   core::Engine direct(*direct_overlay, world.delays(0), world.traces(),
-                      *policy, engine_options,
+                      *policy, direct_options,
                       /*change_timelines=*/nullptr, /*scenario=*/nullptr);
   auto direct_metrics = direct.Run();
   ASSERT_TRUE(direct_metrics.ok()) << direct_metrics.status().ToString();
@@ -316,9 +301,11 @@ TEST(ClusterTest, ProcessBoundaryPreservesEngineMetricsByteForByte) {
     auto overlay = BuildWorldOverlay(world);
     if (!overlay.ok()) return overlay.status();
     net::InProcTransport data(overlay->member_count(), 64);
+    obs::Registry registry;
     NodeOptions options;
     options.engine = engine_options;
     options.feed_self = ctx.self;
+    options.registry = &registry;
     Node node(*overlay, world.delays(0), ctx.transport, data, options);
     const int64_t deadline = net::MonotonicMillis() + 30000;
     while (!node.feed_complete()) {
@@ -334,9 +321,8 @@ TEST(ClusterTest, ProcessBoundaryPreservesEngineMetricsByteForByte) {
     }
     auto node_report = node.Serve();
     if (!node_report.ok()) return node_report.status();
-    return ctx.transport.Send(
-        ctx.self, ctx.collector,
-        MakeEngineReport(ctx.self, node_report->engine));
+    return SendAll(ctx,
+                   MakeObsSnapshotFrames(ctx.self, registry.TakeSnapshot()));
   });
   bodies.push_back([&world](ProcessContext& ctx) {
     Status connected = ctx.transport.ConnectPeer(0, ctx.ports[0]);
@@ -363,20 +349,33 @@ TEST(ClusterTest, ProcessBoundaryPreservesEngineMetricsByteForByte) {
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
   ASSERT_TRUE(cluster->FirstError().ok()) << cluster->FirstError().ToString();
 
-  const net::wire::EngineReportPayload* served = nullptr;
+  ObsAccumulator node0;
   for (size_t i = 0; i < cluster->frames.size(); ++i) {
-    if (cluster->frames[i].type == net::wire::FrameType::kEngineReport &&
-        cluster->frame_sources[i] == 0) {
-      served = &cluster->frames[i].u.engine_report;
+    if (cluster->frames[i].type != net::wire::FrameType::kObsSnapshot ||
+        cluster->frame_sources[i] != 0) {
+      continue;
     }
+    Status accepted = node0.Accept(cluster->frames[i].u.obs_snapshot);
+    ASSERT_TRUE(accepted.ok()) << accepted.ToString();
   }
-  ASSERT_NE(served, nullptr) << "node 0 never reported its metrics";
-  Status identical = EngineReportMatches(*served, *direct_metrics);
+  ASSERT_TRUE(node0.complete()) << "node 0 never shipped its snapshot";
+  const obs::Snapshot& served = node0.snapshot();
+  Status identical = obs::EntriesMatch(direct_registry, served);
   EXPECT_TRUE(identical.ok()) << identical.ToString();
   // The real acceptance content, spelled out: nonzero work happened and
   // crossed the boundary unchanged.
-  EXPECT_GT(served->messages, 0u);
-  EXPECT_GT(served->events, 0u);
+  EXPECT_GT(direct_metrics->messages, 0u);
+  EXPECT_EQ(obs::SnapshotCounter(served, "engine.messages"),
+            direct_metrics->messages);
+  EXPECT_EQ(obs::SnapshotCounter(served, "engine.events"),
+            direct_metrics->events);
+
+  // The check has teeth: one drifted expected entry is named.
+  direct_registry.Add(direct_registry.Counter("engine.checks"), 1);
+  Status drifted = obs::EntriesMatch(direct_registry, served);
+  ASSERT_FALSE(drifted.ok());
+  EXPECT_NE(drifted.message().find("engine.checks"), std::string::npos)
+      << drifted.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -422,18 +421,8 @@ TEST(ClusterTest, ObsSnapshotRoundTripsThroughRealClusterByteForByte) {
     obs::Registry registry;
     obs::Recorder recorder(8);
     FillTestObs(registry, recorder);
-    const obs::Snapshot snapshot = registry.TakeSnapshot();
-    for (const net::wire::Frame& frame :
-         MakeObsSnapshotFrames(ctx.self, snapshot, &recorder)) {
-      for (;;) {
-        Status sent = ctx.transport.Send(ctx.self, ctx.collector, frame);
-        if (sent.ok()) break;
-        if (!sent.IsCapacityExhausted()) return sent;
-        Status waited = ctx.transport.WaitIo(10000);
-        if (!waited.ok()) return waited;
-      }
-    }
-    return Status::Ok();
+    return SendAll(ctx, MakeObsSnapshotFrames(
+                            ctx.self, registry.TakeSnapshot(), &recorder));
   });
   auto cluster = RunCluster(bodies);
   ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();

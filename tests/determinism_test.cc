@@ -424,8 +424,9 @@ TEST(DeterminismTest, WireTransportIsByteIdenticalOnPullEngine) {
 TEST(DeterminismTest, RecorderAttachmentLeavesMetricsByteIdentical) {
   // The flight recorder is a pure tap: attaching it (and a metrics
   // registry) to a run must not perturb a single metric bit — for every
-  // policy on the golden fixture. The registry's published counters
-  // must in turn mirror the EngineMetrics they were derived from.
+  // policy on the golden fixture. The registry must in turn carry every
+  // EngineMetrics field it was derived from: doubles bit for bit, the
+  // per-member loss vector by length and FNV-1a digest.
   for (const char* policy :
        {"distributed", "centralized", "eq3-only", "all-updates"}) {
     SCOPED_TRACE(policy);
@@ -446,14 +447,46 @@ TEST(DeterminismTest, RecorderAttachmentLeavesMetricsByteIdentical) {
     ExpectIdenticalMetrics(a->metrics, b->metrics);
     EXPECT_GT(recorder.recorded(), 0u);
     const obs::Snapshot snapshot = registry.TakeSnapshot();
-    EXPECT_EQ(obs::SnapshotCounter(snapshot, "engine.messages"),
-              b->metrics.messages);
-    EXPECT_EQ(obs::SnapshotCounter(snapshot, "engine.checks"),
-              b->metrics.checks);
-    EXPECT_EQ(obs::SnapshotCounter(snapshot, "engine.events"),
-              b->metrics.events);
-    EXPECT_EQ(obs::SnapshotGauge(snapshot, "engine.loss_percent"),
-              b->metrics.loss_percent);
+    // Raw value bits under `name`; a missing entry fails (a 0 default
+    // would pass for the many fields that are 0 on this fixture).
+    auto published = [&snapshot](const char* name) -> uint64_t {
+      const obs::SnapshotEntry* entry =
+          obs::FindEntry(snapshot, obs::HashMetricName(name));
+      EXPECT_NE(entry, nullptr) << name << " was not published";
+      return entry != nullptr ? entry->value : ~uint64_t{0};
+    };
+    const core::EngineMetrics& m = b->metrics;
+    EXPECT_EQ(published("engine.loss_percent"),
+              obs::DoubleBits(m.loss_percent));
+    EXPECT_EQ(published("engine.pair_loss_percent"),
+              obs::DoubleBits(m.pair_loss_percent));
+    EXPECT_EQ(published("engine.tracked_pairs"), m.tracked_pairs);
+    EXPECT_EQ(published("engine.per_member_loss_len"),
+              m.per_member_loss.size());
+    EXPECT_EQ(published("engine.per_member_loss_digest"),
+              obs::HashBytes(m.per_member_loss.data(),
+                             m.per_member_loss.size() * sizeof(double)));
+    EXPECT_EQ(published("engine.messages"), m.messages);
+    EXPECT_EQ(published("engine.source_messages"), m.source_messages);
+    EXPECT_EQ(published("engine.checks"), m.checks);
+    EXPECT_EQ(published("engine.source_checks"), m.source_checks);
+    EXPECT_EQ(published("engine.source_updates"), m.source_updates);
+    EXPECT_EQ(published("engine.events"), m.events);
+    EXPECT_EQ(published("engine.delivery_batches"), m.delivery_batches);
+    EXPECT_EQ(published("engine.coalesced_messages"), m.coalesced_messages);
+    EXPECT_EQ(published("engine.process_wakeups"), m.process_wakeups);
+    EXPECT_EQ(published("engine.scenario_ops"), m.scenario_ops);
+    EXPECT_EQ(published("engine.repairs"), m.repairs);
+    EXPECT_EQ(published("engine.orphaned_ticks"), m.orphaned_ticks);
+    EXPECT_EQ(published("engine.dropped_jobs"), m.dropped_jobs);
+    EXPECT_EQ(published("engine.outage_pair_time"),
+              static_cast<uint64_t>(m.outage_pair_time));
+    EXPECT_EQ(published("engine.outage_out_of_sync_time"),
+              static_cast<uint64_t>(m.outage_out_of_sync_time));
+    EXPECT_EQ(published("engine.outage_loss_percent"),
+              obs::DoubleBits(m.outage_loss_percent));
+    EXPECT_EQ(published("engine.horizon"),
+              static_cast<uint64_t>(m.horizon));
   }
 }
 

@@ -166,6 +166,66 @@ TEST(RegistryTest, SnapshotsIdenticalIsBytewise) {
   EXPECT_FALSE(SnapshotsIdentical(a.TakeSnapshot(), b.TakeSnapshot()));
 }
 
+TEST(RegistryTest, HashBytesPinsValuesOrderAndLength) {
+  auto hash = [](const std::vector<double>& v) {
+    return HashBytes(v.data(), v.size() * sizeof(double));
+  };
+  const uint64_t base = hash({0.0, 1.25, -1.0, 3.5});
+  EXPECT_EQ(base, hash({0.0, 1.25, -1.0, 3.5}));
+  EXPECT_NE(base, hash({0.0, 1.25, -1.0}));        // length
+  EXPECT_NE(base, hash({1.25, 0.0, -1.0, 3.5}));   // order
+  EXPECT_NE(base, hash({0.0, 1.25, -1.0, 3.51}));  // value
+  EXPECT_NE(base, hash({-0.0, 1.25, -1.0, 3.5}));  // sign bit of a zero
+  // The byte hash and the name hash are the same FNV-1a.
+  EXPECT_EQ(HashBytes("ab", 2), HashMetricName("ab"));
+}
+
+TEST(RegistryTest, EntriesMatchNamesTheFirstMissingOrDriftedMetric) {
+  auto fill = [](Registry& r) {
+    r.Add(r.Counter("engine.messages"), 12);
+    r.Set(r.Gauge("engine.loss_percent"), 0.0);
+    r.Observe(r.Histogram("engine.span_jobs"), 3);
+  };
+  Registry expected;
+  fill(expected);
+  Registry actual;
+  actual.Add(actual.Counter("node.feed_frames"), 9);  // extras are ignored
+  fill(actual);
+  EXPECT_TRUE(EntriesMatch(expected, actual.TakeSnapshot()).ok());
+
+  // A drifted counter is named.
+  expected.Add(expected.Counter("engine.messages"), 1);
+  Status drift = EntriesMatch(expected, actual.TakeSnapshot());
+  ASSERT_FALSE(drift.ok());
+  EXPECT_NE(drift.message().find("mismatch: engine.messages"),
+            std::string::npos)
+      << drift.ToString();
+  actual.Add(actual.Counter("engine.messages"), 1);
+  EXPECT_TRUE(EntriesMatch(expected, actual.TakeSnapshot()).ok());
+
+  // Gauges compare as bits: -0.0 == 0.0 numerically, yet it drifts.
+  actual.Set(actual.Gauge("engine.loss_percent"), -0.0);
+  drift = EntriesMatch(expected, actual.TakeSnapshot());
+  ASSERT_FALSE(drift.ok());
+  EXPECT_NE(drift.message().find("engine.loss_percent"), std::string::npos);
+  actual.Set(actual.Gauge("engine.loss_percent"), 0.0);
+
+  // A histogram bucket the other side lacks is named with its bucket.
+  expected.Observe(expected.Histogram("engine.span_jobs"), 100);
+  drift = EntriesMatch(expected, actual.TakeSnapshot());
+  ASSERT_FALSE(drift.ok());
+  EXPECT_NE(drift.message().find("missing: engine.span_jobs bucket 6"),
+            std::string::npos)
+      << drift.ToString();
+
+  // A metric the other side never published is missing.
+  Registry empty;
+  drift = EntriesMatch(expected, empty.TakeSnapshot());
+  ASSERT_FALSE(drift.ok());
+  EXPECT_NE(drift.message().find("missing: engine.messages"),
+            std::string::npos);
+}
+
 TEST(ExportTest, CanonicalTraceSortsByFullKey) {
   Recorder recorder(8);
   recorder.RecordAt(200, TraceEventKind::kDelivery, 1, 9);
@@ -314,6 +374,33 @@ TEST(ObsSnapshotBridgeTest, RejectsGapsReordersAndMalformedChunks) {
     ASSERT_TRUE(accumulator.Accept(frames[0].u.obs_snapshot).ok());
     ASSERT_TRUE(accumulator.Accept(frames[1].u.obs_snapshot).ok());
     EXPECT_FALSE(accumulator.Accept(frames[1].u.obs_snapshot).ok());
+  }
+  {
+    // A header announcing records its chunk total has no room for is
+    // rejected, not completed as a silent partial result.
+    net::wire::ObsSnapshotPayload header = frames[0].u.obs_snapshot;
+    header.total = 1;
+    header.words[0] = 5;  // snapshot entries
+    header.words[2] = 7;  // trace events
+    serve::ObsAccumulator accumulator;
+    Status rejected = accumulator.Accept(header);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_TRUE(rejected.IsInvalidArgument());
+    EXPECT_NE(rejected.message().find("at chunk 0"), std::string::npos)
+        << rejected.ToString();
+    EXPECT_FALSE(accumulator.complete());
+  }
+  {
+    // An absurd trace-event count is rejected before anything is sized
+    // from it (it used to throw from vector::reserve).
+    net::wire::ObsSnapshotPayload header = frames[0].u.obs_snapshot;
+    header.words[2] = UINT64_MAX;
+    serve::ObsAccumulator accumulator;
+    Status rejected = accumulator.Accept(header);
+    ASSERT_FALSE(rejected.ok());
+    EXPECT_TRUE(rejected.IsInvalidArgument());
+    EXPECT_FALSE(accumulator.complete());
+    EXPECT_TRUE(accumulator.trace().empty());
   }
 }
 

@@ -1,8 +1,9 @@
 // Wire-format codec: round-trip identity for every frame kind over
 // seeded random payloads, and an adversarial decoder pass (truncated,
-// bit-flipped, wrong-version, wrong-magic, unknown-type, over-length
-// buffers) proving Decode rejects corrupt input with a precise Status
-// and never reads out of bounds (the suite runs under ASan/UBSan in CI).
+// bit-flipped, wrong-version, wrong-magic, unknown-type, retired-type,
+// over-length buffers) proving Decode rejects corrupt input with a
+// precise Status and never reads out of bounds (the suite runs under
+// ASan/UBSan in CI).
 
 #include <cstdint>
 #include <cstring>
@@ -15,7 +16,7 @@
 namespace d3t::net::wire {
 namespace {
 
-// All ten encodable frame kinds with rng-driven payloads. Each entry
+// All eight encodable frame kinds with rng-driven payloads. Each entry
 // re-generates deterministically from the same Rng stream, so tests can
 // iterate kinds while varying content per round.
 std::vector<Frame> RandomFrames(Rng& rng) {
@@ -28,30 +29,6 @@ std::vector<Frame> RandomFrames(Rng& rng) {
   obs.seq = u32();
   obs.total = u32();
   for (uint64_t& word : obs.words) word = rng.Next();
-  EngineReportPayload report = {};
-  report.node = u32();
-  report.member_count = u32();
-  report.loss_percent = rng.NextDouble();
-  report.pair_loss_percent = rng.NextDouble();
-  report.outage_loss_percent = rng.NextDouble();
-  report.tracked_pairs = rng.Next();
-  report.messages = rng.Next();
-  report.source_messages = rng.Next();
-  report.checks = rng.Next();
-  report.source_checks = rng.Next();
-  report.source_updates = rng.Next();
-  report.events = rng.Next();
-  report.delivery_batches = rng.Next();
-  report.coalesced_messages = rng.Next();
-  report.process_wakeups = rng.Next();
-  report.scenario_ops = rng.Next();
-  report.repairs = rng.Next();
-  report.orphaned_ticks = rng.Next();
-  report.dropped_jobs = rng.Next();
-  report.outage_pair_time = i64();
-  report.outage_out_of_sync_time = i64();
-  report.horizon = i64();
-  report.per_member_loss_hash = rng.Next();
   return {
       Frame::Hello(u32(), u32(), u32(), rng.Next(), u32()),
       Frame::SourceTick(u32(), u32(), i64(), rng.NextDouble(), u32()),
@@ -60,10 +37,6 @@ std::vector<Frame> RandomFrames(Rng& rng) {
       Frame::Poll(u32(), u32(), i64(), u32(), u32(), rng.NextDouble()),
       Frame::ScenarioOp(i64(), u32() % 5, u32(), u32(), rng.NextDouble(),
                         u32()),
-      Frame::MetricsReport(u32(), rng.Next(), rng.Next(), rng.Next(),
-                           rng.Next(), rng.Next(), rng.Next(), rng.Next(),
-                           rng.Next(), rng.Next()),
-      Frame::EngineReport(report),
       Frame::Shutdown(u32(), u32()),
       Frame::Resubscribe(u32(), u32()),
       Frame::ObsSnapshot(obs),
@@ -89,14 +62,43 @@ TEST(WireTest, PayloadSizesArePinned) {
   EXPECT_EQ(PayloadSize(FrameType::kUpdate), 40u);
   EXPECT_EQ(PayloadSize(FrameType::kPoll), 32u);
   EXPECT_EQ(PayloadSize(FrameType::kScenarioOp), 32u);
-  EXPECT_EQ(PayloadSize(FrameType::kMetricsReport), 80u);
-  EXPECT_EQ(PayloadSize(FrameType::kEngineReport), 176u);
   EXPECT_EQ(PayloadSize(FrameType::kShutdown), 8u);
   EXPECT_EQ(PayloadSize(FrameType::kResubscribe), 8u);
   EXPECT_EQ(PayloadSize(FrameType::kObsSnapshot), 176u);
   EXPECT_EQ(PayloadSize(FrameType::kInvalid), 0u);
   EXPECT_EQ(PayloadSize(static_cast<FrameType>(200)), 0u);
   EXPECT_EQ(EncodedSize(FrameType::kUpdate), kHeaderSize + 40u);
+  // The obs-snapshot chunk still fills the largest slot, so the decoded
+  // frame (and every transport ring sized to it) keeps its size.
+  EXPECT_EQ(sizeof(Frame), 184u);
+  EXPECT_EQ(kMaxPayloadSize, 176u);
+}
+
+TEST(WireTest, RetiredReportKindsDecodeAsUnknown) {
+  // v3 retired type bytes 6 (metrics report) and 8 (engine report)
+  // without renumbering the survivors: both now decode as unknown.
+  EXPECT_EQ(kVersion, 3);
+  EXPECT_EQ(static_cast<uint8_t>(FrameType::kShutdown), 7);
+  EXPECT_EQ(static_cast<uint8_t>(FrameType::kResubscribe), 9);
+  EXPECT_EQ(static_cast<uint8_t>(FrameType::kObsSnapshot), 10);
+  ObsSnapshotPayload obs = {};
+  uint8_t buf[kMaxFrameSize];
+  for (const Frame& frame : {Frame::Shutdown(1, 2), Frame::ObsSnapshot(obs)}) {
+    const size_t encoded = Encode(frame, buf, sizeof(buf));
+    ASSERT_GT(encoded, 0u);
+    for (const uint8_t retired : {uint8_t{6}, uint8_t{8}}) {
+      SCOPED_TRACE(static_cast<int>(retired));
+      EXPECT_EQ(PayloadSize(static_cast<FrameType>(retired)), 0u);
+      std::vector<uint8_t> bytes(buf, buf + encoded);
+      bytes[3] = retired;
+      Result<Frame> decoded = Decode(bytes.data(), bytes.size());
+      ASSERT_FALSE(decoded.ok());
+      EXPECT_TRUE(decoded.status().IsInvalidArgument());
+      EXPECT_NE(decoded.status().ToString().find("unknown frame type"),
+                std::string::npos)
+          << decoded.status().ToString();
+    }
+  }
 }
 
 TEST(WireTest, RoundTripIdentityForEveryKindOverSeededPayloads) {

@@ -142,8 +142,6 @@ REQUIRED_POD_EVENT_STRUCTS = (
     ("net/wire.h", "UpdatePayload"),
     ("net/wire.h", "PollPayload"),
     ("net/wire.h", "ScenarioOpPayload"),
-    ("net/wire.h", "MetricsReportPayload"),
-    ("net/wire.h", "EngineReportPayload"),
     ("net/wire.h", "ShutdownPayload"),
     ("net/wire.h", "ResubscribePayload"),
     ("net/wire.h", "ObsSnapshotPayload"),
