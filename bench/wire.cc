@@ -1,12 +1,14 @@
 // Wire-layer microbenchmarks: frame encode/decode throughput and the
-// cost of moving frames through the two transports. The engines'
-// byte-identity pins guarantee wire routing changes nothing about the
-// simulation's results (DeterminismTest.WireTransportIsByteIdentical*);
-// these benchmarks measure what it costs per message.
+// cost of moving frames through the transports, one at a time and in
+// bulk. The engines' byte-identity pins guarantee wire routing changes
+// nothing about the simulation's results
+// (DeterminismTest.WireTransportIsByteIdentical*); these benchmarks
+// measure what it costs per message.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <vector>
 
 #include "common/random.h"
 #include "net/fault_transport.h"
@@ -146,6 +148,49 @@ void BM_SocketSendPoll(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_SocketSendPoll);
+
+// The bulk path a serving feed takes: 4,096 frames per iteration offered
+// through SendBatch (one send(2) per ring's worth instead of one per
+// frame), the sender Pumped, and the receiver's Poll serving what its
+// rx ring already holds before each refill. Items are frames, so the
+// ratio to BM_SocketSendPoll is what batching buys per frame.
+void BM_SocketBurst(benchmark::State& state) {
+  constexpr size_t kBurst = 4096;
+  net::SocketTransport tx(/*peer_count=*/2, /*self=*/0);
+  net::SocketTransport rx(/*peer_count=*/2, /*self=*/1);
+  if (!rx.Listen().ok() || !tx.ConnectPeer(1, rx.port()).ok()) {
+    state.SkipWithError("loopback connect failed");
+    return;
+  }
+  std::vector<net::wire::Frame> frames;
+  frames.reserve(kBurst);
+  for (uint32_t i = 0; i < kBurst; ++i) {
+    frames.push_back(net::wire::Frame::Update(0, 1, 1000 * i, i % 8,
+                                              static_cast<double>(i), 0.25));
+  }
+  net::wire::Frame out;
+  for (auto _ : state) {
+    size_t sent = 0;
+    size_t received = 0;
+    while (received < kBurst) {
+      if (sent < kBurst) {
+        size_t admitted = 0;
+        const Status result = tx.SendBatch(0, 1, frames.data() + sent,
+                                           kBurst - sent, &admitted);
+        if (!result.ok() && !result.IsCapacityExhausted()) {
+          state.SkipWithError("socket send failed");
+          return;
+        }
+        sent += admitted;
+      }
+      benchmark::DoNotOptimize(tx.Pump().ok());
+      while (rx.Poll(1, &out, nullptr)) ++received;
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kBurst));
+}
+BENCHMARK(BM_SocketBurst);
 
 }  // namespace
 }  // namespace d3t

@@ -36,6 +36,17 @@ Result<uint32_t> RoutingTables::CheckedHops(NodeId from, NodeId to) const {
   return rows_[from].hops[to];
 }
 
+// Pinned to a cache-line boundary: the triple loop's speed depends on
+// where its entry lands, and a change anywhere else in the library can
+// move it. On x86-64 Xeon hosts with GCC, the entry moving from offset 0
+// to 16 (mod 64) in d3t_bench, with identical machine code, made
+// paper_sweep's traced net.routing span 11-35% slower and serve_feed's
+// setup_s 22-50% higher over seeds 41-44 (a repeat over four alternated
+// pairs at seed 42: 3-21% slower); pinned, both returned to their
+// earlier values. The algorithm is the same either way.
+#if defined(__GNUC__)
+__attribute__((aligned(64)))
+#endif
 Result<RoutingTables> RoutingTables::FloydWarshall(const Topology& topo) {
   const size_t n = topo.node_count();
   RoutingTables t(n);

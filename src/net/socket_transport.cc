@@ -486,6 +486,15 @@ void SocketTransport::FillIn(PeerId peer) {
 // d3t-lint: hot
 Status SocketTransport::Send(PeerId from, PeerId to,
                              const wire::Frame& frame) {
+  size_t sent = 0;
+  return SendBatch(from, to, &frame, 1, &sent);
+}
+
+// d3t-lint: hot
+Status SocketTransport::SendBatch(PeerId from, PeerId to,
+                                  const wire::Frame* frames, size_t count,
+                                  size_t* sent) {
+  *sent = 0;
   if (from != self_) {
     return Status::InvalidArgument(
         "socket transport sends only as its own peer id");
@@ -499,84 +508,103 @@ Status SocketTransport::Send(PeerId from, PeerId to,
     return Status::FailedPrecondition("channel not connected");
   }
   uint8_t scratch[wire::kMaxFrameSize];
-  const size_t encoded = wire::Encode(frame, scratch, sizeof(scratch));
-  if (encoded == 0) {
-    return Status::InvalidArgument("unencodable frame");
-  }
-  if (ch.tx.free_space() < encoded) {
-    // Ring full: push buffered bytes at the kernel once, then either
-    // admit the frame or report a counted stall for the caller to
-    // retry. Never grow, never block.
-    Status flushed = FlushOut(to);
-    if (!flushed.ok()) return flushed;
-    if (ch.tx.free_space() < encoded) {
-      ++per_peer_[to].backpressure_stalls;
-      ++totals_.backpressure_stalls;
-      return Status::CapacityExhausted("socket tx ring full");
+  for (; *sent < count; ++*sent) {
+    const wire::Frame& frame = frames[*sent];
+    const size_t encoded = wire::Encode(frame, scratch, sizeof(scratch));
+    if (encoded == 0) {
+      // Offer what this call admitted before refusing, as a Send loop
+      // would have.
+      Status flushed = FlushOut(to);
+      if (!flushed.ok()) return flushed;
+      return Status::InvalidArgument("unencodable frame");
     }
-  }
-  (void)ch.tx.Append(scratch, encoded);
-  ++per_peer_[to].frames_tx;
-  per_peer_[to].bytes_tx += encoded;
-  ++totals_.frames_tx;
-  totals_.bytes_tx += encoded;
-  if (recorder_ != nullptr) {
-    recorder_->Record(obs::TraceEventKind::kFrameTx, from,
-                      static_cast<uint64_t>(frame.type), to);
+    if (ch.tx.free_space() < encoded) {
+      // Ring full: push buffered bytes at the kernel once, then either
+      // admit the frame or report a counted stall for the caller to
+      // retry. Never grow, never block.
+      Status flushed = FlushOut(to);
+      if (!flushed.ok()) return flushed;
+      if (ch.tx.free_space() < encoded) {
+        ++per_peer_[to].backpressure_stalls;
+        ++totals_.backpressure_stalls;
+        return Status::CapacityExhausted("socket tx ring full");
+      }
+    }
+    (void)ch.tx.Append(scratch, encoded);
+    ++per_peer_[to].frames_tx;
+    per_peer_[to].bytes_tx += encoded;
+    ++totals_.frames_tx;
+    totals_.bytes_tx += encoded;
+    if (recorder_ != nullptr) {
+      recorder_->Record(obs::TraceEventKind::kFrameTx, from,
+                        static_cast<uint64_t>(frame.type), to);
+    }
   }
   return FlushOut(to);
 }
 
 // d3t-lint: hot
-bool SocketTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
-  if (self != self_) return false;
-  AcceptPending();
-  for (PeerId peer = 0; peer < in_.size(); ++peer) {
-    FillIn(peer);
-    InChannel& ch = in_[peer];
-    for (;;) {
-      size_t frame_size = 0;
-      const FrameReassembler::Outcome outcome =
-          FrameReassembler::Next(ch.rx, out, &frame_size);
-      if (outcome == FrameReassembler::Outcome::kNeedMore) {
-        if (ch.eof && !ch.failed && !ch.rx.empty()) {
-          // FIN landed inside a frame: the sender died mid-write.
-          ch.failed = true;
-          ++per_peer_[peer].decode_errors;
-          ++totals_.decode_errors;
-          if (options_.reconnect_attempts == 0) {
-            StickChannelError(
-                SocketErrorStatus("half-closed mid-frame", ECONNRESET, peer));
-          }
-        }
-        if (options_.reconnect_attempts > 0 && ch.failed && !ch.open() &&
-            !ch.rx.empty()) {
-          // Torn tail of a dead socket: those bytes can never complete a
-          // frame, and AcceptPending defers adopting the peer's redialed
-          // replacement until the ring is empty — drop them.
-          ch.rx.Consume(ch.rx.size());
-        }
-        break;
-      }
-      if (outcome == FrameReassembler::Outcome::kResync) {
+bool SocketTransport::DeframeBuffered(PeerId peer, wire::Frame* out,
+                                      PeerId* from) {
+  InChannel& ch = in_[peer];
+  for (;;) {
+    size_t frame_size = 0;
+    const FrameReassembler::Outcome outcome =
+        FrameReassembler::Next(ch.rx, out, &frame_size);
+    if (outcome == FrameReassembler::Outcome::kNeedMore) {
+      if (ch.eof && !ch.failed && !ch.rx.empty()) {
+        // FIN landed inside a frame: the sender died mid-write.
+        ch.failed = true;
         ++per_peer_[peer].decode_errors;
         ++totals_.decode_errors;
-        if (recorder_ != nullptr) {
-          recorder_->Record(obs::TraceEventKind::kDecodeError, self);
+        if (options_.reconnect_attempts == 0) {
+          StickChannelError(
+              SocketErrorStatus("half-closed mid-frame", ECONNRESET, peer));
         }
-        continue;
       }
-      ++per_peer_[peer].frames_rx;
-      per_peer_[peer].bytes_rx += frame_size;
-      ++totals_.frames_rx;
-      totals_.bytes_rx += frame_size;
-      if (recorder_ != nullptr) {
-        recorder_->Record(obs::TraceEventKind::kFrameRx, self,
-                          static_cast<uint64_t>(out->type), peer);
+      if (options_.reconnect_attempts > 0 && ch.failed && !ch.open() &&
+          !ch.rx.empty()) {
+        // Torn tail of a dead socket: those bytes can never complete a
+        // frame, and AcceptPending defers adopting the peer's redialed
+        // replacement until the ring is empty — drop them.
+        ch.rx.Consume(ch.rx.size());
       }
-      if (from != nullptr) *from = peer;
-      return true;
+      return false;
     }
+    if (outcome == FrameReassembler::Outcome::kResync) {
+      ++per_peer_[peer].decode_errors;
+      ++totals_.decode_errors;
+      if (recorder_ != nullptr) {
+        recorder_->Record(obs::TraceEventKind::kDecodeError, self_);
+      }
+      continue;
+    }
+    ++per_peer_[peer].frames_rx;
+    per_peer_[peer].bytes_rx += frame_size;
+    ++totals_.frames_rx;
+    totals_.bytes_rx += frame_size;
+    if (recorder_ != nullptr) {
+      recorder_->Record(obs::TraceEventKind::kFrameRx, self_,
+                        static_cast<uint64_t>(out->type), peer);
+    }
+    if (from != nullptr) *from = peer;
+    return true;
+  }
+}
+
+// d3t-lint: hot
+bool SocketTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
+  if (self != self_) return false;
+  // Frames the rx rings already hold cost no syscall: serve those first.
+  for (PeerId peer = 0; peer < in_.size(); ++peer) {
+    if (DeframeBuffered(peer, out, from)) return true;
+  }
+  // Nothing whole is buffered: only now touch the kernel — adopt new
+  // connections, refill every inbound ring, and scan again.
+  AcceptPending();
+  for (PeerId peer = 0; peer < in_.size(); ++peer) FillIn(peer);
+  for (PeerId peer = 0; peer < in_.size(); ++peer) {
+    if (DeframeBuffered(peer, out, from)) return true;
   }
   return false;
 }

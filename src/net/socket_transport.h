@@ -148,14 +148,41 @@ class SocketTransport final : public Transport {
   /// True when nothing more can arrive without a NEW connection: no
   /// accepted-but-unidentified connection is pending a preamble and
   /// every inbound channel's socket has closed (EOF, failure, or never
-  /// connected). Meaningful after a Pump/Poll has run the acceptor; a
-  /// collector uses it to distinguish "peers all finished" from "quiet
-  /// right now".
+  /// connected). Meaningful after the acceptor has run — any Pump, or a
+  /// Poll that returned false; a collector uses it to distinguish
+  /// "peers all finished" from "quiet right now".
   bool drained() const;
 
   // Transport interface.
   size_t peer_count() const override { return out_.size(); }
+
+  /// A batch of one through SendBatch's admit path: a frame Send
+  /// accepts has been offered to the kernel by the time it returns.
   Status Send(PeerId from, PeerId to, const wire::Frame& frame) override;
+
+  /// Encodes and appends frames to the tx ring, offering the ring to
+  /// the kernel only when it cannot take the next frame and once before
+  /// returning — a send(2) per ring's worth of frames instead of one
+  /// per frame. Everything admitted (`*sent` frames) has been offered to
+  /// the kernel when it returns, exactly as after `*sent` Send calls. A
+  /// full ring the kernel will not drain stops the batch with one
+  /// counted CapacityExhausted stall, for the frame that did not fit. A
+  /// channel failure surfaces as its sticky IoError; the frames already
+  /// admitted stay counted.
+  Status SendBatch(PeerId from, PeerId to, const wire::Frame* frames,
+                   size_t count, size_t* sent) override;
+
+  /// Serves whole frames already buffered in the rx rings first, in
+  /// ascending peer order and without a syscall. Only when no ring
+  /// yields a whole frame does it accept pending connections, refill
+  /// every inbound ring from its socket (each recv takes as much as the
+  /// ring has room for) and scan again; false means that refill found
+  /// nothing whole either. Per peer, frames arrive in send order. How
+  /// frames of different peers interleave depends on when their TCP
+  /// segments landed, as it always has, so no caller may rely on it. A
+  /// peer that connects while frames are buffered is registered by the
+  /// first Poll that finds none left — which every caller reaches,
+  /// since callers poll until false.
   bool Poll(PeerId self, wire::Frame* out, PeerId* from) override;
   const TransportMetrics& metrics() const override { return totals_; }
   const TransportMetrics& peer_metrics(PeerId peer) const override {
@@ -199,6 +226,11 @@ class SocketTransport final : public Transport {
   Result<int> Dial(PeerId peer, uint16_t peer_port);
   Status FlushOut(PeerId to);
   void FillIn(PeerId peer);
+  /// Deframes the next whole frame in `peer`'s rx ring — no syscall —
+  /// counting resync steps, and turns a dead socket's unfinished tail
+  /// into the half-closed-mid-frame error (or drops it under the
+  /// reconnect regime). False when the ring holds no whole frame.
+  bool DeframeBuffered(PeerId peer, wire::Frame* out, PeerId* from);
   void StickChannelError(const Status& error);
 
   PeerId self_;

@@ -24,6 +24,18 @@ void PublishTransportMetrics(obs::Registry& registry, const char* prefix,
   registry.Add(registry.Counter(base + "reconnects"), metrics.reconnects);
 }
 
+// d3t-lint: hot
+Status Transport::SendBatch(PeerId from, PeerId to, const wire::Frame* frames,
+                            size_t count, size_t* sent) {
+  *sent = 0;
+  while (*sent < count) {
+    Status result = Send(from, to, frames[*sent]);
+    if (!result.ok()) return result;
+    ++*sent;
+  }
+  return Status::Ok();
+}
+
 // ---------------------------------------------------------------------------
 // InProcTransport
 

@@ -64,6 +64,19 @@ class Transport {
   /// InvalidArgument for out-of-range peers or unencodable frames.
   virtual Status Send(PeerId from, PeerId to, const wire::Frame& frame) = 0;
 
+  /// Sends `frames[0, count)` toward `to` in order, as `count` Send
+  /// calls would, stopping at the first frame Send would refuse.
+  /// `*sent` receives how many frames were admitted — always the prefix
+  /// before the refused one — and the result is that refusal's Status
+  /// (Ok when all `count` went). A CapacityExhausted stall is counted
+  /// once, for the refused frame; retrying from `frames + *sent`
+  /// resumes with no gap and no duplicate. Metrics and recorder events
+  /// equal those of the same Send calls. The default is exactly that
+  /// Send loop; a transport may override it to pay its per-call costs
+  /// (a kernel write, say) once per batch instead of once per frame.
+  virtual Status SendBatch(PeerId from, PeerId to, const wire::Frame* frames,
+                           size_t count, size_t* sent);
+
   /// Delivers the next frame addressed to `self`, FIFO per source.
   /// Returns false when nothing is pending. `from` (when non-null)
   /// receives the sender. Corrupt queued bytes are counted and

@@ -5,19 +5,34 @@
 namespace d3t::net::wire {
 namespace {
 
+/// Longest run Fletcher16 can sum in 32 bits before reducing: from
+/// seed sums of at most 254 each, after n bytes of 0xFF sum2 is at most
+/// 254 + 254n + 255n(n+1)/2, which first exceeds UINT32_MAX at n = 5803.
+inline constexpr size_t kFletcherMaxRun = 5802;
+static_assert(kMaxFrameSize <= kFletcherMaxRun,
+              "Fletcher16 reduces once per call; a frame longer than "
+              "kFletcherMaxRun bytes would overflow its 32-bit sums");
+
 /// Fletcher-16 with position-sensitive running sums (mod 255). Chained
 /// across header-prefix and payload via the packed (sum1 << 8 | sum2)
 /// seed so the two regions need not be contiguous in memory. Detects
 /// every single-bit flip: a one-bit change shifts a byte by ±2^k with
 /// k <= 7, and no such delta is ≡ 0 (mod 255).
+///
+/// The sums accumulate unreduced and are reduced once at the end: mod
+/// 255 is a ring homomorphism, so the result is bit-identical to
+/// reducing after every byte as long as the 32-bit sums cannot wrap,
+/// which holds for any run of at most kFletcherMaxRun bytes.
 // d3t-lint: hot
 uint16_t Fletcher16(const uint8_t* data, size_t size, uint16_t seed) {
   uint32_t sum1 = seed >> 8;
   uint32_t sum2 = seed & 0xFF;
   for (size_t i = 0; i < size; ++i) {
-    sum1 = (sum1 + data[i]) % 255;
-    sum2 = (sum2 + sum1) % 255;
+    sum1 += data[i];
+    sum2 += sum1;
   }
+  sum1 %= 255;
+  sum2 %= 255;
   return static_cast<uint16_t>((sum1 << 8) | sum2);
 }
 

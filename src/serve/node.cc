@@ -324,7 +324,8 @@ FeedPublisher::FeedPublisher(const std::vector<trace::Trace>& traces,
       feed_(feed),
       self_(self),
       options_(options),
-      status_(Status::Ok()) {
+      status_(Status::Ok()),
+      batch_(kSendBatch) {
   // Merged schedule: every tick of every trace plus every scenario op,
   // time-sorted. Ticks are appended item-major first so the stable
   // sort keeps trace order within an instant and ticks ahead of ops —
@@ -448,17 +449,23 @@ size_t FeedPublisher::Pump() {
   const uint32_t total = TotalFrames();
   for (Sub& sub : subs_) {
     while (sub.next_seq < total) {
-      const Status result = feed_.Send(self_, sub.peer,
-                                       FrameAt(sub, sub.next_seq));
+      const uint32_t batch = std::min<uint32_t>(
+          total - sub.next_seq, static_cast<uint32_t>(batch_.size()));
+      for (uint32_t i = 0; i < batch; ++i) {
+        batch_[i] = FrameAt(sub, sub.next_seq + i);
+      }
+      size_t admitted = 0;
+      const Status result =
+          feed_.SendBatch(self_, sub.peer, batch_.data(), batch, &admitted);
+      sent += admitted;
+      sub.next_seq += static_cast<uint32_t>(admitted);
+      if (sub.next_seq > sub.high_water) sub.high_water = sub.next_seq;
       if (result.IsCapacityExhausted()) break;  // this ring is full;
                                                 // next subscriber
       if (!result.ok()) {
         status_ = result;
         return sent;
       }
-      ++sent;
-      ++sub.next_seq;
-      if (sub.next_seq > sub.high_water) sub.high_water = sub.next_seq;
     }
   }
   return sent;

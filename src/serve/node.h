@@ -205,11 +205,12 @@ class FeedPublisher {
                 std::vector<net::PeerId> subscribers,
                 FeedPublisherOptions options = {});
 
-  /// Sends as many pending frames as the transport accepts; returns
-  /// the number sent this call. Backpressure (CapacityExhausted) is a
-  /// normal pause, any other send failure is sticky in status().
-  /// Inbound kResubscribe frames are handled first — a rewound cursor
-  /// changes what this call sends.
+  /// Sends as many pending frames as the transport accepts, handing
+  /// them to Transport::SendBatch a batch at a time; returns the number
+  /// sent this call. Backpressure (CapacityExhausted) is a normal pause,
+  /// any other send failure is sticky in status(). Inbound kResubscribe
+  /// frames are handled first — a rewound cursor changes what this call
+  /// sends.
   size_t Pump();
 
   /// True once every subscriber received its full feed + kShutdown
@@ -265,6 +266,11 @@ class FeedPublisher {
   std::vector<Sub> subs_;
   Status status_;
   uint64_t resubscribes_handled_ = 0;
+  /// Frames Pump() builds ahead and hands to Transport::SendBatch in
+  /// one call: kSendBatch slots, sized by the constructor so Pump never
+  /// allocates.
+  static constexpr size_t kSendBatch = 64;
+  std::vector<net::wire::Frame> batch_;
 };
 
 /// Knobs of DriveFeed's wedge detection.

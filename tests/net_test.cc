@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/random.h"
@@ -167,6 +168,17 @@ TEST(RoutingTest, FloydWarshallRejectsDisconnected) {
                   .status()
                   .IsFailedPrecondition());
 }
+
+#if defined(__GNUC__)
+TEST(RoutingTest, FloydWarshallEntryIsCacheLineAligned) {
+  // routing.cc pins the entry to a 64-byte boundary because the triple
+  // loop's timing moves with its code placement; a build that drops the
+  // pin would silently reopen that variance.
+  Result<RoutingTables> (*entry)(const Topology&) =
+      &RoutingTables::FloydWarshall;
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(entry) % 64, 0u);
+}
+#endif
 
 TEST(RoutingTest, DijkstraMatchesFloydWarshall) {
   Rng rng(6);

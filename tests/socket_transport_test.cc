@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -330,6 +331,215 @@ TEST(SocketTransportTest, DoubleListenAndDuplicateConnectAreRejected) {
   SocketTransport tx(2, /*self=*/0);
   ASSERT_TRUE(tx.ConnectPeer(1, rx.port()).ok());
   EXPECT_TRUE(tx.ConnectPeer(1, rx.port()).IsFailedPrecondition());
+}
+
+// ---------------------------------------------------------------------------
+// Bulk paths: SendBatch admits a ring's worth of frames per send(2), and
+// Poll serves buffered frames before it touches the kernel.
+
+constexpr uint64_t kUpdateBytes = 48;  // wire::EncodedSize(kUpdate)
+
+std::vector<wire::Frame> NumberedUpdates(uint32_t count) {
+  std::vector<wire::Frame> frames;
+  frames.reserve(count);
+  for (uint32_t i = 0; i < count; ++i) frames.push_back(TestUpdate(0, 1, i));
+  return frames;
+}
+
+TEST(SocketTransportTest, BurstThroughSmallRingsArrivesCompleteAndInOrder) {
+  // 10k frames through 4 KiB rings on both ends: SendBatch refills the
+  // tx ring many times over, frames straddle the rx ring's wrap, and
+  // Poll drains part of what is buffered between Pumps.
+  ASSERT_EQ(wire::EncodedSize(wire::FrameType::kUpdate), kUpdateBytes);
+  SocketOptions options;
+  options.ring_bytes = 4096;
+  SocketTransport rx(2, /*self=*/1, options);
+  ASSERT_TRUE(rx.Listen().ok());
+  SocketTransport tx(2, /*self=*/0, options);
+  ASSERT_TRUE(tx.ConnectPeer(1, rx.port()).ok());
+
+  constexpr uint32_t kFrames = 10000;
+  const std::vector<wire::Frame> frames = NumberedUpdates(kFrames);
+  size_t next = 0;
+  uint32_t received = 0;
+  wire::Frame frame;
+  PeerId from = kInvalidPeerId;
+  const int64_t deadline = MonotonicMillis() + kDeadlineMs;
+  while (received < kFrames && MonotonicMillis() < deadline) {
+    if (next < kFrames) {
+      size_t sent = 0;
+      const Status result =
+          tx.SendBatch(0, 1, frames.data() + next,
+                       std::min<size_t>(64, kFrames - next), &sent);
+      ASSERT_TRUE(result.ok() || result.IsCapacityExhausted())
+          << result.ToString();
+      next += sent;
+    }
+    ASSERT_TRUE(tx.Pump().ok());
+    ASSERT_TRUE(rx.Pump().ok());
+    uint32_t polled = 0;
+    while (polled < 50 && rx.Poll(1, &frame, &from)) {
+      ASSERT_EQ(from, 0u);
+      ASSERT_EQ(frame.u.update.item, received);
+      ++received;
+      ++polled;
+    }
+    if (polled == 0) (void)rx.WaitIo(5);
+  }
+  ASSERT_EQ(received, kFrames);
+  EXPECT_FALSE(rx.Poll(1, &frame, &from));
+  EXPECT_EQ(tx.metrics().frames_tx, kFrames);
+  EXPECT_EQ(tx.metrics().bytes_tx, kFrames * kUpdateBytes);
+  EXPECT_EQ(rx.metrics().frames_rx, kFrames);
+  EXPECT_EQ(rx.metrics().bytes_rx, kFrames * kUpdateBytes);
+  EXPECT_EQ(rx.metrics().decode_errors, 0u);
+  EXPECT_EQ(tx.pending_tx_bytes(), 0u);
+  EXPECT_TRUE(rx.channel_status().ok());
+}
+
+TEST(SocketTransportTest, PeerConnectingBehindBufferedFramesIsRegistered) {
+  // Peer 0's burst is pulled into the rx ring by the first Poll; peer 1
+  // connects while most of it is still buffered. Poll serves buffered
+  // frames without running the acceptor, so peer 1 must be adopted the
+  // moment the ring stops yielding — not starved.
+  SocketTransport rx(3, /*self=*/2);
+  ASSERT_TRUE(rx.Listen().ok());
+  SocketTransport first(3, /*self=*/0);
+  ASSERT_TRUE(first.ConnectPeer(2, rx.port()).ok());
+  constexpr uint32_t kBurst = 500;
+  constexpr uint32_t kLate = 20;
+  for (uint32_t i = 0; i < kBurst; ++i) {
+    ASSERT_TRUE(first.Send(0, 2, TestUpdate(0, 2, i)).ok()) << i;
+  }
+  wire::Frame frame;
+  PeerId from = kInvalidPeerId;
+  ASSERT_TRUE(PollWithin(rx, &frame, &from));
+  ASSERT_EQ(from, 0u);
+  ASSERT_EQ(frame.u.update.item, 0u);
+
+  SocketTransport late(3, /*self=*/1);
+  ASSERT_TRUE(late.ConnectPeer(2, rx.port()).ok());
+  for (uint32_t i = 0; i < kLate; ++i) {
+    ASSERT_TRUE(late.Send(1, 2, TestUpdate(1, 2, i)).ok()) << i;
+  }
+
+  uint32_t next[2] = {1, 0};  // next expected item per sender
+  const int64_t deadline = MonotonicMillis() + kDeadlineMs;
+  while ((next[0] < kBurst || next[1] < kLate) &&
+         MonotonicMillis() < deadline) {
+    if (!rx.Poll(2, &frame, &from)) {
+      (void)rx.WaitIo(10);
+      continue;
+    }
+    ASSERT_LT(from, 2u);
+    ASSERT_EQ(frame.u.update.item, next[from]) << "from " << from;
+    ++next[from];
+  }
+  EXPECT_EQ(next[0], kBurst);
+  EXPECT_EQ(next[1], kLate);
+  EXPECT_EQ(rx.peer_metrics(0).frames_rx, kBurst);
+  EXPECT_EQ(rx.peer_metrics(1).frames_rx, kLate);
+  EXPECT_EQ(rx.metrics().decode_errors, 0u);
+}
+
+TEST(SocketTransportTest, SendBatchStallsOnceAndResumesWithoutGapOrDuplicate) {
+  // A receiver that never drains behind the kernel's minimum send
+  // buffer: one SendBatch admits what ring + kernel can hold, counts one
+  // stall for the frame that did not fit, and a retry from the first
+  // unadmitted frame carries on exactly where it stopped.
+  SocketTransport rx(2, /*self=*/1);
+  ASSERT_TRUE(rx.Listen().ok());
+  SocketOptions options;
+  options.ring_bytes = 4096;
+  options.sndbuf_bytes = 1;  // kernel clamps to its floor
+  SocketTransport tx(2, /*self=*/0, options);
+  ASSERT_TRUE(tx.ConnectPeer(1, rx.port()).ok());
+
+  // ~1.9 MB of frames: far past the send-buffer floor, the receiver's
+  // unread socket buffer and one ring.
+  constexpr uint32_t kFrames = 40000;
+  const std::vector<wire::Frame> frames = NumberedUpdates(kFrames);
+  size_t sent = 0;
+  const Status stalled = tx.SendBatch(0, 1, frames.data(), kFrames, &sent);
+  ASSERT_TRUE(stalled.IsCapacityExhausted()) << stalled.ToString();
+  ASSERT_GT(sent, 0u);
+  ASSERT_LT(sent, kFrames);
+  EXPECT_TRUE(tx.channel_status().ok());  // a stall is not a failure
+
+  // Exactly what `sent` admitted Send calls and one refused one count.
+  auto expect_tx = [&tx](uint64_t frames_tx, uint64_t stalls) {
+    for (const TransportMetrics* m : {&tx.metrics(), &tx.peer_metrics(1)}) {
+      EXPECT_EQ(m->frames_tx, frames_tx);
+      EXPECT_EQ(m->bytes_tx, frames_tx * kUpdateBytes);
+      EXPECT_EQ(m->backpressure_stalls, stalls);
+      EXPECT_EQ(m->frames_rx, 0u);
+      EXPECT_EQ(m->decode_errors, 0u);
+    }
+  };
+  expect_tx(sent, 1);
+
+  size_t admitted = sent;
+  uint64_t stalls = 1;
+  uint32_t received = 0;
+  wire::Frame frame;
+  PeerId from = kInvalidPeerId;
+  const int64_t deadline = MonotonicMillis() + kDeadlineMs;
+  while (received < kFrames && MonotonicMillis() < deadline) {
+    if (admitted < kFrames) {
+      size_t more = 0;
+      const Status result = tx.SendBatch(0, 1, frames.data() + admitted,
+                                         kFrames - admitted, &more);
+      if (result.IsCapacityExhausted()) {
+        ++stalls;
+      } else {
+        ASSERT_TRUE(result.ok()) << result.ToString();
+        EXPECT_EQ(admitted + more, kFrames);
+      }
+      admitted += more;
+    }
+    (void)tx.Pump();
+    bool progressed = false;
+    while (rx.Poll(1, &frame, &from)) {
+      ASSERT_EQ(frame.u.update.item, received);  // no gap, no duplicate
+      ++received;
+      progressed = true;
+    }
+    if (!progressed) (void)rx.WaitIo(5);
+  }
+  ASSERT_EQ(received, kFrames);
+  EXPECT_FALSE(rx.Poll(1, &frame, &from));
+  expect_tx(kFrames, stalls);
+  EXPECT_EQ(rx.metrics().frames_rx, kFrames);
+  EXPECT_EQ(rx.metrics().decode_errors, 0u);
+}
+
+TEST(SocketTransportTest, SendBatchOffersAdmittedFramesBeforeRefusing) {
+  // An unencodable frame mid-batch is refused like the Send that would
+  // have met it, and the frames admitted ahead of it have already been
+  // handed to the kernel — none wait in the tx ring for a later call.
+  SocketTransport rx(2, /*self=*/1);
+  ASSERT_TRUE(rx.Listen().ok());
+  SocketTransport tx(2, /*self=*/0);
+  ASSERT_TRUE(tx.ConnectPeer(1, rx.port()).ok());
+  wire::Frame invalid;
+  invalid.type = wire::FrameType::kInvalid;
+  const wire::Frame frames[] = {TestUpdate(0, 1, 0), TestUpdate(0, 1, 1),
+                                invalid, TestUpdate(0, 1, 3)};
+  size_t sent = 99;
+  EXPECT_TRUE(tx.SendBatch(0, 1, frames, 4, &sent).IsInvalidArgument());
+  EXPECT_EQ(sent, 2u);
+  EXPECT_EQ(tx.pending_tx_bytes(), 0u);
+  EXPECT_EQ(tx.metrics().frames_tx, 2u);
+  sent = 99;
+  EXPECT_TRUE(tx.SendBatch(1, 1, frames, 4, &sent).IsInvalidArgument());
+  EXPECT_EQ(sent, 0u);
+
+  wire::Frame frame;
+  for (uint32_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(PollWithin(rx, &frame, nullptr)) << i;
+    EXPECT_EQ(frame.u.update.item, i);
+  }
+  EXPECT_FALSE(rx.Poll(1, &frame, nullptr));
 }
 
 }  // namespace

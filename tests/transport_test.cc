@@ -2,15 +2,20 @@
 // attribution and counted backpressure on InProcTransport; framing /
 // deframing, partial-frame pending, corruption resync and ring wrap on
 // StreamTransport. Both implementations move real encoded bytes — every
-// Send/Poll pair is a genuine wire::Encode/Decode round trip.
+// Send/Poll pair is a genuine wire::Encode/Decode round trip. The
+// base-class SendBatch is pinned to the Send loop it stands for on the
+// InProc, Stream and FaultInjecting transports.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "net/fault_transport.h"
 #include "net/frame_reassembler.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "obs/recorder.h"
 #include "gtest/gtest.h"
 
 namespace d3t::net {
@@ -397,6 +402,169 @@ TEST(ByteRingTest, ContiguousBackExposesWritableSpansAcrossTheWrap) {
   EXPECT_EQ(ring.PeekLinear(out, sizeof(out)), 6u);
   const uint8_t want[6] = {4, 5, 6, 7, 8, 9};
   EXPECT_EQ(std::memcmp(out, want, sizeof(want)), 0);
+}
+
+// ---------------------------------------------------------------------------
+// SendBatch: the base-class default is the Send loop, so every transport
+// that does not override it keeps per-frame semantics exactly.
+
+/// Everything a run of sends leaves observable.
+struct SendRun {
+  std::vector<uint32_t> delivered;  // update items, in Poll order
+  std::vector<size_t> admitted;     // frames admitted per call
+  size_t refusals = 0;              // CapacityExhausted results
+  TransportMetrics totals;
+  TransportMetrics sender;
+  TransportMetrics receiver;
+  uint64_t recorded = 0;
+};
+
+std::vector<wire::Frame> NumberedUpdates(uint32_t count) {
+  std::vector<wire::Frame> frames;
+  for (uint32_t i = 0; i < count; ++i) frames.push_back(TestUpdate(0, 1, i));
+  return frames;
+}
+
+/// Offers `frames` from peer 0 to peer 1 in chunks of `chunk`, either as
+/// one SendBatch per chunk or as a Send loop that stops at the first
+/// refusal, and polls at most `drain` frames between chunks so the
+/// destination fills and stalls; then drains what is left.
+SendRun Drive(Transport& t, bool batched,
+              const std::vector<wire::Frame>& frames, size_t chunk,
+              size_t drain) {
+  obs::Recorder recorder;
+  t.set_recorder(&recorder);
+  SendRun run;
+  wire::Frame frame;
+  size_t next = 0;
+  for (size_t round = 0; next < frames.size() && round < 10 * frames.size();
+       ++round) {
+    const size_t n = std::min(chunk, frames.size() - next);
+    size_t admitted = 0;
+    Status result = Status::Ok();
+    if (batched) {
+      result = t.SendBatch(0, 1, frames.data() + next, n, &admitted);
+    } else {
+      while (admitted < n) {
+        result = t.Send(0, 1, frames[next + admitted]);
+        if (!result.ok()) break;
+        ++admitted;
+      }
+    }
+    EXPECT_TRUE(result.ok() || result.IsCapacityExhausted())
+        << result.ToString();
+    if (result.IsCapacityExhausted()) ++run.refusals;
+    run.admitted.push_back(admitted);
+    next += admitted;
+    for (size_t i = 0; i < drain && t.Poll(1, &frame, nullptr); ++i) {
+      run.delivered.push_back(frame.u.update.item);
+    }
+  }
+  EXPECT_EQ(next, frames.size());
+  while (t.Poll(1, &frame, nullptr)) {
+    run.delivered.push_back(frame.u.update.item);
+  }
+  run.totals = t.metrics();
+  run.sender = t.peer_metrics(0);
+  run.receiver = t.peer_metrics(1);
+  run.recorded = recorder.recorded();
+  t.set_recorder(nullptr);
+  return run;
+}
+
+void ExpectSameMetrics(const TransportMetrics& a, const TransportMetrics& b) {
+  EXPECT_EQ(a.frames_tx, b.frames_tx);
+  EXPECT_EQ(a.frames_rx, b.frames_rx);
+  EXPECT_EQ(a.bytes_tx, b.bytes_tx);
+  EXPECT_EQ(a.bytes_rx, b.bytes_rx);
+  EXPECT_EQ(a.backpressure_stalls, b.backpressure_stalls);
+  EXPECT_EQ(a.decode_errors, b.decode_errors);
+  EXPECT_EQ(a.faults_injected, b.faults_injected);
+  EXPECT_EQ(a.frames_dropped, b.frames_dropped);
+  EXPECT_EQ(a.reconnects, b.reconnects);
+}
+
+void ExpectSameRun(const SendRun& batched, const SendRun& looped) {
+  EXPECT_EQ(batched.delivered, looped.delivered);
+  EXPECT_EQ(batched.admitted, looped.admitted);
+  EXPECT_EQ(batched.refusals, looped.refusals);
+  ExpectSameMetrics(batched.totals, looped.totals);
+  ExpectSameMetrics(batched.sender, looped.sender);
+  ExpectSameMetrics(batched.receiver, looped.receiver);
+  EXPECT_EQ(batched.recorded, looped.recorded);
+  // The destination really did fill, so the stall path was compared too.
+  EXPECT_GT(batched.refusals, 0u);
+  EXPECT_EQ(batched.sender.backpressure_stalls, batched.refusals);
+}
+
+TEST(SendBatchTest, InProcDefaultMatchesSendLoop) {
+  const std::vector<wire::Frame> frames = NumberedUpdates(200);
+  InProcTransport batched(2, 8);
+  InProcTransport looped(2, 8);
+  const SendRun a = Drive(batched, true, frames, 16, 5);
+  const SendRun b = Drive(looped, false, frames, 16, 5);
+  ExpectSameRun(a, b);
+  ASSERT_EQ(a.delivered.size(), frames.size());
+  for (uint32_t i = 0; i < frames.size(); ++i) EXPECT_EQ(a.delivered[i], i);
+}
+
+TEST(SendBatchTest, StreamDefaultMatchesSendLoop) {
+  const std::vector<wire::Frame> frames = NumberedUpdates(200);
+  StreamTransport batched(2, 512);
+  StreamTransport looped(2, 512);
+  ASSERT_TRUE(batched.Connect(0, 1).ok());
+  ASSERT_TRUE(looped.Connect(0, 1).ok());
+  const SendRun a = Drive(batched, true, frames, 16, 5);
+  const SendRun b = Drive(looped, false, frames, 16, 5);
+  ExpectSameRun(a, b);
+  ASSERT_EQ(a.delivered.size(), frames.size());
+}
+
+TEST(SendBatchTest, FaultInjectingDefaultMatchesSendLoop) {
+  // Faults fire on the wrapper's per-Send counter, so a batch must reach
+  // the script frame by frame — the default does.
+  auto script = [] {
+    Result<FaultScript> made = FaultScript::Create({
+        FaultOp{3, static_cast<uint32_t>(FaultKind::kDropFrame), kAnyPeer,
+                kAnyPeer, 0},
+        FaultOp{10, static_cast<uint32_t>(FaultKind::kDuplicateFrame),
+                kAnyPeer, kAnyPeer, 0},
+        FaultOp{20, static_cast<uint32_t>(FaultKind::kDelayFrame), kAnyPeer,
+                kAnyPeer, 5},
+        FaultOp{30, static_cast<uint32_t>(FaultKind::kCorruptByte), kAnyPeer,
+                kAnyPeer, kAnyArg},
+    });
+    EXPECT_TRUE(made.ok()) << made.status().ToString();
+    return *made;
+  };
+  const std::vector<wire::Frame> frames = NumberedUpdates(200);
+  InProcTransport inner_batched(2, 8);
+  InProcTransport inner_looped(2, 8);
+  FaultInjectingTransport batched(inner_batched, script(), /*seed=*/7);
+  FaultInjectingTransport looped(inner_looped, script(), /*seed=*/7);
+  const SendRun a = Drive(batched, true, frames, 16, 5);
+  const SendRun b = Drive(looped, false, frames, 16, 5);
+  ExpectSameRun(a, b);
+  EXPECT_EQ(a.totals.faults_injected, 4u);
+  EXPECT_EQ(batched.faults_applied(), looped.faults_applied());
+}
+
+TEST(SendBatchTest, ReportsTheAdmittedPrefixBeforeARefusal) {
+  InProcTransport bus(2, 8);
+  wire::Frame invalid;
+  invalid.type = wire::FrameType::kInvalid;
+  const wire::Frame frames[] = {TestUpdate(0, 1, 0), TestUpdate(0, 1, 1),
+                                invalid, TestUpdate(0, 1, 3)};
+  size_t sent = 99;
+  EXPECT_TRUE(bus.SendBatch(0, 1, frames, 4, &sent).IsInvalidArgument());
+  EXPECT_EQ(sent, 2u);
+  EXPECT_EQ(bus.metrics().frames_tx, 2u);
+  sent = 99;
+  EXPECT_TRUE(bus.SendBatch(0, 7, frames, 4, &sent).IsInvalidArgument());
+  EXPECT_EQ(sent, 0u);
+  sent = 99;
+  EXPECT_TRUE(bus.SendBatch(0, 1, frames, 0, &sent).ok());
+  EXPECT_EQ(sent, 0u);
 }
 
 }  // namespace
