@@ -18,19 +18,15 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-  base.stringent_fraction = 0.5;
-  base.coop_degree = 5;
+  bench::FlagConfig base = bench::ConfigFromFlags(cli);
+  base.workload.stringent_fraction = 0.5;
+  exp::RunSpec spec = base.Spec();
+  spec.overlay.coop_degree = 5;
 
   bench::PrintBanner("Ablations", "design choices beyond the paper's figures",
                      base);
 
-  Result<exp::Workbench> bench = exp::Workbench::Create(base);
-  if (!bench.ok()) {
-    std::fprintf(stderr, "workbench: %s\n",
-                 bench.status().ToString().c_str());
-    return 1;
-  }
+  const exp::SimulationSession session = bench::SessionOrDie(base.Builder());
 
   // 1. Insertion order.
   std::printf("--- 1. LeLA insertion order ---\n");
@@ -40,10 +36,10 @@ int Main(int argc, char** argv) {
             "stringent-first", core::InsertionOrder::kStringentFirst},
         {"random", core::InsertionOrder::kRandom},
         {"index", core::InsertionOrder::kIndexOrder}}) {
-    exp::ExperimentConfig config = base;
-    config.insertion_order = order;
+    exp::RunSpec run = spec;
+    run.overlay.insertion_order = order;
     exp::ExperimentResult result =
-        bench::ValueOrDie(bench->Run(config), name);
+        bench::ValueOrDie(session.Run(run), name);
     order_table.AddRow({name,
                         TablePrinter::Num(result.metrics.loss_percent, 2),
                         TablePrinter::Int(result.shape.diameter),
@@ -58,12 +54,12 @@ int Main(int argc, char** argv) {
   std::printf("--- 2. Missed-update guard (Eq. 7) ---\n");
   TablePrinter guard_table({"Policy", "Loss%", "Messages"});
   for (const char* policy : {"distributed", "eq3-only"}) {
-    exp::ExperimentConfig config = base;
-    config.policy = policy;
-    config.comm_delay_mean_ms = -1.0;  // zero delays isolate the guard
-    config.comp_delay_ms = 0.0;
+    exp::RunSpec run = spec;
+    run.policy.policy = policy;
+    run.policy.comm_delay_mean_ms = -1.0;  // zero delays isolate the guard
+    run.policy.comp_delay_ms = 0.0;
     exp::ExperimentResult result =
-        bench::ValueOrDie(bench->Run(config), policy);
+        bench::ValueOrDie(session.Run(run), policy);
     guard_table.AddRow({policy,
                         TablePrinter::Num(result.metrics.loss_percent, 3),
                         TablePrinter::Int(result.metrics.messages)});
@@ -77,11 +73,11 @@ int Main(int argc, char** argv) {
   std::printf("--- 3. Centralized tag-scan cost ---\n");
   TablePrinter tag_table({"TagCostFactor", "Loss%", "SourceChecks"});
   for (double factor : {0.0, 0.25, 1.0}) {
-    exp::ExperimentConfig config = base;
-    config.policy = "centralized";
-    config.tag_check_cost_factor = factor;
+    exp::RunSpec run = spec;
+    run.policy.policy = "centralized";
+    run.policy.tag_check_cost_factor = factor;
     exp::ExperimentResult result =
-        bench::ValueOrDie(bench->Run(config), "tag cost");
+        bench::ValueOrDie(session.Run(run), "tag cost");
     tag_table.AddRow({TablePrinter::Num(factor, 2),
                       TablePrinter::Num(result.metrics.loss_percent, 2),
                       TablePrinter::Int(result.metrics.source_checks)});
@@ -97,10 +93,10 @@ int Main(int argc, char** argv) {
   TablePrinter domain_table({"Policy", "Loss% (value fidelity)",
                              "Messages"});
   for (const char* policy : {"distributed", "temporal"}) {
-    exp::ExperimentConfig config = base;
-    config.policy = policy;  // temporal: 5s period per edge
+    exp::RunSpec run = spec;
+    run.policy.policy = policy;  // temporal: 5s period per edge
     exp::ExperimentResult result =
-        bench::ValueOrDie(bench->Run(config), policy);
+        bench::ValueOrDie(session.Run(run), policy);
     domain_table.AddRow({policy,
                          TablePrinter::Num(result.metrics.loss_percent, 2),
                          TablePrinter::Int(result.metrics.messages)});

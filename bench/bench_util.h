@@ -4,9 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/cli.h"
-#include "exp/experiment.h"
+#include "exp/session.h"
 
 namespace d3t::bench {
 
@@ -24,29 +25,52 @@ inline void AddCommonFlags(CommandLine& cli) {
   cli.AddFlag("help", "false", "print usage");
 }
 
-/// Builds the base experiment config from the parsed flags.
-inline exp::ExperimentConfig ConfigFromFlags(const CommandLine& cli) {
-  exp::ExperimentConfig config;
+/// The world the common flags describe. `seed` builds the world and
+/// also seeds every run against it (see Spec()).
+struct FlagConfig {
+  exp::NetworkConfig network;
+  exp::WorkloadConfig workload;
+  uint64_t seed = 42;
+
+  /// A builder for this world; callers may override setters first.
+  exp::SessionBuilder Builder() const {
+    exp::SessionBuilder builder;
+    builder.SetNetwork(network).SetWorkload(workload).SetSeed(seed);
+    return builder;
+  }
+  /// A run with default overlay and policy knobs, seeded like the world.
+  exp::RunSpec Spec() const {
+    exp::RunSpec spec;
+    spec.seed = seed;
+    return spec;
+  }
+};
+
+/// Builds the base world config from the parsed flags.
+inline FlagConfig ConfigFromFlags(const CommandLine& cli) {
+  FlagConfig config;
+  exp::NetworkConfig& network = config.network;
+  exp::WorkloadConfig& workload = config.workload;
   if (cli.GetBool("full")) {
-    config.repositories = 100;
-    config.routers = 600;
-    config.items = 100;
-    config.ticks = 10000;
+    network.repositories = 100;
+    network.routers = 600;
+    workload.items = 100;
+    workload.ticks = 10000;
   } else {
-    config.repositories = 40;
-    config.routers = 160;
-    config.items = 20;
-    config.ticks = 1200;
+    network.repositories = 40;
+    network.routers = 160;
+    workload.items = 20;
+    workload.ticks = 1200;
   }
   if (cli.GetInt("repositories") > 0) {
-    config.repositories = static_cast<size_t>(cli.GetInt("repositories"));
-    config.routers = config.repositories * 4;
+    network.repositories = static_cast<size_t>(cli.GetInt("repositories"));
+    network.routers = network.repositories * 4;
   }
   if (cli.GetInt("items") > 0) {
-    config.items = static_cast<size_t>(cli.GetInt("items"));
+    workload.items = static_cast<size_t>(cli.GetInt("items"));
   }
   if (cli.GetInt("ticks") > 0) {
-    config.ticks = static_cast<size_t>(cli.GetInt("ticks"));
+    workload.ticks = static_cast<size_t>(cli.GetInt("ticks"));
   }
   config.seed = static_cast<uint64_t>(cli.GetInt("seed"));
   return config;
@@ -71,14 +95,38 @@ inline CommandLine ParseFlagsOrDie(int argc, char** argv,
 /// Prints the standard bench banner tying the binary to its paper
 /// artifact.
 inline void PrintBanner(const std::string& artifact,
-                        const std::string& what,
-                        const exp::ExperimentConfig& config) {
+                        const std::string& what, const FlagConfig& config) {
   std::printf("== %s — %s ==\n", artifact.c_str(), what.c_str());
   std::printf(
       "config: %zu repositories, %zu routers, %zu items, %zu ticks, "
       "seed %llu\n\n",
-      config.repositories, config.routers, config.items, config.ticks,
+      config.network.repositories, config.network.routers,
+      config.workload.items, config.workload.ticks,
       static_cast<unsigned long long>(config.seed));
+}
+
+/// Builds the world `builder` describes, or dies with a message.
+inline exp::SimulationSession SessionOrDie(const exp::SessionBuilder& builder) {
+  Result<exp::SimulationSession> session = builder.Build();
+  if (!session.ok()) {
+    std::fprintf(stderr, "world build failed: %s\n",
+                 session.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(session).value();
+}
+
+/// One world per stringent fraction in `t_values` (the paper's T): the
+/// flags' world with only the tolerance mix changed.
+inline std::vector<exp::SimulationSession> SessionsPerT(
+    const FlagConfig& config, const std::vector<double>& t_values) {
+  std::vector<exp::SimulationSession> sessions;
+  for (double t : t_values) {
+    exp::WorkloadConfig workload = config.workload;
+    workload.stringent_fraction = t;
+    sessions.push_back(SessionOrDie(config.Builder().SetWorkload(workload)));
+  }
+  return sessions;
 }
 
 /// Dies with a message if an experiment failed.

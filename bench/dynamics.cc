@@ -29,24 +29,17 @@ int Main(int argc, char** argv) {
   cli.AddFlag("repair-delay-ms", "500",
               "silence-detection window before orphans re-attach");
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
+  const bench::FlagConfig base = bench::ConfigFromFlags(cli);
 
   bench::PrintBanner("Dynamics", "failure churn vs the static baseline",
                      base);
 
-  exp::SessionBuilder builder;
-  builder.SetNetwork(base).SetWorkload(base).SetSeed(base.seed);
-  Result<exp::SimulationSession> session = builder.Build();
-  if (!session.ok()) {
-    std::fprintf(stderr, "world build failed: %s\n",
-                 session.status().ToString().c_str());
-    return 1;
-  }
+  const exp::SimulationSession session = bench::SessionOrDie(base.Builder());
 
   exp::ChurnOptions churn;
-  churn.repositories = base.repositories;
+  churn.repositories = base.network.repositories;
   churn.failures = static_cast<size_t>(cli.GetInt("failures"));
-  churn.horizon = session->world().traces().front().ticks().back().time;
+  churn.horizon = session.world().traces().front().ticks().back().time;
   churn.seed = base.seed;
   Result<core::Scenario> scenario = exp::MakeChurnScenario(churn);
   if (!scenario.ok()) {
@@ -61,9 +54,9 @@ int Main(int argc, char** argv) {
   TablePrinter table({"Policy", "Repair", "Loss%", "dLoss%", "Repairs",
                       "Dropped", "OrphTicks", "OutageLoss%", "Msgs"});
   for (const char* policy : {"distributed", "centralized"}) {
-    exp::RunSpec spec = exp::Workbench::SpecFromConfig(base);
+    exp::RunSpec spec = base.Spec();
     spec.policy.policy = policy;
-    Result<exp::ExperimentResult> baseline = session->Run(spec);
+    Result<exp::ExperimentResult> baseline = session.Run(spec);
     if (!baseline.ok()) {
       std::fprintf(stderr, "baseline failed: %s\n",
                    baseline.status().ToString().c_str());
@@ -78,7 +71,7 @@ int Main(int argc, char** argv) {
       churned.scenario = *scenario;
       churned.policy.repair_policy = repair;
       churned.policy.repair_delay_ms = cli.GetDouble("repair-delay-ms");
-      Result<exp::ExperimentResult> run = session->Run(churned);
+      Result<exp::ExperimentResult> run = session.Run(churned);
       if (!run.ok()) {
         std::fprintf(stderr, "churned run failed: %s\n",
                      run.status().ToString().c_str());

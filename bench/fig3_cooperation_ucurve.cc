@@ -17,8 +17,9 @@ int Main(int argc, char** argv) {
   bench::AddCommonFlags(cli);
   cli.AddFlag("policy", "distributed", "dissemination policy");
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-  base.policy = cli.GetString("policy");
+  const bench::FlagConfig base = bench::ConfigFromFlags(cli);
+  exp::RunSpec spec = base.Spec();
+  spec.policy.policy = cli.GetString("policy");
 
   bench::PrintBanner("Figure 3", "loss of fidelity vs degree of cooperation",
                      base);
@@ -28,7 +29,7 @@ int Main(int argc, char** argv) {
   if (cli.GetBool("full")) {
     degrees = {1, 2, 3, 5, 8, 12, 20, 40, 70, 100};
   } else {
-    degrees = {1, 2, 4, 8, 16, static_cast<size_t>(base.repositories)};
+    degrees = {1, 2, 4, 8, 16, base.network.repositories};
   }
 
   std::vector<std::string> headers = {"Degree"};
@@ -38,29 +39,17 @@ int Main(int argc, char** argv) {
   }
   TablePrinter table(headers);
 
-  // One workbench per T (the workload depends on T); topology and traces
+  // One world per T (the workload depends on T); topology and traces
   // share the same seed so only the tolerances vary.
-  std::vector<exp::Workbench> benches;
-  for (double t : t_values) {
-    exp::ExperimentConfig config = base;
-    config.stringent_fraction = t;
-    Result<exp::Workbench> bench = exp::Workbench::Create(config);
-    if (!bench.ok()) {
-      std::fprintf(stderr, "workbench: %s\n",
-                   bench.status().ToString().c_str());
-      return 1;
-    }
-    benches.push_back(std::move(bench).value());
-  }
+  const std::vector<exp::SimulationSession> sessions =
+      bench::SessionsPerT(base, t_values);
 
   for (size_t degree : degrees) {
     std::vector<std::string> row = {TablePrinter::Int(degree)};
-    for (size_t i = 0; i < t_values.size(); ++i) {
-      exp::ExperimentConfig config = benches[i].base_config();
-      config.coop_degree = degree;
-      config.policy = base.policy;
+    spec.overlay.coop_degree = degree;
+    for (const exp::SimulationSession& session : sessions) {
       exp::ExperimentResult result =
-          bench::ValueOrDie(benches[i].Run(config), "fig3 run");
+          bench::ValueOrDie(session.Run(spec), "fig3 run");
       row.push_back(TablePrinter::Num(result.metrics.loss_percent, 2));
     }
     table.AddRow(std::move(row));
@@ -72,14 +61,14 @@ int Main(int argc, char** argv) {
       "for T=0).\n");
 
   // Report the paper's §6.3.1 structural observations for the extremes.
-  exp::ExperimentConfig chain = benches[0].base_config();
-  chain.coop_degree = 1;
+  exp::RunSpec chain = spec;
+  chain.overlay.coop_degree = 1;
   exp::ExperimentResult chain_result =
-      bench::ValueOrDie(benches[0].Run(chain), "chain");
-  exp::ExperimentConfig star = benches[0].base_config();
-  star.coop_degree = base.repositories;
+      bench::ValueOrDie(sessions[0].Run(chain), "chain");
+  exp::RunSpec star = spec;
+  star.overlay.coop_degree = base.network.repositories;
   exp::ExperimentResult star_result =
-      bench::ValueOrDie(benches[0].Run(star), "star");
+      bench::ValueOrDie(sessions[0].Run(star), "star");
   std::printf(
       "\nshape at T=100: chain diameter %u (avg depth %.1f), star diameter "
       "%u (avg depth %.1f)\n(paper: diameter 101 for the chain, 2 for "

@@ -40,11 +40,11 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig banner_config;
-  banner_config.repositories = 2;
-  banner_config.routers = 0;
-  banner_config.items = 1;
-  banner_config.ticks = 10;
+  bench::FlagConfig banner_config;
+  banner_config.network.repositories = 2;
+  banner_config.network.routers = 0;
+  banner_config.workload.items = 1;
+  banner_config.workload.ticks = 10;
   bench::PrintBanner("Figure 4", "the missed-updates problem", banner_config);
 
   core::Overlay overlay = Fig4Overlay();

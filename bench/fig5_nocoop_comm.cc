@@ -16,7 +16,7 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
+  const bench::FlagConfig base = bench::ConfigFromFlags(cli);
 
   bench::PrintBanner("Figure 5",
                      "no cooperation, varying communication delays", base);
@@ -31,27 +31,15 @@ int Main(int argc, char** argv) {
   }
   TablePrinter table(headers);
 
-  // One Workbench (= one World) per T; each comm-delay curve is then a
-  // single RunSweep over the shared substrate.
-  std::vector<exp::Workbench> benches;
-  for (double t : t_values) {
-    exp::ExperimentConfig config = base;
-    config.stringent_fraction = t;
-    Result<exp::Workbench> bench = exp::Workbench::Create(config);
-    if (!bench.ok()) {
-      std::fprintf(stderr, "workbench: %s\n",
-                   bench.status().ToString().c_str());
-      return 1;
-    }
-    benches.push_back(std::move(bench).value());
-  }
-
+  // One World per T; each comm-delay curve is then a single RunSweep
+  // over the shared substrate.
+  exp::RunSpec spec = base.Spec();
+  // No cooperation: the source serves everyone directly.
+  spec.overlay.coop_degree = base.network.repositories;
   std::vector<std::vector<Result<exp::ExperimentResult>>> curves;
-  for (const exp::Workbench& bench : benches) {
-    exp::RunSpec spec = exp::Workbench::SpecFromConfig(bench.base_config());
-    // No cooperation: the source serves everyone directly.
-    spec.overlay.coop_degree = bench.base_config().repositories;
-    curves.push_back(bench.session().RunSweep(
+  for (const exp::SimulationSession& session :
+       bench::SessionsPerT(base, t_values)) {
+    curves.push_back(session.RunSweep(
         spec, comm_ms, [](exp::RunSpec& point, double comm) {
           // 0 means "topology native", so encode an explicit zero as -1.
           point.policy.comm_delay_mean_ms = comm == 0.0 ? -1.0 : comm;

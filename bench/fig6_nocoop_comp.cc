@@ -16,7 +16,7 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
+  const bench::FlagConfig base = bench::ConfigFromFlags(cli);
 
   bench::PrintBanner("Figure 6",
                      "no cooperation, varying computational delays", base);
@@ -31,27 +31,16 @@ int Main(int argc, char** argv) {
   }
   TablePrinter table(headers);
 
-  std::vector<exp::Workbench> benches;
-  for (double t : t_values) {
-    exp::ExperimentConfig config = base;
-    config.stringent_fraction = t;
-    Result<exp::Workbench> bench = exp::Workbench::Create(config);
-    if (!bench.ok()) {
-      std::fprintf(stderr, "workbench: %s\n",
-                   bench.status().ToString().c_str());
-      return 1;
-    }
-    benches.push_back(std::move(bench).value());
-  }
-
+  const std::vector<exp::SimulationSession> sessions =
+      bench::SessionsPerT(base, t_values);
+  exp::RunSpec spec = base.Spec();
+  spec.overlay.coop_degree = base.network.repositories;  // no cooperation
   for (double comp : comp_ms) {
     std::vector<std::string> row = {TablePrinter::Num(comp, 1)};
-    for (size_t i = 0; i < t_values.size(); ++i) {
-      exp::ExperimentConfig config = benches[i].base_config();
-      config.coop_degree = config.repositories;  // no cooperation
-      config.comp_delay_ms = comp;
+    spec.policy.comp_delay_ms = comp;
+    for (const exp::SimulationSession& session : sessions) {
       exp::ExperimentResult result =
-          bench::ValueOrDie(benches[i].Run(config), "fig6 run");
+          bench::ValueOrDie(session.Run(spec), "fig6 run");
       row.push_back(TablePrinter::Num(result.metrics.loss_percent, 2));
     }
     table.AddRow(std::move(row));

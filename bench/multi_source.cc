@@ -15,22 +15,24 @@ int Main(int argc, char** argv) {
   CommandLine cli;
   bench::AddCommonFlags(cli);
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
-  exp::ExperimentConfig base = bench::ConfigFromFlags(cli);
-  base.stringent_fraction = 0.5;
-  base.coop_degree = 5;
+  bench::FlagConfig base = bench::ConfigFromFlags(cli);
+  base.workload.stringent_fraction = 0.5;
+  exp::RunSpec spec = base.Spec();
+  spec.overlay.coop_degree = 5;
 
   bench::PrintBanner("Extension (paper §4)",
                      "multi-source dissemination graphs", base);
 
   TablePrinter table({"Sources", "Loss%", "Messages", "HottestSrcChecks"});
   for (size_t sources : {1, 2, 4, 8}) {
-    exp::MultiSourceConfig config;
-    config.base = base;
-    config.source_count = sources;
-    // Per-source engines are independent; shard them across the worker
-    // pool (results are byte-identical to worker_threads = 1).
-    config.worker_threads = 0;
-    Result<exp::MultiSourceResult> result = exp::RunMultiSource(config);
+    exp::NetworkConfig network = base.network;
+    network.source_count = sources;
+    // Per-source engines are independent; the session shards them across
+    // its worker pool (results are byte-identical to one worker thread).
+    const exp::SimulationSession session =
+        bench::SessionOrDie(base.Builder().SetNetwork(network));
+    Result<exp::MultiSourceResult> result =
+        exp::RunMultiSource(session, spec);
     if (!result.ok()) {
       std::fprintf(stderr, "multi-source run: %s\n",
                    result.status().ToString().c_str());

@@ -1,13 +1,13 @@
 // Microbenchmarks for the SimulationSession API:
 //  * BM_SessionSweep vs BM_SweepRebuildBaseline — a 4-point policy sweep
-//    on one shared World vs the legacy per-point RunExperiment rebuild
-//    (both serial, so the gap is pure substrate reuse); BM_SessionSweepPooled
+//    on one shared World vs a freshly built World per point (both
+//    serial, so the gap is pure substrate reuse); BM_SessionSweepPooled
 //    adds the worker pool on top;
-//  * BM_TimelineCachedSweep vs BM_TimelineRebuildSweep — the World-cached
-//    change timelines vs PR 3's per-run BuildChangeTimelines trace pass,
-//    on long mostly-flat traces where the per-run pass is visible;
+//  * BM_TimelineCachedSweep — a seed sweep whose runs bind the World-
+//    cached change timelines, on long mostly-flat traces;
 //  * BM_MultiSourceSerial vs BM_MultiSourceParallel — the sharded
-//    multi-source run on 1 worker thread vs the worker pool.
+//    multi-source run (world build included) on 1 worker thread vs the
+//    worker pool.
 
 #include <benchmark/benchmark.h>
 
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "exp/experiment.h"
 #include "exp/multi_source.h"
 #include "exp/session.h"
 #include "trace/trace.h"
@@ -31,15 +30,27 @@ const std::vector<std::string>& SweepPolicies() {
   return policies;
 }
 
-exp::ExperimentConfig BenchConfig() {
-  exp::ExperimentConfig config;
-  config.repositories = 40;
-  config.routers = 160;
-  config.items = 16;
-  config.ticks = 800;
-  config.coop_degree = 4;
-  config.seed = 42;
-  return config;
+constexpr uint64_t kSeed = 42;
+
+/// The benchmark world: 40 repositories, 16 items, 800 ticks.
+exp::SessionBuilder BenchWorld(size_t source_count = 1) {
+  exp::NetworkConfig network;
+  network.repositories = 40;
+  network.routers = 160;
+  network.source_count = source_count;
+  exp::WorkloadConfig workload;
+  workload.items = 16;
+  workload.ticks = 800;
+  exp::SessionBuilder builder;
+  builder.SetNetwork(network).SetWorkload(workload).SetSeed(kSeed);
+  return builder;
+}
+
+exp::RunSpec BenchSpec() {
+  exp::RunSpec spec;
+  spec.overlay.coop_degree = 4;
+  spec.seed = kSeed;
+  return spec;
 }
 
 /// 4-point policy sweep, one shared World (built once, outside the
@@ -47,18 +58,13 @@ exp::ExperimentConfig BenchConfig() {
 /// isolates pure world reuse against the serial rebuild baseline;
 /// the Pooled variant additionally fans the points across the pool.
 void SweepOnSharedWorld(benchmark::State& state, size_t worker_threads) {
-  const exp::ExperimentConfig config = BenchConfig();
-  exp::SessionBuilder builder;
-  builder.SetNetwork(config)
-      .SetWorkload(config)
-      .SetSeed(config.seed)
-      .SetWorkerThreads(worker_threads);
-  Result<exp::SimulationSession> session = builder.Build();
+  Result<exp::SimulationSession> session =
+      BenchWorld().SetWorkerThreads(worker_threads).Build();
   if (!session.ok()) {
     state.SkipWithError(session.status().ToString().c_str());
     return;
   }
-  const exp::RunSpec base = exp::Workbench::SpecFromConfig(config);
+  const exp::RunSpec base = BenchSpec();
   for (auto _ : state) {
     auto results = session->RunSweep(
         base, SweepPolicies(),
@@ -88,14 +94,20 @@ void BM_SessionSweepPooled(benchmark::State& state) {
 BENCHMARK(BM_SessionSweepPooled)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-/// The same 4 points via the legacy path: every RunExperiment call
+/// The same 4 points, each on a freshly built World: every point
 /// rebuilds topology, routing, traces and interests from scratch.
 void BM_SweepRebuildBaseline(benchmark::State& state) {
+  const exp::SessionBuilder world = BenchWorld();
   for (auto _ : state) {
     for (const std::string& policy : SweepPolicies()) {
-      exp::ExperimentConfig config = BenchConfig();
-      config.policy = policy;
-      Result<exp::ExperimentResult> result = exp::RunExperiment(config);
+      Result<exp::SimulationSession> session = world.Build();
+      if (!session.ok()) {
+        state.SkipWithError(session.status().ToString().c_str());
+        return;
+      }
+      exp::RunSpec spec = BenchSpec();
+      spec.policy.policy = policy;
+      Result<exp::ExperimentResult> result = session->Run(spec);
       if (!result.ok()) {
         state.SkipWithError(result.status().ToString().c_str());
         return;
@@ -111,13 +123,11 @@ BENCHMARK(BM_SweepRebuildBaseline)->Unit(benchmark::kMillisecond);
 // ---------------------------------------------------------------------------
 // World-cached change timelines
 //
-// The lazy fidelity trackers bind to per-item compacted change
-// timelines. PR 3 rebuilt them with a full trace pass per run; the
-// session now builds them once at SessionBuilder::Build and every run
-// borrows a const view (PolicyConfig::use_cached_timelines). The
-// workload below makes the difference visible: long, mostly-flat traces
-// (many value-repeating polls, few genuine changes) make the per-run
-// trace pass the dominant per-point cost of a sweep.
+// The fidelity trackers bind to per-item compacted change timelines.
+// The session builds them once at SessionBuilder::Build and every run
+// borrows a const view, so a sweep never re-traces the library. The
+// workload below is where a per-run trace pass would dominate: long,
+// mostly-flat traces (many value-repeating polls, few genuine changes).
 
 exp::SimulationSession BuildTimelineSweepSessionOrDie() {
   constexpr size_t kItems = 8;
@@ -157,12 +167,11 @@ exp::SimulationSession BuildTimelineSweepSessionOrDie() {
   return std::move(session).value();
 }
 
-void TimelineSweep(benchmark::State& state, bool use_cache) {
+void BM_TimelineCachedSweep(benchmark::State& state) {
   static exp::SimulationSession* session =
       new exp::SimulationSession(BuildTimelineSweepSessionOrDie());
   exp::RunSpec base;
   base.overlay.coop_degree = 4;
-  base.policy.use_cached_timelines = use_cache;
   const std::vector<uint64_t> seeds = {1, 2, 3, 4, 5, 6, 7, 8};
   for (auto _ : state) {
     auto results = session->RunSweep(
@@ -180,25 +189,20 @@ void TimelineSweep(benchmark::State& state, bool use_cache) {
                           static_cast<int64_t>(seeds.size()));
 }
 
-void BM_TimelineCachedSweep(benchmark::State& state) {
-  TimelineSweep(state, /*use_cache=*/true);
-}
 BENCHMARK(BM_TimelineCachedSweep)->Unit(benchmark::kMillisecond);
 
-/// PR 3 baseline: every run re-traces the library to rebuild its own
-/// change timelines.
-void BM_TimelineRebuildSweep(benchmark::State& state) {
-  TimelineSweep(state, /*use_cache=*/false);
-}
-BENCHMARK(BM_TimelineRebuildSweep)->Unit(benchmark::kMillisecond);
-
 void RunMultiSourceOrSkip(benchmark::State& state, size_t worker_threads) {
-  exp::MultiSourceConfig config;
-  config.base = BenchConfig();
-  config.source_count = 4;
-  config.worker_threads = worker_threads;
+  constexpr size_t kSources = 4;
+  const exp::SessionBuilder world =
+      BenchWorld(kSources).SetWorkerThreads(worker_threads);
   for (auto _ : state) {
-    Result<exp::MultiSourceResult> result = exp::RunMultiSource(config);
+    Result<exp::SimulationSession> session = world.Build();
+    if (!session.ok()) {
+      state.SkipWithError(session.status().ToString().c_str());
+      return;
+    }
+    Result<exp::MultiSourceResult> result =
+        exp::RunMultiSource(*session, BenchSpec());
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -206,7 +210,7 @@ void RunMultiSourceOrSkip(benchmark::State& state, size_t worker_threads) {
     benchmark::DoNotOptimize(result->messages);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(config.source_count));
+                          static_cast<int64_t>(kSources));
 }
 
 void BM_MultiSourceSerial(benchmark::State& state) {

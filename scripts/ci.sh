@@ -6,6 +6,8 @@
 # Sanitizer runs: set D3T_SANITIZE=thread (or address/undefined) to
 # build into build-<sanitizer>/ with -fsanitize instrumentation — the
 # thread variant race-checks the RunAll/RunMultiSource worker-pool path.
+# Sanitizer builds are Debug, so the engines' assert()-level invariants
+# (orphan census, scenario barrier, event time order) run there too.
 # D3T_TEST_FILTER optionally narrows ctest (regex) for slow sanitizer
 # builds.
 #
@@ -133,7 +135,8 @@ CMAKE_ARGS=()
 if [[ -n "${D3T_SANITIZE:-}" ]]; then
   BUILD_DIR="build-${D3T_SANITIZE}"
   # Sanitized bench binaries are pointless; keep the build lean.
-  CMAKE_ARGS+=("-DD3T_SANITIZE=${D3T_SANITIZE}" "-DD3T_BUILD_BENCH=OFF")
+  CMAKE_ARGS+=("-DD3T_SANITIZE=${D3T_SANITIZE}" "-DD3T_BUILD_BENCH=OFF"
+               "-DCMAKE_BUILD_TYPE=Debug")
 fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}"

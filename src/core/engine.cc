@@ -557,14 +557,16 @@ void Engine::DrainWireFrames(OverlayIndex to) {
   net::Transport& transport = *options_.wire_transport;
   net::wire::Frame frame;
   net::PeerId from = net::kInvalidPeerId;
-  while (transport.Poll(to, &frame, &from)) {
+  // The first malformed frame poisons the run; later frames stay queued.
+  while (wire_status_.ok() && transport.Poll(to, &frame, &from)) {
     if (frame.type != net::wire::FrameType::kUpdate) {
       wire_status_ = Status::Internal("unexpected frame type on data ring");
       continue;
     }
     const net::wire::UpdatePayload& p = frame.u.update;
-    if (p.dst != to || p.src != from) {
-      wire_status_ = Status::Internal("misaddressed update frame");
+    if (p.dst != to || p.src != from || p.item >= overlay_.item_count() ||
+        p.arrival_us < simulator_.now()) {
+      wire_status_ = Status::Internal("malformed update frame");
       continue;
     }
     ScheduleDelivery(p.arrival_us, static_cast<OverlayIndex>(p.dst),
@@ -628,6 +630,8 @@ void Engine::HandleScenario(sim::SimTime t, uint32_t op_index,
                                 op.member, static_cast<uint64_t>(op.kind),
                                 op.item);
   }
+  scenario_status_ = CheckLiveness(op, failed_[op.member] != 0);
+  if (!scenario_status_.ok()) return;
   switch (op.kind) {
     case ScenarioOpKind::kRepoFail:
       ApplyFail(t, op_index, op.member);
@@ -653,11 +657,6 @@ void Engine::HandleScenario(sim::SimTime t, uint32_t op_index,
 }
 
 void Engine::ApplyFail(sim::SimTime t, uint32_t op_index, OverlayIndex m) {
-  if (failed_[m]) {
-    scenario_status_ = Status::FailedPrecondition(
-        "scenario fail: member " + std::to_string(m) + " already failed");
-    return;
-  }
   // Pairs of m that were themselves still orphaned vanish with m's
   // holdings — take them out of the census before the detach.
   for (ItemId item : overlay_.ItemsHeldBy(m)) {
@@ -733,11 +732,6 @@ void Engine::CloseOutageWindow(sim::SimTime t, OverlayIndex m) {
 }
 
 void Engine::ApplyRecover(sim::SimTime t, OverlayIndex m) {
-  if (!failed_[m]) {
-    scenario_status_ = Status::FailedPrecondition(
-        "scenario recover: member " + std::to_string(m) + " is not failed");
-    return;
-  }
   CloseOutageWindow(t, m);
   failed_[m] = 0;
   // Re-attach the member's own needs; anything no live parent can
@@ -953,11 +947,6 @@ void Engine::StartTrackerAt(sim::SimTime t, OverlayIndex m, ItemId item,
 
 void Engine::ApplyInterestJoin(sim::SimTime t, OverlayIndex m, ItemId item,
                                Coherency c) {
-  if (failed_[m]) {
-    scenario_status_ = Status::FailedPrecondition(
-        "scenario join: member " + std::to_string(m) + " is failed");
-    return;
-  }
   const bool holds = overlay_.Holds(m, item);
   if (holds && overlay_.Serving(m, item).own_interest) {
     scenario_status_ = Status::FailedPrecondition(
@@ -992,11 +981,6 @@ void Engine::ApplyInterestJoin(sim::SimTime t, OverlayIndex m, ItemId item,
 
 void Engine::ApplyInterestLeave(sim::SimTime t, OverlayIndex m,
                                 ItemId item) {
-  if (failed_[m]) {
-    scenario_status_ = Status::FailedPrecondition(
-        "scenario leave: member " + std::to_string(m) + " is failed");
-    return;
-  }
   if (!overlay_.Holds(m, item) ||
       !overlay_.Serving(m, item).own_interest) {
     scenario_status_ = Status::FailedPrecondition(
@@ -1024,12 +1008,6 @@ void Engine::ApplyInterestLeave(sim::SimTime t, OverlayIndex m,
 
 void Engine::ApplyCoherencyChange(sim::SimTime t, OverlayIndex m,
                                   ItemId item, Coherency c) {
-  if (failed_[m]) {
-    scenario_status_ = Status::FailedPrecondition(
-        "scenario coherency change: member " + std::to_string(m) +
-        " is failed");
-    return;
-  }
   const Status status = overlay_.UpdateOwnCoherency(m, item, c);
   if (!status.ok()) {
     scenario_status_ = status;

@@ -264,8 +264,8 @@ class Engine final : public sim::EventHandler {
   void SendFramedUpdate(OverlayIndex from, OverlayIndex to,
                         sim::SimTime arrival, const Job& job);
   /// Decodes every frame pending for `to` and schedules the deliveries
-  /// they carry. Malformed or misaddressed frames poison
-  /// `wire_status_`.
+  /// they carry. The first malformed frame (wrong type or address,
+  /// unknown item, arrival before the clock) poisons `wire_status_`.
   void DrainWireFrames(OverlayIndex to);
   void FinalizeTrackers(sim::SimTime t);
 
@@ -346,8 +346,8 @@ class Engine final : public sim::EventHandler {
   ChangeTimelines owned_timelines_;
   /// TrackerId-indexed (ids assigned by the overlay); only slots with
   /// tracker_active_ set belong to a tracked (repository, own-interest
-  /// item) pair of this run. Lazy mode: each tracker is bound to its
-  /// item's trace and never receives per-tick source pushes.
+  /// item) pair of this run. Each tracker is bound to its item's change
+  /// timeline and never receives per-tick source pushes.
   std::vector<FidelityTracker> trackers_;
   std::vector<uint8_t> tracker_active_;
   EngineMetrics metrics_;

@@ -18,9 +18,6 @@ bool MeasuredViolation(double source_value, double repo_value, Coherency c) {
 
 }  // namespace
 
-FidelityTracker::FidelityTracker(Coherency c, double initial_value)
-    : c_(c), source_value_(initial_value), repo_value_(initial_value) {}
-
 FidelityTracker::FidelityTracker(
     Coherency c, const std::vector<trace::Tick>* source_timeline)
     : c_(c), source_timeline_(source_timeline) {
@@ -67,7 +64,6 @@ void FidelityTracker::Advance(sim::SimTime t) {
 }
 
 void FidelityTracker::IntegrateSourceTo(sim::SimTime t) {
-  if (source_timeline_ == nullptr) return;
   const std::vector<trace::Tick>& ticks = *source_timeline_;
   while (source_cursor_ < ticks.size() && ticks[source_cursor_].time <= t) {
     const trace::Tick& tick = ticks[source_cursor_++];
@@ -78,15 +74,6 @@ void FidelityTracker::IntegrateSourceTo(sim::SimTime t) {
     source_value_ = tick.value;
     violated_ = MeasuredViolation(source_value_, repo_value_, c_);
   }
-}
-
-void FidelityTracker::OnSourceValue(sim::SimTime t, double value) {
-  assert(source_timeline_ == nullptr &&
-         "lazy trackers integrate the source from their bound trace");
-  if (finalized_) return;
-  Advance(t);
-  source_value_ = value;
-  violated_ = MeasuredViolation(source_value_, repo_value_, c_);
 }
 
 void FidelityTracker::OnRepositoryValue(sim::SimTime t, double value) {

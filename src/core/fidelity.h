@@ -15,49 +15,36 @@ namespace d3t::core {
 
 /// Measures the fidelity of one (repository, item) pair: the fraction of
 /// observed time for which |repo value - source value| <= c (paper §1.1
-/// and §6.2). Two feeding modes:
-///
-///  * **Eager** (push) mode: construct with an initial value and feed
-///    both processes via OnSourceValue/OnRepositoryValue in
-///    nondecreasing time order. The reference semantics; used by tests
-///    and by callers without a materialized source timeline.
-///  * **Lazy** (timeline-bound) mode: construct with the source's tick
-///    timeline. The tracker integrates the source process directly
-///    against it — catching up through a cursor whenever the
-///    *repository* value changes and at Finalize — so nothing has to
-///    push O(holders) source updates on every tick. Callers that track
-///    many pairs per item should bind a *compacted* timeline (initial
-///    tick plus value changes only, e.g. Engine's per-item change
-///    timeline) so the per-tracker walk skips value-repeating polls;
-///    a raw Trace::ticks() works too, at one extra compare per repeat.
-///    OnSourceValue must not be called in this mode. Both modes produce
-///    bit-identical results: splitting a constant-violation interval at
-///    extra event points never changes the integer out-of-sync sum.
+/// and §6.2). The tracker is bound to the source's tick timeline and
+/// integrates the source process directly against it — catching up
+/// through a cursor whenever the *repository* value changes and at
+/// Finalize — so nothing has to push O(holders) source updates on every
+/// tick. Callers that track many pairs per item should bind a
+/// *compacted* timeline (initial tick plus value changes only, e.g.
+/// Engine's per-item change timeline) so the per-tracker walk skips
+/// value-repeating polls; a raw Trace::ticks() works too, at one extra
+/// compare per repeat, and gives bit-identical results: splitting a
+/// constant-violation interval at extra event points never changes the
+/// integer out-of-sync sum.
 class FidelityTracker {
  public:
   FidelityTracker() = default;
 
-  /// Eager mode: `c` is the user-facing coherency requirement; both
-  /// processes start at `initial_value` at time 0 (in sync).
-  FidelityTracker(Coherency c, double initial_value);
-
-  /// Lazy mode: the source process is the tick sequence
-  /// `source_timeline` (strictly increasing times, non-empty, must
-  /// outlive the tracker); both processes start at its first value at
-  /// time 0 (in sync).
+  /// `c` is the user-facing coherency requirement; the source process
+  /// is the tick sequence `source_timeline` (strictly increasing times,
+  /// non-empty, must outlive the tracker); both processes start at its
+  /// first value at time 0 (in sync).
   FidelityTracker(Coherency c,
                   const std::vector<trace::Tick>* source_timeline);
 
-  /// Lazy mode with a mid-run observation start (a repository that
-  /// joins at `start`, e.g. scenario interest churn): both processes
-  /// begin at the timeline's value at `start` (a join-time fetch) and
-  /// the loss window is [start, end].
+  /// Same, with a mid-run observation start (a repository that joins at
+  /// `start`, e.g. scenario interest churn): both processes begin at the
+  /// timeline's value at `start` (a join-time fetch) and the loss window
+  /// is [start, end].
   FidelityTracker(Coherency c,
                   const std::vector<trace::Tick>* source_timeline,
                   sim::SimTime start);
 
-  /// Eager mode only.
-  void OnSourceValue(sim::SimTime t, double value);
   void OnRepositoryValue(sim::SimTime t, double value);
 
   /// Integrates both processes up to `t` without closing the window, so
@@ -73,8 +60,8 @@ class FidelityTracker {
   Coherency coherency() const { return c_; }
 
   /// Closes the observation window at `end`, first integrating any
-  /// remaining source-trace segment in lazy mode. Idempotent; later
-  /// events are ignored.
+  /// remaining source-timeline segment. Idempotent; later events are
+  /// ignored.
   void Finalize(sim::SimTime end);
 
   /// Out-of-tolerance time accumulated so far (through the last event or
@@ -89,9 +76,8 @@ class FidelityTracker {
 
  private:
   void Advance(sim::SimTime t);
-  /// Lazy mode: consumes source-trace ticks with time <= t, integrating
-  /// each changed value as if it had been pushed eagerly. No-op in
-  /// eager mode.
+  /// Consumes source-timeline ticks with time <= t, integrating each
+  /// changed value from its tick time on.
   void IntegrateSourceTo(sim::SimTime t);
 
   Coherency c_ = 0.0;
@@ -104,7 +90,7 @@ class FidelityTracker {
   sim::SimTime window_ = 0;
   bool violated_ = false;
   bool finalized_ = false;
-  /// Lazy-mode source timeline; null in eager mode.
+  /// Source timeline; null only in a default-constructed placeholder.
   const std::vector<trace::Tick>* source_timeline_ = nullptr;
   /// Next timeline tick to consume (tick 0 is the initial value).
   size_t source_cursor_ = 1;

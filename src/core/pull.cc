@@ -36,6 +36,9 @@ Result<PullMetrics> PullEngine::Run() {
   if (options_.grow_factor < 1.0 || options_.safety <= 0.0) {
     return Status::InvalidArgument("need grow_factor >= 1 and safety > 0");
   }
+  if (options_.comp_delay < 0) {
+    return Status::InvalidArgument("negative computational delay");
+  }
   if (options_.wire_transport != nullptr &&
       options_.wire_transport->peer_count() < interests_.size() + 1) {
     return Status::InvalidArgument(
@@ -246,14 +249,16 @@ void PullEngine::DrainWireFrames(OverlayIndex to) {
   net::Transport& transport = *options_.wire_transport;
   net::wire::Frame frame;
   net::PeerId from = net::kInvalidPeerId;
-  while (transport.Poll(to, &frame, &from)) {
+  // The first malformed frame poisons the run; later frames stay queued.
+  while (wire_status_.ok() && transport.Poll(to, &frame, &from)) {
     if (frame.type != net::wire::FrameType::kPoll) {
       wire_status_ = Status::Internal("unexpected frame type on poll ring");
       continue;
     }
     const net::wire::PollPayload& p = frame.u.poll;
     if (p.dst != to || p.src != from || p.state_index >= states_.size() ||
-        (p.phase != kPollRequest && p.phase != kPollResponse)) {
+        (p.phase != kPollRequest && p.phase != kPollResponse) ||
+        p.at_us < simulator_.now()) {
       wire_status_ = Status::Internal("malformed poll frame");
       continue;
     }
@@ -390,14 +395,10 @@ void PullEngine::HandleScenario(sim::SimTime t, uint32_t op_index) {
     options_.recorder->RecordAt(t, obs::TraceEventKind::kScenarioOp, m,
                                 static_cast<uint64_t>(op.kind), op.item);
   }
+  scenario_status_ = CheckLiveness(op, failed_[m] != 0);
+  if (!scenario_status_.ok()) return;
   switch (op.kind) {
     case ScenarioOpKind::kRepoFail: {
-      if (failed_[m]) {
-        scenario_status_ = Status::FailedPrecondition(
-            "scenario fail: member " + std::to_string(m) +
-            " already failed");
-        return;
-      }
       failed_[m] = 1;
       fail_time_[m] = t;
       // Snapshot each pair's staleness at the failure instant; loops
@@ -411,12 +412,6 @@ void PullEngine::HandleScenario(sim::SimTime t, uint32_t op_index) {
       break;
     }
     case ScenarioOpKind::kRepoRecover: {
-      if (!failed_[m]) {
-        scenario_status_ = Status::FailedPrecondition(
-            "scenario recover: member " + std::to_string(m) +
-            " is not failed");
-        return;
-      }
       CloseOutageWindow(t, m);
       failed_[m] = 0;
       // Suspended loops restart immediately; loops whose in-flight
@@ -431,11 +426,6 @@ void PullEngine::HandleScenario(sim::SimTime t, uint32_t op_index) {
       break;
     }
     case ScenarioOpKind::kInterestJoin: {
-      if (failed_[m]) {
-        scenario_status_ = Status::FailedPrecondition(
-            "scenario join: member " + std::to_string(m) + " is failed");
-        return;
-      }
       if (FindActiveState(m, op.item) != SIZE_MAX) {
         scenario_status_ = Status::FailedPrecondition(
             "scenario join: member " + std::to_string(m) +
@@ -466,11 +456,6 @@ void PullEngine::HandleScenario(sim::SimTime t, uint32_t op_index) {
       break;
     }
     case ScenarioOpKind::kInterestLeave: {
-      if (failed_[m]) {
-        scenario_status_ = Status::FailedPrecondition(
-            "scenario leave: member " + std::to_string(m) + " is failed");
-        return;
-      }
       const size_t index = FindActiveState(m, op.item);
       if (index == SIZE_MAX) {
         scenario_status_ = Status::FailedPrecondition(
@@ -485,12 +470,6 @@ void PullEngine::HandleScenario(sim::SimTime t, uint32_t op_index) {
       break;
     }
     case ScenarioOpKind::kCoherencyChange: {
-      if (failed_[m]) {
-        scenario_status_ = Status::FailedPrecondition(
-            "scenario coherency change: member " + std::to_string(m) +
-            " is failed");
-        return;
-      }
       const size_t index = FindActiveState(m, op.item);
       if (index == SIZE_MAX) {
         scenario_status_ = Status::FailedPrecondition(

@@ -170,7 +170,9 @@ class PullEngine final : public sim::EventHandler {
   void SendFramedPoll(OverlayIndex from, OverlayIndex to, sim::SimTime at,
                       size_t state_index, uint64_t phase, double value);
   /// Decodes every frame pending for `to`, applying response payloads
-  /// and scheduling the poll events they carry.
+  /// and scheduling the poll events they carry. The first malformed
+  /// frame (wrong type, address, loop or phase, arrival before the
+  /// clock) poisons `wire_status_`.
   void DrainWireFrames(OverlayIndex to);
   void HandleRequestAtSource(sim::SimTime t, size_t state_index);
   void HandleServiced(sim::SimTime t, size_t state_index);

@@ -111,6 +111,34 @@ Status Scenario::ValidateAgainst(size_t member_count,
   return Status::Ok();
 }
 
+Status CheckLiveness(const ScenarioOp& op, bool member_failed) {
+  const bool recover = op.kind == ScenarioOpKind::kRepoRecover;
+  if (member_failed == recover) return Status::Ok();
+  const char* what = "coherency change";
+  const char* state = " is failed";
+  switch (op.kind) {
+    case ScenarioOpKind::kRepoFail:
+      what = "fail";
+      state = " already failed";
+      break;
+    case ScenarioOpKind::kRepoRecover:
+      what = "recover";
+      state = " is not failed";
+      break;
+    case ScenarioOpKind::kInterestJoin:
+      what = "join";
+      break;
+    case ScenarioOpKind::kInterestLeave:
+      what = "leave";
+      break;
+    case ScenarioOpKind::kCoherencyChange:
+      break;
+  }
+  return Status::FailedPrecondition(std::string("scenario ") + what +
+                                    ": member " + std::to_string(op.member) +
+                                    state);
+}
+
 Result<RepairPolicy> ParseRepairPolicy(const std::string& name) {
   const std::vector<std::string>& known = KnownRepairPolicyNames();
   for (size_t i = 0; i < known.size(); ++i) {

@@ -104,6 +104,13 @@ class Scenario {
   std::vector<ScenarioOp> ops_;
 };
 
+/// The liveness precondition both engines check before applying `op`,
+/// given whether `op.member` is failed right now: a fail needs a live
+/// member, a recover a failed one, and interest-join, interest-leave and
+/// coherency-change ops a live one. FailedPrecondition names the op and
+/// the member otherwise.
+Status CheckLiveness(const ScenarioOp& op, bool member_failed);
+
 /// How the push engine re-attaches the subtree a failed repository
 /// orphans (paper: children detect the silence and re-attach to backup
 /// parents).

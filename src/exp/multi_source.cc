@@ -4,13 +4,11 @@
 
 namespace d3t::exp {
 
-std::vector<RunSpec> MultiSourceSpecs(const ExperimentConfig& base,
+std::vector<RunSpec> MultiSourceSpecs(const RunSpec& base,
                                       size_t source_count) {
-  std::vector<RunSpec> specs(source_count);
+  std::vector<RunSpec> specs(source_count, base);
   for (size_t s = 0; s < source_count; ++s) {
     RunSpec& spec = specs[s];
-    spec.overlay = base;
-    spec.policy = base;
     spec.source_index = s;
     // Each shard gets its own stream: deriving every source's overlay
     // randomness from the one base seed would correlate the shards.
@@ -20,30 +18,14 @@ std::vector<RunSpec> MultiSourceSpecs(const ExperimentConfig& base,
   return specs;
 }
 
-Result<MultiSourceResult> RunMultiSource(const MultiSourceConfig& config) {
-  const ExperimentConfig& base = config.base;
-  if (config.source_count == 0) {
-    return Status::InvalidArgument("need at least one source");
-  }
-  // Fail fast on a bad policy name — before the World is built.
-  D3T_RETURN_IF_ERROR(ValidatePolicyName(base.policy));
-
-  NetworkConfig network = base;
-  network.source_count = config.source_count;
-  SessionBuilder builder;
-  builder.SetNetwork(network)
-      .SetWorkload(base)
-      .SetSeed(base.seed)
-      .SetWorkerThreads(config.worker_threads);
-  Result<SimulationSession> session = builder.Build();
-  if (!session.ok()) return session.status();
-
-  const std::vector<RunSpec> specs =
-      MultiSourceSpecs(base, config.source_count);
-  const std::vector<Result<ExperimentResult>> runs = session->RunAll(specs);
+Result<MultiSourceResult> RunMultiSource(const SimulationSession& session,
+                                         const RunSpec& base) {
+  const size_t source_count = session.world().source_count();
+  const std::vector<Result<ExperimentResult>> runs =
+      session.RunAll(MultiSourceSpecs(base, source_count));
 
   MultiSourceResult result;
-  result.per_source.resize(config.source_count);
+  result.per_source.resize(source_count);
   double pair_loss_weighted = 0.0;
   uint64_t total_pairs = 0;
   for (size_t s = 0; s < runs.size(); ++s) {
@@ -51,7 +33,7 @@ Result<MultiSourceResult> RunMultiSource(const MultiSourceConfig& config) {
     const core::EngineMetrics& metrics = runs[s]->metrics;
 
     SourceSlice& slice = result.per_source[s];
-    slice.items = session->world().OwnedItemCount(s);
+    slice.items = session.world().OwnedItemCount(s);
     slice.messages = metrics.messages;
     slice.source_checks = metrics.source_checks;
     slice.pair_loss_percent = metrics.pair_loss_percent;

@@ -120,8 +120,8 @@ Result<SimulationSession> SessionBuilder::BuildInternal(
     }
   }
 
-  // Stream assignment is part of the public contract: reproducing the
-  // historical Workbench streams keeps golden metrics byte-identical.
+  // Stream assignment is part of the public contract: the golden
+  // metrics pin these exact forks.
   Rng master(seed_);
   Rng topo_rng = master.Fork(1);
   Rng trace_rng = master.Fork(2);
@@ -186,8 +186,7 @@ Result<SimulationSession> SessionBuilder::BuildInternal(
 
   // Compacted per-item change timelines are trace-invariant, so one copy
   // built here serves every run of the session (the engines' lazy
-  // trackers bind read-only views; see PolicyConfig::use_cached_
-  // timelines).
+  // trackers bind read-only views).
   world->change_timelines_ = core::BuildChangeTimelines(world->traces_);
 
   if (has_interests_) {
@@ -293,8 +292,6 @@ Result<ExperimentResult> SimulationSession::Run(const RunSpec& spec) const {
   engine_options.repair_delay = sim::Millis(spec.policy.repair_delay_ms);
   engine_options.recorder = spec.recorder;
   engine_options.registry = spec.registry;
-  const core::ChangeTimelines* timelines =
-      spec.policy.use_cached_timelines ? &world.change_timelines() : nullptr;
   const core::Scenario* scenario =
       spec.scenario.empty() ? nullptr : &spec.scenario;
   // Wire mode: a per-run in-process bus whose rings the engine's
@@ -306,7 +303,7 @@ Result<ExperimentResult> SimulationSession::Run(const RunSpec& spec) const {
     engine_options.wire_transport = &*wire_bus;
   }
   core::Engine engine(built->overlay, delays, world.traces(), *policy,
-                      engine_options, timelines, scenario);
+                      engine_options, &world.change_timelines(), scenario);
   Result<core::EngineMetrics> metrics = engine.Run();
   if (!metrics.ok()) return metrics.status();
   result.metrics = std::move(metrics).value();

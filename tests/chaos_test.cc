@@ -20,8 +20,8 @@
 #include "core/lela.h"
 #include "core/pull.h"
 #include "core/scenario.h"
-#include "exp/experiment.h"
 #include "exp/scenario.h"
+#include "exp/session.h"
 #include "net/fault_transport.h"
 #include "net/transport.h"
 #include "net/wire.h"
@@ -32,25 +32,34 @@
 namespace d3t {
 namespace {
 
-exp::ExperimentConfig ChaosConfig() {
-  exp::ExperimentConfig config;
-  config.repositories = 6;
-  config.routers = 24;
-  config.items = 3;
-  config.ticks = 60;
-  config.coop_degree = 2;
-  config.seed = 41;
-  config.policy = "distributed";
-  return config;
+constexpr uint64_t kSeed = 41;
+constexpr size_t kCoopDegree = 2;
+constexpr const char* kPolicy = "distributed";
+
+/// The chaos world: 6 repositories, 3 items, 60 ticks.
+exp::SimulationSession ChaosSession() {
+  exp::NetworkConfig network;
+  network.repositories = 6;
+  network.routers = 24;
+  exp::WorkloadConfig workload;
+  workload.items = 3;
+  workload.ticks = 60;
+  Result<exp::SimulationSession> session = exp::SessionBuilder()
+                                               .SetNetwork(network)
+                                               .SetWorkload(workload)
+                                               .SetSeed(kSeed)
+                                               .Build();
+  EXPECT_TRUE(session.ok()) << session.status().ToString();
+  return std::move(session).value();
 }
 
-core::Overlay BuildChaosOverlay(const exp::Workbench& bench,
-                                const exp::ExperimentConfig& config) {
+core::Overlay BuildChaosOverlay(const exp::World& world) {
   core::LelaOptions lela;
-  lela.coop_degree = config.coop_degree;
-  Rng rng = Rng(config.seed).Fork(4);
-  Result<core::LelaResult> built = core::BuildOverlay(
-      bench.delays(), bench.interests(), config.items, lela, rng);
+  lela.coop_degree = kCoopDegree;
+  Rng rng = Rng(kSeed).Fork(4);
+  Result<core::LelaResult> built =
+      core::BuildOverlay(world.delays(), world.interests(),
+                         world.workload().items, lela, rng);
   EXPECT_TRUE(built.ok()) << built.status().ToString();
   return std::move(built).value().overlay;
 }
@@ -122,20 +131,18 @@ std::string DescribeScript(const net::FaultScript& script) {
 // transport with resubscribe recovery on, then serve. Returns "" on a
 // byte-identical outcome, otherwise a description of what broke.
 struct ChaosWorld {
-  explicit ChaosWorld(const exp::ExperimentConfig& config_in)
-      : config(config_in),
-        bench(std::move(exp::Workbench::Create(config_in)).value()),
-        scenario(FailureScenario()) {}
+  ChaosWorld() : session(ChaosSession()), scenario(FailureScenario()) {}
 
   core::EngineMetrics DirectPush(core::RepairPolicy policy,
                                  bool with_scenario) const {
-    core::Overlay overlay = BuildChaosOverlay(bench, config);
+    const exp::World& world = session.world();
+    core::Overlay overlay = BuildChaosOverlay(world);
     std::unique_ptr<core::Disseminator> dissem =
-        core::MakeDisseminator(config.policy);
+        core::MakeDisseminator(kPolicy);
     core::EngineOptions options;
     options.repair_policy = policy;
     options.repair_delay = sim::Millis(750);
-    core::Engine engine(overlay, bench.delays(), bench.traces(), *dissem,
+    core::Engine engine(overlay, world.delays(), world.traces(), *dissem,
                         options, /*change_timelines=*/nullptr,
                         with_scenario ? &scenario : nullptr);
     Result<core::EngineMetrics> metrics = engine.Run();
@@ -144,9 +151,10 @@ struct ChaosWorld {
   }
 
   core::PullMetrics DirectPull() const {
+    const exp::World& world = session.world();
     core::PullOptions options;
-    core::PullEngine engine(bench.delays(), bench.interests(),
-                            bench.traces(), options);
+    core::PullEngine engine(world.delays(), world.interests(), world.traces(),
+                            options);
     Result<core::PullMetrics> metrics = engine.Run();
     EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
     return std::move(metrics).value();
@@ -157,20 +165,21 @@ struct ChaosWorld {
   std::string RunServed(const net::FaultScript& script, uint64_t seed,
                         bool pull, core::RepairPolicy policy,
                         bool with_scenario) {
-    core::Overlay overlay = BuildChaosOverlay(bench, config);
+    const exp::World& world = session.world();
+    core::Overlay overlay = BuildChaosOverlay(world);
     net::InProcTransport inner(2, 32);
     net::FaultInjectingTransport feed(inner, script, seed);
     net::InProcTransport data(overlay.member_count(), 64);
     serve::NodeOptions node_options;
     node_options.engine.repair_policy = policy;
     node_options.engine.repair_delay = sim::Millis(750);
-    node_options.policy = config.policy;
+    node_options.policy = kPolicy;
     node_options.resubscribe = true;
     node_options.feed_publisher = 1;
-    serve::Node node(overlay, bench.delays(), feed, data, node_options);
-    serve::FeedPublisher publisher(bench.traces(),
+    serve::Node node(overlay, world.delays(), feed, data, node_options);
+    serve::FeedPublisher publisher(world.traces(),
                                    with_scenario ? &scenario : nullptr,
-                                   overlay.member_count(), config.seed, feed,
+                                   overlay.member_count(), kSeed, feed,
                                    /*self=*/1, {0});
     const Status driven = serve::DriveFeed(publisher, node);
     if (!driven.ok()) return "DriveFeed: " + driven.ToString();
@@ -180,7 +189,7 @@ struct ChaosWorld {
     }
     if (pull) {
       Result<core::PullMetrics> served =
-          node.ServePull(bench.interests(), core::PullOptions{});
+          node.ServePull(world.interests(), core::PullOptions{});
       if (!served.ok()) return "ServePull: " + served.status().ToString();
       const std::string diff = DiffPullMetrics(DirectPull(), *served);
       if (!diff.empty()) return "pull metrics diverged: " + diff;
@@ -194,8 +203,7 @@ struct ChaosWorld {
     return "";
   }
 
-  exp::ExperimentConfig config;
-  exp::Workbench bench;
+  exp::SimulationSession session;
   core::Scenario scenario;
 };
 
@@ -209,7 +217,7 @@ net::FaultScript MakeScript(std::vector<net::FaultOp> ops) {
 // Under budget: byte-identity survives scripted chaos
 
 TEST(ChaosTest, PushEngineSurvivesMixedFaultsAllRepairPolicies) {
-  ChaosWorld world(ChaosConfig());
+  ChaosWorld world;
   // Drops, a duplicate, corruption, reordering and a reset, scattered
   // through the feed. from=1 targets publisher->node traffic; the
   // any-peer ops may also hit resubscribe requests — recovery must
@@ -234,7 +242,7 @@ TEST(ChaosTest, PushEngineSurvivesMixedFaultsAllRepairPolicies) {
 }
 
 TEST(ChaosTest, PullEngineSurvivesMixedFaults) {
-  ChaosWorld world(ChaosConfig());
+  ChaosWorld world;
   const net::FaultScript script = MakeScript(
       {net::FaultOp{2, 0 /*drop*/, 1, net::kAnyPeer, 0},
        net::FaultOp{15, 3 /*delay*/, 1, net::kAnyPeer, 3},
@@ -248,7 +256,7 @@ TEST(ChaosTest, PullEngineSurvivesMixedFaults) {
 }
 
 TEST(ChaosTest, BoundedWedgeWindowHealsAndStaysByteIdentical) {
-  ChaosWorld world(ChaosConfig());
+  ChaosWorld world;
   // The node goes dark for 10 sends mid-feed — everything toward it
   // (including retransmissions) vanishes — then the window closes and
   // resubscribe catches the feed back up.
@@ -264,7 +272,7 @@ TEST(ChaosTest, BoundedWedgeWindowHealsAndStaysByteIdentical) {
 // Over budget: precise degradation report, never a hang
 
 TEST(ChaosTest, ForeverWedgeEndsInPreciseWedgeError) {
-  ChaosWorld world(ChaosConfig());
+  ChaosWorld world;
   // arg 0 = wedge forever: nothing ever reaches the node again. The
   // drive loop must terminate with an error naming the stuck seq.
   const net::FaultScript script = MakeScript(
@@ -278,9 +286,9 @@ TEST(ChaosTest, ForeverWedgeEndsInPreciseWedgeError) {
 }
 
 TEST(ChaosTest, ResubscribeBudgetExhaustionSurfacesThroughDriveFeed) {
-  const exp::ExperimentConfig config = ChaosConfig();
-  ChaosWorld world(config);
-  core::Overlay overlay = BuildChaosOverlay(world.bench, config);
+  const exp::SimulationSession session = ChaosSession();
+  const exp::World& world = session.world();
+  core::Overlay overlay = BuildChaosOverlay(world);
   net::InProcTransport inner(2, 32);
   // Op 0 drops the hello, opening a gap the moment seq 1 arrives; every
   // later op swallows one node->publisher resubscribe, forever. Each
@@ -298,9 +306,9 @@ TEST(ChaosTest, ResubscribeBudgetExhaustionSurfacesThroughDriveFeed) {
   node_options.resubscribe = true;
   node_options.feed_publisher = 1;
   node_options.max_resubscribes = 4;
-  serve::Node node(overlay, world.bench.delays(), feed, data, node_options);
-  serve::FeedPublisher publisher(world.bench.traces(), nullptr,
-                                 overlay.member_count(), config.seed, feed,
+  serve::Node node(overlay, world.delays(), feed, data, node_options);
+  serve::FeedPublisher publisher(world.traces(), nullptr,
+                                 overlay.member_count(), kSeed, feed,
                                  /*self=*/1, {0});
   const Status driven = serve::DriveFeed(publisher, node);
   ASSERT_FALSE(driven.ok());
@@ -353,7 +361,7 @@ std::vector<net::FaultOp> RandomOps(uint64_t seed) {
 }
 
 TEST(ChaosTest, RandomScriptsStayByteIdenticalWithPrefixShrinking) {
-  ChaosWorld world(ChaosConfig());
+  ChaosWorld world;
   constexpr uint64_t kBaseSeed = 0xC4405u;
   constexpr int kTrials = 12;
   for (int trial = 0; trial < kTrials; ++trial) {

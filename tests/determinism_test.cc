@@ -8,9 +8,9 @@
 #include <string>
 
 #include "core/pull.h"
-#include "exp/experiment.h"
 #include "exp/multi_source.h"
 #include "exp/scenario.h"
+#include "exp/session.h"
 #include "net/transport.h"
 #include "obs/export.h"
 #include "obs/recorder.h"
@@ -32,16 +32,34 @@ constexpr uint64_t kGoldenTrackedPairs = 95;
 constexpr double kGoldenLossPercent = 0.20547304454526444;
 constexpr double kGoldenPairLossPercent = 0.20577034288346088;
 
-ExperimentConfig GoldenConfig() {
-  ExperimentConfig config;
-  config.repositories = 25;
-  config.routers = 100;
-  config.items = 8;
-  config.ticks = 600;
-  config.coop_degree = 4;
-  config.seed = 1234;
-  config.policy = "distributed";
-  return config;
+constexpr uint64_t kGoldenSeed = 1234;
+
+NetworkConfig GoldenNetwork() {
+  NetworkConfig network;
+  network.repositories = 25;
+  network.routers = 100;
+  return network;
+}
+
+/// The golden fixture's world; callers may override any setter before
+/// Build().
+SessionBuilder GoldenWorld() {
+  WorkloadConfig workload;
+  workload.items = 8;
+  workload.ticks = 600;
+  SessionBuilder builder;
+  builder.SetNetwork(GoldenNetwork()).SetWorkload(workload).SetSeed(
+      kGoldenSeed);
+  return builder;
+}
+
+/// The golden fixture's run, seeded like its world.
+RunSpec GoldenSpec(const char* policy = "distributed") {
+  RunSpec spec;
+  spec.overlay.coop_degree = 4;
+  spec.policy.policy = policy;
+  spec.seed = kGoldenSeed;
+  return spec;
 }
 
 void ExpectIdenticalMetrics(const core::EngineMetrics& a,
@@ -63,25 +81,22 @@ void ExpectIdenticalMetrics(const core::EngineMetrics& a,
 }
 
 TEST(DeterminismTest, RepeatedRunsAreByteIdentical) {
-  const ExperimentConfig config = GoldenConfig();
-  Result<Workbench> bench = Workbench::Create(config);
-  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
-  Result<ExperimentResult> first = bench->Run(config);
-  Result<ExperimentResult> second = bench->Run(config);
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Result<ExperimentResult> first = session->Run(GoldenSpec());
+  Result<ExperimentResult> second = session->Run(GoldenSpec());
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
   ExpectIdenticalMetrics(first->metrics, second->metrics);
 }
 
 TEST(DeterminismTest, AllPoliciesAreRunToRunDeterministic) {
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   for (const char* policy :
        {"distributed", "centralized", "eq3-only", "all-updates"}) {
-    ExperimentConfig config = GoldenConfig();
-    config.policy = policy;
-    Result<Workbench> bench = Workbench::Create(config);
-    ASSERT_TRUE(bench.ok()) << bench.status().ToString();
-    Result<ExperimentResult> first = bench->Run(config);
-    Result<ExperimentResult> second = bench->Run(config);
+    Result<ExperimentResult> first = session->Run(GoldenSpec(policy));
+    Result<ExperimentResult> second = session->Run(GoldenSpec(policy));
     ASSERT_TRUE(first.ok()) << first.status().ToString();
     ASSERT_TRUE(second.ok()) << second.status().ToString();
     SCOPED_TRACE(policy);
@@ -111,18 +126,26 @@ void ExpectIdenticalMultiSourceResults(const MultiSourceResult& a,
 }
 
 TEST(DeterminismTest, MultiSourceParallelIsByteIdenticalToSerial) {
-  MultiSourceConfig config;
-  config.base = GoldenConfig();
-  config.source_count = 4;
-  config.worker_threads = 1;  // forced serial reference run
-  Result<MultiSourceResult> serial = RunMultiSource(config);
+  NetworkConfig network = GoldenNetwork();
+  network.source_count = 4;
+  Result<SimulationSession> serial_session =
+      GoldenWorld().SetNetwork(network).SetWorkerThreads(1).Build();
+  ASSERT_TRUE(serial_session.ok()) << serial_session.status().ToString();
+  // Forced serial reference run.
+  Result<MultiSourceResult> serial =
+      RunMultiSource(*serial_session, GoldenSpec());
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  config.worker_threads = 4;  // sharded across the pool
-  Result<MultiSourceResult> parallel = RunMultiSource(config);
+  Result<SimulationSession> pooled_session =
+      GoldenWorld().SetNetwork(network).SetWorkerThreads(4).Build();
+  ASSERT_TRUE(pooled_session.ok()) << pooled_session.status().ToString();
+  // Sharded across the pool.
+  Result<MultiSourceResult> parallel =
+      RunMultiSource(*pooled_session, GoldenSpec());
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
   ExpectIdenticalMultiSourceResults(*serial, *parallel);
   // And the pool itself is deterministic run to run.
-  Result<MultiSourceResult> again = RunMultiSource(config);
+  Result<MultiSourceResult> again =
+      RunMultiSource(*pooled_session, GoldenSpec());
   ASSERT_TRUE(again.ok());
   ExpectIdenticalMultiSourceResults(*parallel, *again);
 }
@@ -133,18 +156,16 @@ TEST(DeterminismTest, BatchedDispatchIsByteIdenticalToPerMessageDispatch) {
   // concern: every metric — including the logical event count — must be
   // byte-identical to the one-event-per-message baseline, for every
   // policy, on the golden fixture.
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   for (const char* policy :
        {"distributed", "centralized", "eq3-only", "all-updates"}) {
     SCOPED_TRACE(policy);
-    ExperimentConfig config = GoldenConfig();
-    config.policy = policy;
-    Result<Workbench> bench = Workbench::Create(config);
-    ASSERT_TRUE(bench.ok()) << bench.status().ToString();
-    RunSpec batched = Workbench::SpecFromConfig(config);
+    const RunSpec batched = GoldenSpec(policy);
     RunSpec per_message = batched;
     per_message.policy.coalesce_deliveries = false;
-    Result<ExperimentResult> a = bench->session().Run(batched);
-    Result<ExperimentResult> b = bench->session().Run(per_message);
+    Result<ExperimentResult> a = session->Run(batched);
+    Result<ExperimentResult> b = session->Run(per_message);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ExpectIdenticalMetrics(a->metrics, b->metrics);
@@ -164,18 +185,16 @@ TEST(DeterminismTest, SpanDrainingIsByteIdenticalToPerJobProcessing) {
   // count — must be byte-identical to one-event-per-job processing, for
   // every policy, on the golden fixture. Only the physical wakeup count
   // may (and should) drop.
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   for (const char* policy :
        {"distributed", "centralized", "eq3-only", "all-updates"}) {
     SCOPED_TRACE(policy);
-    ExperimentConfig config = GoldenConfig();
-    config.policy = policy;
-    Result<Workbench> bench = Workbench::Create(config);
-    ASSERT_TRUE(bench.ok()) << bench.status().ToString();
-    RunSpec drained = Workbench::SpecFromConfig(config);
+    const RunSpec drained = GoldenSpec(policy);
     RunSpec per_job = drained;
     per_job.policy.drain_process_spans = false;
-    Result<ExperimentResult> a = bench->session().Run(drained);
-    Result<ExperimentResult> b = bench->session().Run(per_job);
+    Result<ExperimentResult> a = session->Run(drained);
+    Result<ExperimentResult> b = session->Run(per_job);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ExpectIdenticalMetrics(a->metrics, b->metrics);
@@ -189,11 +208,10 @@ TEST(DeterminismTest, SpanDrainingIsByteIdenticalToPerJobProcessing) {
 TEST(DeterminismTest, DispatchAndProcessingModesAreByteIdenticalInAllCombos) {
   // The two kernel toggles (delivery coalescing, span draining) must be
   // independent: all four combinations yield the same metrics.
-  const ExperimentConfig config = GoldenConfig();
-  Result<Workbench> bench = Workbench::Create(config);
-  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
-  const RunSpec base = Workbench::SpecFromConfig(config);
-  Result<ExperimentResult> reference = bench->session().Run(base);
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const RunSpec base = GoldenSpec();
+  Result<ExperimentResult> reference = session->Run(base);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   for (bool coalesce : {true, false}) {
     for (bool drain : {true, false}) {
@@ -202,7 +220,7 @@ TEST(DeterminismTest, DispatchAndProcessingModesAreByteIdenticalInAllCombos) {
       RunSpec spec = base;
       spec.policy.coalesce_deliveries = coalesce;
       spec.policy.drain_process_spans = drain;
-      Result<ExperimentResult> run = bench->session().Run(spec);
+      Result<ExperimentResult> run = session->Run(spec);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       ExpectIdenticalMetrics(reference->metrics, run->metrics);
     }
@@ -217,20 +235,18 @@ TEST(DeterminismTest, EmptyScenarioIsByteIdenticalToNoScenario) {
   // are inert without scenario ops; set them anyway to prove it.)
   Result<core::Scenario> empty = exp::ScenarioBuilder().Build();
   ASSERT_TRUE(empty.ok());
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   for (const char* policy : {"distributed", "centralized", "eq3-only",
                              "all-updates", "temporal"}) {
     SCOPED_TRACE(policy);
-    ExperimentConfig config = GoldenConfig();
-    config.policy = policy;
-    Result<Workbench> bench = Workbench::Create(config);
-    ASSERT_TRUE(bench.ok()) << bench.status().ToString();
-    const RunSpec baseline = Workbench::SpecFromConfig(config);
+    const RunSpec baseline = GoldenSpec(policy);
     RunSpec scripted = baseline;
     scripted.scenario = *empty;
     scripted.policy.repair_policy = "lela";
     scripted.policy.repair_delay_ms = 250.0;
-    Result<ExperimentResult> a = bench->session().Run(baseline);
-    Result<ExperimentResult> b = bench->session().Run(scripted);
+    Result<ExperimentResult> a = session->Run(baseline);
+    Result<ExperimentResult> b = session->Run(scripted);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ExpectIdenticalMetrics(a->metrics, b->metrics);
@@ -244,18 +260,18 @@ TEST(DeterminismTest, EmptyScenarioIsByteIdenticalToNoScenario) {
 TEST(DeterminismTest, EmptyScenarioIsByteIdenticalOnPullEngine) {
   // Same invariant for the pull baseline: the scenario hook points on
   // the poll path must be invisible when the script is empty.
-  const ExperimentConfig config = GoldenConfig();
-  Result<Workbench> bench = Workbench::Create(config);
-  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const World& world = session->world();
   core::PullOptions options;
-  core::PullEngine plain(bench->delays(), bench->interests(),
-                         bench->traces(), options);
+  core::PullEngine plain(world.delays(), world.interests(), world.traces(),
+                         options);
   Result<core::PullMetrics> a = plain.Run();
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   Result<core::Scenario> empty = exp::ScenarioBuilder().Build();
   ASSERT_TRUE(empty.ok());
-  core::PullEngine scripted(bench->delays(), bench->interests(),
-                            bench->traces(), options, nullptr, &*empty);
+  core::PullEngine scripted(world.delays(), world.interests(),
+                            world.traces(), options, nullptr, &*empty);
   Result<core::PullMetrics> b = scripted.Run();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   EXPECT_EQ(a->loss_percent, b->loss_percent);
@@ -284,17 +300,15 @@ TEST(DeterminismTest, KernelTogglesStayByteIdenticalUnderScenario) {
                                         .RecoverAt(sim::Seconds(260))
                                         .Build();
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   for (const char* policy :
        {"distributed", "centralized", "eq3-only", "all-updates"}) {
     SCOPED_TRACE(policy);
-    ExperimentConfig config = GoldenConfig();
-    config.policy = policy;
-    Result<Workbench> bench = Workbench::Create(config);
-    ASSERT_TRUE(bench.ok()) << bench.status().ToString();
-    RunSpec base = Workbench::SpecFromConfig(config);
+    RunSpec base = GoldenSpec(policy);
     base.scenario = *scenario;
     base.policy.repair_delay_ms = 750.0;
-    Result<ExperimentResult> reference = bench->session().Run(base);
+    Result<ExperimentResult> reference = session->Run(base);
     ASSERT_TRUE(reference.ok()) << reference.status().ToString();
     EXPECT_EQ(reference->metrics.scenario_ops, 4u);
     for (bool coalesce : {true, false}) {
@@ -304,7 +318,7 @@ TEST(DeterminismTest, KernelTogglesStayByteIdenticalUnderScenario) {
         RunSpec spec = base;
         spec.policy.coalesce_deliveries = coalesce;
         spec.policy.drain_process_spans = drain;
-        Result<ExperimentResult> run = bench->session().Run(spec);
+        Result<ExperimentResult> run = session->Run(spec);
         ASSERT_TRUE(run.ok()) << run.status().ToString();
         ExpectIdenticalMetrics(reference->metrics, run->metrics);
         EXPECT_EQ(reference->metrics.repairs, run->metrics.repairs);
@@ -333,20 +347,18 @@ TEST(DeterminismTest, WireTransportIsByteIdenticalToDirect) {
                                         .RecoverAt(sim::Seconds(260))
                                         .Build();
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   for (const char* policy :
        {"distributed", "centralized", "eq3-only", "all-updates"}) {
     SCOPED_TRACE(policy);
-    ExperimentConfig config = GoldenConfig();
-    config.policy = policy;
-    Result<Workbench> bench = Workbench::Create(config);
-    ASSERT_TRUE(bench.ok()) << bench.status().ToString();
-    RunSpec direct = Workbench::SpecFromConfig(config);
+    RunSpec direct = GoldenSpec(policy);
     direct.scenario = *scenario;
     direct.policy.repair_delay_ms = 750.0;
     RunSpec framed = direct;
     framed.policy.route_through_wire = true;
-    Result<ExperimentResult> a = bench->session().Run(direct);
-    Result<ExperimentResult> b = bench->session().Run(framed);
+    Result<ExperimentResult> a = session->Run(direct);
+    Result<ExperimentResult> b = session->Run(framed);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ExpectIdenticalMetrics(a->metrics, b->metrics);
@@ -371,28 +383,26 @@ TEST(DeterminismTest, WireTransportIsByteIdenticalOnPullEngine) {
   // every poll round trip (request out, response back) framed over the
   // wire must leave every metric byte-identical, under a
   // failure/recovery script.
-  const ExperimentConfig config = GoldenConfig();
-  Result<Workbench> bench = Workbench::Create(config);
-  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const World& world = session->world();
   Result<core::Scenario> scenario = exp::ScenarioBuilder()
                                         .FailRepo(sim::Seconds(40), 5)
                                         .RecoverAt(sim::Seconds(220))
                                         .Build();
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
   core::PullOptions direct_options;
-  core::PullEngine direct(bench->delays(), bench->interests(),
-                          bench->traces(), direct_options, nullptr,
-                          &*scenario);
+  core::PullEngine direct(world.delays(), world.interests(), world.traces(),
+                          direct_options, nullptr, &*scenario);
   Result<core::PullMetrics> a = direct.Run();
   ASSERT_TRUE(a.ok()) << a.status().ToString();
 
-  const size_t member_count = bench->interests().size() + 1;
+  const size_t member_count = world.interests().size() + 1;
   net::InProcTransport bus(member_count, 64);
   core::PullOptions framed_options;
   framed_options.wire_transport = &bus;
-  core::PullEngine framed(bench->delays(), bench->interests(),
-                          bench->traces(), framed_options, nullptr,
-                          &*scenario);
+  core::PullEngine framed(world.delays(), world.interests(), world.traces(),
+                          framed_options, nullptr, &*scenario);
   Result<core::PullMetrics> b = framed.Run();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
 
@@ -410,7 +420,7 @@ TEST(DeterminismTest, WireTransportIsByteIdenticalOnPullEngine) {
   // arrival) and the at-most-one in-flight frame each poll loop still
   // has when the horizon ends.
   size_t poll_loops = 0;
-  for (const core::InterestSet& set : bench->interests()) {
+  for (const core::InterestSet& set : world.interests()) {
     poll_loops += set.size();
   }
   EXPECT_GE(bus.metrics().frames_tx, b->wire_messages);
@@ -427,21 +437,19 @@ TEST(DeterminismTest, RecorderAttachmentLeavesMetricsByteIdentical) {
   // policy on the golden fixture. The registry must in turn carry every
   // EngineMetrics field it was derived from: doubles bit for bit, the
   // per-member loss vector by length and FNV-1a digest.
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   for (const char* policy :
        {"distributed", "centralized", "eq3-only", "all-updates"}) {
     SCOPED_TRACE(policy);
-    ExperimentConfig config = GoldenConfig();
-    config.policy = policy;
-    Result<Workbench> bench = Workbench::Create(config);
-    ASSERT_TRUE(bench.ok()) << bench.status().ToString();
-    const RunSpec plain = Workbench::SpecFromConfig(config);
+    const RunSpec plain = GoldenSpec(policy);
     obs::Recorder recorder(1 << 17);
     obs::Registry registry;
     RunSpec observed = plain;
     observed.recorder = &recorder;
     observed.registry = &registry;
-    Result<ExperimentResult> a = bench->session().Run(plain);
-    Result<ExperimentResult> b = bench->session().Run(observed);
+    Result<ExperimentResult> a = session->Run(plain);
+    Result<ExperimentResult> b = session->Run(observed);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     ExpectIdenticalMetrics(a->metrics, b->metrics);
@@ -494,15 +502,14 @@ TEST(DeterminismTest, TraceDumpIsByteIdenticalAcrossReruns) {
   // The canonical trace dump is itself a determinism artifact: two runs
   // of the golden fixture must produce byte-identical dumps. The pin is
   // only meaningful if the ring never wrapped — assert that too.
-  const ExperimentConfig config = GoldenConfig();
-  Result<Workbench> bench = Workbench::Create(config);
-  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   std::string dumps[2];
   for (std::string& dump : dumps) {
     obs::Recorder recorder(1 << 17);
-    RunSpec spec = Workbench::SpecFromConfig(config);
+    RunSpec spec = GoldenSpec();
     spec.recorder = &recorder;
-    Result<ExperimentResult> run = bench->session().Run(spec);
+    Result<ExperimentResult> run = session->Run(spec);
     ASSERT_TRUE(run.ok()) << run.status().ToString();
     ASSERT_EQ(recorder.dropped(), 0u) << "ring wrapped; pin is not valid";
     ASSERT_GT(recorder.recorded(), 0u);
@@ -517,20 +524,19 @@ TEST(DeterminismTest, TraceDumpIsByteIdenticalAcrossKernelToggles) {
   // differently with same-window deliveries), but the canonical
   // (sorted) dump must not: the four coalesce/drain combinations emit
   // the same logical events at the same logical times.
-  const ExperimentConfig config = GoldenConfig();
-  Result<Workbench> bench = Workbench::Create(config);
-  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   std::string reference;
   for (bool coalesce : {true, false}) {
     for (bool drain : {true, false}) {
       SCOPED_TRACE(std::string("coalesce=") + (coalesce ? "on" : "off") +
                    " drain=" + (drain ? "on" : "off"));
       obs::Recorder recorder(1 << 17);
-      RunSpec spec = Workbench::SpecFromConfig(config);
+      RunSpec spec = GoldenSpec();
       spec.policy.coalesce_deliveries = coalesce;
       spec.policy.drain_process_spans = drain;
       spec.recorder = &recorder;
-      Result<ExperimentResult> run = bench->session().Run(spec);
+      Result<ExperimentResult> run = session->Run(spec);
       ASSERT_TRUE(run.ok()) << run.status().ToString();
       ASSERT_EQ(recorder.dropped(), 0u) << "ring wrapped; pin is not valid";
       const std::string dump = obs::DumpTrace(recorder);
@@ -548,18 +554,17 @@ TEST(DeterminismTest, TraceDumpIsByteIdenticalThroughTheWire) {
   // engine's canonical trace byte-identical too: the transport's own
   // frame-tx/frame-rx records land in a SEPARATE recorder here, so the
   // engine-event multiset can be compared dump for dump.
-  const ExperimentConfig config = GoldenConfig();
-  Result<Workbench> bench = Workbench::Create(config);
-  ASSERT_TRUE(bench.ok()) << bench.status().ToString();
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
   obs::Recorder direct_recorder(1 << 17);
-  RunSpec direct = Workbench::SpecFromConfig(config);
+  RunSpec direct = GoldenSpec();
   direct.recorder = &direct_recorder;
   obs::Recorder framed_recorder(1 << 17);
-  RunSpec framed = Workbench::SpecFromConfig(config);
+  RunSpec framed = GoldenSpec();
   framed.policy.route_through_wire = true;
   framed.recorder = &framed_recorder;
-  Result<ExperimentResult> a = bench->session().Run(direct);
-  Result<ExperimentResult> b = bench->session().Run(framed);
+  Result<ExperimentResult> a = session->Run(direct);
+  Result<ExperimentResult> b = session->Run(framed);
   ASSERT_TRUE(a.ok()) << a.status().ToString();
   ASSERT_TRUE(b.ok()) << b.status().ToString();
   ASSERT_EQ(direct_recorder.dropped(), 0u);
@@ -570,8 +575,9 @@ TEST(DeterminismTest, TraceDumpIsByteIdenticalThroughTheWire) {
 TEST(DeterminismTest, GoldenMetricsOnFixedScenario) {
   // Captured from the pre-refactor (unordered_map) engine at seed 1234;
   // pins the dense-state refactor to the exact historical behavior.
-  const ExperimentConfig config = GoldenConfig();
-  Result<ExperimentResult> result = RunExperiment(config);
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Result<ExperimentResult> result = session->Run(GoldenSpec());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const core::EngineMetrics& m = result->metrics;
   EXPECT_EQ(m.messages, kGoldenMessages);

@@ -4,6 +4,8 @@
 
 #include "core/lela.h"
 #include "gtest/gtest.h"
+#include "net/transport.h"
+#include "net/wire.h"
 #include "trace/synthetic.h"
 
 namespace d3t::core {
@@ -112,9 +114,8 @@ INSTANTIATE_TEST_SUITE_P(
         testing::Values("distributed", "centralized")),
     ZeroDelayCaseName);
 
-// Eq. (3) alone does NOT achieve 100% fidelity even with zero delays
-// (the Fig. 4 missed-updates problem), which is why the guard exists.
-TEST(EngineTest, Eq3OnlyLosesFidelityOnFig4Scenario) {
+/// The Fig. 4 chain source -> P (c=0.3) -> Q (c=0.5) under zero delays.
+Scenario Fig4Scenario() {
   Scenario s;
   s.overlay = Overlay(3, 1);
   s.overlay.SetServing(0, 0, 0.0, kInvalidOverlayIndex);
@@ -125,7 +126,13 @@ TEST(EngineTest, Eq3OnlyLosesFidelityOnFig4Scenario) {
   s.delays = net::OverlayDelayModel::Uniform(3, 0);
   // Fig. 4 sequence, then hold at 1.7 so the miss persists.
   s.traces = {SecondsTrace({1.0, 1.2, 1.4, 1.5, 1.7, 1.7, 1.7, 1.7})};
+  return s;
+}
 
+// Eq. (3) alone does NOT achieve 100% fidelity even with zero delays
+// (the Fig. 4 missed-updates problem), which is why the guard exists.
+TEST(EngineTest, Eq3OnlyLosesFidelityOnFig4Scenario) {
+  Scenario s = Fig4Scenario();
   EngineMetrics eq3 = RunScenario(s, "eq3-only");
   EngineMetrics dist = RunScenario(s, "distributed");
   EXPECT_GT(eq3.loss_percent, 10.0);
@@ -315,6 +322,43 @@ TEST(EngineTest, RejectsMismatchedDelayModel) {
   DistributedDisseminator policy;
   Engine engine(s.overlay, wrong, s.traces, policy, EngineOptions{});
   EXPECT_TRUE(engine.Run().status().IsInvalidArgument());
+}
+
+/// Runs the Fig. 4 chain in wire mode with `forged` frames already
+/// queued on P's ring, ahead of the source's first push to P.
+Result<EngineMetrics> RunWithForgedFrames(
+    const std::vector<net::wire::Frame>& forged) {
+  Scenario s = Fig4Scenario();
+  net::InProcTransport bus(s.overlay.member_count(), 8);
+  for (const net::wire::Frame& frame : forged) {
+    EXPECT_TRUE(bus.Send(0, 1, frame).ok());
+  }
+  EngineOptions options;
+  options.wire_transport = &bus;
+  DistributedDisseminator policy;
+  return Engine(s.overlay, s.delays, s.traces, policy, options).Run();
+}
+
+TEST(EngineTest, WireDrainRejectsFrameForUnknownItem) {
+  // Correctly addressed and due inside the horizon, but naming an item
+  // the overlay does not have.
+  Result<EngineMetrics> run = RunWithForgedFrames(
+      {net::wire::Frame::Update(0, 1, sim::Seconds(5), 1000000, 1.0, 0.0)});
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsInternal()) << run.status().ToString();
+  EXPECT_EQ(run.status().message(), "malformed update frame");
+}
+
+TEST(EngineTest, WireDrainRejectsFrameArrivingBeforeTheClock) {
+  // The first push to P happens at t >= 1 s; a frame claiming to land
+  // at t = 0 would rewind the simulator. The wrong-typed frame behind
+  // it must not overwrite the first failure.
+  Result<EngineMetrics> run = RunWithForgedFrames(
+      {net::wire::Frame::Update(0, 1, /*arrival_us=*/0, 0, 1.0, 0.0),
+       net::wire::Frame::Shutdown(0)});
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsInternal()) << run.status().ToString();
+  EXPECT_EQ(run.status().message(), "malformed update frame");
 }
 
 TEST(EngineTest, DeterministicAcrossRuns) {

@@ -9,49 +9,50 @@ namespace {
 using Timeline = std::vector<trace::Tick>;
 
 TEST(FidelityTest, PerfectSyncIsZeroLoss) {
-  FidelityTracker tracker(0.1, 10.0);
-  tracker.OnSourceValue(100, 10.05);  // within tolerance
+  const Timeline source = {{0, 10.0}, {100, 10.05}};  // within tolerance
+  FidelityTracker tracker(0.1, &source);
   tracker.Finalize(1000);
   EXPECT_EQ(tracker.out_of_sync_time(), 0);
   EXPECT_DOUBLE_EQ(tracker.LossPercent(), 0.0);
 }
 
 TEST(FidelityTest, ViolationWindowMeasured) {
-  FidelityTracker tracker(0.1, 10.0);
-  tracker.OnSourceValue(100, 10.5);       // violated from t=100
-  tracker.OnRepositoryValue(300, 10.5);   // repaired at t=300
+  const Timeline source = {{0, 10.0}, {100, 10.5}};  // violated from t=100
+  FidelityTracker tracker(0.1, &source);
+  tracker.OnRepositoryValue(300, 10.5);  // repaired at t=300
   tracker.Finalize(1000);
   EXPECT_EQ(tracker.out_of_sync_time(), 200);
   EXPECT_DOUBLE_EQ(tracker.LossPercent(), 20.0);
 }
 
 TEST(FidelityTest, ViolationUntilEndCounts) {
-  FidelityTracker tracker(0.1, 10.0);
-  tracker.OnSourceValue(900, 11.0);
+  const Timeline source = {{0, 10.0}, {900, 11.0}};
+  FidelityTracker tracker(0.1, &source);
+  tracker.OnRepositoryValue(950, 10.5);  // still out of tolerance
   tracker.Finalize(1000);
   EXPECT_EQ(tracker.out_of_sync_time(), 100);
   EXPECT_DOUBLE_EQ(tracker.LossPercent(), 10.0);
 }
 
 TEST(FidelityTest, RepeatedViolationsAccumulate) {
-  FidelityTracker tracker(0.1, 10.0);
-  tracker.OnSourceValue(100, 11.0);      // out
-  tracker.OnRepositoryValue(150, 11.0);  // in
-  tracker.OnSourceValue(200, 12.0);      // out
-  tracker.OnRepositoryValue(280, 12.0);  // in
+  const Timeline source = {{0, 10.0}, {100, 11.0}, {200, 12.0}};
+  FidelityTracker tracker(0.1, &source);  // out at 100 and at 200
+  tracker.OnRepositoryValue(150, 11.0);   // in
+  tracker.OnRepositoryValue(280, 12.0);   // in
   tracker.Finalize(1000);
   EXPECT_EQ(tracker.out_of_sync_time(), 50 + 80);
 }
 
 TEST(FidelityTest, BoundaryIsNotViolation) {
-  FidelityTracker tracker(0.5, 10.0);
-  tracker.OnSourceValue(100, 10.5);  // |diff| == c exactly
+  const Timeline source = {{0, 10.0}, {100, 10.5}};  // |diff| == c exactly
+  FidelityTracker tracker(0.5, &source);
   tracker.Finalize(200);
   EXPECT_EQ(tracker.out_of_sync_time(), 0);
 }
 
 TEST(FidelityTest, RepoOvershootAlsoViolates) {
-  FidelityTracker tracker(0.1, 10.0);
+  const Timeline source = {{0, 10.0}};
+  FidelityTracker tracker(0.1, &source);
   tracker.OnRepositoryValue(100, 10.9);  // repo ahead of source
   tracker.OnRepositoryValue(200, 10.0);
   tracker.Finalize(1000);
@@ -59,16 +60,19 @@ TEST(FidelityTest, RepoOvershootAlsoViolates) {
 }
 
 TEST(FidelityTest, EventsAfterFinalizeIgnored) {
-  FidelityTracker tracker(0.1, 10.0);
+  const Timeline source = {{0, 10.0}, {150, 99.0}};
+  FidelityTracker tracker(0.1, &source);
   tracker.Finalize(100);
-  tracker.OnSourceValue(150, 99.0);
+  tracker.SyncTo(200);  // the t=150 tick lies past the window
+  tracker.OnRepositoryValue(250, 50.0);
   EXPECT_EQ(tracker.out_of_sync_time(), 0);
   EXPECT_DOUBLE_EQ(tracker.LossPercent(), 0.0);
 }
 
 TEST(FidelityTest, FinalizeIdempotent) {
-  FidelityTracker tracker(0.1, 10.0);
-  tracker.OnSourceValue(0, 11.0);
+  const Timeline source = {{0, 10.0}};
+  FidelityTracker tracker(0.1, &source);
+  tracker.OnRepositoryValue(0, 11.0);
   tracker.Finalize(100);
   tracker.Finalize(500);
   EXPECT_EQ(tracker.out_of_sync_time(), 100);
@@ -76,32 +80,36 @@ TEST(FidelityTest, FinalizeIdempotent) {
 }
 
 TEST(FidelityTest, ZeroWindowLossIsZero) {
-  FidelityTracker tracker(0.1, 10.0);
+  const Timeline source = {{0, 10.0}};
+  FidelityTracker tracker(0.1, &source);
   tracker.Finalize(0);
   EXPECT_DOUBLE_EQ(tracker.LossPercent(), 0.0);
 }
 
 TEST(FidelityTest, AlternatingProcessesExactIntegral) {
-  // Hand-computed scenario mixing both processes.
-  FidelityTracker tracker(1.0, 0.0);
-  tracker.OnSourceValue(10, 2.0);       // out (diff 2)        [10, ...]
-  tracker.OnSourceValue(20, 0.5);       // in  (diff 0.5)      out 10
-  tracker.OnSourceValue(30, 3.0);       // out (diff 3)
-  tracker.OnRepositoryValue(45, 2.5);   // in  (diff 0.5)      out 15
-  tracker.OnSourceValue(50, 4.0);       // out (diff 1.5)
-  tracker.OnRepositoryValue(70, 4.0);   // in                  out 20
+  // Hand-computed scenario where each process both opens and closes
+  // violations.
+  const Timeline source = {
+      {0, 0.0}, {10, 2.0}, {20, 0.5}, {30, 3.0}, {50, 4.0}};
+  FidelityTracker tracker(1.0, &source);
+  // source 2.0 at 10: out (diff 2); 0.5 at 20: in, out 10;
+  // 3.0 at 30: out (diff 3).
+  tracker.OnRepositoryValue(45, 2.5);  // in (diff 0.5), out 15
+  // source 4.0 at 50: out (diff 1.5).
+  tracker.OnRepositoryValue(70, 4.0);  // in, out 20
+  tracker.OnRepositoryValue(80, 5.5);  // out (diff 1.5) to the end
   tracker.Finalize(100);
-  EXPECT_EQ(tracker.out_of_sync_time(), 10 + 15 + 20);
-  EXPECT_DOUBLE_EQ(tracker.LossPercent(), 45.0);
+  EXPECT_EQ(tracker.out_of_sync_time(), 10 + 15 + 20 + 20);
+  EXPECT_DOUBLE_EQ(tracker.LossPercent(), 65.0);
 }
 
 // ---------------------------------------------------------------------------
-// Lazy (trace-bound) mode: the tracker integrates the source process
-// from the trace timeline instead of being pushed every source tick.
+// Timeline cursor: the source process is integrated from the bound
+// timeline whenever the repository side moves and at Finalize.
 
 TEST(LazyFidelityTest, MatchesEagerOnHandScenario) {
-  // Same interleaving as AlternatingProcessesExactIntegral, with the
-  // source steps coming from a bound trace instead of pushes.
+  // Source steps come from the bound timeline alone; the two repository
+  // updates catch the cursor up.
   const Timeline source = {
       {0, 0.0}, {10, 2.0}, {20, 0.5}, {30, 3.0}, {50, 4.0}};
   FidelityTracker tracker(1.0, &source);
@@ -123,8 +131,8 @@ TEST(LazyFidelityTest, FinalizeIntegratesUnconsumedTraceTail) {
 }
 
 TEST(LazyFidelityTest, RepeatedTraceValuesAreNotUpdates) {
-  // Polls that repeat the previous value must integrate exactly like
-  // the eager mode, which never saw them at all.
+  // Polls that repeat the previous value are not source updates: they
+  // must integrate exactly like a compacted timeline without them.
   const Timeline source = {
       {0, 10.0}, {100, 10.0}, {200, 11.0}, {300, 11.0}, {400, 11.0}};
   FidelityTracker tracker(0.1, &source);

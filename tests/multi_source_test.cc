@@ -6,15 +6,43 @@
 namespace d3t::exp {
 namespace {
 
-ExperimentConfig SmallBase() {
-  ExperimentConfig base;
-  base.repositories = 20;
-  base.routers = 60;
-  base.items = 8;
-  base.ticks = 300;
-  base.coop_degree = 3;
-  base.seed = 77;
-  return base;
+constexpr uint64_t kSeed = 77;
+
+NetworkConfig SmallNetwork(size_t source_count) {
+  NetworkConfig network;
+  network.repositories = 20;
+  network.routers = 60;
+  network.source_count = source_count;
+  return network;
+}
+
+WorkloadConfig SmallWorkload() {
+  WorkloadConfig workload;
+  workload.items = 8;
+  workload.ticks = 300;
+  return workload;
+}
+
+RunSpec SmallSpec() {
+  RunSpec spec;
+  spec.overlay.coop_degree = 3;
+  spec.seed = kSeed;
+  return spec;
+}
+
+/// Builds a world seeded like SmallSpec and runs the multi-source
+/// experiment on it once.
+Result<MultiSourceResult> RunOnce(const NetworkConfig& network,
+                                  const WorkloadConfig& workload =
+                                      SmallWorkload(),
+                                  const RunSpec& base = SmallSpec()) {
+  Result<SimulationSession> session = SessionBuilder()
+                                          .SetNetwork(network)
+                                          .SetWorkload(workload)
+                                          .SetSeed(kSeed)
+                                          .Build();
+  if (!session.ok()) return session.status();
+  return RunMultiSource(*session, base);
 }
 
 TEST(MultiSourceTest, GeneratorPlacesAllSources) {
@@ -32,10 +60,7 @@ TEST(MultiSourceTest, GeneratorPlacesAllSources) {
 }
 
 TEST(MultiSourceTest, SingleSourceMatchesStandardPipeline) {
-  MultiSourceConfig config;
-  config.base = SmallBase();
-  config.source_count = 1;
-  Result<MultiSourceResult> result = RunMultiSource(config);
+  Result<MultiSourceResult> result = RunOnce(SmallNetwork(1));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_GT(result->messages, 0u);
   EXPECT_EQ(result->per_source.size(), 1u);
@@ -44,10 +69,7 @@ TEST(MultiSourceTest, SingleSourceMatchesStandardPipeline) {
 }
 
 TEST(MultiSourceTest, ItemsPartitionedAcrossSources) {
-  MultiSourceConfig config;
-  config.base = SmallBase();
-  config.source_count = 3;
-  Result<MultiSourceResult> result = RunMultiSource(config);
+  Result<MultiSourceResult> result = RunOnce(SmallNetwork(3));
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_EQ(result->per_source.size(), 3u);
   size_t items = 0;
@@ -61,14 +83,11 @@ TEST(MultiSourceTest, ItemsPartitionedAcrossSources) {
 }
 
 TEST(MultiSourceTest, SpreadingSourcesSpreadsSourceLoad) {
-  MultiSourceConfig single;
-  single.base = SmallBase();
-  single.base.items = 12;
-  single.source_count = 1;
-  MultiSourceConfig quad = single;
-  quad.source_count = 4;
-  Result<MultiSourceResult> single_result = RunMultiSource(single);
-  Result<MultiSourceResult> quad_result = RunMultiSource(quad);
+  WorkloadConfig workload = SmallWorkload();
+  workload.items = 12;
+  Result<MultiSourceResult> single_result =
+      RunOnce(SmallNetwork(1), workload);
+  Result<MultiSourceResult> quad_result = RunOnce(SmallNetwork(4), workload);
   ASSERT_TRUE(single_result.ok());
   ASSERT_TRUE(quad_result.ok());
   // The hottest source in the 4-source system does well under the
@@ -84,17 +103,10 @@ TEST(MultiSourceTest, SourceStreamsAreDecorrelated) {
   //  2. MultiSourceSpecs hands every source its own explicit seed;
   //  3. RunSpec::seed actually reaches the run (two runs differing only
   //     in seed build different overlays).
-  NetworkConfig network;
-  network.repositories = 20;
-  network.routers = 60;
-  network.source_count = 2;
-  WorkloadConfig workload;
-  workload.items = 8;
-  workload.ticks = 300;
   Result<SimulationSession> session = SessionBuilder()
-                                          .SetNetwork(network)
-                                          .SetWorkload(workload)
-                                          .SetSeed(77)
+                                          .SetNetwork(SmallNetwork(2))
+                                          .SetWorkload(SmallWorkload())
+                                          .SetSeed(kSeed)
                                           .Build();
   ASSERT_TRUE(session.ok()) << session.status().ToString();
   const World& world = session->world();
@@ -111,7 +123,7 @@ TEST(MultiSourceTest, SourceStreamsAreDecorrelated) {
   }
   EXPECT_TRUE(traces_differ) << "sources' traces must not be clones";
 
-  ExperimentConfig base = SmallBase();
+  const RunSpec base = SmallSpec();
   std::vector<RunSpec> specs = MultiSourceSpecs(base, 2);
   EXPECT_NE(specs[0].seed, specs[1].seed);
   EXPECT_NE(specs[0].seed, base.seed);
@@ -142,25 +154,18 @@ TEST(MultiSourceTest, SourceStreamsAreDecorrelated) {
 }
 
 TEST(MultiSourceTest, RejectsBadConfigs) {
-  MultiSourceConfig config;
-  config.base = SmallBase();
-  config.source_count = 0;
-  EXPECT_FALSE(RunMultiSource(config).ok());
-  config.source_count = 1;
-  config.base.ticks = 1;
-  EXPECT_FALSE(RunMultiSource(config).ok());
-  config = MultiSourceConfig{};
-  config.base = SmallBase();
-  config.base.policy = "nonsense";
-  EXPECT_FALSE(RunMultiSource(config).ok());
+  EXPECT_FALSE(RunOnce(SmallNetwork(0)).ok());
+  WorkloadConfig one_tick = SmallWorkload();
+  one_tick.ticks = 1;
+  EXPECT_FALSE(RunOnce(SmallNetwork(1), one_tick).ok());
+  RunSpec nonsense = SmallSpec();
+  nonsense.policy.policy = "nonsense";
+  EXPECT_FALSE(RunOnce(SmallNetwork(1), SmallWorkload(), nonsense).ok());
 }
 
 TEST(MultiSourceTest, DeterministicForSeed) {
-  MultiSourceConfig config;
-  config.base = SmallBase();
-  config.source_count = 2;
-  Result<MultiSourceResult> a = RunMultiSource(config);
-  Result<MultiSourceResult> b = RunMultiSource(config);
+  Result<MultiSourceResult> a = RunOnce(SmallNetwork(2));
+  Result<MultiSourceResult> b = RunOnce(SmallNetwork(2));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->messages, b->messages);
@@ -170,11 +175,10 @@ TEST(MultiSourceTest, DeterministicForSeed) {
 TEST(MultiSourceTest, AllPoliciesSupported) {
   for (const char* policy :
        {"distributed", "centralized", "eq3-only", "all-updates"}) {
-    MultiSourceConfig config;
-    config.base = SmallBase();
-    config.base.policy = policy;
-    config.source_count = 2;
-    EXPECT_TRUE(RunMultiSource(config).ok()) << policy;
+    RunSpec spec = SmallSpec();
+    spec.policy.policy = policy;
+    EXPECT_TRUE(RunOnce(SmallNetwork(2), SmallWorkload(), spec).ok())
+        << policy;
   }
 }
 

@@ -1,9 +1,11 @@
 // Cross-module randomized properties checked against independent
 // reference implementations: the event queue against std::multimap
-// scheduling, the fidelity tracker against a brute-force replay,
+// scheduling, the fidelity tracker against a brute-force replay and its
+// raw-timeline binding against the change-only one,
 // Trace::ValueAt against linear scan, and shortest-path delays against
 // the triangle inequality.
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "net/topology_generator.h"
 #include "sim/event_queue.h"
 #include "trace/synthetic.h"
+#include "trace/trace.h"
 
 namespace d3t {
 namespace {
@@ -69,59 +72,12 @@ TEST(PropertySuite, EventQueueMatchesReferenceOrdering) {
 // Fidelity tracker vs brute-force replay
 
 TEST(PropertySuite, FidelityTrackerMatchesBruteForceReplay) {
+  // The tracker sees the source process only through its bound raw
+  // timeline — value-repeating polls included — caught up on repository
+  // updates and at Finalize. The reference replays both processes event
+  // by event, a source tick applying before a repository update at the
+  // same instant.
   for (uint64_t seed : {21u, 22u, 23u, 24u, 25u}) {
-    Rng rng(seed);
-    const core::Coherency c = rng.NextDoubleInRange(0.05, 0.5);
-    const double initial = 10.0;
-    core::FidelityTracker tracker(c, initial);
-
-    // Random interleaving of source/repo value steps at integer times.
-    struct Event {
-      sim::SimTime t;
-      bool is_source;
-      double value;
-    };
-    std::vector<Event> events;
-    sim::SimTime t = 0;
-    for (int i = 0; i < 200; ++i) {
-      t += 1 + static_cast<sim::SimTime>(rng.NextBounded(50));
-      events.push_back(Event{t, rng.NextBernoulli(0.5),
-                             initial + rng.NextDoubleInRange(-1.0, 1.0)});
-    }
-    const sim::SimTime end = t + 10;
-    for (const Event& event : events) {
-      if (event.is_source) {
-        tracker.OnSourceValue(event.t, event.value);
-      } else {
-        tracker.OnRepositoryValue(event.t, event.value);
-      }
-    }
-    tracker.Finalize(end);
-
-    // Brute force: piecewise-constant replay between event times.
-    double source = initial, repo = initial;
-    sim::SimTime out_of_sync = 0;
-    sim::SimTime prev = 0;
-    auto violated = [&] { return std::abs(source - repo) > c + 1e-6; };
-    for (const Event& event : events) {
-      if (violated()) out_of_sync += event.t - prev;
-      prev = event.t;
-      (event.is_source ? source : repo) = event.value;
-    }
-    if (violated()) out_of_sync += end - prev;
-
-    EXPECT_EQ(tracker.out_of_sync_time(), out_of_sync) << "seed " << seed;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Lazy (trace-bound) tracker vs eager push replay
-
-TEST(PropertySuite, LazyTrackerMatchesEagerTracker) {
-  // The two feeding modes must agree bit-for-bit: the lazy tracker sees
-  // the source process only through its bound trace (caught up on repo
-  // updates and at Finalize), the eager one is pushed every change.
-  for (uint64_t seed : {61u, 62u, 63u, 64u, 65u}) {
     Rng rng(seed);
     const core::Coherency c = rng.NextDoubleInRange(0.05, 0.5);
     const double initial = 10.0;
@@ -137,42 +93,106 @@ TEST(PropertySuite, LazyTrackerMatchesEagerTracker) {
       ticks.push_back({t, value});
     }
 
-    struct RepoEvent {
-      sim::SimTime t;
-      double value;
+    std::vector<trace::Tick> repo_events;
+    sim::SimTime rt = 0;
+    for (int i = 0; i < 40; ++i) {
+      rt += 1 + static_cast<sim::SimTime>(rng.NextBounded(100));
+      if (rng.NextBernoulli(0.3)) {
+        // Land exactly on the next source tick.
+        auto next = std::lower_bound(
+            ticks.begin(), ticks.end(), rt,
+            [](const trace::Tick& tick, sim::SimTime at) {
+              return tick.time < at;
+            });
+        if (next != ticks.end()) rt = next->time;
+      }
+      repo_events.push_back({rt, initial + rng.NextDoubleInRange(-1.0, 1.0)});
+    }
+    // Source ticks past the last repository update: Finalize integrates
+    // that tail on its own.
+    ASSERT_GT(ticks.back().time, repo_events.back().time) << "seed " << seed;
+    const sim::SimTime end = ticks.back().time + 10;
+
+    core::FidelityTracker tracker(c, &ticks);
+    for (const trace::Tick& event : repo_events) {
+      tracker.OnRepositoryValue(event.time, event.value);
+    }
+    tracker.Finalize(end);
+
+    // Brute force: piecewise-constant replay between event times.
+    double source = initial, repo = initial;
+    sim::SimTime out_of_sync = 0;
+    sim::SimTime prev = 0;
+    auto advance = [&](sim::SimTime at) {
+      if (std::abs(source - repo) > c + 1e-6) out_of_sync += at - prev;
+      prev = at;
     };
-    std::vector<RepoEvent> repo_events;
+    size_t cursor = 1;
+    auto replay_source_until = [&](sim::SimTime limit) {
+      for (; cursor < ticks.size() && ticks[cursor].time <= limit; ++cursor) {
+        advance(ticks[cursor].time);
+        source = ticks[cursor].value;
+      }
+    };
+    for (const trace::Tick& event : repo_events) {
+      replay_source_until(event.time);
+      advance(event.time);
+      repo = event.value;
+    }
+    replay_source_until(end);
+    advance(end);
+
+    EXPECT_EQ(tracker.out_of_sync_time(), out_of_sync) << "seed " << seed;
+    EXPECT_EQ(tracker.LossPercent(),
+              100.0 * static_cast<double>(out_of_sync) /
+                  static_cast<double>(end))
+        << "seed " << seed;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Raw-timeline tracker vs change-only (eager) timeline
+
+TEST(PropertySuite, LazyTrackerMatchesEagerTracker) {
+  // The two bindings must agree bit-for-bit: one tracker walks the raw
+  // timeline, value-repeating polls included; the other walks the
+  // BuildChangeTimelines compaction, which holds exactly the genuine
+  // source updates an eager push feed would deliver.
+  for (uint64_t seed : {61u, 62u, 63u, 64u, 65u}) {
+    Rng rng(seed);
+    const core::Coherency c = rng.NextDoubleInRange(0.05, 0.5);
+    const double initial = 10.0;
+
+    std::vector<trace::Tick> ticks = {{0, initial}};
+    sim::SimTime t = 0;
+    for (int i = 0; i < 300; ++i) {
+      t += 1 + static_cast<sim::SimTime>(rng.NextBounded(40));
+      const double value = rng.NextBernoulli(0.3)
+                               ? ticks.back().value
+                               : initial + rng.NextDoubleInRange(-1.0, 1.0);
+      ticks.push_back({t, value});
+    }
+    const std::vector<trace::Trace> traces = {trace::Trace("raw", ticks)};
+    const core::ChangeTimelines changes = core::BuildChangeTimelines(traces);
+    ASSERT_EQ(changes.size(), 1u);
+    ASSERT_LT(changes[0].size(), ticks.size()) << "seed " << seed;
+
+    std::vector<trace::Tick> repo_events;
     sim::SimTime rt = 0;
     for (int i = 0; i < 60; ++i) {
       rt += 1 + static_cast<sim::SimTime>(rng.NextBounded(200));
-      repo_events.push_back(
-          {rt, initial + rng.NextDoubleInRange(-1.0, 1.0)});
+      repo_events.push_back({rt, initial + rng.NextDoubleInRange(-1.0, 1.0)});
     }
     const sim::SimTime end = std::max(t, rt) + 10;
 
-    // Bind the raw timeline, repeats included — the lazy cursor must
-    // skip them exactly like the eager replay (which never pushes them).
-    core::FidelityTracker lazy(c, &ticks);
-    core::FidelityTracker eager(c, initial);
-    size_t cursor = 1;
-    double last_source = initial;
-    auto push_source_until = [&](sim::SimTime limit) {
-      while (cursor < ticks.size() && ticks[cursor].time <= limit) {
-        if (ticks[cursor].value != last_source) {
-          last_source = ticks[cursor].value;
-          eager.OnSourceValue(ticks[cursor].time, last_source);
-        }
-        ++cursor;
-      }
-    };
-    for (const RepoEvent& event : repo_events) {
-      push_source_until(event.t);
-      eager.OnRepositoryValue(event.t, event.value);
-      lazy.OnRepositoryValue(event.t, event.value);
+    core::FidelityTracker lazy(c, &traces[0].ticks());
+    core::FidelityTracker eager(c, &changes[0]);
+    for (const trace::Tick& event : repo_events) {
+      lazy.OnRepositoryValue(event.time, event.value);
+      eager.OnRepositoryValue(event.time, event.value);
     }
-    push_source_until(end);
-    eager.Finalize(end);
     lazy.Finalize(end);
+    eager.Finalize(end);
 
     EXPECT_EQ(lazy.out_of_sync_time(), eager.out_of_sync_time())
         << "seed " << seed;

@@ -1,6 +1,8 @@
 #include "core/pull.h"
 
 #include "gtest/gtest.h"
+#include "net/transport.h"
+#include "net/wire.h"
 #include "trace/synthetic.h"
 
 namespace d3t::core {
@@ -50,6 +52,12 @@ TEST(PullTest, ValidatesArguments) {
   bad = FastPull();
   bad.grow_factor = 0.5;
   EXPECT_FALSE(PullEngine(delays, interests, traces, bad).Run().ok());
+  bad = FastPull();
+  bad.comp_delay = -sim::Millis(500);
+  EXPECT_TRUE(PullEngine(delays, interests, traces, bad)
+                  .Run()
+                  .status()
+                  .IsInvalidArgument());
 
   // Wrong delay-model size.
   auto small = net::OverlayDelayModel::Uniform(1, 0);
@@ -137,6 +145,28 @@ TEST(PullTest, WireMessagesAreTwicePolls) {
   EXPECT_EQ(result->wire_messages, result->polls * 2);
   EXPECT_GT(result->polls, 0u);
   EXPECT_LE(result->changed_polls, result->polls);
+}
+
+TEST(PullTest, WireDrainRejectsFrameArrivingBeforeTheClock) {
+  std::vector<trace::Trace> traces = {QuietTrace(10)};
+  std::vector<InterestSet> interests = {{{0, 0.1}}};
+  auto delays = net::OverlayDelayModel::Uniform(2, sim::Millis(5));
+  net::InProcTransport bus(2, 8);
+  // A response leg for loop 0 claiming to land at t = 0. The
+  // repository's ring is first drained when the source has serviced a
+  // request, well after t = 0.
+  constexpr uint32_t kResponsePhase = 2;
+  ASSERT_TRUE(bus.Send(0, 1,
+                       net::wire::Frame::Poll(0, 1, /*at_us=*/0,
+                                              /*state_index=*/0,
+                                              kResponsePhase, 50.0))
+                  .ok());
+  PullOptions options = FastPull();
+  options.wire_transport = &bus;
+  Result<PullMetrics> run = PullEngine(delays, interests, traces, options).Run();
+  ASSERT_FALSE(run.ok());
+  EXPECT_TRUE(run.status().IsInternal()) << run.status().ToString();
+  EXPECT_EQ(run.status().message(), "malformed poll frame");
 }
 
 TEST(PullTest, SourceUtilizationGrowsWithClients) {

@@ -1,14 +1,13 @@
 // SimulationSession API: SessionBuilder -> World -> RunSpec. Covers the
-// build-once/run-many contract (World::BuildCount hook), sweep/legacy
-// equivalence, build-time policy validation, workload overrides and the
-// per-source seed plumbing.
+// build-once/run-many contract (World::BuildCount hook), sweep/fresh-
+// session equivalence, end-to-end run results, policy validation,
+// workload overrides and the per-source seed plumbing.
 
 #include <string>
 #include <vector>
 
 #include "core/disseminator.h"
 #include "core/pull.h"
-#include "exp/experiment.h"
 #include "exp/multi_source.h"
 #include "exp/session.h"
 #include "gtest/gtest.h"
@@ -37,26 +36,26 @@ RunSpec SmallSpec() {
   return spec;
 }
 
-/// The flat-config equivalent of SmallNetwork/SmallWorkload/SmallSpec,
-/// for cross-checking against the legacy RunExperiment path.
-ExperimentConfig SmallConfig() {
-  ExperimentConfig config;
-  config.repositories = 20;
-  config.routers = 60;
-  config.items = 5;
-  config.ticks = 300;
-  config.coop_degree = 3;
-  config.seed = 1234;
-  return config;
+/// The small world as a builder; cases that vary one world input
+/// override that setter before Build().
+SessionBuilder SmallWorld(uint64_t seed = 1234) {
+  SessionBuilder builder;
+  builder.SetNetwork(SmallNetwork())
+      .SetWorkload(SmallWorkload())
+      .SetSeed(seed);
+  return builder;
 }
 
 Result<SimulationSession> BuildSmallSession(size_t worker_threads = 0) {
-  return SessionBuilder()
-      .SetNetwork(SmallNetwork())
-      .SetWorkload(SmallWorkload())
-      .SetSeed(1234)
-      .SetWorkerThreads(worker_threads)
-      .Build();
+  return SmallWorld().SetWorkerThreads(worker_threads).Build();
+}
+
+/// Builds `world` and runs `spec` on it once.
+Result<ExperimentResult> RunOnce(const SessionBuilder& world,
+                                 const RunSpec& spec = SmallSpec()) {
+  Result<SimulationSession> session = world.Build();
+  if (!session.ok()) return session.status();
+  return session->Run(spec);
 }
 
 TEST(SessionBuilderTest, BuildsWorldSubstrate) {
@@ -96,7 +95,7 @@ TEST(SessionBuilderTest, RejectsDegenerateInputs) {
 
 // The acceptance contract of the session redesign: a 4-point policy
 // sweep builds the World exactly once and reproduces the metrics of 4
-// independent RunExperiment calls (which rebuild the World every time).
+// runs on 4 freshly built sessions.
 TEST(SessionSweepTest, PolicySweepBuildsWorldOnceAndMatchesLegacyRuns) {
   const std::vector<std::string> policies = {"distributed", "centralized",
                                              "eq3-only", "all-updates"};
@@ -117,9 +116,11 @@ TEST(SessionSweepTest, PolicySweepBuildsWorldOnceAndMatchesLegacyRuns) {
   for (size_t i = 0; i < policies.size(); ++i) {
     SCOPED_TRACE(policies[i]);
     ASSERT_TRUE(sweep[i].ok()) << sweep[i].status().ToString();
-    ExperimentConfig config = SmallConfig();
-    config.policy = policies[i];
-    Result<ExperimentResult> independent = RunExperiment(config);
+    Result<SimulationSession> fresh = BuildSmallSession();
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    RunSpec spec = SmallSpec();
+    spec.policy.policy = policies[i];
+    Result<ExperimentResult> independent = fresh->Run(spec);
     ASSERT_TRUE(independent.ok()) << independent.status().ToString();
     EXPECT_EQ(sweep[i]->metrics.messages, independent->metrics.messages);
     EXPECT_EQ(sweep[i]->metrics.checks, independent->metrics.checks);
@@ -195,6 +196,125 @@ TEST(SessionSchedulingTest, PooledRunAllReturnsResultsInSpecOrder) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// End-to-end runs: one world, one RunSpec, one ExperimentResult
+
+TEST(ExperimentTest, EndToEndRunProducesMetrics) {
+  Result<ExperimentResult> result = RunOnce(SmallWorld());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_GT(result->metrics.messages, 0u);
+  EXPECT_GT(result->metrics.source_updates, 0u);
+  EXPECT_GE(result->metrics.loss_percent, 0.0);
+  EXPECT_LE(result->metrics.loss_percent, 100.0);
+  EXPECT_GT(result->shape.diameter, 1u);
+  EXPECT_EQ(result->effective_degree, 3u);
+  EXPECT_GT(result->mean_pair_delay_ms, 0.0);
+  EXPECT_GT(result->mean_pair_hops, 1.0);
+}
+
+TEST(ExperimentTest, DeterministicForSameSeed) {
+  Result<ExperimentResult> a = RunOnce(SmallWorld());
+  Result<ExperimentResult> b = RunOnce(SmallWorld());
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(a->metrics.messages, b->metrics.messages);
+  EXPECT_DOUBLE_EQ(a->metrics.loss_percent, b->metrics.loss_percent);
+  EXPECT_EQ(a->shape.diameter, b->shape.diameter);
+}
+
+TEST(ExperimentTest, SeedChangesWorkload) {
+  RunSpec reseeded = SmallSpec();
+  reseeded.seed = 999;
+  Result<ExperimentResult> a = RunOnce(SmallWorld());
+  Result<ExperimentResult> b = RunOnce(SmallWorld(999), reseeded);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_NE(a->metrics.messages, b->metrics.messages);
+}
+
+TEST(ExperimentTest, CommDelayScalingHonored) {
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  RunSpec spec = SmallSpec();
+  spec.policy.comm_delay_mean_ms = 75.0;
+  Result<ExperimentResult> result = session->Run(spec);
+  ASSERT_TRUE(result.ok());
+  EXPECT_NEAR(result->mean_pair_delay_ms, 75.0, 1.0);
+  spec.policy.comm_delay_mean_ms = -1.0;  // force zero delays
+  Result<ExperimentResult> zero = session->Run(spec);
+  ASSERT_TRUE(zero.ok());
+  EXPECT_DOUBLE_EQ(zero->mean_pair_delay_ms, 0.0);
+}
+
+TEST(ExperimentTest, ControlledCooperationCapsDegree) {
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  RunSpec spec = SmallSpec();
+  spec.overlay.coop_degree = 100;
+  spec.overlay.controlled_cooperation = true;
+  spec.policy.comm_delay_mean_ms = 25.0;
+  spec.policy.comp_delay_ms = 12.5;
+  Result<ExperimentResult> result = session->Run(spec);
+  ASSERT_TRUE(result.ok());
+  // Eq. (2) at the paper's operating point: degree 5, well under the
+  // offered 100.
+  EXPECT_EQ(result->effective_degree, 5u);
+}
+
+TEST(ExperimentTest, DijkstraPathMatchesFloydWarshallMetrics) {
+  NetworkConfig dijkstra = SmallNetwork();
+  dijkstra.use_floyd_warshall = false;
+  Result<ExperimentResult> fw = RunOnce(SmallWorld());
+  Result<ExperimentResult> dj = RunOnce(SmallWorld().SetNetwork(dijkstra));
+  ASSERT_TRUE(fw.ok());
+  ASSERT_TRUE(dj.ok());
+  // Identical topology and routing result => identical simulation.
+  EXPECT_EQ(fw->metrics.messages, dj->metrics.messages);
+  EXPECT_DOUBLE_EQ(fw->metrics.loss_percent, dj->metrics.loss_percent);
+  EXPECT_DOUBLE_EQ(fw->mean_pair_delay_ms, dj->mean_pair_delay_ms);
+}
+
+TEST(ExperimentTest, AllPoliciesRunOnSharedWorld) {
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  for (const char* policy : {"distributed", "centralized", "eq3-only",
+                             "all-updates", "temporal"}) {
+    RunSpec spec = SmallSpec();
+    spec.policy.policy = policy;
+    Result<ExperimentResult> result = session->Run(spec);
+    EXPECT_TRUE(result.ok()) << policy;
+  }
+}
+
+TEST(ExperimentTest, StringencyMonotonicallyRaisesTraffic) {
+  // Sweeping T upward on a fixed network must not reduce dissemination
+  // traffic: stringent tolerances filter fewer updates.
+  uint64_t previous = 0;
+  for (double t : {0.0, 0.25, 0.5, 0.75, 1.0}) {
+    WorkloadConfig workload = SmallWorkload();
+    workload.stringent_fraction = t;
+    Result<ExperimentResult> result =
+        RunOnce(SmallWorld().SetWorkload(workload));
+    ASSERT_TRUE(result.ok());
+    EXPECT_GE(result->metrics.messages + result->metrics.messages / 5,
+              previous)
+        << "T=" << t;  // 20% slack: interests are resampled per T
+    previous = result->metrics.messages;
+  }
+}
+
+TEST(ExperimentTest, ShapeMetricsConsistent) {
+  const RunSpec spec = SmallSpec();
+  Result<ExperimentResult> result = RunOnce(SmallWorld(), spec);
+  ASSERT_TRUE(result.ok());
+  EXPECT_GE(result->shape.diameter, 2u);
+  EXPECT_GE(result->shape.avg_depth, 1.0);
+  EXPECT_LE(result->shape.avg_depth,
+            static_cast<double>(result->shape.diameter));
+  EXPECT_LE(result->shape.max_dependents, spec.overlay.coop_degree);
+  EXPECT_GT(result->build_info.demand_edges, 0u);
+}
+
 TEST(SessionValidationTest, UnknownPolicyErrorListsKnownNames) {
   Result<SimulationSession> session = BuildSmallSession();
   ASSERT_TRUE(session.ok());
@@ -208,19 +328,6 @@ TEST(SessionValidationTest, UnknownPolicyErrorListsKnownNames) {
       << result.status().ToString();
   EXPECT_NE(result.status().message().find("distributed"),
             std::string::npos);
-}
-
-TEST(SessionValidationTest, WorkbenchCreateRejectsUnknownPolicyAtBuildTime) {
-  const uint64_t builds_before = World::BuildCount();
-  ExperimentConfig config = SmallConfig();
-  config.policy = "carrier-pigeon";
-  Result<Workbench> bench = Workbench::Create(config);
-  ASSERT_FALSE(bench.ok());
-  EXPECT_TRUE(bench.status().IsInvalidArgument());
-  EXPECT_NE(bench.status().message().find("known policies"),
-            std::string::npos);
-  EXPECT_EQ(World::BuildCount(), builds_before)
-      << "a bad policy must fail before the World is built";
 }
 
 TEST(SessionValidationTest, KnownPolicyNamesMatchDisseminatorFactory) {
@@ -308,7 +415,7 @@ TEST(SeedPlumbingTest, PerSourceSeedsAreDistinctAndDeterministic) {
 }
 
 TEST(SeedPlumbingTest, MultiSourceSpecsCarryExplicitDecorrelatedSeeds) {
-  ExperimentConfig base = SmallConfig();
+  const RunSpec base = SmallSpec();
   std::vector<RunSpec> specs = MultiSourceSpecs(base, 3);
   ASSERT_EQ(specs.size(), 3u);
   for (size_t s = 0; s < specs.size(); ++s) {
@@ -337,7 +444,8 @@ void ExpectSameEngineMetrics(const core::EngineMetrics& a,
 TEST(TimelineCacheTest, WorldCacheEqualsPerRunBuildAcrossSeeds) {
   // Property: for any generated workload, the timelines cached on the
   // World at build time equal what BuildChangeTimelines would produce
-  // per run, and engines behave byte-identically with either source.
+  // per run, and a direct engine run behaves byte-identically with the
+  // cache bound or rebuilding its own timelines.
   for (uint64_t seed : {7u, 42u, 1234u}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Result<SimulationSession> session = SessionBuilder()
@@ -361,15 +469,24 @@ TEST(TimelineCacheTest, WorldCacheEqualsPerRunBuildAcrossSeeds) {
       }
     }
 
-    RunSpec with_cache = SmallSpec();
-    with_cache.seed = seed;
-    RunSpec without_cache = with_cache;
-    without_cache.policy.use_cached_timelines = false;
-    Result<ExperimentResult> a = session->Run(with_cache);
-    Result<ExperimentResult> b = session->Run(without_cache);
+    core::LelaOptions lela;
+    lela.coop_degree = 3;
+    Rng rng = Rng(seed).Fork(4);
+    Result<core::LelaResult> built =
+        core::BuildOverlay(world.delays(), world.interests(),
+                           world.traces().size(), lela, rng);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    auto run = [&](const core::ChangeTimelines* timelines) {
+      core::DistributedDisseminator policy;
+      return core::Engine(built->overlay, world.delays(), world.traces(),
+                          policy, core::EngineOptions{}, timelines)
+          .Run();
+    };
+    Result<core::EngineMetrics> a = run(&world.change_timelines());
+    Result<core::EngineMetrics> b = run(/*timelines=*/nullptr);
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
-    ExpectSameEngineMetrics(a->metrics, b->metrics);
+    ExpectSameEngineMetrics(*a, *b);
   }
 }
 
@@ -421,24 +538,6 @@ TEST(TimelineCacheTest, EngineRejectsMismatchedCache) {
   core::Engine engine(built->overlay, world.delays(), world.traces(), policy,
                       core::EngineOptions{}, &truncated);
   EXPECT_TRUE(engine.Run().status().IsInvalidArgument());
-}
-
-TEST(ExperimentConfigShimTest, SlicesToDecomposedConfigs) {
-  ExperimentConfig config = SmallConfig();
-  config.policy = "centralized";
-  config.coop_degree = 7;
-  const NetworkConfig& network = config;
-  const WorkloadConfig& workload = config;
-  const OverlayConfig& overlay = config;
-  const PolicyConfig& policy = config;
-  EXPECT_EQ(network.repositories, 20u);
-  EXPECT_EQ(workload.items, 5u);
-  EXPECT_EQ(overlay.coop_degree, 7u);
-  EXPECT_EQ(policy.policy, "centralized");
-  RunSpec spec = Workbench::SpecFromConfig(config);
-  EXPECT_EQ(spec.overlay.coop_degree, 7u);
-  EXPECT_EQ(spec.policy.policy, "centralized");
-  EXPECT_EQ(spec.seed, config.seed);
 }
 
 }  // namespace
