@@ -11,6 +11,7 @@
 #include "core/engine.h"
 #include "core/lela.h"
 #include "core/pull.h"
+#include "net/delay_model.h"
 #include "net/routing.h"
 #include "net/topology_generator.h"
 #include "obs/recorder.h"
@@ -173,6 +174,23 @@ void BM_DijkstraRows(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DijkstraRows)->Arg(100)->Arg(300)->Arg(2000)
+    ->Unit(benchmark::kMillisecond);
+
+// The production routing path on BM_DijkstraRows's topologies: build the
+// member core, then one Dijkstra row per member on it, packed into the
+// member x member model.
+void BM_MemberCoreRouting(benchmark::State& state) {
+  Rng rng(4);
+  net::TopologyGeneratorOptions options;
+  options.router_count = static_cast<size_t>(state.range(0));
+  options.repository_count = 20;
+  Result<net::Topology> topo = net::GenerateTopology(options, rng);
+  for (auto _ : state) {
+    auto models = net::OverlayDelayModel::FromTopologyAllSources(*topo, 1);
+    benchmark::DoNotOptimize(models);
+  }
+}
+BENCHMARK(BM_MemberCoreRouting)->Arg(100)->Arg(300)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
 void BM_LelaBuild(benchmark::State& state) {

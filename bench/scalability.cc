@@ -1,11 +1,12 @@
 // Reproduces §6.3.5: scalability of the algorithms. The paper grows the
 // system from 700 nodes (100 repositories) to 2100 nodes (300
 // repositories) and observes that, with controlled cooperation, the loss
-// in fidelity grows by less than 5%. Large networks are routed with the
-// memory-bounded streaming path (one Dijkstra row per member, scattered
-// straight into the compressed member x member delay model — no
-// physical n x n routing table is ever allocated), verified equivalent
-// to Floyd-Warshall by tests.
+// in fidelity grows by less than 5%. Worlds are routed with the default
+// memory-bounded streaming path (one Dijkstra row per member, searched
+// on the topology's member core and scattered straight into the
+// compressed member x member delay model — no physical n x n routing
+// table is ever allocated), verified equivalent to Floyd-Warshall by
+// tests.
 //
 // `--tenk` pushes to a 10,000-repository / 70,001-node world; the table
 // reports substrate-build and engine-run wall time, logical events per
@@ -51,8 +52,6 @@ int Main(int argc, char** argv) {
   cli = bench::ParseFlagsOrDie(argc, argv, std::move(cli));
   bench::FlagConfig base = bench::ConfigFromFlags(cli);
   base.workload.stringent_fraction = 0.5;
-  // Streaming Dijkstra rows scale to 10k.
-  base.network.use_floyd_warshall = false;
 
   bench::PrintBanner("Section 6.3.5", "scalability with repository count",
                      base);

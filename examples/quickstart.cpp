@@ -6,7 +6,7 @@
 //
 // Walkthrough:
 //   1. generate a physical topology (routers + repositories + source);
-//   2. route it (Floyd-Warshall) and extract overlay pair delays;
+//   2. route it and extract overlay pair delays;
 //   3. declare each repository's data needs (items + coherency c);
 //   4. build the dissemination graph with LeLA;
 //   5. run the discrete-event simulation and print the metrics;
@@ -19,7 +19,7 @@
 #include "core/engine.h"
 #include "core/lela.h"
 #include "exp/session.h"
-#include "net/routing.h"
+#include "net/delay_model.h"
 #include "net/topology_generator.h"
 #include "obs/export.h"
 #include "obs/recorder.h"
@@ -48,18 +48,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 2. Routing tables and overlay member-to-member delays.
-  auto routing = d3t::net::RoutingTables::FloydWarshall(*topo);
-  if (!routing.ok()) {
-    std::fprintf(stderr, "routing: %s\n",
-                 routing.status().ToString().c_str());
+  // 2. Overlay member-to-member delays, routed on the member core (one
+  // model per source; this network has one).
+  auto routed = d3t::net::OverlayDelayModel::FromTopologyAllSources(*topo);
+  if (!routed.ok()) {
+    std::fprintf(stderr, "routing: %s\n", routed.status().ToString().c_str());
     return 1;
   }
-  auto delays = d3t::net::OverlayDelayModel::FromRouting(*topo, *routing);
-  if (!delays.ok()) {
-    std::fprintf(stderr, "delays: %s\n", delays.status().ToString().c_str());
-    return 1;
-  }
+  const d3t::net::OverlayDelayModel& delays = routed->front();
 
   // 3. Data needs: two items (think MSFT and ORCL). Even repositories
   // are day traders (tight tolerances); odd ones are casual observers.
@@ -75,7 +71,7 @@ int main(int argc, char** argv) {
   // 4. Build the dissemination graph with LeLA.
   d3t::core::LelaOptions lela;
   lela.coop_degree = 3;  // each member serves at most 3 dependents
-  auto built = d3t::core::BuildOverlay(*delays, interests, /*item_count=*/2,
+  auto built = d3t::core::BuildOverlay(delays, interests, /*item_count=*/2,
                                        lela, rng);
   if (!built.ok()) {
     std::fprintf(stderr, "lela: %s\n", built.status().ToString().c_str());
@@ -109,7 +105,7 @@ int main(int argc, char** argv) {
   // lands in the ring, stamped with logical sim time.
   d3t::obs::Recorder recorder;
   if (!trace_out.empty()) engine_options.recorder = &recorder;
-  d3t::core::Engine engine(built->overlay, *delays, traces, policy,
+  d3t::core::Engine engine(built->overlay, delays, traces, policy,
                            engine_options);
   auto metrics = engine.Run();
   if (!metrics.ok()) {

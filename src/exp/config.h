@@ -17,10 +17,13 @@ struct NetworkConfig {
   /// Number of source nodes (paper base case: 1; §4's multi-source
   /// extension partitions the items round-robin across sources).
   size_t source_count = 1;
-  /// Use Floyd-Warshall (paper-faithful) when true; Dijkstra rows
-  /// restricted to overlay members otherwise (for large networks).
-  /// Multi-source worlds always route with Dijkstra rows.
-  bool use_floyd_warshall = true;
+  /// False (the default) routes every world with Dijkstra rows over the
+  /// topology's member core (net::OverlayDelayModel::
+  /// FromTopologyAllSources). True routes a single-source world with the
+  /// paper's O(V^3) Floyd-Warshall [7] instead; the delay model is
+  /// byte-identical either way. Multi-source worlds always take the
+  /// default. Kept only because bench/e2e reads it.
+  bool use_floyd_warshall = false;
   /// Per-link Pareto delay parameters (milliseconds); see
   /// net::TopologyGeneratorOptions for the calibration note.
   double link_delay_min_ms = 1.5;

@@ -142,7 +142,8 @@ Result<SimulationSession> SessionBuilder::BuildInternal(
   world->seed_ = seed_;
 
   if (network_.source_count == 1 && network_.use_floyd_warshall) {
-    // Paper-faithful small-network path: full Floyd-Warshall APSP.
+    // The paper's algorithm: full Floyd-Warshall APSP, byte-identical to
+    // the default below at O(V^3).
     Result<net::RoutingTables> routing =
         net::RoutingTables::FloydWarshall(*topo);
     if (!routing.ok()) return routing.status();
@@ -151,11 +152,12 @@ Result<SimulationSession> SessionBuilder::BuildInternal(
     if (!delays.ok()) return delays.status();
     world->delays_.push_back(std::move(delays).value());
   } else {
-    // Large and multi-source worlds: stream one Dijkstra row per member
-    // straight into the compressed member-indexed model(s) — no routing
-    // table over physical nodes is ever materialized, which is what
-    // keeps 10k-repository worlds memory-bounded. Rows are independent,
-    // so the build fans out over the session's worker budget.
+    // Default: stream one Dijkstra row per member, searched on the
+    // topology's member core, straight into the compressed
+    // member-indexed model(s) — no routing table over physical nodes is
+    // ever materialized, which is what keeps 10k-repository worlds
+    // memory-bounded. Rows are independent, so the build fans out over
+    // the session's worker budget.
     const size_t build_threads = worker_threads_ == 0
                                      ? ThreadPool::DefaultThreadCount()
                                      : worker_threads_;

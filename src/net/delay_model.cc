@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "common/thread_pool.h"
 
@@ -34,6 +35,31 @@ OverlayDelayModel::PackedHops OverlayDelayModel::PackHops(uint32_t hops) {
       std::min<uint32_t>(hops, std::numeric_limits<PackedHops>::max()));
 }
 
+namespace {
+
+Status PairOutOfRange(NodeId from, NodeId to, sim::SimTime delay,
+                      uint32_t hops) {
+  return Status::OutOfRange(
+      "path from node " + std::to_string(from) + " to node " +
+      std::to_string(to) + " (" + std::to_string(delay) + " us, " +
+      std::to_string(hops) +
+      " hops) does not fit the delay model's 32-bit microsecond delays "
+      "and 16-bit hop counts");
+}
+
+}  // namespace
+
+Status OverlayDelayModel::StorePair(size_t index, NodeId from, NodeId to,
+                                    sim::SimTime delay, uint32_t hops) {
+  if (delay > std::numeric_limits<PackedDelay>::max() ||
+      hops > std::numeric_limits<PackedHops>::max()) {
+    return PairOutOfRange(from, to, delay, hops);
+  }
+  delay_[index] = static_cast<PackedDelay>(delay);
+  hops_[index] = static_cast<PackedHops>(hops);
+  return Status::Ok();
+}
+
 Result<OverlayDelayModel> OverlayDelayModel::FromRouting(
     const Topology& topo, const RoutingTables& routing) {
   const NodeId source = topo.SourceNode();
@@ -61,10 +87,10 @@ Result<OverlayDelayModel> OverlayDelayModel::FromRoutingWithSource(
           "routing row missing for overlay member");
     }
     for (OverlayIndex j = 0; j < members.size(); ++j) {
-      model.delay_[model.Idx(i, j)] =
-          PackDelay(routing.Delay(members[i], members[j]));
-      model.hops_[model.Idx(i, j)] =
-          PackHops(routing.Hops(members[i], members[j]));
+      D3T_RETURN_IF_ERROR(model.StorePair(
+          model.Idx(i, j), members[i], members[j],
+          routing.Delay(members[i], members[j]),
+          routing.Hops(members[i], members[j])));
     }
   }
   return model;
@@ -77,8 +103,21 @@ OverlayDelayModel::FromTopologyAllSources(const Topology& topo,
   if (sources.empty()) {
     return Status::FailedPrecondition("topology has no source node");
   }
+  if (!topo.IsConnected()) {
+    return Status::FailedPrecondition("topology is disconnected");
+  }
   const std::vector<NodeId> repos = topo.RepositoryNodes();
   const size_t member_count = repos.size() + 1;
+
+  // Every row is searched on the member core; members are its nodes
+  // core_sources[s] and core_repos[r].
+  const MemberCore core(topo);
+  std::vector<NodeId> core_sources;
+  std::vector<NodeId> core_repos;
+  for (NodeId source : sources) {
+    core_sources.push_back(core.CoreIndex(source));
+  }
+  for (NodeId repo : repos) core_repos.push_back(core.CoreIndex(repo));
 
   std::vector<OverlayDelayModel> models;
   models.reserve(sources.size());
@@ -116,24 +155,21 @@ OverlayDelayModel::FromTopologyAllSources(const Topology& topo,
     std::vector<uint32_t> hops;
   };
   auto run_task = [&](const RowTask& task, Scratch& scratch) -> Status {
-    RoutingTables::ShortestPathsFrom(topo, task.node, scratch.delay,
-                                     scratch.hops);
-    for (NodeId j = 0; j < topo.node_count(); ++j) {
-      if (scratch.delay[j] >= RoutingTables::kUnreachableDelay) {
-        return Status::FailedPrecondition("topology is disconnected");
-      }
-    }
+    core.ShortestPathsFrom(core.CoreIndex(task.node), scratch.delay,
+                           scratch.hops);
     const size_t first = task.source_index == SIZE_MAX ? 0 : task.source_index;
     const size_t last =
         task.source_index == SIZE_MAX ? models.size() : task.source_index + 1;
     for (size_t s = first; s < last; ++s) {
       OverlayDelayModel& model = models[s];
       const size_t base = model.Idx(task.member_row, 0);
-      model.delay_[base] = PackDelay(scratch.delay[sources[s]]);
-      model.hops_[base] = PackHops(scratch.hops[sources[s]]);
+      D3T_RETURN_IF_ERROR(model.StorePair(
+          base, task.node, sources[s], scratch.delay[core_sources[s]],
+          scratch.hops[core_sources[s]]));
       for (size_t r = 0; r < repos.size(); ++r) {
-        model.delay_[base + r + 1] = PackDelay(scratch.delay[repos[r]]);
-        model.hops_[base + r + 1] = PackHops(scratch.hops[repos[r]]);
+        D3T_RETURN_IF_ERROR(model.StorePair(
+            base + r + 1, task.node, repos[r], scratch.delay[core_repos[r]],
+            scratch.hops[core_repos[r]]));
       }
     }
     return Status::Ok();

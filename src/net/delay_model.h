@@ -30,8 +30,13 @@ inline constexpr OverlayIndex kInvalidOverlayIndex = UINT32_MAX;
 /// n x n all-pairs tables), packed as 32-bit microsecond delays and
 /// 16-bit hop counts — 6 bytes per pair instead of the 12 a SimTime +
 /// uint32 pair costs. Query results are numerically identical to the
-/// wide representation; packing a value that does not fit (a path delay
-/// over ~71 minutes) saturates, which no generated topology approaches.
+/// wide representation. A routed pair that does not fit (a path delay
+/// over UINT32_MAX us, ~71.6 minutes, or over 65,535 hops) makes the
+/// routed builders fail with OutOfRange naming the pair.
+///
+/// Hop counts are canonical (see RoutingTables): the fewest hops among a
+/// pair's minimum-delay paths, so every builder below stores the same
+/// bytes for the same topology.
 class OverlayDelayModel {
  public:
   /// Builds the model from a routed topology. `routing` must have valid
@@ -47,14 +52,18 @@ class OverlayDelayModel {
   static Result<OverlayDelayModel> FromRoutingWithSource(
       const Topology& topo, const RoutingTables& routing, NodeId source);
 
-  /// Memory-bounded builder for large networks: routes one member row at
-  /// a time (Dijkstra through two scratch buffers) straight into the
-  /// compressed member x member model(s) — one per source node, in
-  /// SourceNodes() order — without ever materializing a physical-node
-  /// routing table. Numerically identical to DijkstraRows +
-  /// FromRoutingWithSource. Rows are independent, so `worker_threads`
-  /// > 1 fans them out over a pool; results do not depend on the thread
-  /// count. Fails if the topology is disconnected or has no source.
+  /// The default builder: builds the topology's MemberCore once, then
+  /// routes one member row at a time on it (Dijkstra through two
+  /// core-sized scratch buffers) straight into the compressed member x
+  /// member model(s) — one per source node, in SourceNodes() order —
+  /// without ever materializing a physical-node routing table. The core
+  /// keeps every member-to-member (delay, hops) exactly, so the result
+  /// is byte-identical to FloydWarshall or DijkstraRows +
+  /// FromRoutingWithSource, while each row searches ~24% of the nodes of
+  /// a generated topology.
+  /// Rows are independent, so `worker_threads` > 1 fans them out over a
+  /// pool; results do not depend on the thread count. Fails if the
+  /// topology is disconnected or has no source.
   static Result<std::vector<OverlayDelayModel>> FromTopologyAllSources(
       const Topology& topo, size_t worker_threads = 1);
 
@@ -99,6 +108,11 @@ class OverlayDelayModel {
 
   static PackedDelay PackDelay(sim::SimTime delay);
   static PackedHops PackHops(uint32_t hops);
+
+  /// Stores the routed pair `from` -> `to` at entry `index`; OutOfRange,
+  /// naming the pair, when its delay or hop count does not fit.
+  Status StorePair(size_t index, NodeId from, NodeId to, sim::SimTime delay,
+                   uint32_t hops);
 
   size_t Idx(OverlayIndex a, OverlayIndex b) const {
     return static_cast<size_t>(a) * count_ + b;

@@ -19,6 +19,12 @@ namespace d3t::net {
 /// memory proportional to |rows| x n instead of n x n. Callers that
 /// cannot afford even that should use ShortestPathsFrom to stream one
 /// row at a time through caller-owned scratch.
+///
+/// Hop counts are canonical: every routine here (and MemberCore below)
+/// relaxes paths on (delay, hops) lexicographically, so a pair's hop
+/// count is the fewest hops among its minimum-delay paths, whatever
+/// order nodes are visited in. Floyd-Warshall, Dijkstra rows and the
+/// member core therefore agree byte for byte on delays and hops.
 class RoutingTables {
  public:
   /// Sentinel delay of an unreachable (or never computed) pair. Chosen
@@ -82,9 +88,7 @@ class RoutingTables {
   /// Streaming single-row shortest paths: fills `delay`/`hops` (resized
   /// to the node count, unreachable entries left at the sentinels) with
   /// the shortest paths from `src`, allocating nothing beyond the two
-  /// caller-owned buffers. The memory-bounded building block for
-  /// per-member delay-model extraction on 10k+ repository networks.
-  /// `src` must be in range.
+  /// caller-owned buffers and the search's heap. `src` must be in range.
   static void ShortestPathsFrom(const Topology& topo, NodeId src,
                                 std::vector<sim::SimTime>& delay,
                                 std::vector<uint32_t>& hops);
@@ -100,6 +104,59 @@ class RoutingTables {
   Row& EnsureRow(NodeId from);
 
   std::vector<Row> rows_;
+};
+
+/// The member core of a topology: the graph left after two reductions
+/// that keep every member-to-member shortest path, with its (delay,
+/// hops), intact. Members are the sources and repositories; they are
+/// never removed or contracted, so each one has a core node. A best
+/// path is simple, since every link adds a hop, which the reductions
+/// rely on:
+///  - Prune: a router of degree <= 1 lies on no simple path between two
+///    other nodes, so it is removed, repeatedly. This drops every router
+///    subtree that holds no member.
+///  - Contract: a path through a degree-2 router enters by one link and
+///    leaves by the other, and no member path ends inside a router
+///    chain, so each maximal chain of degree-2 routers becomes one arc
+///    carrying the chain's summed delay and hop count. Delay and hops
+///    both add along a path, so the arc compares exactly as the chain
+///    does.
+///  - Merge: of parallel arcs only the least (delay, hops) can lie on a
+///    best path; a chain that loops back to its start is a cycle no
+///    best path uses, so it is dropped.
+/// (delay, hops) distances between core nodes therefore equal those
+/// between the same physical nodes. On generated topologies the core
+/// holds ~24% of the nodes. Arcs are stored as CSR arrays. Immutable
+/// once built, so concurrent ShortestPathsFrom calls are safe.
+class MemberCore {
+ public:
+  explicit MemberCore(const Topology& topo);
+
+  size_t node_count() const { return offsets_.size() - 1; }
+  /// Directed arcs: each undirected core arc is stored once per end.
+  size_t arc_count() const { return arcs_.size(); }
+
+  /// Core index of physical node `n`, or kInvalidNode when the
+  /// reductions removed it (never for a member).
+  NodeId CoreIndex(NodeId n) const { return core_index_[n]; }
+
+  /// RoutingTables::ShortestPathsFrom over the core: `delay`/`hops` are
+  /// resized to node_count() and indexed by core index. `core_src` must
+  /// be a core index.
+  void ShortestPathsFrom(NodeId core_src, std::vector<sim::SimTime>& delay,
+                         std::vector<uint32_t>& hops) const;
+
+ private:
+  struct Arc {
+    NodeId to;
+    uint32_t hops;
+    sim::SimTime delay;
+  };
+
+  std::vector<NodeId> core_index_;
+  /// Core node u's arcs are arcs_[offsets_[u], offsets_[u + 1]).
+  std::vector<size_t> offsets_;
+  std::vector<Arc> arcs_;
 };
 
 }  // namespace d3t::net

@@ -1,5 +1,6 @@
 #include "net/topology_generator.h"
 
+#include <cmath>
 #include <numeric>
 #include <vector>
 
@@ -16,9 +17,18 @@ Result<Topology> GenerateTopology(const TopologyGeneratorOptions& options,
     return Status::InvalidArgument("need at least one repository");
   }
   if (n < 2) return Status::InvalidArgument("need at least two nodes");
-  if (options.link_delay_mean_ms <= options.link_delay_min_ms ||
-      options.link_delay_min_ms <= 0.0) {
-    return Status::InvalidArgument("need delay mean > min > 0");
+  // NaN and infinities pass plain `<=` checks.
+  if (!std::isfinite(options.link_delay_min_ms) ||
+      !std::isfinite(options.link_delay_mean_ms)) {
+    return Status::InvalidArgument(
+        "link_delay_min_ms and link_delay_mean_ms must be finite");
+  }
+  if (!(options.link_delay_min_ms > 0.0)) {
+    return Status::InvalidArgument("need link_delay_min_ms > 0");
+  }
+  if (!(options.link_delay_mean_ms > options.link_delay_min_ms)) {
+    return Status::InvalidArgument(
+        "need link_delay_mean_ms > link_delay_min_ms");
   }
 
   Topology topo(n);

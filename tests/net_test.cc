@@ -1,5 +1,8 @@
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -95,11 +98,26 @@ TEST(GeneratorTest, RejectsZeroRepositories) {
 }
 
 TEST(GeneratorTest, RejectsBadDelayParams) {
-  Rng rng(3);
-  TopologyGeneratorOptions options;
-  options.link_delay_min_ms = 5.0;
-  options.link_delay_mean_ms = 2.0;
-  EXPECT_FALSE(GenerateTopology(options, rng).ok());
+  // Every pair fails validation by name, before any delay is sampled:
+  // NaN and infinities included, which a plain `<=` check lets through.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::pair<double, double> bad[] = {
+      {5.0, 2.0}, {2.0, 2.0}, {0.0, 4.0},  {-1.0, 4.0}, {nan, 4.0},
+      {1.5, nan}, {nan, nan}, {inf, 4.0},  {1.5, inf},  {-inf, 4.0},
+      {1.5, -inf}, {inf, inf}};
+  for (const auto& [min_ms, mean_ms] : bad) {
+    SCOPED_TRACE("min " + std::to_string(min_ms) + " mean " +
+                 std::to_string(mean_ms));
+    Rng rng(3);
+    TopologyGeneratorOptions options;
+    options.link_delay_min_ms = min_ms;
+    options.link_delay_mean_ms = mean_ms;
+    const Status status = GenerateTopology(options, rng).status();
+    EXPECT_TRUE(status.IsInvalidArgument());
+    EXPECT_NE(status.message().find("link_delay_"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(GeneratorTest, DeterministicGivenSeed) {
@@ -169,17 +187,6 @@ TEST(RoutingTest, FloydWarshallRejectsDisconnected) {
                   .IsFailedPrecondition());
 }
 
-#if defined(__GNUC__)
-TEST(RoutingTest, FloydWarshallEntryIsCacheLineAligned) {
-  // routing.cc pins the entry to a 64-byte boundary because the triple
-  // loop's timing moves with its code placement; a build that drops the
-  // pin would silently reopen that variance.
-  Result<RoutingTables> (*entry)(const Topology&) =
-      &RoutingTables::FloydWarshall;
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(entry) % 64, 0u);
-}
-#endif
-
 TEST(RoutingTest, DijkstraMatchesFloydWarshall) {
   Rng rng(6);
   TopologyGeneratorOptions options;
@@ -196,6 +203,8 @@ TEST(RoutingTest, DijkstraMatchesFloydWarshall) {
     EXPECT_TRUE(dj->HasRow(row));
     for (NodeId j = 0; j < topo->node_count(); ++j) {
       EXPECT_EQ(dj->Delay(row, j), fw->Delay(row, j))
+          << "row " << row << " col " << j;
+      EXPECT_EQ(dj->Hops(row, j), fw->Hops(row, j))
           << "row " << row << " col " << j;
     }
   }
@@ -271,6 +280,45 @@ TEST(RoutingTest, StreamingRowMatchesDijkstraTables) {
   }
 }
 
+TEST(RoutingTest, MemberCorePrunesLeavesAndContractsChains) {
+  // Source 0 reaches hub router 3 over routers 1-2; repository 4 hangs
+  // off the hub directly and repository 9 over router 10. Routers 5-6
+  // are a member-free pendant and 7-8 a member-free cycle through 3.
+  Topology topo(11);
+  topo.set_kind(0, NodeKind::kSource);
+  topo.set_kind(4, NodeKind::kRepository);
+  topo.set_kind(9, NodeKind::kRepository);
+  const std::pair<NodeId, NodeId> links[] = {
+      {0, 1}, {1, 2}, {2, 3}, {3, 4}, {3, 10}, {10, 9},
+      {3, 5}, {5, 6}, {3, 7},  {7, 8}, {8, 3}};
+  sim::SimTime delay = 1000;
+  for (const auto& [a, b] : links) {
+    ASSERT_TRUE(topo.AddLink(a, b, delay).ok());
+    delay += 100;
+  }
+  const MemberCore core(topo);
+  // Left: the three members and the hub, joined by three arcs (stored
+  // once per end); the pendant is pruned, the cycle contracted and
+  // dropped, and routers 1, 2 and 10 folded into arcs.
+  EXPECT_EQ(core.node_count(), 4u);
+  EXPECT_EQ(core.arc_count(), 6u);
+  for (NodeId n : {0u, 3u, 4u, 9u}) EXPECT_NE(core.CoreIndex(n), kInvalidNode);
+  for (NodeId n : {1u, 2u, 5u, 6u, 7u, 8u, 10u}) {
+    EXPECT_EQ(core.CoreIndex(n), kInvalidNode) << "node " << n;
+  }
+
+  std::vector<sim::SimTime> full_delay, core_delay;
+  std::vector<uint32_t> full_hops, core_hops;
+  RoutingTables::ShortestPathsFrom(topo, 0, full_delay, full_hops);
+  core.ShortestPathsFrom(core.CoreIndex(0), core_delay, core_hops);
+  ASSERT_EQ(core_delay.size(), core.node_count());
+  for (NodeId n : {0u, 3u, 4u, 9u}) {
+    EXPECT_EQ(core_delay[core.CoreIndex(n)], full_delay[n]) << "node " << n;
+    EXPECT_EQ(core_hops[core.CoreIndex(n)], full_hops[n]) << "node " << n;
+  }
+  EXPECT_EQ(core_hops[core.CoreIndex(9)], 5u);
+}
+
 // ---------------------------------------------------------------------------
 // OverlayDelayModel
 
@@ -334,51 +382,298 @@ TEST(DelayModelTest, ScalingFromZeroFallsBackToUniform) {
   EXPECT_EQ(scaled.Delay(2, 1), sim::Millis(5));
 }
 
-TEST(DelayModelTest, StreamingBuilderMatchesRoutedExtraction) {
-  // FromTopologyAllSources streams one Dijkstra row per member straight
-  // into the compressed models; it must match the two-step DijkstraRows
-  // + FromRoutingWithSource path pair for pair, and be independent of
-  // the worker thread count.
-  Rng rng(11);
+/// Topology shapes for the routed builders: each one holds a structure
+/// the member core must prune, contract, merge or keep.
+enum class Shape {
+  kBase,
+  kThreeSources,
+  kParallelLinks,
+  kZeroDelays,
+  kRepositoryInChain,
+  kMemberFreeCycleAndPendantTree,
+  kLongChain,
+  kSmallMultigraph,
+};
+
+const char* ShapeName(Shape shape) {
+  switch (shape) {
+    case Shape::kBase: return "base";
+    case Shape::kThreeSources: return "three sources";
+    case Shape::kParallelLinks: return "parallel links";
+    case Shape::kZeroDelays: return "zero delays";
+    case Shape::kRepositoryInChain: return "repository in chain";
+    case Shape::kMemberFreeCycleAndPendantTree: return "cycle and pendant";
+    case Shape::kLongChain: return "long chain";
+    case Shape::kSmallMultigraph: return "small multigraph";
+  }
+  return "?";
+}
+
+/// A copy of `topo` with `extra` more routers; `delay_of` maps each
+/// copied link's delay.
+template <typename DelayOf>
+Topology CopyWithExtraRouters(const Topology& topo, size_t extra,
+                              DelayOf delay_of) {
+  Topology out(topo.node_count() + extra);
+  for (NodeId n = 0; n < topo.node_count(); ++n) {
+    out.set_kind(n, topo.kind(n));
+  }
+  for (const Link& link : topo.links()) {
+    EXPECT_TRUE(out.AddLink(link.a, link.b, delay_of(link.delay)).ok());
+  }
+  return out;
+}
+
+Topology ShapedTopology(Shape shape, uint64_t seed) {
+  Rng rng(seed);
+  auto some_millis = [&rng] {
+    return sim::Millis(static_cast<double>(1 + rng.NextBounded(3)));
+  };
+  if (shape == Shape::kLongChain) {
+    // One 60-node path; the source and three repositories sit at random
+    // spots, so both ends are member-free tails.
+    Topology chain(60);
+    for (NodeId n = 0; n + 1 < 60; ++n) {
+      EXPECT_TRUE(chain.AddLink(n, n + 1, some_millis()).ok());
+    }
+    std::vector<NodeId> spots(60);
+    for (NodeId n = 0; n < 60; ++n) spots[n] = n;
+    rng.Shuffle(spots);
+    chain.set_kind(spots[0], NodeKind::kSource);
+    for (int r = 1; r <= 3; ++r) {
+      chain.set_kind(spots[r], NodeKind::kRepository);
+    }
+    return chain;
+  }
+  if (shape == Shape::kSmallMultigraph) {
+    // 2-31 nodes: a random tree plus random extra (often parallel)
+    // links with 0-3 us delays, one or two sources and random
+    // repositories, so ties, zero links and tiny cores abound.
+    const NodeId n = static_cast<NodeId>(2 + rng.NextBounded(30));
+    Topology graph(n);
+    for (NodeId v = 1; v < n; ++v) {
+      const NodeId parent = static_cast<NodeId>(rng.NextBounded(v));
+      EXPECT_TRUE(graph.AddLink(v, parent, rng.NextInRange(0, 3)).ok());
+    }
+    for (uint64_t i = rng.NextBounded(n); i > 0; --i) {
+      const NodeId a = static_cast<NodeId>(rng.NextBounded(n));
+      const NodeId b = static_cast<NodeId>(rng.NextBounded(n));
+      if (a != b) EXPECT_TRUE(graph.AddLink(a, b, rng.NextInRange(0, 3)).ok());
+    }
+    std::vector<NodeId> spots(n);
+    for (NodeId v = 0; v < n; ++v) spots[v] = v;
+    rng.Shuffle(spots);
+    const size_t sources = n > 2 ? 1 + rng.NextBounded(2) : 1;
+    const size_t members = sources + 1 + rng.NextBounded(n - sources);
+    for (size_t i = 0; i < members; ++i) {
+      graph.set_kind(spots[i],
+                     i < sources ? NodeKind::kSource : NodeKind::kRepository);
+    }
+    return graph;
+  }
+
   TopologyGeneratorOptions options;
   options.router_count = 40;
   options.repository_count = 9;
-  options.source_count = 3;
-  Result<Topology> topo = GenerateTopology(options, rng);
-  ASSERT_TRUE(topo.ok());
+  if (shape == Shape::kThreeSources) options.source_count = 3;
+  Result<Topology> base = GenerateTopology(options, rng);
+  EXPECT_TRUE(base.ok());
+  const NodeId n = static_cast<NodeId>(base->node_count());
+  auto some_node = [&rng, n] {
+    return static_cast<NodeId>(rng.NextBounded(n));
+  };
+  auto same = [](sim::SimTime delay) { return delay; };
 
-  std::vector<NodeId> rows = topo->SourceNodes();
-  for (NodeId repo : topo->RepositoryNodes()) rows.push_back(repo);
-  Result<RoutingTables> routing = RoutingTables::DijkstraRows(*topo, rows);
-  ASSERT_TRUE(routing.ok());
+  switch (shape) {
+    case Shape::kParallelLinks: {
+      // Copies of existing links: half as dear, as dear, or 1.5x.
+      Topology out = CopyWithExtraRouters(*base, 0, same);
+      for (int i = 0; i < 12; ++i) {
+        const Link& link = base->links()[rng.NextBounded(base->link_count())];
+        const sim::SimTime delays[] = {link.delay / 2, link.delay,
+                                       link.delay + link.delay / 2};
+        EXPECT_TRUE(
+            out.AddLink(link.a, link.b, delays[rng.NextBounded(3)]).ok());
+      }
+      return out;
+    }
+    case Shape::kZeroDelays:
+      // Delays of 0-3 whole ms: many zero links and equal-delay ties.
+      return CopyWithExtraRouters(*base, 0, [&rng](sim::SimTime) {
+        return sim::Millis(static_cast<double>(rng.NextBounded(4)));
+      });
+    case Shape::kRepositoryInChain: {
+      // An 8-router chain between two nodes, one router a repository.
+      Topology out = CopyWithExtraRouters(*base, 8, same);
+      NodeId prev = some_node();
+      for (NodeId c = n; c < n + 8; ++c) {
+        EXPECT_TRUE(out.AddLink(prev, c, some_millis()).ok());
+        prev = c;
+      }
+      EXPECT_TRUE(out.AddLink(prev, some_node(), some_millis()).ok());
+      out.set_kind(n + static_cast<NodeId>(rng.NextBounded(8)),
+                   NodeKind::kRepository);
+      return out;
+    }
+    case Shape::kMemberFreeCycleAndPendantTree: {
+      // A 6-router cycle through one node and a 10-router tree off
+      // another, neither holding a member.
+      Topology out = CopyWithExtraRouters(*base, 16, same);
+      const NodeId anchor = some_node();
+      NodeId prev = anchor;
+      for (NodeId c = n; c < n + 6; ++c) {
+        EXPECT_TRUE(out.AddLink(prev, c, some_millis()).ok());
+        prev = c;
+      }
+      EXPECT_TRUE(out.AddLink(prev, anchor, some_millis()).ok());
+      const NodeId root = n + 6;
+      EXPECT_TRUE(out.AddLink(some_node(), root, some_millis()).ok());
+      for (NodeId c = root + 1; c < n + 16; ++c) {
+        const NodeId parent =
+            root + static_cast<NodeId>(rng.NextBounded(c - root));
+        EXPECT_TRUE(out.AddLink(parent, c, some_millis()).ok());
+      }
+      return out;
+    }
+    default:
+      return *base;
+  }
+}
 
-  Result<std::vector<OverlayDelayModel>> serial =
-      OverlayDelayModel::FromTopologyAllSources(*topo, 1);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  Result<std::vector<OverlayDelayModel>> pooled =
-      OverlayDelayModel::FromTopologyAllSources(*topo, 4);
-  ASSERT_TRUE(pooled.ok()) << pooled.status().ToString();
-  ASSERT_EQ(serial->size(), topo->SourceNodes().size());
-  ASSERT_EQ(pooled->size(), serial->size());
-
-  for (size_t s = 0; s < serial->size(); ++s) {
-    SCOPED_TRACE("source " + std::to_string(s));
-    Result<OverlayDelayModel> reference =
-        OverlayDelayModel::FromRoutingWithSource(*topo, *routing,
-                                                 topo->SourceNodes()[s]);
-    ASSERT_TRUE(reference.ok());
-    const OverlayDelayModel& streamed = (*serial)[s];
-    const OverlayDelayModel& threaded = (*pooled)[s];
-    ASSERT_EQ(streamed.member_count(), reference->member_count());
-    for (OverlayIndex i = 0; i < reference->member_count(); ++i) {
-      EXPECT_EQ(streamed.PhysicalNode(i), reference->PhysicalNode(i));
-      for (OverlayIndex j = 0; j < reference->member_count(); ++j) {
-        EXPECT_EQ(streamed.Delay(i, j), reference->Delay(i, j));
-        EXPECT_EQ(streamed.Hops(i, j), reference->Hops(i, j));
-        EXPECT_EQ(threaded.Delay(i, j), reference->Delay(i, j));
-        EXPECT_EQ(threaded.Hops(i, j), reference->Hops(i, j));
+/// Success when two models hold the same members, delays and hops;
+/// otherwise names the first differing pair.
+testing::AssertionResult SameModel(const OverlayDelayModel& got,
+                                   const OverlayDelayModel& want) {
+  if (got.member_count() != want.member_count()) {
+    return testing::AssertionFailure()
+           << got.member_count() << " members, want " << want.member_count();
+  }
+  for (OverlayIndex i = 0; i < want.member_count(); ++i) {
+    if (got.PhysicalNode(i) != want.PhysicalNode(i)) {
+      return testing::AssertionFailure() << "member " << i << " differs";
+    }
+    for (OverlayIndex j = 0; j < want.member_count(); ++j) {
+      if (got.Delay(i, j) != want.Delay(i, j) ||
+          got.Hops(i, j) != want.Hops(i, j)) {
+        return testing::AssertionFailure()
+               << "pair (" << i << ", " << j << "): " << got.Delay(i, j)
+               << " us / " << got.Hops(i, j) << " hops, want "
+               << want.Delay(i, j) << " us / " << want.Hops(i, j);
       }
     }
+  }
+  return testing::AssertionSuccess();
+}
+
+TEST(DelayModelTest, StreamingBuilderMatchesRoutedExtraction) {
+  // FromTopologyAllSources routes each member row on the member core. It
+  // must match both full-graph references, DijkstraRows and
+  // FloydWarshall through FromRoutingWithSource, in every delay and hop
+  // count, at any worker thread count, on every shape the core's
+  // reductions meet.
+  for (Shape shape :
+       {Shape::kBase, Shape::kThreeSources, Shape::kParallelLinks,
+        Shape::kZeroDelays, Shape::kRepositoryInChain,
+        Shape::kMemberFreeCycleAndPendantTree, Shape::kLongChain,
+        Shape::kSmallMultigraph}) {
+    for (uint64_t seed = 1; seed <= 20; ++seed) {
+      SCOPED_TRACE(std::string(ShapeName(shape)) + ", seed " +
+                   std::to_string(seed));
+      const Topology topo = ShapedTopology(shape, seed);
+      const std::vector<NodeId> sources = topo.SourceNodes();
+      std::vector<NodeId> rows = sources;
+      for (NodeId repo : topo.RepositoryNodes()) rows.push_back(repo);
+      Result<RoutingTables> dijkstra =
+          RoutingTables::DijkstraRows(topo, rows);
+      Result<RoutingTables> floyd = RoutingTables::FloydWarshall(topo);
+      ASSERT_TRUE(dijkstra.ok());
+      ASSERT_TRUE(floyd.ok());
+      for (size_t threads : {1u, 4u}) {
+        Result<std::vector<OverlayDelayModel>> streamed =
+            OverlayDelayModel::FromTopologyAllSources(topo, threads);
+        ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+        ASSERT_EQ(streamed->size(), sources.size());
+        for (size_t s = 0; s < sources.size(); ++s) {
+          for (const RoutingTables* reference : {&*dijkstra, &*floyd}) {
+            Result<OverlayDelayModel> want =
+                OverlayDelayModel::FromRoutingWithSource(topo, *reference,
+                                                         sources[s]);
+            ASSERT_TRUE(want.ok());
+            EXPECT_TRUE(SameModel((*streamed)[s], *want))
+                << "source " << s << ", " << threads << " threads, "
+                << (reference == &*floyd ? "Floyd-Warshall" : "Dijkstra");
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DelayModelTest, HopCountsAreCanonicalOnEqualDelayPaths) {
+  // Two 3 ms routes from source 0 to repository 3: 0-1-2-3 over three
+  // hops and 0-4-3 over two. Every routine must report the fewer, in
+  // both directions, whatever order it visits the nodes in.
+  Topology topo(5);
+  ASSERT_TRUE(topo.AddLink(0, 1, sim::Millis(0.5)).ok());
+  ASSERT_TRUE(topo.AddLink(1, 2, sim::Millis(0.5)).ok());
+  ASSERT_TRUE(topo.AddLink(2, 3, sim::Millis(2)).ok());
+  ASSERT_TRUE(topo.AddLink(0, 4, sim::Millis(1.5)).ok());
+  ASSERT_TRUE(topo.AddLink(4, 3, sim::Millis(1.5)).ok());
+  topo.set_kind(0, NodeKind::kSource);
+  topo.set_kind(3, NodeKind::kRepository);
+
+  Result<RoutingTables> floyd = RoutingTables::FloydWarshall(topo);
+  Result<RoutingTables> dijkstra = RoutingTables::DijkstraRows(topo, {0, 3});
+  ASSERT_TRUE(floyd.ok());
+  ASSERT_TRUE(dijkstra.ok());
+  for (const RoutingTables* routing : {&*floyd, &*dijkstra}) {
+    EXPECT_EQ(routing->Delay(0, 3), sim::Millis(3));
+    EXPECT_EQ(routing->Hops(0, 3), 2u);
+    EXPECT_EQ(routing->Hops(3, 0), 2u);
+  }
+  for (size_t threads : {1u, 4u}) {
+    Result<std::vector<OverlayDelayModel>> models =
+        OverlayDelayModel::FromTopologyAllSources(topo, threads);
+    ASSERT_TRUE(models.ok());
+    const OverlayDelayModel& model = models->front();
+    EXPECT_EQ(model.Delay(0, 1), sim::Millis(3));
+    EXPECT_EQ(model.Hops(0, 1), 2u) << threads << " threads";
+    EXPECT_EQ(model.Hops(1, 0), 2u) << threads << " threads";
+  }
+}
+
+TEST(DelayModelTest, RoutedBuildersRejectPairsThePackedStoreCannotHold) {
+  // One 5e9 us link (~83 minutes) overflows the 32-bit microsecond
+  // store; a 65,536-link chain overflows the 16-bit hop store. Both
+  // builders must name the pair instead of saturating.
+  Topology far(2);
+  far.set_kind(0, NodeKind::kSource);
+  far.set_kind(1, NodeKind::kRepository);
+  ASSERT_TRUE(far.AddLink(0, 1, 5'000'000'000).ok());
+  const NodeId last = 65'536;
+  Topology deep(last + 1);
+  deep.set_kind(0, NodeKind::kSource);
+  deep.set_kind(last, NodeKind::kRepository);
+  for (NodeId n = 0; n < last; ++n) {
+    ASSERT_TRUE(deep.AddLink(n, n + 1, 1).ok());
+  }
+
+  for (const Topology* topo : {&far, &deep}) {
+    const NodeId repo = static_cast<NodeId>(topo->node_count() - 1);
+    const std::string pair = "node 0 to node " + std::to_string(repo);
+    SCOPED_TRACE(pair);
+    const Status streamed =
+        OverlayDelayModel::FromTopologyAllSources(*topo).status();
+    EXPECT_TRUE(streamed.IsOutOfRange()) << streamed.ToString();
+    EXPECT_NE(streamed.message().find(pair), std::string::npos);
+
+    Result<RoutingTables> routing =
+        RoutingTables::DijkstraRows(*topo, {0, repo});
+    ASSERT_TRUE(routing.ok());
+    const Status extracted =
+        OverlayDelayModel::FromRoutingWithSource(*topo, *routing, 0).status();
+    EXPECT_TRUE(extracted.IsOutOfRange()) << extracted.ToString();
+    EXPECT_NE(extracted.message().find(pair), std::string::npos);
   }
 }
 

@@ -262,16 +262,17 @@ TEST(ExperimentTest, ControlledCooperationCapsDegree) {
 }
 
 TEST(ExperimentTest, DijkstraPathMatchesFloydWarshallMetrics) {
-  NetworkConfig dijkstra = SmallNetwork();
-  dijkstra.use_floyd_warshall = false;
-  Result<ExperimentResult> fw = RunOnce(SmallWorld());
-  Result<ExperimentResult> dj = RunOnce(SmallWorld().SetNetwork(dijkstra));
+  NetworkConfig floyd = SmallNetwork();
+  floyd.use_floyd_warshall = true;
+  Result<ExperimentResult> fw = RunOnce(SmallWorld().SetNetwork(floyd));
+  Result<ExperimentResult> dj = RunOnce(SmallWorld());
   ASSERT_TRUE(fw.ok());
   ASSERT_TRUE(dj.ok());
   // Identical topology and routing result => identical simulation.
   EXPECT_EQ(fw->metrics.messages, dj->metrics.messages);
   EXPECT_DOUBLE_EQ(fw->metrics.loss_percent, dj->metrics.loss_percent);
   EXPECT_DOUBLE_EQ(fw->mean_pair_delay_ms, dj->mean_pair_delay_ms);
+  EXPECT_DOUBLE_EQ(fw->mean_pair_hops, dj->mean_pair_hops);
 }
 
 TEST(ExperimentTest, AllPoliciesRunOnSharedWorld) {
