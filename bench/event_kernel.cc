@@ -1,9 +1,10 @@
-// Event-kernel v2 microbenchmarks: the typed POD event queue against
-// closure scheduling, and batched (coalesced same-arrival) delivery
-// dispatch against the one-event-per-message baseline on an identical
-// engine workload. Results are byte-identical across dispatch modes by
-// construction (see DeterminismTest.BatchedDispatchIsByteIdenticalTo-
-// PerMessageDispatch); these benchmarks measure only the kernel cost.
+// Event-kernel microbenchmarks: raw typed-event queue throughput, and
+// batched (coalesced same-arrival) delivery dispatch and span draining
+// against the one-event-per-message, one-event-per-job baseline on an
+// identical engine workload. Results are byte-identical across dispatch
+// modes by construction (see DeterminismTest.BatchedDispatchIsByte-
+// IdenticalToPerMessageDispatch); these benchmarks measure only the
+// kernel cost.
 
 #include <benchmark/benchmark.h>
 
@@ -21,9 +22,9 @@ namespace d3t {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Raw queue: POD events vs type-erased closures
+// Raw queue: typed POD events held inline
 
-/// Minimal handler: typed dispatch costs one virtual call and a switch.
+/// Minimal handler: typed dispatch costs one virtual call.
 class CountingHandler : public sim::EventHandler {
  public:
   void HandleEvent(sim::SimTime, const sim::Event& event) override {
@@ -46,31 +47,13 @@ void BM_EventQueuePodDispatch(benchmark::State& state) {
           static_cast<sim::SimTime>(rng.NextBounded(1 << 20)),
           sim::Event::Delivery(static_cast<uint32_t>(i), i));
     }
-    while (!queue.empty()) queue.RunNext(&handler);
+    while (!queue.empty()) queue.RunNext(handler);
   }
   benchmark::DoNotOptimize(handler.sum());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch));
 }
 BENCHMARK(BM_EventQueuePodDispatch)->Arg(1024)->Arg(16384);
-
-void BM_EventQueueClosureDispatch(benchmark::State& state) {
-  const size_t batch = static_cast<size_t>(state.range(0));
-  Rng rng(1);
-  uint64_t sum = 0;
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    for (size_t i = 0; i < batch; ++i) {
-      queue.Schedule(static_cast<sim::SimTime>(rng.NextBounded(1 << 20)),
-                     [&sum, i](sim::SimTime) { sum += i; });
-    }
-    while (!queue.empty()) queue.RunNext();
-  }
-  benchmark::DoNotOptimize(sum);
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_EventQueueClosureDispatch)->Arg(1024)->Arg(16384);
 
 // ---------------------------------------------------------------------------
 // Engine: batched vs per-message delivery dispatch

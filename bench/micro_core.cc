@@ -116,17 +116,31 @@ class HashMapDistributedDisseminator : public core::Disseminator {
   uint64_t next_event_id_ = 0;
 };
 
+/// Sums event payloads so the dispatch cannot be optimized away.
+class SummingHandler : public sim::EventHandler {
+ public:
+  void HandleEvent(sim::SimTime, const sim::Event& event) override {
+    sum_ += event.b;
+  }
+  uint64_t sum() const { return sum_; }
+
+ private:
+  uint64_t sum_ = 0;
+};
+
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));
   Rng rng(1);
+  SummingHandler handler;
   for (auto _ : state) {
     sim::EventQueue queue;
     for (size_t i = 0; i < batch; ++i) {
       queue.Schedule(static_cast<sim::SimTime>(rng.NextBounded(1 << 20)),
-                     [](sim::SimTime) {});
+                     sim::Event::SourceTick(0, i));
     }
-    while (!queue.empty()) queue.RunNext();
+    while (!queue.empty()) queue.RunNext(handler);
   }
+  benchmark::DoNotOptimize(handler.sum());
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(batch));
 }

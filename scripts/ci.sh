@@ -3,9 +3,11 @@
 # Benchmarks are auto-detected (D3T_BUILD_BENCH=AUTO); a missing
 # google-benchmark never fails this script.
 #
-# Sanitizer runs: set D3T_SANITIZE=thread (or address/undefined) to
-# build into build-<sanitizer>/ with -fsanitize instrumentation — the
-# thread variant race-checks the RunAll/RunMultiSource worker-pool path.
+# Sanitizer runs: set D3T_SANITIZE=thread (or a comma-separated list
+# such as address,undefined,float-cast-overflow) to build into
+# build-<sanitizer>/ with -fsanitize instrumentation — the thread
+# variant race-checks the RunAll/RunMultiSource worker-pool path. Every
+# finding aborts its process (-fno-sanitize-recover=all).
 # Sanitizer builds are Debug, so the engines' assert()-level invariants
 # (orphan census, scenario barrier, event time order) run there too.
 # D3T_TEST_FILTER optionally narrows ctest (regex) for slow sanitizer

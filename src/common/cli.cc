@@ -113,10 +113,6 @@ bool CommandLine::GetBool(const std::string& name) const {
   return TruthyBool(ValueOrWarn(name, 4u, "boolean", ParsesAsBool));
 }
 
-bool CommandLine::Has(const std::string& name) const {
-  return flags_.count(name) != 0;
-}
-
 std::string CommandLine::Help(const std::string& program) const {
   std::ostringstream os;
   os << "usage: " << program << " [flags]\n";

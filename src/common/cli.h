@@ -34,8 +34,6 @@ class CommandLine {
   double GetDouble(const std::string& name) const;
   bool GetBool(const std::string& name) const;
 
-  bool Has(const std::string& name) const;
-
   /// Renders a usage/help string listing all declared flags.
   std::string Help(const std::string& program) const;
 

@@ -426,10 +426,14 @@ void Engine::ProcessWakeup(sim::SimTime t, OverlayIndex node) {
   // the span would, under per-job processing, run before the later
   // jobs' events. Capping the drain at the earliest pending scenario
   // time keeps the two processing modes byte-identical under dynamics
-  // — the remaining jobs get their own wakeup after the op.
-  const sim::SimTime barrier = scenario_pending_times_.empty()
-                                   ? sim::kSimTimeMax
-                                   : scenario_pending_times_.top();
+  // — the remaining jobs get their own wakeup after the op. The run
+  // horizon caps it the same way: per-job processing never starts a
+  // job after the horizon, because that job's own event lies beyond
+  // RunUntil(horizon).
+  const sim::SimTime barrier =
+      scenario_pending_times_.empty()
+          ? metrics_.horizon + 1
+          : std::min(metrics_.horizon + 1, scenario_pending_times_.top());
   size_t span = options_.drain_process_spans ? state.pending() : 1;
   sim::SimTime busy = t;
   uint64_t drained = 0;
@@ -438,7 +442,8 @@ void Engine::ProcessWakeup(sim::SimTime t, OverlayIndex node) {
     ++metrics_.events;
     ++drained;
     busy = ProcessOneJob(busy, node, job);
-    if (busy >= barrier) break;  // next job starts after the world mutates
+    // The next job would start after the world mutates or the run ends.
+    if (busy >= barrier) break;
   }
   if (span_jobs_hist_ != obs::kInvalidMetricId) {
     options_.registry->Observe(span_jobs_hist_, drained);

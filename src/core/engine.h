@@ -44,6 +44,8 @@ struct EngineOptions {
   /// own NodeProcess event would have fired — so metrics are
   /// byte-identical to per-job processing; only the physical
   /// process-wakeup count drops (see EngineMetrics::process_wakeups).
+  /// A drained span stops where per-job processing would: before a job
+  /// that would start after the horizon or a pending scenario event.
   /// (Caveat for synthetic delay models: when two *different* parents
   /// push to one child with arrivals at the exact same microsecond,
   /// draining can reorder those jobs within the instant; with nonzero
@@ -157,11 +159,11 @@ struct EngineMetrics {
 /// every node (DESIGN.md §5.2) and full-path communication delays from
 /// the overlay delay model.
 ///
-/// Event-kernel v2: the engine is the simulator's EventHandler and the
-/// whole hot path runs on 16-byte POD events (sim::Event) — SourceTick,
+/// The engine is the simulator's EventHandler: every event of a run is
+/// a 16-byte POD (sim::Event) held inline in the queue — SourceTick,
 /// batched Delivery (a recycled pool slot holding the span of jobs that
-/// arrive together), span-draining NodeProcess and a FinalizeHook —
-/// with no std::function anywhere per message. Fidelity trackers are
+/// arrive together), span-draining NodeProcess, kScenario ops and a
+/// FinalizeHook — decoded by one switch. Fidelity trackers are
 /// lazy: they integrate the source process straight from the trace
 /// timeline on repository-value changes and at the FinalizeHook, so a
 /// source tick costs O(1) instead of O(holders of the item).

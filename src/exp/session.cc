@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <numeric>
 #include <optional>
@@ -18,6 +19,24 @@ namespace {
 
 std::atomic<uint64_t> g_world_build_count{0};
 
+/// Largest millisecond magnitude a RunSpec may carry: sim::Millis casts
+/// ms * 1000 to an int64 microsecond count, which holds ~9.22e15 ms, and
+/// a larger (or non-finite) value makes that cast undefined.
+constexpr double kMaxMillis = 9e15;
+
+/// InvalidArgument naming `field` unless `value` is finite and within
+/// [0, kMaxMillis], or [-kMaxMillis, kMaxMillis] with `allow_negative`.
+Status CheckRange(const char* field, double value, bool allow_negative) {
+  const double min = allow_negative ? -kMaxMillis : 0.0;
+  if (std::isfinite(value) && value >= min && value <= kMaxMillis) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      std::string(field) + " must be finite and in " +
+      (allow_negative ? "[-9e15, 9e15]" : "[0, 9e15]") + ", got " +
+      std::to_string(value));
+}
+
 Status ValidateRunSpec(const World& world, const RunSpec& spec) {
   D3T_RETURN_IF_ERROR(ValidatePolicyName(spec.policy.policy));
   if (spec.source_index >= world.source_count()) {
@@ -28,8 +47,23 @@ Status ValidateRunSpec(const World& world, const RunSpec& spec) {
   }
   D3T_RETURN_IF_ERROR(
       core::ParseRepairPolicy(spec.policy.repair_policy).status());
-  if (spec.policy.repair_delay_ms < 0.0) {
-    return Status::InvalidArgument("repair_delay_ms must be >= 0");
+  const PolicyConfig& policy = spec.policy;
+  D3T_RETURN_IF_ERROR(CheckRange("comp_delay_ms", policy.comp_delay_ms,
+                                 /*allow_negative=*/false));
+  // A negative comm_delay_mean_ms is meaningful: it zeroes every delay.
+  D3T_RETURN_IF_ERROR(CheckRange("comm_delay_mean_ms",
+                                 policy.comm_delay_mean_ms,
+                                 /*allow_negative=*/true));
+  D3T_RETURN_IF_ERROR(CheckRange("repair_delay_ms", policy.repair_delay_ms,
+                                 /*allow_negative=*/false));
+  // One policy-internal check costs factor x comp_delay_ms, which the
+  // engine converts to microseconds like the delays above.
+  D3T_RETURN_IF_ERROR(CheckRange("tag_check_cost_factor",
+                                 policy.tag_check_cost_factor,
+                                 /*allow_negative=*/false));
+  if (policy.tag_check_cost_factor * policy.comp_delay_ms > kMaxMillis) {
+    return Status::InvalidArgument(
+        "tag_check_cost_factor x comp_delay_ms must be <= 9e15 ms");
   }
   // Member 0 is the source; repositories are members 1..N.
   D3T_RETURN_IF_ERROR(spec.scenario.ValidateAgainst(
@@ -218,12 +252,12 @@ Result<ExperimentResult> SimulationSession::Run(const RunSpec& spec) const {
   // memcpy per sweep point.
   const net::OverlayDelayModel* delays_ptr = &world.delays(spec.source_index);
   std::optional<net::OverlayDelayModel> scaled;
-  if (spec.policy.comm_delay_mean_ms > 0.0) {
-    scaled = delays_ptr->ScaledToMeanDelay(
-        sim::Millis(spec.policy.comm_delay_mean_ms));
-    delays_ptr = &*scaled;
-  } else if (spec.policy.comm_delay_mean_ms < 0.0) {
-    scaled = delays_ptr->ScaledToMeanDelay(0);
+  if (spec.policy.comm_delay_mean_ms != 0.0) {
+    // A negative mean forces all-zero delays.
+    Result<net::OverlayDelayModel> rescaled = delays_ptr->ScaledToMeanDelay(
+        std::max<sim::SimTime>(0, sim::Millis(spec.policy.comm_delay_mean_ms)));
+    if (!rescaled.ok()) return rescaled.status();
+    scaled = std::move(rescaled).value();
     delays_ptr = &*scaled;
   }
   const net::OverlayDelayModel& delays = *delays_ptr;

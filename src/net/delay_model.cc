@@ -240,14 +240,22 @@ double OverlayDelayModel::MeanPairHops() const {
   return stats.mean();
 }
 
-OverlayDelayModel OverlayDelayModel::ScaledToMeanDelay(
+Result<OverlayDelayModel> OverlayDelayModel::ScaledToMeanDelay(
     sim::SimTime target_mean) const {
+  constexpr PackedDelay kMaxPacked = std::numeric_limits<PackedDelay>::max();
+  auto out_of_range = [target_mean] {
+    return Status::OutOfRange(
+        "scaling to a mean pair delay of " + std::to_string(target_mean) +
+        " us puts a pair delay past the delay model's 32-bit microsecond "
+        "store");
+  };
   OverlayDelayModel out = *this;
   const double current = PairDelayStats().mean();
   if (current <= 0.0 || target_mean <= 0) {
     for (auto& d : out.delay_) d = 0;
     if (target_mean <= 0) return out;
     // Degenerate input model: fall back to a uniform target delay.
+    if (target_mean > kMaxPacked) return out_of_range();
     const PackedDelay packed = PackDelay(target_mean);
     for (OverlayIndex i = 0; i < count_; ++i) {
       for (OverlayIndex j = 0; j < count_; ++j) {
@@ -258,8 +266,9 @@ OverlayDelayModel OverlayDelayModel::ScaledToMeanDelay(
   }
   const double factor = static_cast<double>(target_mean) / current;
   for (auto& d : out.delay_) {
-    d = PackDelay(static_cast<sim::SimTime>(
-        std::llround(static_cast<double>(d) * factor)));
+    const double scaled = std::round(static_cast<double>(d) * factor);
+    if (scaled > kMaxPacked) return out_of_range();
+    d = static_cast<PackedDelay>(scaled);
   }
   return out;
 }

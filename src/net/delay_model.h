@@ -97,7 +97,9 @@ class OverlayDelayModel {
   /// Returns a copy whose mean pair delay equals `target_mean` (all pair
   /// delays scaled by a common factor). Used by the communication-delay
   /// sweeps (Figs. 5 and 7b). A zero target zeroes all delays.
-  OverlayDelayModel ScaledToMeanDelay(sim::SimTime target_mean) const;
+  /// OutOfRange when a scaled pair delay does not fit the 32-bit
+  /// microsecond store.
+  Result<OverlayDelayModel> ScaledToMeanDelay(sim::SimTime target_mean) const;
 
  private:
   /// Packed pair entries; see the class comment.

@@ -128,32 +128,6 @@ Status WriteChromeTrace(const Recorder& recorder, const std::string& path,
   return WriteFile(path, ChromeTraceJson(recorder, pid, label));
 }
 
-TablePrinter SnapshotTable(const Snapshot& snapshot, const Registry& names) {
-  TablePrinter table({"metric", "kind", "index", "value"});
-  for (uint32_t i = 0; i < snapshot.count; ++i) {
-    const SnapshotEntry& entry = snapshot.entries[i];
-    std::string name;
-    if (const std::string* known = names.NameOf(entry.name_hash)) {
-      name = *known;
-    } else {
-      char hex[24];
-      std::snprintf(hex, sizeof(hex), "0x%016" PRIx64, entry.name_hash);
-      name = hex;
-    }
-    const MetricKind kind = static_cast<MetricKind>(entry.kind);
-    const char* kind_name = kind == MetricKind::kCounter   ? "counter"
-                            : kind == MetricKind::kGauge   ? "gauge"
-                                                           : "histogram";
-    table.AddRow({name, kind_name,
-                  TablePrinter::Int(static_cast<int64_t>(entry.index)),
-                  kind == MetricKind::kGauge
-                      ? TablePrinter::Num(BitsToDouble(entry.value), 3)
-                      : TablePrinter::Int(
-                            static_cast<int64_t>(entry.value))});
-  }
-  return table;
-}
-
 TablePrinter NodeSummaryTable(const std::vector<NodeSummaryRow>& rows,
                               const std::vector<std::string>& extra_headers) {
   std::vector<std::string> headers = {"node",      "msgs",      "loss%",

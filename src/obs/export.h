@@ -47,10 +47,6 @@ Status WriteFile(const std::string& path, const std::string& contents);
 Status WriteChromeTrace(const Recorder& recorder, const std::string& path,
                         uint32_t pid = 0, const std::string& label = "d3t");
 
-/// Every snapshot entry as a (metric, index, value) table row, names
-/// resolved through `names` (unknown hashes render as hex).
-TablePrinter SnapshotTable(const Snapshot& snapshot, const Registry& names);
-
 /// One row of the shared per-node summary table.
 struct NodeSummaryRow {
   std::string label;

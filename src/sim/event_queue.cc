@@ -5,110 +5,19 @@
 namespace d3t::sim {
 
 // d3t-lint: hot
-uint64_t EventQueue::Schedule(SimTime when, Event event) {
-  // Callback slots are queue-internal: an externally built kCallback
-  // event would index (or corrupt) the closure side table.
-  assert(event.kind != EventKind::kCallback);
-  return ScheduleInternal(when, event);
-}
-
-uint64_t EventQueue::ScheduleInternal(SimTime when, const Event& event) {
+void EventQueue::Schedule(SimTime when, Event event) {
   assert(when >= 0);
-  const uint64_t seq = next_seq_++;
-  size_t index;
-  if (!free_list_.empty()) {
-    index = free_list_.back();
-    free_list_.pop_back();
-    entries_[index] = Entry{when, seq, event, false};
-  } else {
-    index = entries_.size();
-    entries_.push_back(Entry{when, seq, event, false});
-  }
-  heap_.push(HeapItem{when, seq, index});
-  ++live_;
-  return seq;
-}
-
-uint64_t EventQueue::Schedule(SimTime when, EventFn fn) {
-  uint32_t slot;
-  if (!callback_free_.empty()) {
-    slot = callback_free_.back();
-    callback_free_.pop_back();
-    callbacks_[slot] = std::move(fn);
-  } else {
-    slot = static_cast<uint32_t>(callbacks_.size());
-    callbacks_.push_back(std::move(fn));
-  }
-  return ScheduleInternal(when, Event{EventKind::kCallback, 0, slot});
-}
-
-void EventQueue::ReleaseCallback(const Event& event) {
-  if (event.kind != EventKind::kCallback) return;
-  const uint32_t slot = static_cast<uint32_t>(event.b);
-  callbacks_[slot] = nullptr;
-  callback_free_.push_back(slot);
-}
-
-bool EventQueue::Cancel(uint64_t id) {
-  if (id >= next_seq_) return false;  // never issued
-  // Linear scan over the entry slots: a slot still carrying this seq is
-  // the live (or already consumed/cancelled) incarnation of the event.
-  for (Entry& e : entries_) {
-    if (e.seq != id) continue;
-    if (e.cancelled) return false;
-    e.cancelled = true;
-    ReleaseCallback(e.event);  // release the closure now; the slot is
-                               // recycled when its heap item surfaces
-                               // (DropDeadTop)
-    --live_;
-    return true;
-  }
-  return false;  // slot recycled: the event fired long ago
-}
-
-void EventQueue::DropDeadTop() const {
-  while (!heap_.empty()) {
-    const HeapItem top = heap_.top();
-    const Entry& e = entries_[top.index];
-    // Stale if the slot was reused (seq mismatch) or explicitly cancelled.
-    if (e.seq == top.seq && !e.cancelled) return;
-    heap_.pop();
-    // A cancelled entry whose (only) heap item just left the heap can be
-    // recycled; a seq mismatch means the slot was already recycled.
-    if (e.seq == top.seq) free_list_.push_back(top.index);
-  }
-}
-
-SimTime EventQueue::PeekTime() const {
-  DropDeadTop();
-  if (heap_.empty()) return kSimTimeMax;
-  return heap_.top().when;
+  heap_.push(Item{when, next_seq_++, event});
 }
 
 // d3t-lint: hot
-SimTime EventQueue::RunNext(EventHandler* handler) {
-  DropDeadTop();
+SimTime EventQueue::RunNext(EventHandler& handler) {
   assert(!heap_.empty());
-  const HeapItem top = heap_.top();
+  // Copied out before the pop: the handler may schedule further events.
+  const Item top = heap_.top();
   heap_.pop();
-  Entry& e = entries_[top.index];
-  const Event event = e.event;
-  const SimTime when = e.when;
-  e.cancelled = true;  // mark consumed before running (the handler or
-                       // callback may schedule further events)
-  free_list_.push_back(top.index);
-  --live_;
-  if (event.kind == EventKind::kCallback) {
-    // d3t-lint: allow(hot-alloc) kCallback cold path moves the stored closure out of the side table; nothing is constructed or captured
-    EventFn fn = std::move(callbacks_[static_cast<uint32_t>(event.b)]);
-    ReleaseCallback(event);
-    fn(when);
-  } else {
-    assert(handler != nullptr &&
-           "typed event popped from a queue run without a handler");
-    handler->HandleEvent(when, event);
-  }
-  return when;
+  handler.HandleEvent(top.when, top.event);
+  return top.when;
 }
 
 }  // namespace d3t::sim

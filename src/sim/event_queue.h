@@ -11,14 +11,11 @@
 
 namespace d3t::sim {
 
-/// Discriminator of the typed POD event variant. The simulation hot
-/// path (source ticks, message deliveries, node processing) carries
-/// these 16-byte PODs instead of type-erased closures; kCallback is the
-/// escape hatch for tests and cold control paths.
+/// Discriminator of the typed POD event variant. Every event of a run —
+/// source ticks, message deliveries, node processing, pull polls,
+/// scenario ops — is one of these 16-byte PODs, decoded by the driver
+/// that scheduled it.
 enum class EventKind : uint32_t {
-  /// Generic std::function callback; payload `b` is the queue-internal
-  /// slot of the stored closure.
-  kCallback = 0,
   /// One source trace tick: `a` = item, `b` = tick index.
   kSourceTick,
   /// A batched message delivery: `a` = destination overlay node, `b` =
@@ -36,18 +33,17 @@ enum class EventKind : uint32_t {
   /// index into the per-run scenario op table, `b` = phase (0 applies
   /// the op; 1 is the deferred orphan repair a failure schedules after
   /// its silence-detection window). Carrying an index keeps the event a
-  /// POD — the op payload lives in the immutable Scenario, never in a
-  /// closure.
+  /// POD — the op payload lives in the immutable Scenario.
   kScenario,
 };
 
 /// A 16-byte POD event: a kind tag plus two untyped payload words whose
 /// meaning is fixed by the kind (see EventKind). Handlers decode with
 /// the named accessors of the scheduling layer; the queue never looks
-/// inside the payload except for kCallback.
+/// inside the payload.
 // d3t-lint: pod-event
 struct Event {
-  EventKind kind = EventKind::kCallback;
+  EventKind kind = EventKind::kSourceTick;
   uint32_t a = 0;
   uint64_t b = 0;
 
@@ -75,8 +71,7 @@ static_assert(std::is_trivially_copyable_v<Event>,
               "hot-path events must be PODs");
 
 /// Receiver of typed events. The engine (or any other driver) implements
-/// this once and decodes the POD payload per kind; kCallback events
-/// never reach the handler (the queue runs the stored closure itself).
+/// this once and decodes the POD payload per kind.
 class EventHandler {
  public:
   virtual void HandleEvent(SimTime t, const Event& event) = 0;
@@ -85,84 +80,40 @@ class EventHandler {
   ~EventHandler() = default;
 };
 
-/// Callback executed when a kCallback event fires. Receives the firing
-/// time.
-using EventFn = std::function<void(SimTime)>;
-
-/// A deterministic min-heap of timed events. Ties in firing time are
-/// broken by insertion sequence so runs are reproducible regardless of
-/// heap internals. Entry slots are recycled through a free list so memory
-/// stays proportional to the number of *pending* events, not the total
-/// ever scheduled. Entries store the 16-byte POD Event; closures of
-/// kCallback events live in a side table indexed by the event payload,
-/// keeping std::function construction off the typed hot path entirely.
+/// A deterministic min-heap of timed events, each held inline. Ties in
+/// firing time are broken by insertion sequence, so runs are
+/// reproducible regardless of heap internals.
 class EventQueue {
  public:
-  /// Schedules a typed POD event at absolute time `when` (must be >= 0).
-  /// Returns a unique, monotonically increasing event id. `event.kind`
-  /// must not be kCallback — callback slots are queue-internal; use the
-  /// EventFn overload, which allocates one.
-  uint64_t Schedule(SimTime when, Event event);
+  /// Schedules `event` at absolute time `when` (must be >= 0).
+  void Schedule(SimTime when, Event event);
 
-  /// Schedules `fn` at absolute time `when` as a kCallback event (the
-  /// escape hatch for tests and cold control paths).
-  uint64_t Schedule(SimTime when, EventFn fn);
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
 
-  /// Cancels a scheduled event. Returns false if the id already fired,
-  /// was cancelled, or never existed. O(high-water mark of concurrently
-  /// scheduled events) — it scans the slot table, which never shrinks.
-  /// Cancellation is a rare control operation; keeping an id lookup
-  /// table would put a hash insert + erase on every Schedule/RunNext —
-  /// the simulation hot path.
-  bool Cancel(uint64_t id);
+  /// Time of the earliest event; kSimTimeMax when empty.
+  SimTime PeekTime() const {
+    return heap_.empty() ? kSimTimeMax : heap_.top().when;
+  }
 
-  bool empty() const { return live_ == 0; }
-  size_t size() const { return live_; }
-
-  /// Time of the earliest live event; kSimTimeMax when empty.
-  SimTime PeekTime() const;
-
-  /// Pops and runs the earliest event; returns its time. Must not be
-  /// called when empty. kCallback events run their stored closure;
-  /// every other kind is dispatched to `handler` (which must then be
-  /// non-null). The callback/handler may schedule further events.
-  SimTime RunNext(EventHandler* handler = nullptr);
+  /// Pops the earliest event, hands it to `handler` and returns its
+  /// time. Must not be called when empty. The handler may schedule
+  /// further events.
+  SimTime RunNext(EventHandler& handler);
 
  private:
-  struct Entry {
+  struct Item {
     SimTime when;
     uint64_t seq;
     Event event;
-    bool cancelled = false;
-  };
-  struct HeapItem {
-    SimTime when;
-    uint64_t seq;
-    size_t index;  // into entries_
-    bool operator>(const HeapItem& other) const {
+    bool operator>(const Item& other) const {
       if (when != other.when) return when > other.when;
       return seq > other.seq;
     }
   };
 
-  /// Shared insertion path; `event` may be a queue-built kCallback.
-  uint64_t ScheduleInternal(SimTime when, const Event& event);
-  /// Pops heap items whose entry slot was cancelled or recycled.
-  void DropDeadTop() const;
-  /// Releases the closure slot of a cancelled/consumed kCallback entry.
-  void ReleaseCallback(const Event& event);
-
-  std::vector<Entry> entries_;
-  mutable std::vector<size_t> free_list_;
-  mutable std::priority_queue<HeapItem, std::vector<HeapItem>,
-                              std::greater<HeapItem>>
-      heap_;
-  /// Side table of kCallback closures, recycled through its own free
-  /// list; Event::b of a kCallback event indexes it.
-  std::vector<EventFn> callbacks_;
-  std::vector<uint32_t> callback_free_;
+  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap_;
   uint64_t next_seq_ = 0;
-  size_t live_ = 0;
 };
 
 }  // namespace d3t::sim

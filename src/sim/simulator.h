@@ -1,6 +1,7 @@
 #ifndef D3T_SIM_SIMULATOR_H_
 #define D3T_SIM_SIMULATOR_H_
 
+#include <cassert>
 #include <cstdint>
 
 #include "sim/event_queue.h"
@@ -9,47 +10,31 @@
 namespace d3t::sim {
 
 /// Discrete-event simulation driver: owns the clock and the event queue
-/// and advances time by running events in order. Typed POD events are
-/// dispatched to the registered EventHandler; kCallback events run their
-/// stored closure (the escape hatch for tests and cold control paths).
+/// and advances time by handing events, in order, to the registered
+/// EventHandler.
 class Simulator {
  public:
   SimTime now() const { return now_; }
-  EventQueue& queue() { return queue_; }
 
-  /// Registers the receiver of typed events. Must be set before any
-  /// typed event fires; may be null while only callbacks are scheduled.
+  /// Registers the receiver of every event. Must be set before the
+  /// first RunUntil.
   void set_handler(EventHandler* handler) { handler_ = handler; }
-  EventHandler* handler() const { return handler_; }
 
-  /// Schedules a typed event `delay` microseconds from now (delay >= 0).
-  uint64_t ScheduleAfter(SimTime delay, Event event);
-
-  /// Schedules a typed event at absolute time `when` (>= now()).
-  uint64_t ScheduleAt(SimTime when, Event event);
-
-  /// Schedules `fn` `delay` microseconds from now (delay >= 0).
-  uint64_t ScheduleAfter(SimTime delay, EventFn fn);
-
-  /// Schedules `fn` at absolute time `when` (>= now()).
-  uint64_t ScheduleAt(SimTime when, EventFn fn);
+  /// Schedules `event` at absolute time `when` (>= now()).
+  void ScheduleAt(SimTime when, Event event) {
+    assert(when >= now_);
+    queue_.Schedule(when, event);
+  }
 
   /// Runs events until the queue empties or `horizon` is passed (events
   /// scheduled strictly after `horizon` are left pending). Returns the
   /// number of events executed.
   uint64_t RunUntil(SimTime horizon);
 
-  /// Runs all pending events to exhaustion.
-  uint64_t Run() { return RunUntil(kSimTimeMax); }
-
-  /// Number of events executed so far.
-  uint64_t events_executed() const { return events_executed_; }
-
  private:
   SimTime now_ = 0;
   EventQueue queue_;
   EventHandler* handler_ = nullptr;
-  uint64_t events_executed_ = 0;
 };
 
 }  // namespace d3t::sim

@@ -12,7 +12,6 @@ using SimTime = int64_t;
 inline constexpr SimTime kSimTimeMax = INT64_MAX;
 
 /// Conversion helpers. Delays in the paper are quoted in milliseconds.
-constexpr SimTime Micros(int64_t us) { return us; }
 constexpr SimTime Millis(double ms) {
   return static_cast<SimTime>(ms * 1000.0);
 }

@@ -227,6 +227,57 @@ TEST(DeterminismTest, DispatchAndProcessingModesAreByteIdenticalInAllCombos) {
   }
 }
 
+TEST(DeterminismTest, KernelTogglesAgreeWhenBacklogOutlivesTheHorizon) {
+  // Twice the golden items at 8x its computational delay: nodes still
+  // hold a backlog when the horizon ends. Per-job processing never
+  // starts a job past the horizon (its NodeProcess event lies beyond
+  // RunUntil), so a drained span must stop there too — else draining
+  // counts extra checks, pushes and events. All four coalesce x drain
+  // combos and the wire route must match the per-message, per-job
+  // reference, whose counts are pinned.
+  WorkloadConfig workload;
+  workload.items = 16;
+  workload.ticks = 600;
+  Result<SimulationSession> session =
+      GoldenWorld().SetWorkload(workload).Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  struct Pin {
+    const char* policy;
+    uint64_t messages;
+    uint64_t events;
+  };
+  for (const Pin& pin : {Pin{"distributed", 2877, 16844},
+                         Pin{"centralized", 7457, 27790}}) {
+    SCOPED_TRACE(pin.policy);
+    RunSpec base = GoldenSpec(pin.policy);
+    base.policy.comp_delay_ms = 100.0;
+    RunSpec per_job = base;
+    per_job.policy.coalesce_deliveries = false;
+    per_job.policy.drain_process_spans = false;
+    Result<ExperimentResult> reference = session->Run(per_job);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(reference->metrics.messages, pin.messages);
+    EXPECT_EQ(reference->metrics.events, pin.events);
+    for (bool coalesce : {true, false}) {
+      for (bool drain : {true, false}) {
+        SCOPED_TRACE(std::string("coalesce=") + (coalesce ? "on" : "off") +
+                     " drain=" + (drain ? "on" : "off"));
+        RunSpec spec = base;
+        spec.policy.coalesce_deliveries = coalesce;
+        spec.policy.drain_process_spans = drain;
+        Result<ExperimentResult> run = session->Run(spec);
+        ASSERT_TRUE(run.ok()) << run.status().ToString();
+        ExpectIdenticalMetrics(reference->metrics, run->metrics);
+      }
+    }
+    RunSpec framed = base;
+    framed.policy.route_through_wire = true;
+    Result<ExperimentResult> wired = session->Run(framed);
+    ASSERT_TRUE(wired.ok()) << wired.status().ToString();
+    ExpectIdenticalMetrics(reference->metrics, wired->metrics);
+  }
+}
+
 TEST(DeterminismTest, EmptyScenarioIsByteIdenticalToNoScenario) {
   // The Scenario subsystem's safety invariant: attaching an *empty*
   // scenario to a run must reproduce the scenario-free metrics byte for

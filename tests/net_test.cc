@@ -361,25 +361,45 @@ TEST(DelayModelTest, UniformModel) {
 
 TEST(DelayModelTest, ScalingHitsTargetMean) {
   OverlayDelayModel model = OverlayDelayModel::Uniform(5, sim::Millis(10));
-  OverlayDelayModel scaled = model.ScaledToMeanDelay(sim::Millis(25));
-  EXPECT_NEAR(scaled.PairDelayStats().mean(),
+  Result<OverlayDelayModel> scaled = model.ScaledToMeanDelay(sim::Millis(25));
+  ASSERT_TRUE(scaled.ok()) << scaled.status().ToString();
+  EXPECT_NEAR(scaled->PairDelayStats().mean(),
               static_cast<double>(sim::Millis(25)), 1.0);
   // Hop counts unchanged.
-  EXPECT_EQ(scaled.Hops(1, 2), model.Hops(1, 2));
+  EXPECT_EQ(scaled->Hops(1, 2), model.Hops(1, 2));
 }
 
 TEST(DelayModelTest, ScalingToZero) {
   OverlayDelayModel model = OverlayDelayModel::Uniform(3, sim::Millis(10));
-  OverlayDelayModel zero = model.ScaledToMeanDelay(0);
-  EXPECT_EQ(zero.Delay(0, 1), 0);
-  EXPECT_EQ(zero.Delay(1, 2), 0);
+  Result<OverlayDelayModel> zero = model.ScaledToMeanDelay(0);
+  ASSERT_TRUE(zero.ok()) << zero.status().ToString();
+  EXPECT_EQ(zero->Delay(0, 1), 0);
+  EXPECT_EQ(zero->Delay(1, 2), 0);
 }
 
 TEST(DelayModelTest, ScalingFromZeroFallsBackToUniform) {
   OverlayDelayModel zero = OverlayDelayModel::Uniform(3, 0);
-  OverlayDelayModel scaled = zero.ScaledToMeanDelay(sim::Millis(5));
-  EXPECT_EQ(scaled.Delay(0, 1), sim::Millis(5));
-  EXPECT_EQ(scaled.Delay(2, 1), sim::Millis(5));
+  Result<OverlayDelayModel> scaled = zero.ScaledToMeanDelay(sim::Millis(5));
+  ASSERT_TRUE(scaled.ok()) << scaled.status().ToString();
+  EXPECT_EQ(scaled->Delay(0, 1), sim::Millis(5));
+  EXPECT_EQ(scaled->Delay(2, 1), sim::Millis(5));
+}
+
+TEST(DelayModelTest, ScalingPastThePackedStoreIsOutOfRange) {
+  // The store holds pair delays up to 2^32 - 1 us (~71.6 min); the
+  // largest pair that fits, and one microsecond more, on both paths.
+  constexpr sim::SimTime kMaxPacked = 4294967295;
+  OverlayDelayModel model = OverlayDelayModel::Uniform(3, sim::Millis(10));
+  Result<OverlayDelayModel> fits = model.ScaledToMeanDelay(kMaxPacked);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->Delay(1, 2), kMaxPacked);
+  EXPECT_TRUE(model.ScaledToMeanDelay(kMaxPacked + 1).status().IsOutOfRange());
+  EXPECT_TRUE(model.ScaledToMeanDelay(sim::Seconds(1e9))
+                  .status()
+                  .IsOutOfRange());
+  OverlayDelayModel zero = OverlayDelayModel::Uniform(3, 0);
+  EXPECT_TRUE(zero.ScaledToMeanDelay(kMaxPacked).ok());
+  EXPECT_TRUE(zero.ScaledToMeanDelay(kMaxPacked + 1).status().IsOutOfRange());
 }
 
 /// Topology shapes for the routed builders: each one holds a structure

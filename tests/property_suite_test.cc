@@ -1,5 +1,5 @@
 // Cross-module randomized properties checked against independent
-// reference implementations: the event queue against std::multimap
+// reference implementations: the event queue against std::map
 // scheduling, the fidelity tracker against a brute-force replay and its
 // raw-timeline binding against the change-only one,
 // Trace::ValueAt against linear scan, and shortest-path delays against
@@ -24,45 +24,45 @@ namespace {
 // ---------------------------------------------------------------------------
 // Event queue vs reference
 
+/// Records the `b` payload word of every event it receives.
+struct PayloadRecorder : sim::EventHandler {
+  std::vector<uint64_t> fired;
+  void HandleEvent(sim::SimTime, const sim::Event& event) override {
+    fired.push_back(event.b);
+  }
+};
+
 TEST(PropertySuite, EventQueueMatchesReferenceOrdering) {
   for (uint64_t seed : {11u, 12u, 13u, 14u}) {
     Rng rng(seed);
     sim::EventQueue queue;
-    // Reference: (time, seq) -> id, ordered exactly like the queue
+    PayloadRecorder handler;
+    // Reference: (time, seq) -> payload, ordered exactly like the queue
     // promises.
-    std::multimap<std::pair<sim::SimTime, uint64_t>, uint64_t> reference;
-    std::vector<uint64_t> fired;
+    std::map<std::pair<sim::SimTime, uint64_t>, uint64_t> reference;
     uint64_t seq = 0;
 
     for (int op = 0; op < 3000; ++op) {
-      const double dice = rng.NextDouble();
-      if (dice < 0.55 || queue.empty()) {
+      if (rng.NextDouble() < 0.55 || queue.empty()) {
         const sim::SimTime when =
             static_cast<sim::SimTime>(rng.NextBounded(100000));
-        const uint64_t my_seq = seq++;
-        const uint64_t id = queue.Schedule(
-            when, [&fired, my_seq](sim::SimTime) { fired.push_back(my_seq); });
-        reference.emplace(std::make_pair(when, id), my_seq);
-      } else if (dice < 0.7 && !reference.empty()) {
-        // Cancel a pseudo-random live event.
-        auto it = reference.begin();
-        std::advance(it, rng.NextBounded(reference.size()));
-        EXPECT_TRUE(queue.Cancel(it->first.second));
-        reference.erase(it);
+        const uint64_t payload = rng.Next();
+        queue.Schedule(when, sim::Event::SourceTick(0, payload));
+        reference.emplace(std::make_pair(when, seq++), payload);
       } else {
         const uint64_t expected = reference.begin()->second;
         reference.erase(reference.begin());
-        queue.RunNext();
-        ASSERT_FALSE(fired.empty());
-        EXPECT_EQ(fired.back(), expected) << "seed " << seed;
+        queue.RunNext(handler);
+        ASSERT_FALSE(handler.fired.empty());
+        EXPECT_EQ(handler.fired.back(), expected) << "seed " << seed;
       }
       ASSERT_EQ(queue.size(), reference.size());
     }
     while (!reference.empty()) {
       const uint64_t expected = reference.begin()->second;
       reference.erase(reference.begin());
-      queue.RunNext();
-      EXPECT_EQ(fired.back(), expected);
+      queue.RunNext(handler);
+      EXPECT_EQ(handler.fired.back(), expected);
     }
     EXPECT_TRUE(queue.empty());
   }

@@ -3,6 +3,7 @@
 // session equivalence, end-to-end run results, policy validation,
 // workload overrides and the per-source seed plumbing.
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -350,6 +351,87 @@ TEST(SessionValidationTest, RejectsOutOfRangeSourceIndex) {
   RunSpec spec = SmallSpec();
   spec.source_index = 1;  // single-source world
   EXPECT_TRUE(session->Run(spec).status().IsInvalidArgument());
+}
+
+/// Runs `spec` and expects an InvalidArgument whose message names
+/// `field`.
+void ExpectRejected(const SimulationSession& session, const RunSpec& spec,
+                    const std::string& field) {
+  Result<ExperimentResult> result = session.Run(spec);
+  ASSERT_FALSE(result.ok()) << field << " was accepted";
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+  EXPECT_NE(result.status().message().find(field), std::string::npos)
+      << result.status().ToString();
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(SessionValidationTest, RejectsNonFiniteCommDelayMean) {
+  // Unchecked, +-inf rescaled every delay to 0 ms and NaN kept the
+  // native delays, all without an error.
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  for (double bad : {kInf, -kInf, kNaN}) {
+    RunSpec spec = SmallSpec();
+    spec.policy.comm_delay_mean_ms = bad;
+    ExpectRejected(*session, spec, "comm_delay_mean_ms");
+  }
+}
+
+TEST(SessionValidationTest, RejectsOutOfRangeCommDelayMean) {
+  // 1e300 ms overflows sim::Millis's int64 microsecond cast.
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  for (double bad : {1e300, -1e300, 1e16}) {
+    RunSpec spec = SmallSpec();
+    spec.policy.comm_delay_mean_ms = bad;
+    ExpectRejected(*session, spec, "comm_delay_mean_ms");
+  }
+}
+
+TEST(SessionValidationTest, CommDelayMeanPastThePackedStoreIsOutOfRange) {
+  // In range for sim::Millis, but 1e7 ms = 1e10 us per pair does not fit
+  // the delay model's 32-bit microsecond store.
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  RunSpec spec = SmallSpec();
+  spec.policy.comm_delay_mean_ms = 1e7;
+  EXPECT_TRUE(session->Run(spec).status().IsOutOfRange());
+}
+
+TEST(SessionValidationTest, RejectsNonFiniteCompDelay) {
+  // NaN used to surface as the engine's "negative computational delay".
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  for (double bad : {kNaN, kInf, -kInf, 1e300, -1.0}) {
+    RunSpec spec = SmallSpec();
+    spec.policy.comp_delay_ms = bad;
+    ExpectRejected(*session, spec, "comp_delay_ms");
+  }
+}
+
+TEST(SessionValidationTest, RejectsNonFiniteRepairDelay) {
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  for (double bad : {kInf, kNaN, 1e300, -1.0}) {
+    RunSpec spec = SmallSpec();
+    spec.policy.repair_delay_ms = bad;
+    ExpectRejected(*session, spec, "repair_delay_ms");
+  }
+}
+
+TEST(SessionValidationTest, RejectsBadTagCheckCostFactor) {
+  // NaN and negative factors used to be ignored silently; a factor whose
+  // per-check cost overflows the microsecond clock is out of range.
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  for (double bad : {kNaN, kInf, -0.5, 1e300, 1e15}) {
+    RunSpec spec = SmallSpec();
+    spec.policy.tag_check_cost_factor = bad;
+    ExpectRejected(*session, spec, "tag_check_cost_factor");
+  }
 }
 
 TEST(SessionOverrideTest, CustomInterestsAndTracesDriveTheRun) {

@@ -15,75 +15,7 @@ TEST(TimeTest, Conversions) {
   EXPECT_DOUBLE_EQ(ToSeconds(2500000), 2.5);
 }
 
-TEST(EventQueueTest, EmptyInitially) {
-  EventQueue q;
-  EXPECT_TRUE(q.empty());
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.PeekTime(), kSimTimeMax);
-}
-
-TEST(EventQueueTest, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  q.Schedule(30, [&](SimTime) { fired.push_back(3); });
-  q.Schedule(10, [&](SimTime) { fired.push_back(1); });
-  q.Schedule(20, [&](SimTime) { fired.push_back(2); });
-  while (!q.empty()) q.RunNext();
-  EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueueTest, TiesBreakByInsertionOrder) {
-  EventQueue q;
-  std::vector<int> fired;
-  for (int i = 0; i < 10; ++i) {
-    q.Schedule(5, [&fired, i](SimTime) { fired.push_back(i); });
-  }
-  while (!q.empty()) q.RunNext();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[i], i);
-}
-
-TEST(EventQueueTest, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  uint64_t id = q.Schedule(10, [&](SimTime) { ran = true; });
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.Cancel(id));  // double cancel
-  EXPECT_FALSE(ran);
-}
-
-TEST(EventQueueTest, CancelUnknownIdFails) {
-  EventQueue q;
-  EXPECT_FALSE(q.Cancel(12345));
-}
-
-// Pins the documented Cancel contract: false for fired, already
-// cancelled and never-issued ids — including after the entry slot has
-// been recycled through the free list by later Schedules.
-TEST(EventQueueTest, CancelSemanticsSurviveSlotRecycling) {
-  EventQueue q;
-  const uint64_t fired = q.Schedule(10, [](SimTime) {});
-  q.RunNext();
-  EXPECT_FALSE(q.Cancel(fired));  // already fired
-
-  const uint64_t cancelled = q.Schedule(20, [](SimTime) {});
-  EXPECT_TRUE(q.Cancel(cancelled));
-  EXPECT_FALSE(q.Cancel(cancelled));  // double cancel
-
-  // Surface the cancelled entry so its slot returns to the free list,
-  // then reuse it. Ids of the old occupants must stay dead; the new
-  // occupant must be cancellable exactly once.
-  EXPECT_EQ(q.PeekTime(), kSimTimeMax);
-  const uint64_t recycled = q.Schedule(30, [](SimTime) {});
-  EXPECT_FALSE(q.Cancel(fired));
-  EXPECT_FALSE(q.Cancel(cancelled));
-  EXPECT_FALSE(q.Cancel(recycled + 100));  // never issued
-  EXPECT_TRUE(q.Cancel(recycled));
-  EXPECT_FALSE(q.Cancel(recycled));
-  EXPECT_TRUE(q.empty());
-}
-
-/// Records every typed event it receives.
+/// Records every event it receives, in dispatch order.
 struct RecordingHandler : EventHandler {
   struct Seen {
     SimTime t;
@@ -93,7 +25,58 @@ struct RecordingHandler : EventHandler {
   void HandleEvent(SimTime t, const Event& event) override {
     seen.push_back({t, event});
   }
+  /// The `a` payload word of every event seen, in dispatch order.
+  std::vector<uint32_t> Payloads() const {
+    std::vector<uint32_t> out;
+    for (const Seen& s : seen) out.push_back(s.event.a);
+    return out;
+  }
 };
+
+/// Handler that keeps re-scheduling itself on `sim` at `now() + step`
+/// until it has run `limit` times.
+struct ChainHandler : EventHandler {
+  ChainHandler(Simulator& sim, SimTime step, int limit)
+      : sim(sim), step(step), limit(limit) {}
+  void HandleEvent(SimTime t, const Event&) override {
+    times.push_back(t);
+    if (static_cast<int>(times.size()) < limit) {
+      sim.ScheduleAt(sim.now() + step, Event::NodeProcess(0));
+    }
+  }
+  Simulator& sim;
+  SimTime step;
+  int limit;
+  std::vector<SimTime> times;
+};
+
+TEST(EventQueueTest, EmptyInitially) {
+  EventQueue q;
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_EQ(q.PeekTime(), kSimTimeMax);
+}
+
+TEST(EventQueueTest, RunsInTimeOrder) {
+  EventQueue q;
+  RecordingHandler handler;
+  q.Schedule(30, Event::NodeProcess(3));
+  q.Schedule(10, Event::NodeProcess(1));
+  q.Schedule(20, Event::NodeProcess(2));
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.PeekTime(), 10);
+  while (!q.empty()) q.RunNext(handler);
+  EXPECT_EQ(handler.Payloads(), (std::vector<uint32_t>{1, 2, 3}));
+}
+
+TEST(EventQueueTest, TiesBreakByInsertionOrder) {
+  EventQueue q;
+  RecordingHandler handler;
+  for (uint32_t i = 0; i < 10; ++i) q.Schedule(5, Event::NodeProcess(i));
+  while (!q.empty()) q.RunNext(handler);
+  EXPECT_EQ(handler.Payloads(),
+            (std::vector<uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
 
 TEST(EventQueueTest, TypedEventsDispatchThroughHandler) {
   EventQueue q;
@@ -101,8 +84,13 @@ TEST(EventQueueTest, TypedEventsDispatchThroughHandler) {
   q.Schedule(20, Event::Delivery(7, 42));
   q.Schedule(10, Event::SourceTick(3, 5));
   q.Schedule(30, Event::NodeProcess(9));
-  while (!q.empty()) q.RunNext(&handler);
-  ASSERT_EQ(handler.seen.size(), 3u);
+  q.Schedule(30, Event::PullPoll(1, 2));
+  q.Schedule(30, Event::FinalizeHook());
+  while (!q.empty()) {
+    const SimTime t = q.RunNext(handler);
+    EXPECT_EQ(t, handler.seen.back().t);
+  }
+  ASSERT_EQ(handler.seen.size(), 5u);
   EXPECT_EQ(handler.seen[0].t, 10);
   EXPECT_EQ(handler.seen[0].event.kind, EventKind::kSourceTick);
   EXPECT_EQ(handler.seen[0].event.a, 3u);
@@ -112,118 +100,62 @@ TEST(EventQueueTest, TypedEventsDispatchThroughHandler) {
   EXPECT_EQ(handler.seen[1].event.b, 42u);
   EXPECT_EQ(handler.seen[2].event.kind, EventKind::kNodeProcess);
   EXPECT_EQ(handler.seen[2].event.a, 9u);
+  EXPECT_EQ(handler.seen[3].event.kind, EventKind::kPullPoll);
+  EXPECT_EQ(handler.seen[3].event.b, 2u);
+  EXPECT_EQ(handler.seen[4].event.kind, EventKind::kFinalizeHook);
 }
 
-TEST(EventQueueTest, TypedAndCallbackEventsInterleaveInOrder) {
-  EventQueue q;
-  RecordingHandler handler;
-  std::vector<int> callback_fired;
-  q.Schedule(5, Event::PullPoll(1, 0));
-  q.Schedule(5, [&](SimTime) { callback_fired.push_back(1); });
-  q.Schedule(5, Event::FinalizeHook());
-  while (!q.empty()) q.RunNext(&handler);
-  // Insertion order at equal times: typed, callback, typed.
-  ASSERT_EQ(handler.seen.size(), 2u);
-  EXPECT_EQ(handler.seen[0].event.kind, EventKind::kPullPoll);
-  EXPECT_EQ(handler.seen[1].event.kind, EventKind::kFinalizeHook);
-  EXPECT_EQ(callback_fired, (std::vector<int>{1}));
-}
-
-TEST(EventQueueTest, CancelledTypedAndCallbackEventsNeverFire) {
-  EventQueue q;
-  RecordingHandler handler;
-  bool callback_ran = false;
-  const uint64_t typed = q.Schedule(10, Event::SourceTick(1, 1));
-  const uint64_t cb = q.Schedule(10, [&](SimTime) { callback_ran = true; });
-  q.Schedule(20, Event::NodeProcess(2));
-  EXPECT_TRUE(q.Cancel(typed));
-  EXPECT_TRUE(q.Cancel(cb));
-  while (!q.empty()) q.RunNext(&handler);
-  EXPECT_FALSE(callback_ran);
-  ASSERT_EQ(handler.seen.size(), 1u);
-  EXPECT_EQ(handler.seen[0].event.kind, EventKind::kNodeProcess);
-}
-
-TEST(EventQueueTest, CancelledEventSkippedInPeek) {
-  EventQueue q;
-  uint64_t early = q.Schedule(5, [](SimTime) {});
-  q.Schedule(9, [](SimTime) {});
-  EXPECT_EQ(q.PeekTime(), 5);
-  q.Cancel(early);
-  EXPECT_EQ(q.PeekTime(), 9);
-}
-
-TEST(EventQueueTest, SlotRecyclingKeepsCorrectness) {
-  EventQueue q;
-  std::vector<SimTime> fired;
-  // Interleave schedule/run so slots are reused while stale heap items
-  // remain.
-  for (int round = 0; round < 100; ++round) {
-    q.Schedule(round * 10, [&](SimTime t) { fired.push_back(t); });
-    uint64_t dead = q.Schedule(round * 10 + 5, [](SimTime) {});
-    q.Cancel(dead);
-    q.RunNext();
-  }
-  EXPECT_TRUE(q.empty());
-  ASSERT_EQ(fired.size(), 100u);
-  for (int round = 0; round < 100; ++round) {
-    EXPECT_EQ(fired[round], round * 10);
-  }
-}
-
+// HandleEvent, the queue's one callback, may schedule further events.
 TEST(EventQueueTest, CallbackMaySchedule) {
+  struct Rescheduler : EventHandler {
+    EventQueue* q = nullptr;
+    int count = 0;
+    void HandleEvent(SimTime t, const Event&) override {
+      if (++count < 5) q->Schedule(t + 1, Event::NodeProcess(0));
+    }
+  } handler;
   EventQueue q;
-  int count = 0;
-  std::function<void(SimTime)> chain = [&](SimTime t) {
-    if (++count < 5) q.Schedule(t + 1, chain);
-  };
-  q.Schedule(0, chain);
-  while (!q.empty()) q.RunNext();
-  EXPECT_EQ(count, 5);
+  handler.q = &q;
+  q.Schedule(0, Event::NodeProcess(0));
+  while (!q.empty()) q.RunNext(handler);
+  EXPECT_EQ(handler.count, 5);
 }
 
 TEST(SimulatorTest, NowAdvancesWithEvents) {
   Simulator sim;
-  SimTime seen = -1;
-  sim.ScheduleAfter(100, [&](SimTime t) { seen = t; });
-  sim.Run();
-  EXPECT_EQ(seen, 100);
+  ChainHandler handler(sim, 0, 1);
+  sim.set_handler(&handler);
+  sim.ScheduleAt(100, Event::NodeProcess(0));
+  EXPECT_EQ(sim.RunUntil(kSimTimeMax), 1u);
+  EXPECT_EQ(handler.times, (std::vector<SimTime>{100}));
   EXPECT_EQ(sim.now(), 100);
-  EXPECT_EQ(sim.events_executed(), 1u);
 }
 
 TEST(SimulatorTest, RunUntilHorizonLeavesLaterEvents) {
   Simulator sim;
-  int fired = 0;
-  sim.ScheduleAt(10, [&](SimTime) { ++fired; });
-  sim.ScheduleAt(20, [&](SimTime) { ++fired; });
-  sim.ScheduleAt(30, [&](SimTime) { ++fired; });
+  RecordingHandler handler;
+  sim.set_handler(&handler);
+  sim.ScheduleAt(10, Event::NodeProcess(1));
+  sim.ScheduleAt(20, Event::NodeProcess(2));
+  sim.ScheduleAt(30, Event::NodeProcess(3));
   EXPECT_EQ(sim.RunUntil(20), 2u);
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(handler.Payloads(), (std::vector<uint32_t>{1, 2}));
   EXPECT_EQ(sim.now(), 20);
-  EXPECT_EQ(sim.queue().size(), 1u);
-}
-
-TEST(SimulatorTest, ScheduleAfterIsRelative) {
-  Simulator sim;
-  std::vector<SimTime> times;
-  sim.ScheduleAfter(10, [&](SimTime t) {
-    times.push_back(t);
-    sim.ScheduleAfter(5, [&](SimTime t2) { times.push_back(t2); });
-  });
-  sim.Run();
-  EXPECT_EQ(times, (std::vector<SimTime>{10, 15}));
+  // The later event stayed pending and fires on the next run.
+  EXPECT_EQ(sim.RunUntil(25), 0u);
+  EXPECT_EQ(sim.now(), 25);
+  EXPECT_EQ(sim.RunUntil(kSimTimeMax), 1u);
+  EXPECT_EQ(handler.Payloads(), (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_EQ(sim.now(), 30);
 }
 
 TEST(SimulatorTest, ZeroDelaySelfChainTerminates) {
   Simulator sim;
-  int depth = 0;
-  std::function<void(SimTime)> f = [&](SimTime) {
-    if (++depth < 1000) sim.ScheduleAfter(0, f);
-  };
-  sim.ScheduleAfter(0, f);
-  sim.Run();
-  EXPECT_EQ(depth, 1000);
+  ChainHandler handler(sim, 0, 1000);
+  sim.set_handler(&handler);
+  sim.ScheduleAt(0, Event::NodeProcess(0));
+  EXPECT_EQ(sim.RunUntil(kSimTimeMax), 1000u);
+  EXPECT_EQ(handler.times.size(), 1000u);
   EXPECT_EQ(sim.now(), 0);
 }
 
@@ -231,36 +163,48 @@ TEST(SimulatorTest, DispatchesTypedEventsToRegisteredHandler) {
   Simulator sim;
   RecordingHandler handler;
   sim.set_handler(&handler);
-  sim.ScheduleAfter(100, Event::SourceTick(2, 4));
+  sim.ScheduleAt(100, Event::SourceTick(2, 4));
   sim.ScheduleAt(50, Event::Delivery(1, 3));
-  int callbacks = 0;
-  sim.ScheduleAt(75, [&](SimTime) { ++callbacks; });
-  sim.Run();
-  ASSERT_EQ(handler.seen.size(), 2u);
+  sim.ScheduleAt(75, Event::Scenario(6, 1));
+  EXPECT_EQ(sim.RunUntil(kSimTimeMax), 3u);
+  ASSERT_EQ(handler.seen.size(), 3u);
   EXPECT_EQ(handler.seen[0].t, 50);
   EXPECT_EQ(handler.seen[0].event.kind, EventKind::kDelivery);
-  EXPECT_EQ(handler.seen[1].t, 100);
-  EXPECT_EQ(handler.seen[1].event.kind, EventKind::kSourceTick);
-  EXPECT_EQ(callbacks, 1);
-  EXPECT_EQ(sim.events_executed(), 3u);
+  EXPECT_EQ(handler.seen[1].t, 75);
+  EXPECT_EQ(handler.seen[1].event.kind, EventKind::kScenario);
+  EXPECT_EQ(handler.seen[1].event.a, 6u);
+  EXPECT_EQ(handler.seen[1].event.b, 1u);
+  EXPECT_EQ(handler.seen[2].t, 100);
+  EXPECT_EQ(handler.seen[2].event.kind, EventKind::kSourceTick);
 }
 
 TEST(SimulatorTest, ManyEventsStressOrder) {
+  // Checks time order, that each event fires at its own scheduled time
+  // (carried in its payload) and that now() tracks it.
+  struct OrderChecker : EventHandler {
+    Simulator* sim = nullptr;
+    SimTime last = -1;
+    bool monotone = true;
+    uint64_t fired = 0;
+    void HandleEvent(SimTime t, const Event& event) override {
+      if (t < last) monotone = false;
+      last = t;
+      EXPECT_EQ(t, static_cast<SimTime>(event.b));
+      EXPECT_EQ(sim->now(), t);
+      ++fired;
+    }
+  } handler;
   Simulator sim;
-  SimTime last = -1;
-  bool monotone = true;
-  for (int i = 0; i < 20000; ++i) {
+  handler.sim = &sim;
+  sim.set_handler(&handler);
+  for (uint32_t i = 0; i < 20000; ++i) {
     // Pseudo-random but deterministic times.
-    SimTime t = (i * 7919) % 10007;
-    sim.ScheduleAt(t, [&, t](SimTime now) {
-      if (now < last) monotone = false;
-      last = now;
-      EXPECT_EQ(now, t);
-    });
+    const SimTime t = (static_cast<SimTime>(i) * 7919) % 10007;
+    sim.ScheduleAt(t, Event::SourceTick(i, static_cast<uint64_t>(t)));
   }
-  sim.Run();
-  EXPECT_TRUE(monotone);
-  EXPECT_EQ(sim.events_executed(), 20000u);
+  EXPECT_EQ(sim.RunUntil(kSimTimeMax), 20000u);
+  EXPECT_TRUE(handler.monotone);
+  EXPECT_EQ(handler.fired, 20000u);
 }
 
 }  // namespace
