@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the hot paths of the library:
-// event queue throughput, filtering predicates, routing, LeLA
-// construction, trace generation and an end-to-end engine run.
+// filtering predicates, routing, LeLA construction, trace generation and
+// an end-to-end engine run. Event-kernel throughput lives in
+// event_kernel.cc.
 
 #include <benchmark/benchmark.h>
 
@@ -16,7 +17,7 @@
 #include "net/topology_generator.h"
 #include "obs/recorder.h"
 #include "obs/registry.h"
-#include "sim/simulator.h"
+#include "sim/time.h"
 #include "trace/synthetic.h"
 
 namespace d3t {
@@ -115,36 +116,6 @@ class HashMapDistributedDisseminator : public core::Disseminator {
   std::unordered_map<uint64_t, uint64_t> event_ids_;
   uint64_t next_event_id_ = 0;
 };
-
-/// Sums event payloads so the dispatch cannot be optimized away.
-class SummingHandler : public sim::EventHandler {
- public:
-  void HandleEvent(sim::SimTime, const sim::Event& event) override {
-    sum_ += event.b;
-  }
-  uint64_t sum() const { return sum_; }
-
- private:
-  uint64_t sum_ = 0;
-};
-
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  const size_t batch = static_cast<size_t>(state.range(0));
-  Rng rng(1);
-  SummingHandler handler;
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    for (size_t i = 0; i < batch; ++i) {
-      queue.Schedule(static_cast<sim::SimTime>(rng.NextBounded(1 << 20)),
-                     sim::Event::SourceTick(0, i));
-    }
-    while (!queue.empty()) queue.RunNext(handler);
-  }
-  benchmark::DoNotOptimize(handler.sum());
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(batch));
-}
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(1024)->Arg(16384);
 
 void BM_ForwardingPredicate(benchmark::State& state) {
   Rng rng(2);

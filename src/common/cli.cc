@@ -1,5 +1,7 @@
 #include "common/cli.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -8,18 +10,24 @@ namespace d3t {
 
 namespace {
 
+// Out-of-range values are malformed too: strtoll clamps them to
+// INT64_MIN/MAX, and strtod returns an infinity or a value rounded
+// toward zero.
 bool ParsesAsInt(const std::string& value) {
   if (value.empty()) return false;
   char* end = nullptr;
+  errno = 0;
   (void)std::strtoll(value.c_str(), &end, 10);
-  return end != value.c_str() && *end == '\0';
+  return end != value.c_str() && *end == '\0' && errno != ERANGE;
 }
 
 bool ParsesAsDouble(const std::string& value) {
   if (value.empty()) return false;
   char* end = nullptr;
-  (void)std::strtod(value.c_str(), &end);
-  return end != value.c_str() && *end == '\0';
+  errno = 0;
+  const double parsed = std::strtod(value.c_str(), &end);
+  return end != value.c_str() && *end == '\0' && errno != ERANGE &&
+         std::isfinite(parsed);
 }
 
 bool ParsesAsBool(const std::string& value) {

@@ -27,9 +27,10 @@ namespace d3t::net {
 /// member core therefore agree byte for byte on delays and hops.
 class RoutingTables {
  public:
-  /// Sentinel delay of an unreachable (or never computed) pair. Chosen
-  /// well below kSimTimeMax so sums of two sentinels cannot overflow.
-  static constexpr sim::SimTime kUnreachableDelay = sim::kSimTimeMax / 4;
+  /// Sentinel delay of an unreachable (or never computed) pair.
+  /// Topology::AddLink keeps every path's delay below it, and it lies
+  /// well below kSimTimeMax, so sums of two sentinels cannot overflow.
+  static constexpr sim::SimTime kUnreachableDelay = kPathDelayLimit;
   /// Sentinel hop count of an unreachable (or never computed) pair.
   static constexpr uint32_t kUnreachableHops = UINT32_MAX;
 

@@ -15,6 +15,11 @@ Status Topology::AddLink(NodeId a, NodeId b, sim::SimTime delay) {
   }
   if (a == b) return Status::InvalidArgument("self-loop link");
   if (delay < 0) return Status::InvalidArgument("negative link delay");
+  if (delay >= kPathDelayLimit - total_delay_) {
+    return Status::OutOfRange(
+        "link delays would sum past the path-delay limit");
+  }
+  total_delay_ += delay;
   links_.push_back(Link{a, b, delay});
   adjacency_[a].emplace_back(b, delay);
   adjacency_[b].emplace_back(a, delay);

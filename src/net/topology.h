@@ -14,6 +14,12 @@ using NodeId = uint32_t;
 
 inline constexpr NodeId kInvalidNode = UINT32_MAX;
 
+/// Exclusive bound on the summed delay of a topology's links. A simple
+/// path uses each link at most once, so no path's delay reaches it:
+/// routing uses it as the unreachable sentinel, and the sum of two path
+/// delays stays far inside int64.
+inline constexpr sim::SimTime kPathDelayLimit = sim::kSimTimeMax / 4;
+
 /// Role a physical node plays in the cooperative-repository architecture.
 enum class NodeKind : uint8_t {
   kRouter = 0,
@@ -42,9 +48,10 @@ class Topology {
   NodeKind kind(NodeId n) const { return kinds_[n]; }
   void set_kind(NodeId n, NodeKind kind);
 
-  /// Adds an undirected link; rejects self-loops, out-of-range endpoints
-  /// and negative delays. Parallel links are allowed (routing uses the
-  /// cheapest).
+  /// Adds an undirected link; rejects self-loops, out-of-range endpoints,
+  /// negative delays and (OutOfRange) a delay that would bring the
+  /// links' total to kPathDelayLimit. Parallel links are allowed
+  /// (routing uses the cheapest).
   Status AddLink(NodeId a, NodeId b, sim::SimTime delay);
 
   const std::vector<Link>& links() const { return links_; }
@@ -72,6 +79,8 @@ class Topology {
   std::vector<NodeKind> kinds_;
   std::vector<Link> links_;
   std::vector<std::vector<std::pair<NodeId, sim::SimTime>>> adjacency_;
+  /// Sum of every link's delay; below kPathDelayLimit.
+  sim::SimTime total_delay_ = 0;
 };
 
 }  // namespace d3t::net

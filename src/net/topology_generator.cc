@@ -30,12 +30,26 @@ Result<Topology> GenerateTopology(const TopologyGeneratorOptions& options,
     return Status::InvalidArgument(
         "need link_delay_mean_ms > link_delay_min_ms");
   }
+  // Below the limit, sim::Millis's int64 cast is defined.
+  const double max_delay_ms = sim::ToMillis(kPathDelayLimit);
+  if (!(options.link_delay_min_ms < max_delay_ms)) {
+    return Status::InvalidArgument(
+        "need link_delay_min_ms below the path-delay limit");
+  }
 
   Topology topo(n);
 
-  auto sample_delay = [&]() {
-    return sim::Millis(rng.NextParetoWithMean(options.link_delay_min_ms,
-                                              options.link_delay_mean_ms));
+  // Pareto samples have no upper bound, so each is checked before the
+  // cast; AddLink then bounds the links' sum.
+  auto add_link = [&](NodeId a, NodeId b) {
+    const double ms = rng.NextParetoWithMean(options.link_delay_min_ms,
+                                             options.link_delay_mean_ms);
+    if (!(ms < max_delay_ms)) {
+      return Status::InvalidArgument(
+          "link_delay_min_ms and link_delay_mean_ms drew a link delay "
+          "past the path-delay limit");
+    }
+    return topo.AddLink(a, b, sim::Millis(ms));
   };
 
   // Random spanning tree: attach each node (in shuffled order) to a
@@ -47,7 +61,7 @@ Result<Topology> GenerateTopology(const TopologyGeneratorOptions& options,
   for (size_t i = 1; i < n; ++i) {
     const NodeId child = order[i];
     const NodeId parent = order[rng.NextBounded(i)];
-    Status s = topo.AddLink(child, parent, sample_delay());
+    Status s = add_link(child, parent);
     if (!s.ok()) return s;
   }
 
@@ -59,7 +73,7 @@ Result<Topology> GenerateTopology(const TopologyGeneratorOptions& options,
     NodeId a = static_cast<NodeId>(rng.NextBounded(n));
     NodeId b = static_cast<NodeId>(rng.NextBounded(n));
     if (a == b) continue;  // skip; density target is approximate
-    Status s = topo.AddLink(a, b, sample_delay());
+    Status s = add_link(a, b);
     if (!s.ok()) return s;
   }
 

@@ -1,9 +1,8 @@
 #ifndef D3T_SIM_EVENT_QUEUE_H_
 #define D3T_SIM_EVENT_QUEUE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <type_traits>
 #include <vector>
 
@@ -82,7 +81,10 @@ class EventHandler {
 
 /// A deterministic min-heap of timed events, each held inline. Ties in
 /// firing time are broken by insertion sequence, so runs are
-/// reproducible regardless of heap internals.
+/// reproducible regardless of heap internals. The heap is 4-ary: a
+/// node's children sit side by side (four 32-byte items), so a pop
+/// descends half the levels of a binary heap, and both sifts move a
+/// hole rather than swapping items.
 class EventQueue {
  public:
   /// Schedules `event` at absolute time `when` (must be >= 0).
@@ -93,7 +95,7 @@ class EventQueue {
 
   /// Time of the earliest event; kSimTimeMax when empty.
   SimTime PeekTime() const {
-    return heap_.empty() ? kSimTimeMax : heap_.top().when;
+    return heap_.empty() ? kSimTimeMax : heap_.front().when;
   }
 
   /// Pops the earliest event, hands it to `handler` and returns its
@@ -106,13 +108,14 @@ class EventQueue {
     SimTime when;
     uint64_t seq;
     Event event;
-    bool operator>(const Item& other) const {
-      if (when != other.when) return when > other.when;
-      return seq > other.seq;
+    /// (when, seq) order. Sequence numbers are unique, so it is total.
+    bool Before(const Item& other) const {
+      return when < other.when || (when == other.when && seq < other.seq);
     }
   };
+  static constexpr size_t kArity = 4;
 
-  std::priority_queue<Item, std::vector<Item>, std::greater<Item>> heap_;
+  std::vector<Item> heap_;
   uint64_t next_seq_ = 0;
 };
 

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -337,6 +338,27 @@ TEST(CliTest, MalformedTypedValueFallsBackToDeclaredDefault) {
   EXPECT_FALSE(cli.GetBool("full"));
   // The raw string stays available for callers that want it verbatim.
   EXPECT_EQ(cli.GetString("ticks"), "12o0");
+  // Out of range is malformed too: strtoll clamps to INT64_MIN/MAX, and
+  // strtod returns an infinity, a NaN or a value rounded toward zero.
+  for (const std::string bad : {"99999999999999999999",
+                                "-99999999999999999999"}) {
+    CommandLine range_cli;
+    range_cli.AddFlag("n", "600", "count");
+    const std::string arg = "--n=" + bad;
+    const char* range_argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(range_cli.Parse(2, range_argv).ok());
+    EXPECT_EQ(range_cli.GetInt("n"), 600) << bad;
+  }
+  for (const std::string bad :
+       {"nan", "NAN", "inf", "-inf", "infinity", "1e999", "-1e999",
+        "1e-999"}) {
+    CommandLine range_cli;
+    range_cli.AddFlag("t", "0.5", "stringency");
+    const std::string arg = "--t=" + bad;
+    const char* range_argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(range_cli.Parse(2, range_argv).ok());
+    EXPECT_DOUBLE_EQ(range_cli.GetDouble("t"), 0.5) << bad;
+  }
 }
 
 TEST(CliTest, WellFormedValuesNeverFallBack) {
@@ -344,9 +366,12 @@ TEST(CliTest, WellFormedValuesNeverFallBack) {
   cli.AddFlag("count", "7", "n");
   cli.AddFlag("ratio", "0.25", "r");
   cli.AddFlag("on", "false", "b");
-  const char* argv[] = {"prog", "--count=-3", "--ratio=1e-2", "--on=yes"};
-  ASSERT_TRUE(cli.Parse(4, argv).ok());
+  cli.AddFlag("max", "0", "m");
+  const char* argv[] = {"prog", "--count=-3", "--ratio=1e-2", "--on=yes",
+                        "--max=9223372036854775807"};
+  ASSERT_TRUE(cli.Parse(5, argv).ok());
   EXPECT_EQ(cli.GetInt("count"), -3);
+  EXPECT_EQ(cli.GetInt("max"), INT64_MAX);
   EXPECT_DOUBLE_EQ(cli.GetDouble("ratio"), 0.01);
   EXPECT_TRUE(cli.GetBool("on"));
 }

@@ -49,7 +49,20 @@ TEST(TopologyTest, LinkValidation) {
   EXPECT_TRUE(topo.AddLink(0, 0, 10).IsInvalidArgument());
   EXPECT_TRUE(topo.AddLink(0, 7, 10).IsOutOfRange());
   EXPECT_TRUE(topo.AddLink(0, 1, -1).IsInvalidArgument());
-  EXPECT_EQ(topo.link_count(), 1u);
+  // The links' total stays below kPathDelayLimit, so no path sum can
+  // reach the routing sentinel or overflow int64: two kSimTimeMax / 2
+  // links used to.
+  EXPECT_TRUE(topo.AddLink(0, 1, sim::kSimTimeMax).IsOutOfRange());
+  EXPECT_TRUE(topo.AddLink(1, 2, sim::kSimTimeMax / 2).IsOutOfRange());
+  EXPECT_TRUE(topo.AddLink(1, 2, kPathDelayLimit - 10).IsOutOfRange());
+  EXPECT_TRUE(topo.AddLink(1, 2, kPathDelayLimit - 11).ok());
+  EXPECT_TRUE(topo.AddLink(0, 2, 1).IsOutOfRange());
+  EXPECT_TRUE(topo.AddLink(0, 2, 0).ok());
+  EXPECT_EQ(topo.link_count(), 3u);
+  Result<RoutingTables> routing = RoutingTables::FloydWarshall(topo);
+  ASSERT_TRUE(routing.ok());
+  EXPECT_EQ(routing->Delay(1, 2), 10);
+  EXPECT_EQ(RoutingTables::kUnreachableDelay, kPathDelayLimit);
 }
 
 TEST(TopologyTest, AdjacencySymmetric) {
@@ -105,7 +118,7 @@ TEST(GeneratorTest, RejectsBadDelayParams) {
   const std::pair<double, double> bad[] = {
       {5.0, 2.0}, {2.0, 2.0}, {0.0, 4.0},  {-1.0, 4.0}, {nan, 4.0},
       {1.5, nan}, {nan, nan}, {inf, 4.0},  {1.5, inf},  {-inf, 4.0},
-      {1.5, -inf}, {inf, inf}};
+      {1.5, -inf}, {inf, inf}, {1e16, 2e16}, {3e15, 4e15}, {1e300, 2e300}};
   for (const auto& [min_ms, mean_ms] : bad) {
     SCOPED_TRACE("min " + std::to_string(min_ms) + " mean " +
                  std::to_string(mean_ms));
@@ -116,6 +129,23 @@ TEST(GeneratorTest, RejectsBadDelayParams) {
     const Status status = GenerateTopology(options, rng).status();
     EXPECT_TRUE(status.IsInvalidArgument());
     EXPECT_NE(status.message().find("link_delay_"), std::string::npos)
+        << status.ToString();
+  }
+  // Valid parameters that draw a link delay (the first pair) or a sum of
+  // link delays (the second) past the path-delay limit fail before
+  // sim::Millis's cast or a path sum can overflow.
+  const std::pair<double, double> heavy[] = {{2.3e15, 1e300},
+                                             {1e15, 1.01e15}};
+  for (const auto& [min_ms, mean_ms] : heavy) {
+    SCOPED_TRACE("min " + std::to_string(min_ms) + " mean " +
+                 std::to_string(mean_ms));
+    Rng rng(3);
+    TopologyGeneratorOptions options;
+    options.link_delay_min_ms = min_ms;
+    options.link_delay_mean_ms = mean_ms;
+    const Status status = GenerateTopology(options, rng).status();
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("path-delay limit"), std::string::npos)
         << status.ToString();
   }
 }

@@ -1,7 +1,8 @@
 // Cross-module randomized properties checked against independent
-// reference implementations: the event queue against std::map
-// scheduling, the fidelity tracker against a brute-force replay and its
-// raw-timeline binding against the change-only one,
+// reference implementations: the event queue, alone and under the
+// simulator's same-instant lane, against std::map scheduling, the
+// fidelity tracker against a brute-force replay and its raw-timeline
+// binding against the change-only one,
 // Trace::ValueAt against linear scan, and shortest-path delays against
 // the triangle inequality.
 
@@ -15,6 +16,7 @@
 #include "net/routing.h"
 #include "net/topology_generator.h"
 #include "sim/event_queue.h"
+#include "sim/simulator.h"
 #include "trace/synthetic.h"
 #include "trace/trace.h"
 
@@ -32,14 +34,52 @@ struct PayloadRecorder : sim::EventHandler {
   }
 };
 
+/// (time, seq) -> payload, ordered exactly like the kernel promises.
+using ReferenceOrder = std::map<std::pair<sim::SimTime, uint64_t>, uint64_t>;
+
+/// Drives a Simulator against the reference: every event it fires must
+/// be the reference's earliest, and each schedules up to three more
+/// while the budget lasts, ~40% at now() (the same-instant lane) and
+/// the rest later (the heap).
+struct ReferenceCheckedHandler : sim::EventHandler {
+  ReferenceCheckedHandler(sim::Simulator& sim, Rng& rng)
+      : sim(sim), rng(rng) {}
+
+  void Schedule(sim::SimTime when) {
+    if (budget == 0) return;
+    --budget;
+    const uint64_t payload = rng.Next();
+    sim.ScheduleAt(when, sim::Event::SourceTick(0, payload));
+    reference.emplace(std::make_pair(when, seq++), payload);
+  }
+
+  void HandleEvent(sim::SimTime t, const sim::Event& event) override {
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(t, reference.begin()->first.first);
+    EXPECT_EQ(event.b, reference.begin()->second);
+    reference.erase(reference.begin());
+    ++fired;
+    for (uint64_t k = rng.NextBounded(4); k > 0; --k) {
+      Schedule(rng.NextBernoulli(0.4)
+                   ? t
+                   : t + 1 + static_cast<sim::SimTime>(rng.NextBounded(50)));
+    }
+  }
+
+  sim::Simulator& sim;
+  Rng& rng;
+  ReferenceOrder reference;
+  uint64_t seq = 0;
+  uint64_t fired = 0;
+  int budget = 3000;
+};
+
 TEST(PropertySuite, EventQueueMatchesReferenceOrdering) {
   for (uint64_t seed : {11u, 12u, 13u, 14u}) {
     Rng rng(seed);
     sim::EventQueue queue;
     PayloadRecorder handler;
-    // Reference: (time, seq) -> payload, ordered exactly like the queue
-    // promises.
-    std::map<std::pair<sim::SimTime, uint64_t>, uint64_t> reference;
+    ReferenceOrder reference;
     uint64_t seq = 0;
 
     for (int op = 0; op < 3000; ++op) {
@@ -65,6 +105,30 @@ TEST(PropertySuite, EventQueueMatchesReferenceOrdering) {
       EXPECT_EQ(handler.fired.back(), expected);
     }
     EXPECT_TRUE(queue.empty());
+  }
+  // The same order through a Simulator, run in random slices. Between
+  // slices, events are also scheduled from outside at now() and later,
+  // and a horizon behind the clock must run nothing.
+  for (uint64_t seed : {15u, 16u, 17u, 18u}) {
+    Rng rng(seed);
+    sim::Simulator sim;
+    ReferenceCheckedHandler handler(sim, rng);
+    sim.set_handler(&handler);
+    for (int i = 0; i < 20; ++i) {
+      handler.Schedule(static_cast<sim::SimTime>(rng.NextBounded(30)));
+    }
+    for (sim::SimTime horizon = 0; !handler.reference.empty();
+         horizon += 1 + static_cast<sim::SimTime>(rng.NextBounded(200))) {
+      sim.RunUntil(horizon);
+      ASSERT_EQ(sim.now(), horizon) << "seed " << seed;
+      ASSERT_TRUE(handler.reference.empty() ||
+                  handler.reference.begin()->first.first > horizon)
+          << "seed " << seed;
+      handler.Schedule(sim.now());
+      handler.Schedule(sim.now() + 1);
+      EXPECT_EQ(sim.RunUntil(horizon - 1), 0u) << "seed " << seed;
+    }
+    EXPECT_EQ(handler.fired, handler.seq) << "seed " << seed;
   }
 }
 

@@ -178,6 +178,99 @@ TEST(SimulatorTest, DispatchesTypedEventsToRegisteredHandler) {
   EXPECT_EQ(handler.seen[2].event.kind, EventKind::kSourceTick);
 }
 
+// A heap event due at now() was scheduled before the clock reached
+// now(), so it runs before every event scheduled at now() (the lane).
+TEST(SimulatorTest, HeapEventsDueNowRunBeforeLaneEvents) {
+  struct Handler : EventHandler {
+    Simulator* sim = nullptr;
+    std::vector<uint32_t> order;
+    void HandleEvent(SimTime t, const Event& event) override {
+      order.push_back(event.a);
+      // The first event due at 10 adds a same-instant event (3) and a
+      // later one (4).
+      if (event.a == 1) {
+        sim->ScheduleAt(t, Event::NodeProcess(3));
+        sim->ScheduleAt(t + 1, Event::NodeProcess(4));
+      }
+    }
+  } handler;
+  Simulator sim;
+  handler.sim = &sim;
+  sim.set_handler(&handler);
+  sim.ScheduleAt(10, Event::NodeProcess(1));
+  sim.ScheduleAt(10, Event::NodeProcess(2));
+  EXPECT_EQ(sim.RunUntil(kSimTimeMax), 4u);
+  EXPECT_EQ(handler.order, (std::vector<uint32_t>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.now(), 11);
+}
+
+// Same-instant events run FIFO, including those a same-instant handler
+// schedules at now(): they join the back of the lane.
+TEST(SimulatorTest, SameInstantEventsRunFifo) {
+  struct Handler : EventHandler {
+    Simulator* sim = nullptr;
+    std::vector<uint32_t> order;
+    void HandleEvent(SimTime t, const Event& event) override {
+      order.push_back(event.a);
+      if (event.a < 3) sim->ScheduleAt(t, Event::NodeProcess(event.a + 10));
+    }
+  } handler;
+  Simulator sim;
+  handler.sim = &sim;
+  sim.set_handler(&handler);
+  for (uint32_t i = 0; i < 5; ++i) sim.ScheduleAt(0, Event::NodeProcess(i));
+  EXPECT_EQ(sim.RunUntil(0), 8u);
+  EXPECT_EQ(handler.order,
+            (std::vector<uint32_t>{0, 1, 2, 3, 4, 10, 11, 12}));
+  EXPECT_EQ(sim.now(), 0);
+}
+
+// An unbounded run ends once nothing is pending, also when the last
+// events fire at kSimTimeMax itself, where the empty heap's PeekTime()
+// equals the horizon.
+TEST(SimulatorTest, RunToSimTimeMaxEndsWhenNothingIsPending) {
+  struct Handler : EventHandler {
+    Simulator* sim = nullptr;
+    std::vector<SimTime> times;
+    void HandleEvent(SimTime t, const Event& event) override {
+      times.push_back(t);
+      if (event.a == 1) sim->ScheduleAt(t, Event::NodeProcess(2));
+    }
+  } handler;
+  Simulator sim;
+  handler.sim = &sim;
+  sim.set_handler(&handler);
+  sim.ScheduleAt(0, Event::NodeProcess(0));
+  sim.ScheduleAt(5, Event::NodeProcess(0));
+  EXPECT_EQ(sim.RunUntil(kSimTimeMax), 2u);
+  EXPECT_EQ(sim.now(), 5);
+  sim.ScheduleAt(kSimTimeMax, Event::NodeProcess(1));
+  EXPECT_EQ(sim.RunUntil(kSimTimeMax), 2u);
+  EXPECT_EQ(handler.times,
+            (std::vector<SimTime>{0, 5, kSimTimeMax, kSimTimeMax}));
+  EXPECT_EQ(sim.now(), kSimTimeMax);
+  EXPECT_EQ(sim.RunUntil(kSimTimeMax), 0u);
+}
+
+// A horizon behind the clock runs nothing: same-instant events stay
+// pending like later ones, and fire on the next run that reaches them.
+TEST(SimulatorTest, HorizonBehindTheClockLeavesSameInstantEventsPending) {
+  Simulator sim;
+  RecordingHandler handler;
+  sim.set_handler(&handler);
+  sim.ScheduleAt(20, Event::NodeProcess(1));
+  EXPECT_EQ(sim.RunUntil(20), 1u);
+  sim.ScheduleAt(20, Event::NodeProcess(2));
+  sim.ScheduleAt(30, Event::NodeProcess(3));
+  EXPECT_EQ(sim.RunUntil(10), 0u);
+  EXPECT_EQ(sim.now(), 20);
+  EXPECT_EQ(handler.Payloads(), (std::vector<uint32_t>{1}));
+  EXPECT_EQ(sim.RunUntil(20), 1u);
+  EXPECT_EQ(handler.Payloads(), (std::vector<uint32_t>{1, 2}));
+  EXPECT_EQ(sim.RunUntil(kSimTimeMax), 1u);
+  EXPECT_EQ(handler.Payloads(), (std::vector<uint32_t>{1, 2, 3}));
+}
+
 TEST(SimulatorTest, ManyEventsStressOrder) {
   // Checks time order, that each event fires at its own scheduled time
   // (carried in its payload) and that now() tracks it.
