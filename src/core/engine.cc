@@ -119,15 +119,23 @@ Result<EngineMetrics> Engine::Run() {
     return Status::InvalidArgument(
         "wire transport must address every overlay member");
   }
+  // One job costs comp_delay per child plus its policy checks; bound
+  // that busy period like the trace times below, so that no event
+  // time can overflow.
+  if (!(static_cast<double>(overlay_.member_count()) *
+            static_cast<double>(options_.comp_delay) *
+            (1.0 + std::max(0.0, options_.tag_check_cost_factor)) <
+        static_cast<double>(sim::kSimTimeMax / 4))) {
+    return Status::InvalidArgument(
+        "comp_delay: member count x comp_delay x (1 + "
+        "tag_check_cost_factor) must stay below kSimTimeMax / 4 us");
+  }
+  const Result<sim::SimTime> horizon_or = TraceHorizon(traces_);
+  if (!horizon_or.ok()) return horizon_or.status();
+  const sim::SimTime horizon = *horizon_or;
   std::vector<double> initial_values(traces_.size());
-  sim::SimTime horizon = 0;
   for (size_t i = 0; i < traces_.size(); ++i) {
-    if (traces_[i].empty()) {
-      return Status::InvalidArgument("empty trace for item " +
-                                     std::to_string(i));
-    }
     initial_values[i] = traces_[i].ticks().front().value;
-    horizon = std::max(horizon, traces_[i].ticks().back().time);
   }
 
   // Per-item change timelines for the lazy trackers: the shared cache

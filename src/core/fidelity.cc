@@ -1,5 +1,6 @@
 #include "core/fidelity.h"
 
+#include <algorithm>
 #include <cassert>
 #include <string>
 
@@ -130,6 +131,25 @@ Status ValidateChangeTimelines(const ChangeTimelines& timelines,
     }
   }
   return Status::Ok();
+}
+
+Result<sim::SimTime> TraceHorizon(const std::vector<trace::Trace>& traces) {
+  sim::SimTime horizon = 0;
+  for (size_t i = 0; i < traces.size(); ++i) {
+    const std::vector<trace::Tick>& ticks = traces[i].ticks();
+    if (ticks.empty()) {
+      return Status::InvalidArgument("empty trace for item " +
+                                     std::to_string(i));
+    }
+    // Tick times strictly increase, so the two ends bound them all.
+    if (ticks.front().time < 0 || ticks.back().time >= sim::kSimTimeMax / 4) {
+      return Status::InvalidArgument(
+          "trace for item " + std::to_string(i) +
+          " has a tick outside [0, kSimTimeMax / 4) us");
+    }
+    horizon = std::max(horizon, ticks.back().time);
+  }
+  return horizon;
 }
 
 Result<const ChangeTimelines*> ResolveChangeTimelines(

@@ -121,6 +121,13 @@ ChangeTimelines BuildChangeTimelines(const std::vector<trace::Trace>& traces);
 Status ValidateChangeTimelines(const ChangeTimelines& timelines,
                                const std::vector<trace::Trace>& traces);
 
+/// Run horizon shared by Engine and PullEngine: the latest final tick
+/// over `traces`. Rejects an empty trace and a tick before 0 or at or
+/// after kSimTimeMax / 4, naming the item: every event time is a tick
+/// time plus delays and busy periods that are each held below that
+/// bound, so no event time can overflow.
+Result<sim::SimTime> TraceHorizon(const std::vector<trace::Trace>& traces);
+
 /// Borrow-or-build resolution shared by Engine and PullEngine: returns
 /// `cache` after validating it against `traces`, or — when no cache was
 /// supplied — builds the timelines into `owned` and returns its

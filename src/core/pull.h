@@ -7,9 +7,7 @@
 #include "common/result.h"
 #include "core/fidelity.h"
 #include "core/interest.h"
-#include "core/scenario.h"
 #include "net/delay_model.h"
-#include "net/transport.h"
 #include "obs/recorder.h"
 #include "obs/registry.h"
 #include "sim/simulator.h"
@@ -45,19 +43,9 @@ struct PullOptions {
   /// Server cost to produce one poll response (busy-server model, like
   /// the push engine's per-dependent cost).
   sim::SimTime comp_delay = sim::Millis(12.5);
-  /// When non-null, both inter-node legs of every poll round trip
-  /// (request toward the source, response back) are serialized through
-  /// the wire format over this transport (peer ids = overlay indices;
-  /// peer_count() must cover source + repositories). Send is followed
-  /// by an immediate receiver-side drain, so events land on the queue
-  /// at the same instant and in the same insertion order as the direct
-  /// path — metrics are byte-identical either way (pinned by
-  /// DeterminismTest). The source-internal service phase never crosses
-  /// the wire. The transport must outlive the engine.
-  net::Transport* wire_transport = nullptr;
-  /// Optional flight recorder: completed poll round trips and scenario
-  /// ops are recorded at their logical sim times. Attach-only — never
-  /// touches PullMetrics or event order. Must outlive the engine.
+  /// Optional flight recorder: completed poll round trips are recorded
+  /// at their logical sim times. Attach-only — never touches
+  /// PullMetrics or event order. Must outlive the engine.
   obs::Recorder* recorder = nullptr;
   /// Optional metrics registry: Run() publishes final PullMetrics under
   /// "pull.*" names after aggregation. Must outlive the engine.
@@ -75,14 +63,10 @@ struct PullMetrics {
   /// Polls whose response carried a value differing from the previous
   /// poll's (useful polls).
   uint64_t changed_polls = 0;
-  /// Scenario ops applied (0 without a scenario).
+  /// Always 0: the pull baseline runs on a static world. These five
+  /// fields stay only because bench/e2e pins this struct's layout.
   uint64_t scenario_ops = 0;
-  /// Poll phases swallowed because the polling repository was failed
-  /// (or had left) when they fired; each suspends that pair's loop
-  /// until the repository recovers.
   uint64_t suppressed_polls = 0;
-  /// Failure-aware fidelity accounting over failed members' pairs —
-  /// same semantics as EngineMetrics' outage fields.
   sim::SimTime outage_pair_time = 0;
   sim::SimTime outage_out_of_sync_time = 0;
   double outage_loss_percent = 0.0;
@@ -107,19 +91,11 @@ class PullEngine final : public sim::EventHandler {
   /// timelines of exactly `traces` (BuildChangeTimelines output, e.g. a
   /// World-cached copy shared across runs) and lets Run() skip its own
   /// trace pass; null rebuilds them per run.
-  ///
-  /// `scenario`, when non-null and non-empty, scripts mid-run dynamics:
-  /// failed repositories stop polling (their in-flight phases are
-  /// swallowed, suspending each pair's loop) and resume at recovery;
-  /// interest churn starts/stops poll loops; coherency renegotiation
-  /// retargets a loop's tolerance and TTR adaptation. A null or empty
-  /// scenario is byte-identical to the scenario-free engine.
   PullEngine(const net::OverlayDelayModel& delays,
              const std::vector<InterestSet>& interests,
              const std::vector<trace::Trace>& traces,
              const PullOptions& options,
-             const ChangeTimelines* change_timelines = nullptr,
-             const Scenario* scenario = nullptr);
+             const ChangeTimelines* change_timelines = nullptr);
 
   Result<PullMetrics> Run();
 
@@ -129,13 +105,6 @@ class PullEngine final : public sim::EventHandler {
     kPollRequest = 0,   // request reaches the source
     kPollServiced = 1,  // source finished producing the response
     kPollResponse = 2,  // response reaches the repository
-  };
-
-  /// Lifecycle of one (repository, item) poll loop under a scenario.
-  enum class LoopStatus : uint8_t {
-    kRunning = 0,   // loop live (always the case without a scenario)
-    kSuspended = 1, // owner failed; resumes at recovery
-    kLeft = 2,      // interest dropped; never resumes
   };
 
   struct PollState {
@@ -150,45 +119,15 @@ class PullEngine final : public sim::EventHandler {
     /// round trip.
     double inflight_value = 0.0;
     size_t tracker = 0;
-    LoopStatus status = LoopStatus::kRunning;
-    /// A later kInterestJoin re-opened this (member, item) pair: the
-    /// pair reports only its most recent observation window (exactly
-    /// the push engine's re-join semantics), so this left loop's
-    /// tracker is excluded from aggregation.
-    bool superseded = false;
   };
 
   void HandleEvent(sim::SimTime t, const sim::Event& event) override;
 
   void SchedulePoll(PollState& state, sim::SimTime when);
-  /// Wire-mode leg transfer: encodes a kPoll frame (`phase` is the
-  /// PollPhase the leg lands in, `value` the in-flight sample on
-  /// responses), sends it to `to`, and immediately drains `to`'s ring
-  /// so the event is inserted at this exact call point. A full ring is
-  /// drained and retried once; persistent failure poisons
-  /// `wire_status_`.
-  void SendFramedPoll(OverlayIndex from, OverlayIndex to, sim::SimTime at,
-                      size_t state_index, uint64_t phase, double value);
-  /// Decodes every frame pending for `to`, applying response payloads
-  /// and scheduling the poll events they carry. The first malformed
-  /// frame (wrong type, address, loop or phase, arrival before the
-  /// clock) poisons `wire_status_`.
-  void DrainWireFrames(OverlayIndex to);
   void HandleRequestAtSource(sim::SimTime t, size_t state_index);
   void HandleServiced(sim::SimTime t, size_t state_index);
   void HandleResponse(sim::SimTime t, size_t state_index);
   void AdaptTtr(PollState& state, sim::SimTime now, double value);
-
-  /// Scenario runtime (inert without a scenario).
-  void HandleScenario(sim::SimTime t, uint32_t op_index);
-  /// Swallows a poll phase whose owner is failed/left; returns true
-  /// when the phase must not proceed.
-  bool SuppressPhase(size_t state_index);
-  /// Index of `member`'s active (non-kLeft) loop for `item`; SIZE_MAX
-  /// when none exists.
-  size_t FindActiveState(OverlayIndex member, ItemId item) const;
-  /// Folds the outage staleness of `m`'s pairs into the metrics.
-  void CloseOutageWindow(sim::SimTime t, OverlayIndex m);
 
   const net::OverlayDelayModel& delays_;
   const std::vector<InterestSet>& interests_;
@@ -203,18 +142,6 @@ class PullEngine final : public sim::EventHandler {
   /// built by Run() when no cache was provided.
   const ChangeTimelines* change_timelines_ = nullptr;
   ChangeTimelines owned_timelines_;
-  const Scenario* scenario_ = nullptr;
-  const ChangeTimelines* resolved_timelines_ = nullptr;
-  /// Member liveness plus per-member loop indices (scenario only).
-  std::vector<uint8_t> failed_;
-  std::vector<sim::SimTime> fail_time_;
-  std::vector<std::vector<size_t>> member_states_;
-  /// Out-of-sync snapshot per state at its member's failure instant.
-  std::vector<sim::SimTime> outage_snap_;
-  Status scenario_status_;
-  /// First wire-transport failure; Run() surfaces it after the event
-  /// loop. Always Ok without a transport.
-  Status wire_status_;
   sim::SimTime source_busy_until_ = 0;
   sim::SimTime source_busy_total_ = 0;
   PullMetrics metrics_;

@@ -104,7 +104,7 @@ class Scenario {
   std::vector<ScenarioOp> ops_;
 };
 
-/// The liveness precondition both engines check before applying `op`,
+/// The liveness precondition the engine checks before applying `op`,
 /// given whether `op.member` is failed right now: a fail needs a live
 /// member, a recover a failed one, and interest-join, interest-leave and
 /// coherency-change ops a live one. FailedPrecondition names the op and

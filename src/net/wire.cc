@@ -61,8 +61,6 @@ const char* FrameTypeName(FrameType type) {
       return "source-tick";
     case FrameType::kUpdate:
       return "update";
-    case FrameType::kPoll:
-      return "poll";
     case FrameType::kScenarioOp:
       return "scenario-op";
     case FrameType::kShutdown:
@@ -145,14 +143,6 @@ Frame Frame::Update(uint32_t src, uint32_t dst, int64_t arrival_us,
   return f;
 }
 
-Frame Frame::Poll(uint32_t src, uint32_t dst, int64_t at_us,
-                  uint32_t state_index, uint32_t phase, double value) {
-  Frame f;
-  f.type = FrameType::kPoll;
-  f.u.poll = PollPayload{src, dst, at_us, state_index, phase, value};
-  return f;
-}
-
 Frame Frame::ScenarioOp(int64_t at_us, uint32_t kind, uint32_t member,
                         uint32_t item, double c, uint32_t seq) {
   Frame f;
@@ -192,8 +182,6 @@ size_t PayloadSize(FrameType type) {
       return sizeof(SourceTickPayload);
     case FrameType::kUpdate:
       return sizeof(UpdatePayload);
-    case FrameType::kPoll:
-      return sizeof(PollPayload);
     case FrameType::kScenarioOp:
       return sizeof(ScenarioOpPayload);
     case FrameType::kShutdown:

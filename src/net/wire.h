@@ -11,14 +11,13 @@
 
 namespace d3t::net::wire {
 
-/// Versioned packed frame format for inter-repository traffic: every
-/// message the engines move between overlay members (update pushes,
-/// poll round trips), the feed a serving node ingests (hello, source
-/// ticks, scenario ops, shutdown, resubscribe), and the one result
-/// channel back to a collector (obs-snapshot chunks: a registry
-/// snapshot plus a flight-recorder spill). A frame is an 8-byte header
-/// followed by one fixed-size POD payload whose shape is selected by
-/// the header's type byte:
+/// Versioned packed frame format for inter-repository traffic: the
+/// update pushes the engine moves between overlay members, the feed a
+/// serving node ingests (hello, source ticks, scenario ops, shutdown,
+/// resubscribe), and the one result channel back to a collector
+/// (obs-snapshot chunks: a registry snapshot plus a flight-recorder
+/// spill). A frame is an 8-byte header followed by one fixed-size POD
+/// payload whose shape is selected by the header's type byte:
 ///
 ///   offset  size  field
 ///        0     2  magic     (0xD37A)
@@ -45,9 +44,11 @@ inline constexpr uint16_t kMagic = 0xD37A;
 /// metrics reports grow fault/recovery counters. v1 peers reject v2
 /// frames by version byte — there is no mixed-version negotiation.
 /// v3: the metrics-report (6) and engine-report (8) kinds are retired;
-/// results travel only as obs-snapshot streams. Their type bytes stay
-/// unassigned (decoding them is "unknown frame type") and the other
-/// kinds keep their numbers.
+/// results travel only as obs-snapshot streams. The pull-poll kind (4)
+/// is retired too, without a version bump: no peer ever sent one across
+/// a process boundary. Their type bytes stay unassigned (decoding them
+/// is "unknown frame type") and the other kinds keep their numbers and
+/// images.
 inline constexpr uint8_t kVersion = 3;
 inline constexpr size_t kHeaderSize = 8;
 
@@ -62,8 +63,7 @@ enum class FrameType : uint8_t {
   kSourceTick = 2,
   /// One update message pushed along an overlay edge (push engine).
   kUpdate = 3,
-  /// One inter-node leg of a pull round trip (request or response).
-  kPoll = 4,
+  // 4: the pull-poll kind, retired in v3.
   /// One scripted world-mutation op (mirrors core::ScenarioOp).
   kScenarioOp = 5,
   // 6: the metrics-report kind, retired in v3.
@@ -155,23 +155,6 @@ static_assert(sizeof(UpdatePayload) == 40,
               "update frames mirror the engine's 24-byte Job plus "
               "addressing; 40-byte PODs");
 static_assert(std::is_trivially_copyable_v<UpdatePayload>,
-              "wire payloads must stay trivially copyable");
-
-// d3t-lint: pod-event
-struct PollPayload {
-  uint32_t src;
-  uint32_t dst;
-  /// Arrival instant of this leg at `dst`, microseconds.
-  int64_t at_us;
-  /// Poll-loop (state) index the legs of one round trip share.
-  uint32_t state_index;
-  /// PullEngine poll phase (request arrival / response arrival).
-  uint32_t phase;
-  /// Sampled source value (responses; 0 on requests).
-  double value;
-};
-static_assert(sizeof(PollPayload) == 32, "poll frames are 32-byte PODs");
-static_assert(std::is_trivially_copyable_v<PollPayload>,
               "wire payloads must stay trivially copyable");
 
 // d3t-lint: pod-event
@@ -273,7 +256,6 @@ struct Frame {
     HelloPayload hello;
     SourceTickPayload source_tick;
     UpdatePayload update;
-    PollPayload poll;
     ScenarioOpPayload scenario;
     ShutdownPayload shutdown;
     ResubscribePayload resubscribe;
@@ -290,8 +272,6 @@ struct Frame {
                           double value, uint32_t seq = 0);
   static Frame Update(uint32_t src, uint32_t dst, int64_t arrival_us,
                       uint32_t item, double value, double tag);
-  static Frame Poll(uint32_t src, uint32_t dst, int64_t at_us,
-                    uint32_t state_index, uint32_t phase, double value);
   static Frame ScenarioOp(int64_t at_us, uint32_t kind, uint32_t member,
                           uint32_t item, double c, uint32_t seq = 0);
   static Frame Shutdown(uint32_t node, uint32_t seq = 0);

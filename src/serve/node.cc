@@ -280,34 +280,6 @@ Result<NodeReport> Node::Serve() {
   return report;
 }
 
-Result<core::PullMetrics> Node::ServePull(
-    const std::vector<core::InterestSet>& interests,
-    core::PullOptions pull_options) {
-  Result<std::vector<trace::Trace>> traces_result = MaterializeTraces();
-  if (!traces_result.ok()) return traces_result.status();
-  const std::vector<trace::Trace>& traces = *traces_result;
-
-  const core::Scenario* scenario = nullptr;
-  core::Scenario owned_scenario;
-  if (!scenario_ops_.empty()) {
-    Result<core::Scenario> built = core::Scenario::Create(scenario_ops_);
-    if (!built.ok()) return built.status();
-    owned_scenario = std::move(built).value();
-    scenario = &owned_scenario;
-  }
-
-  pull_options.wire_transport = &data_;
-  if (pull_options.recorder == nullptr) {
-    pull_options.recorder = options_.recorder;
-  }
-  if (pull_options.registry == nullptr) {
-    pull_options.registry = options_.registry;
-  }
-  core::PullEngine engine(delays_, interests, traces, pull_options,
-                          /*change_timelines=*/nullptr, scenario);
-  return engine.Run();
-}
-
 // ---------------------------------------------------------------------------
 // FeedPublisher
 

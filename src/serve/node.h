@@ -8,9 +8,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/engine.h"
-#include "core/interest.h"
 #include "core/overlay.h"
-#include "core/pull.h"
 #include "core/scenario.h"
 #include "net/delay_model.h"
 #include "net/transport.h"
@@ -118,22 +116,13 @@ class Node {
   /// combined report. FailedPrecondition before feed_complete().
   Result<NodeReport> Serve();
 
-  /// Replays the ingested feed through a core::PullEngine (the polling
-  /// counterpart of Serve) with every poll leg framed over the data
-  /// transport. `interests` is the shared substrate a pull world
-  /// distributes alongside the overlay. FailedPrecondition before
-  /// feed_complete().
-  Result<core::PullMetrics> ServePull(
-      const std::vector<core::InterestSet>& interests,
-      core::PullOptions pull_options);
-
  private:
   Status Ingest(const net::wire::Frame& frame);
   /// Sticky-error text for a frame whose seq does not match the cursor.
   Status SeqGapError(uint32_t seq) const;
   /// Sends one kResubscribe for the cursor; budget-checked.
   Status SendResubscribe();
-  /// Ingested feed as engine inputs (Serve/ServePull share this).
+  /// Ingested feed as the engine's trace library.
   Result<std::vector<trace::Trace>> MaterializeTraces() const;
 
   core::Overlay& overlay_;

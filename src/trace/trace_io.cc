@@ -1,5 +1,7 @@
 #include "trace/trace_io.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -57,17 +59,22 @@ Result<Trace> ParseTraceCsv(const std::string& content,
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": expected time,value");
     }
+    // Out-of-range times (strtoll clamps them) and non-finite values are
+    // malformed too, by the same rule as the CLI's numbers.
     char* end = nullptr;
     const std::string time_str = line.substr(0, comma);
+    errno = 0;
     const long long t = std::strtoll(time_str.c_str(), &end, 10);
-    if (end == time_str.c_str() || !OnlyWhitespaceRemains(end)) {
+    if (end == time_str.c_str() || !OnlyWhitespaceRemains(end) ||
+        errno == ERANGE) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": bad time");
     }
     const std::string value_str = line.substr(comma + 1);
     end = nullptr;
     const double v = std::strtod(value_str.c_str(), &end);
-    if (end == value_str.c_str() || !OnlyWhitespaceRemains(end)) {
+    if (end == value_str.c_str() || !OnlyWhitespaceRemains(end) ||
+        !std::isfinite(v)) {
       return Status::InvalidArgument("line " + std::to_string(line_no) +
                                      ": bad value");
     }

@@ -1,7 +1,7 @@
 // Chaos harness for the serving pipeline: scripted faults on the feed
 // transport (drops, duplicates, corruption, reordering, resets, wedge
 // windows) with reconnect-and-resubscribe recovery at the session
-// layer. The headline invariant, both engines, every repair policy:
+// layer. The headline invariant, every repair policy:
 // any UNDER-BUDGET fault script yields metrics byte-identical to the
 // fault-free run — recovery reconstructs the exact feed, so the engine
 // replay cannot tell chaos happened. Over-budget scripts end in a
@@ -18,7 +18,6 @@
 #include "core/disseminator.h"
 #include "core/engine.h"
 #include "core/lela.h"
-#include "core/pull.h"
 #include "core/scenario.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
@@ -93,26 +92,6 @@ std::string DiffEngineMetrics(const core::EngineMetrics& a,
   return "";
 }
 
-std::string DiffPullMetrics(const core::PullMetrics& a,
-                            const core::PullMetrics& b) {
-  if (a.loss_percent != b.loss_percent) return "loss_percent";
-  if (a.per_member_loss != b.per_member_loss) return "per_member_loss";
-  if (a.polls != b.polls) return "polls";
-  if (a.wire_messages != b.wire_messages) return "wire_messages";
-  if (a.changed_polls != b.changed_polls) return "changed_polls";
-  if (a.scenario_ops != b.scenario_ops) return "scenario_ops";
-  if (a.suppressed_polls != b.suppressed_polls) return "suppressed_polls";
-  if (a.outage_pair_time != b.outage_pair_time) return "outage_pair_time";
-  if (a.outage_out_of_sync_time != b.outage_out_of_sync_time) {
-    return "outage_out_of_sync_time";
-  }
-  if (a.horizon != b.horizon) return "horizon";
-  if (a.source_utilization != b.source_utilization) {
-    return "source_utilization";
-  }
-  return "";
-}
-
 std::string DescribeScript(const net::FaultScript& script) {
   std::string out = "{";
   for (size_t i = 0; i < script.size(); ++i) {
@@ -150,21 +129,9 @@ struct ChaosWorld {
     return std::move(metrics).value();
   }
 
-  core::PullMetrics DirectPull() const {
-    const exp::World& world = session.world();
-    core::PullOptions options;
-    core::PullEngine engine(world.delays(), world.interests(), world.traces(),
-                            options);
-    Result<core::PullMetrics> metrics = engine.Run();
-    EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
-    return std::move(metrics).value();
-  }
-
   // Runs the publish -> chaos -> ingest -> recover -> serve pipeline.
-  // `pull` selects the engine; `policy` only matters for push.
   std::string RunServed(const net::FaultScript& script, uint64_t seed,
-                        bool pull, core::RepairPolicy policy,
-                        bool with_scenario) {
+                        core::RepairPolicy policy, bool with_scenario) {
     const exp::World& world = session.world();
     core::Overlay overlay = BuildChaosOverlay(world);
     net::InProcTransport inner(2, 32);
@@ -186,14 +153,6 @@ struct ChaosWorld {
     // A script that never fired proves nothing — guard the harness.
     if (!script.empty() && feed.faults_applied() == 0) {
       return "harness bug: no scripted fault fired";
-    }
-    if (pull) {
-      Result<core::PullMetrics> served =
-          node.ServePull(world.interests(), core::PullOptions{});
-      if (!served.ok()) return "ServePull: " + served.status().ToString();
-      const std::string diff = DiffPullMetrics(DirectPull(), *served);
-      if (!diff.empty()) return "pull metrics diverged: " + diff;
-      return "";
     }
     Result<serve::NodeReport> served = node.Serve();
     if (!served.ok()) return "Serve: " + served.status().ToString();
@@ -234,25 +193,10 @@ TEST(ChaosTest, PushEngineSurvivesMixedFaultsAllRepairPolicies) {
        {core::RepairPolicy::kFallback, core::RepairPolicy::kLela,
         core::RepairPolicy::kOnRecovery}) {
     const std::string failure =
-        world.RunServed(script, /*seed=*/7, /*pull=*/false, policy,
-                        /*with_scenario=*/true);
+        world.RunServed(script, /*seed=*/7, policy, /*with_scenario=*/true);
     EXPECT_EQ(failure, "")
         << "policy " << static_cast<int>(policy) << ": " << failure;
   }
-}
-
-TEST(ChaosTest, PullEngineSurvivesMixedFaults) {
-  ChaosWorld world;
-  const net::FaultScript script = MakeScript(
-      {net::FaultOp{2, 0 /*drop*/, 1, net::kAnyPeer, 0},
-       net::FaultOp{15, 3 /*delay*/, 1, net::kAnyPeer, 3},
-       net::FaultOp{30, 2 /*corrupt*/, 1, net::kAnyPeer, net::kAnyArg},
-       net::FaultOp{50, 5 /*wedge*/, net::kAnyPeer, 0, 6}});
-  const std::string failure =
-      world.RunServed(script, /*seed=*/11, /*pull=*/true,
-                      core::RepairPolicy::kFallback,
-                      /*with_scenario=*/false);
-  EXPECT_EQ(failure, "") << failure;
 }
 
 TEST(ChaosTest, BoundedWedgeWindowHealsAndStaysByteIdentical) {
@@ -263,7 +207,7 @@ TEST(ChaosTest, BoundedWedgeWindowHealsAndStaysByteIdentical) {
   const net::FaultScript script = MakeScript(
       {net::FaultOp{20, 5 /*wedge*/, net::kAnyPeer, 0, 10}});
   const std::string failure = world.RunServed(
-      script, /*seed=*/3, /*pull=*/false, core::RepairPolicy::kFallback,
+      script, /*seed=*/3, core::RepairPolicy::kFallback,
       /*with_scenario=*/true);
   EXPECT_EQ(failure, "") << failure;
 }
@@ -278,7 +222,7 @@ TEST(ChaosTest, ForeverWedgeEndsInPreciseWedgeError) {
   const net::FaultScript script = MakeScript(
       {net::FaultOp{20, 5 /*wedge*/, net::kAnyPeer, 0, 0}});
   const std::string failure = world.RunServed(
-      script, /*seed=*/5, /*pull=*/false, core::RepairPolicy::kFallback,
+      script, /*seed=*/5, core::RepairPolicy::kFallback,
       /*with_scenario=*/false);
   EXPECT_NE(failure.find("DriveFeed"), std::string::npos) << failure;
   EXPECT_NE(failure.find("waiting for feed seq"), std::string::npos)
@@ -367,13 +311,13 @@ TEST(ChaosTest, RandomScriptsStayByteIdenticalWithPrefixShrinking) {
   for (int trial = 0; trial < kTrials; ++trial) {
     const uint64_t seed = kBaseSeed + static_cast<uint64_t>(trial);
     const std::vector<net::FaultOp> ops = RandomOps(seed);
-    const bool pull = (trial % 2) == 1;
+    // Odd trials replay the world without its outage.
+    const bool with_scenario = (trial % 2) == 0;
     const core::RepairPolicy policy =
         static_cast<core::RepairPolicy>(trial % 3);
     auto attempt = [&](const std::vector<net::FaultOp>& subset) {
-      return world.RunServed(MakeScript(subset), seed, pull,
-                             pull ? core::RepairPolicy::kFallback : policy,
-                             /*with_scenario=*/!pull);
+      return world.RunServed(MakeScript(subset), seed, policy,
+                             with_scenario);
     };
     std::string failure = attempt(ops);
     if (failure.empty()) continue;
@@ -393,7 +337,7 @@ TEST(ChaosTest, RandomScriptsStayByteIdenticalWithPrefixShrinking) {
     const net::FaultScript shrunk =
         MakeScript(std::vector<net::FaultOp>(ops.begin(), ops.begin() + len));
     ADD_FAILURE() << "chaos trial " << trial << " (seed " << seed
-                  << ", engine " << (pull ? "pull" : "push")
+                  << ", scenario " << (with_scenario ? "on" : "off")
                   << ", policy " << static_cast<int>(policy)
                   << ") diverged; shortest failing prefix ("
                   << len << " of " << ops.size()

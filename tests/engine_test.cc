@@ -316,6 +316,48 @@ TEST(EngineTest, RejectsEmptyTrace) {
   EXPECT_FALSE(engine.Run().ok());
 }
 
+TEST(EngineTest, RejectsTickTimesOutsideTheClock) {
+  // A tick before 0 would be scheduled into the past; one at or past
+  // kSimTimeMax / 4 would overflow the horizon and every time after it.
+  for (const std::vector<trace::Tick>& ticks :
+       {std::vector<trace::Tick>{
+            {-sim::Seconds(2), 1.0}, {-sim::Seconds(1), 2.0}, {0, 3.0}},
+        std::vector<trace::Tick>{{0, 1.0}, {sim::kSimTimeMax, 2.0}},
+        std::vector<trace::Tick>{{0, 1.0}, {sim::kSimTimeMax / 4, 2.0}}}) {
+    Scenario s = Fig4Scenario();
+    s.traces = {trace::Trace("T", ticks)};
+    DistributedDisseminator policy;
+    const Status status =
+        Engine(s.overlay, s.delays, s.traces, policy, EngineOptions{})
+            .Run()
+            .status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.message().find("item 0"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+TEST(EngineTest, RejectsCompDelayWhoseBusyPeriodOverflows) {
+  // One job can cost comp_delay per child plus policy checks; on three
+  // members that busy period must stay below kSimTimeMax / 4.
+  Scenario s = Fig4Scenario();
+  DistributedDisseminator policy;
+  EngineOptions options;
+  options.comp_delay = sim::kSimTimeMax / 16;
+  EXPECT_TRUE(
+      Engine(s.overlay, s.delays, s.traces, policy, options).Run().ok());
+  options.comp_delay = sim::kSimTimeMax / 8;
+  Status status =
+      Engine(s.overlay, s.delays, s.traces, policy, options).Run().status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_NE(status.message().find("comp_delay"), std::string::npos);
+  options.comp_delay = sim::kSimTimeMax / 16;
+  options.tag_check_cost_factor = 1.0;
+  status =
+      Engine(s.overlay, s.delays, s.traces, policy, options).Run().status();
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+}
+
 TEST(EngineTest, RejectsMismatchedDelayModel) {
   Scenario s = BuildRandomScenario(13, 5, 2, 2, 0);
   net::OverlayDelayModel wrong = net::OverlayDelayModel::Uniform(3, 0);

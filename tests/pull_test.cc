@@ -1,8 +1,6 @@
 #include "core/pull.h"
 
 #include "gtest/gtest.h"
-#include "net/transport.h"
-#include "net/wire.h"
 #include "trace/synthetic.h"
 
 namespace d3t::core {
@@ -27,6 +25,17 @@ trace::Trace QuietTrace(size_t ticks) {
     out.push_back({sim::Seconds(static_cast<double>(i)), 50.0});
   }
   return trace::Trace("quiet", std::move(out));
+}
+
+/// Steady drift: 3,601 one-second ticks from 0.0, each `step` above the
+/// last.
+trace::Trace DriftTrace(double step) {
+  std::vector<trace::Tick> out;
+  for (size_t i = 0; i <= 3600; ++i) {
+    out.push_back({sim::Seconds(static_cast<double>(i)),
+                   step * static_cast<double>(i)});
+  }
+  return trace::Trace("drift", std::move(out));
 }
 
 PullOptions FastPull() {
@@ -68,6 +77,18 @@ TEST(PullTest, ValidatesArguments) {
   std::vector<InterestSet> bad_item = {{{3, 0.1}}};
   EXPECT_FALSE(
       PullEngine(delays, bad_item, traces, FastPull()).Run().ok());
+
+  // Tick times outside [0, kSimTimeMax / 4) would overflow the clock.
+  for (const std::vector<trace::Tick>& ticks :
+       {std::vector<trace::Tick>{{-sim::Seconds(2), 1.0}, {0, 2.0}},
+        std::vector<trace::Tick>{{0, 1.0}, {sim::kSimTimeMax, 2.0}}}) {
+    const std::vector<trace::Trace> bad_times = {trace::Trace("T", ticks)};
+    const Status status =
+        PullEngine(delays, interests, bad_times, FastPull()).Run().status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.message().find("item 0"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(PullTest, QuietItemPollsBackOff) {
@@ -91,6 +112,19 @@ TEST(PullTest, QuietItemPollsBackOff) {
   EXPECT_DOUBLE_EQ(fixed_result->loss_percent, 0.0);
   // ...so adaptive TTR must poll far less than a fixed 1s period.
   EXPECT_LT(adaptive_result->polls, fixed_result->polls / 3);
+
+  // A near-constant item backs off like a visibly drifting one: a rate
+  // so small that its TTR target overflows the clock still means
+  // "poll rarely", not "poll at ttr_min".
+  auto drift_polls = [&delays](double step) {
+    const std::vector<trace::Trace> drift = {DriftTrace(step)};
+    const std::vector<InterestSet> loose = {{{0, 1.0}}};
+    Result<PullMetrics> run =
+        PullEngine(delays, loose, drift, FastPull()).Run();
+    EXPECT_TRUE(run.ok()) << run.status().ToString();
+    return run.ok() ? run->polls : ~uint64_t{0};
+  };
+  EXPECT_LE(drift_polls(1e-15), drift_polls(0.01));
 }
 
 TEST(PullTest, VolatileItemPollsSpeedUp) {
@@ -145,28 +179,6 @@ TEST(PullTest, WireMessagesAreTwicePolls) {
   EXPECT_EQ(result->wire_messages, result->polls * 2);
   EXPECT_GT(result->polls, 0u);
   EXPECT_LE(result->changed_polls, result->polls);
-}
-
-TEST(PullTest, WireDrainRejectsFrameArrivingBeforeTheClock) {
-  std::vector<trace::Trace> traces = {QuietTrace(10)};
-  std::vector<InterestSet> interests = {{{0, 0.1}}};
-  auto delays = net::OverlayDelayModel::Uniform(2, sim::Millis(5));
-  net::InProcTransport bus(2, 8);
-  // A response leg for loop 0 claiming to land at t = 0. The
-  // repository's ring is first drained when the source has serviced a
-  // request, well after t = 0.
-  constexpr uint32_t kResponsePhase = 2;
-  ASSERT_TRUE(bus.Send(0, 1,
-                       net::wire::Frame::Poll(0, 1, /*at_us=*/0,
-                                              /*state_index=*/0,
-                                              kResponsePhase, 50.0))
-                  .ok());
-  PullOptions options = FastPull();
-  options.wire_transport = &bus;
-  Result<PullMetrics> run = PullEngine(delays, interests, traces, options).Run();
-  ASSERT_FALSE(run.ok());
-  EXPECT_TRUE(run.status().IsInternal()) << run.status().ToString();
-  EXPECT_EQ(run.status().message(), "malformed poll frame");
 }
 
 TEST(PullTest, SourceUtilizationGrowsWithClients) {

@@ -13,7 +13,6 @@
 
 #include "core/engine.h"
 #include "core/lela.h"
-#include "core/pull.h"
 #include "core/scenario.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
@@ -538,65 +537,6 @@ TEST(EngineScenarioTest, RuntimeContradictionSurfacesAsError) {
   Engine engine(f.overlay, f.delays, f.traces, *policy, options, nullptr,
                 &*scenario);
   EXPECT_TRUE(engine.Run().status().IsFailedPrecondition());
-}
-
-// ---------------------------------------------------------------------------
-// PullEngine scenario handling
-
-TEST(PullScenarioTest, FailureSuspendsAndRecoveryResumesPolling) {
-  Rng rng(23);
-  InterestOptions workload;
-  workload.repository_count = 8;
-  workload.item_count = 3;
-  auto interests = GenerateInterests(workload, rng);
-  auto delays = net::OverlayDelayModel::Uniform(9, sim::Millis(5));
-  std::vector<trace::Trace> traces;
-  for (int i = 0; i < 3; ++i) {
-    trace::SyntheticTraceOptions trace_options;
-    trace_options.tick_count = 400;
-    traces.push_back(
-        std::move(trace::GenerateSyntheticTrace(trace_options, rng))
-            .value());
-  }
-  PullOptions options;
-  options.initial_ttr = sim::Seconds(1);
-  options.ttr_min = sim::Millis(250);
-  options.ttr_max = sim::Seconds(5);
-
-  PullEngine plain(delays, interests, traces, options);
-  Result<PullMetrics> baseline = plain.Run();
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-
-  auto scenario = exp::ScenarioBuilder()
-                      .FailRepo(sim::Seconds(60), 2)
-                      .RecoverAt(sim::Seconds(200))
-                      .FailRepo(sim::Seconds(100), 5)
-                      .RecoverAt(sim::Seconds(300))
-                      .Build();
-  ASSERT_TRUE(scenario.ok());
-  PullEngine churned(delays, interests, traces, options, nullptr,
-                     &*scenario);
-  Result<PullMetrics> outage = churned.Run();
-  ASSERT_TRUE(outage.ok()) << outage.status().ToString();
-  EXPECT_EQ(outage->scenario_ops, 4u);
-  EXPECT_GT(outage->suppressed_polls, 0u);
-  EXPECT_GT(outage->outage_pair_time, 0);
-  // Downtime costs polls, but recovery resumes the loops: the run still
-  // polls far more than the outage windows alone would forfeit.
-  EXPECT_LT(outage->polls, baseline->polls);
-  EXPECT_GT(outage->polls, baseline->polls / 2);
-  // An empty scenario is byte-identical to no scenario at all.
-  auto empty = exp::ScenarioBuilder().Build();
-  ASSERT_TRUE(empty.ok());
-  PullEngine with_empty(delays, interests, traces, options, nullptr,
-                        &*empty);
-  Result<PullMetrics> empty_metrics = with_empty.Run();
-  ASSERT_TRUE(empty_metrics.ok());
-  EXPECT_EQ(empty_metrics->polls, baseline->polls);
-  EXPECT_EQ(empty_metrics->loss_percent, baseline->loss_percent);
-  EXPECT_EQ(empty_metrics->per_member_loss, baseline->per_member_loss);
-  EXPECT_EQ(empty_metrics->changed_polls, baseline->changed_polls);
-  EXPECT_EQ(empty_metrics->wire_messages, baseline->wire_messages);
 }
 
 // ---------------------------------------------------------------------------

@@ -410,6 +410,11 @@ TEST(SessionValidationTest, RejectsNonFiniteCompDelay) {
     spec.policy.comp_delay_ms = bad;
     ExpectRejected(*session, spec, "comp_delay_ms");
   }
+  // In range, but one job's busy period (a node pushing to all of its
+  // children) would overflow the microsecond clock; the engine rejects it.
+  RunSpec spec = SmallSpec();
+  spec.policy.comp_delay_ms = 9e15;
+  ExpectRejected(*session, spec, "comp_delay");
 }
 
 TEST(SessionValidationTest, RejectsNonFiniteRepairDelay) {

@@ -208,6 +208,13 @@ TEST(TraceIoTest, ParseRejectsMalformed) {
   EXPECT_FALSE(ParseTraceCsv("not-a-row\n", "x").ok());
   EXPECT_FALSE(ParseTraceCsv("abc,1.0\n", "x").ok());
   EXPECT_FALSE(ParseTraceCsv("10,zzz\n", "x").ok());
+  // An out-of-range time would clamp to an int64 limit, and a
+  // non-finite value would poison every loss integral.
+  EXPECT_FALSE(ParseTraceCsv("99999999999999999999,1.0\n", "x").ok());
+  EXPECT_FALSE(ParseTraceCsv("-99999999999999999999,1.0\n", "x").ok());
+  EXPECT_FALSE(ParseTraceCsv("10,nan\n", "x").ok());
+  EXPECT_FALSE(ParseTraceCsv("10,inf\n", "x").ok());
+  EXPECT_FALSE(ParseTraceCsv("10,-1e999\n", "x").ok());
 }
 
 TEST(TraceIoTest, ParseRejectsNonIncreasingTimes) {

@@ -17,7 +17,7 @@
 namespace d3t::net::wire {
 namespace {
 
-// All eight encodable frame kinds with rng-driven payloads. Each entry
+// All seven encodable frame kinds with rng-driven payloads. Each entry
 // re-generates deterministically from the same Rng stream, so tests can
 // iterate kinds while varying content per round.
 std::vector<Frame> RandomFrames(Rng& rng) {
@@ -35,7 +35,6 @@ std::vector<Frame> RandomFrames(Rng& rng) {
       Frame::SourceTick(u32(), u32(), i64(), rng.NextDouble(), u32()),
       Frame::Update(u32(), u32(), i64(), u32(), rng.NextDouble(),
                     rng.NextDouble()),
-      Frame::Poll(u32(), u32(), i64(), u32(), u32(), rng.NextDouble()),
       Frame::ScenarioOp(i64(), u32() % 5, u32(), u32(), rng.NextDouble(),
                         u32()),
       Frame::Shutdown(u32(), u32()),
@@ -115,9 +114,6 @@ TEST(WireTest, EncodedBytesArePinned) {
       {Frame::Update(3, 17, 1234567, 5, 60.25, 0.125),
        "7ad303032800b8b4030000001100000087d61200000000000500000000000000"
        "0000000000204e40000000000000c03f"},
-      {Frame::Poll(9, 0, 42, 7, 2, 3.5),
-       "7ad303042000fefd09000000000000002a000000000000000700000002000000"
-       "0000000000000c40"},
       {Frame::ScenarioOp(2000000, 2, 4, 6, 0.05, 12),
        "7ad303052000a83580841e00000000000200000004000000060000000c000000"
        "9a9999999999a93f"},
@@ -171,7 +167,6 @@ TEST(WireTest, PayloadSizesArePinned) {
   EXPECT_EQ(PayloadSize(FrameType::kHello), 24u);
   EXPECT_EQ(PayloadSize(FrameType::kSourceTick), 32u);
   EXPECT_EQ(PayloadSize(FrameType::kUpdate), 40u);
-  EXPECT_EQ(PayloadSize(FrameType::kPoll), 32u);
   EXPECT_EQ(PayloadSize(FrameType::kScenarioOp), 32u);
   EXPECT_EQ(PayloadSize(FrameType::kShutdown), 8u);
   EXPECT_EQ(PayloadSize(FrameType::kResubscribe), 8u);
@@ -186,8 +181,9 @@ TEST(WireTest, PayloadSizesArePinned) {
 }
 
 TEST(WireTest, RetiredReportKindsDecodeAsUnknown) {
-  // v3 retired type bytes 6 (metrics report) and 8 (engine report)
-  // without renumbering the survivors: both now decode as unknown.
+  // v3 retired type bytes 6 (metrics report) and 8 (engine report),
+  // and later 4 (pull poll), without renumbering the survivors or
+  // bumping the version: all three now decode as unknown.
   EXPECT_EQ(kVersion, 3);
   EXPECT_EQ(static_cast<uint8_t>(FrameType::kShutdown), 7);
   EXPECT_EQ(static_cast<uint8_t>(FrameType::kResubscribe), 9);
@@ -197,7 +193,7 @@ TEST(WireTest, RetiredReportKindsDecodeAsUnknown) {
   for (const Frame& frame : {Frame::Shutdown(1, 2), Frame::ObsSnapshot(obs)}) {
     const size_t encoded = Encode(frame, buf, sizeof(buf));
     ASSERT_GT(encoded, 0u);
-    for (const uint8_t retired : {uint8_t{6}, uint8_t{8}}) {
+    for (const uint8_t retired : {uint8_t{4}, uint8_t{6}, uint8_t{8}}) {
       SCOPED_TRACE(static_cast<int>(retired));
       EXPECT_EQ(PayloadSize(static_cast<FrameType>(retired)), 0u);
       std::vector<uint8_t> bytes(buf, buf + encoded);
@@ -243,15 +239,6 @@ TEST(WireTest, DecodedFieldsMatchTheFactoryArguments) {
   EXPECT_EQ(decoded->u.update.item, 5u);
   EXPECT_EQ(decoded->u.update.value, 60.25);
   EXPECT_EQ(decoded->u.update.tag, 0.125);
-
-  const Frame poll = Frame::Poll(9, 0, 42, 7, 2, 3.5);
-  ASSERT_GT(Encode(poll, buf, sizeof(buf)), 0u);
-  decoded = Decode(buf, sizeof(buf));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->u.poll.src, 9u);
-  EXPECT_EQ(decoded->u.poll.state_index, 7u);
-  EXPECT_EQ(decoded->u.poll.phase, 2u);
-  EXPECT_EQ(decoded->u.poll.value, 3.5);
 }
 
 TEST(WireTest, EncodeRefusesShortBuffersAndUnknownTypes) {
@@ -379,7 +366,7 @@ TEST(WireTest, TrailingBytesBelongToTheNextFrame) {
 }
 
 TEST(WireTest, PeekFrameSizeValidatesTheHeaderOnly) {
-  const Frame frame = Frame::Poll(1, 0, 5, 2, 0, 0.0);
+  const Frame frame = Frame::Update(1, 0, 5, 2, 0.0, 0.0);
   uint8_t buf[kMaxFrameSize];
   const size_t encoded = Encode(frame, buf, sizeof(buf));
 

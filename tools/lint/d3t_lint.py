@@ -140,7 +140,6 @@ REQUIRED_POD_EVENT_STRUCTS = (
     ("net/wire.h", "HelloPayload"),
     ("net/wire.h", "SourceTickPayload"),
     ("net/wire.h", "UpdatePayload"),
-    ("net/wire.h", "PollPayload"),
     ("net/wire.h", "ScenarioOpPayload"),
     ("net/wire.h", "ShutdownPayload"),
     ("net/wire.h", "ResubscribePayload"),
