@@ -17,7 +17,7 @@ namespace {
 /// is O(new edges) via Overlay::edge_item. Ids *recycled* across a
 /// structural mutation land below the prefix and are reseeded through
 /// the explicit OnEdgeCreated notification instead (the engine sends
-/// one for every repair/churn edge, recycled or not).
+/// one for every repair edge, recycled or not).
 void SyncEdgeState(const Overlay& overlay,
                    const std::vector<double>& initial_values,
                    std::vector<double>& state) {

@@ -62,7 +62,7 @@ class Disseminator {
                           const ItemEdge& edge, double value,
                           double tag) = 0;
 
-  /// Mid-run structural mutation (scenario repair, churn): edge `id` —
+  /// Mid-run structural mutation (scenario repair): edge `id` —
   /// possibly a *recycled* slot whose previous incarnation carried a
   /// different edge — now carries `item` at tolerance `c` toward a
   /// (re-)attached child. Stateful policies must reset whatever state
@@ -80,10 +80,11 @@ class Disseminator {
   }
 
   /// Mid-run coherency renegotiation introduced serving tolerance `c`
-  /// for `item` (kInterestJoin / kCoherencyChange). Policies that key
-  /// state by tolerance class (the centralized source) must admit the
-  /// new class; `source_value` is the source's current value for the
-  /// item. Default: no-op (per-edge policies read edge.c live).
+  /// for `item` (kCoherencyChange, or a recovered member re-attaching at
+  /// its own need). Policies that key state by tolerance class (the
+  /// centralized source) must admit the new class; `source_value` is the
+  /// source's current value for the item. Default: no-op (per-edge
+  /// policies read edge.c live).
   virtual void OnToleranceAdded(ItemId item, Coherency c,
                                 double source_value) {
     (void)item;

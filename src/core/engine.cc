@@ -13,7 +13,7 @@ namespace d3t::core {
 
 namespace {
 
-/// Seed for the per-edge state of a repair/churn edge: -infinity makes
+/// Seed for the per-edge state of a repair edge: -infinity makes
 /// the next update the parent processes unconditionally push, modeling
 /// the new parent bringing its fresh dependent up to date.
 constexpr double kForcedResyncSeed =
@@ -195,14 +195,11 @@ Result<EngineMetrics> Engine::Run() {
   // Scenario runtime state. The liveness bitmap is always allocated (a
   // single byte test on the delivery path); everything else stays empty
   // without a scenario.
-  resolved_timelines_ = timelines;
   failed_.assign(overlay_.member_count(), 0);
   fail_time_.assign(overlay_.member_count(), 0);
   captured_needs_.assign(overlay_.member_count(), {});
   outage_snap_.assign(overlay_.member_count(), {});
   fail_op_.assign(overlay_.member_count(), kNoFailOp);
-  stranded_orphans_.clear();
-  stranded_needs_.clear();
   orphaned_pairs_ = 0;
   scenario_status_ = Status::Ok();
   wire_status_ = Status::Ok();
@@ -248,10 +245,6 @@ Result<EngineMetrics> Engine::Run() {
   double loss_sum = 0.0;
   double pair_loss_sum = 0.0;
   size_t repos_counted = 0;
-  // Recounted here rather than taken from setup: scenario interest
-  // churn can activate trackers mid-run (equal to the setup count on
-  // scenario-free runs).
-  uint64_t total_pairs = 0;
   for (OverlayIndex m = 1; m < overlay_.member_count(); ++m) {
     double sum = 0.0;
     size_t count = 0;
@@ -267,19 +260,16 @@ Result<EngineMetrics> Engine::Run() {
       loss_sum += loss;
       pair_loss_sum += sum;
       ++repos_counted;
-      total_pairs += count;
     }
   }
-  assert(scenario_ != nullptr || total_pairs == tracked_pairs);
-  (void)tracked_pairs;
   metrics_.loss_percent =
       repos_counted > 0 ? loss_sum / static_cast<double>(repos_counted)
                         : 0.0;
-  metrics_.tracked_pairs = total_pairs;
+  metrics_.tracked_pairs = tracked_pairs;
   metrics_.pair_loss_percent =
-      total_pairs == 0
+      tracked_pairs == 0
           ? 0.0
-          : pair_loss_sum / static_cast<double>(total_pairs);
+          : pair_loss_sum / static_cast<double>(tracked_pairs);
   if (options_.registry != nullptr) {
     PublishEngineMetrics(metrics_, *options_.registry);
   }
@@ -624,16 +614,11 @@ void Engine::HandleScenario(sim::SimTime t, uint32_t op_index,
   if (!scenario_status_.ok()) return;  // first failure wins; drain inert
   const ScenarioOp& op = scenario_->op(op_index);
   if (phase == 1) {
-    // Deferred repair of the orphans op `op_index`'s failure produced;
-    // whatever cannot be placed yet joins the stranded pool, retried at
-    // every recovery (any member coming back can open capacity, not
-    // just this op's victim).
+    // Deferred repair of the orphans op `op_index`'s failure produced.
     const std::vector<OrphanEdge> orphans =
         std::move(pending_orphans_[op_index]);
     pending_orphans_[op_index].clear();
-    std::vector<OrphanEdge> leftovers = RepairOrphans(t, orphans);
-    stranded_orphans_.insert(stranded_orphans_.end(), leftovers.begin(),
-                             leftovers.end());
+    RepairOrphans(t, orphans);
     assert(orphaned_pairs_ == CountOrphanedPairs());
     return;
   }
@@ -652,20 +637,13 @@ void Engine::HandleScenario(sim::SimTime t, uint32_t op_index,
     case ScenarioOpKind::kRepoRecover:
       ApplyRecover(t, op.member);
       break;
-    case ScenarioOpKind::kInterestJoin:
-      ApplyInterestJoin(t, op.member, op.item, op.c);
-      break;
-    case ScenarioOpKind::kInterestLeave:
-      ApplyInterestLeave(t, op.member, op.item);
-      break;
     case ScenarioOpKind::kCoherencyChange:
       ApplyCoherencyChange(t, op.member, op.item, op.c);
       break;
   }
   // The census is maintained incrementally (detach adds, repair
-  // subtracts, the leave path recomputes around its GC cascade);
-  // a full recount per op would cost O(members x items) at 10k-world
-  // churn scale.
+  // subtracts); a full recount per op would cost O(members x items) at
+  // 10k-world churn scale.
   assert(orphaned_pairs_ == CountOrphanedPairs());
 }
 
@@ -701,8 +679,7 @@ void Engine::ApplyFail(sim::SimTime t, uint32_t op_index, OverlayIndex m) {
   for (const MemberNeed& need : captured_needs_[m]) {
     const TrackerId tid = overlay_.tracker_id(m, need.item);
     sim::SimTime snap = 0;
-    if (tid != kInvalidTrackerId && tid < trackers_.size() &&
-        tracker_active_[tid]) {
+    if (tid != kInvalidTrackerId && tracker_active_[tid]) {
       trackers_[tid].SyncTo(t);
       snap = trackers_[tid].out_of_sync_time();
     }
@@ -720,11 +697,7 @@ void Engine::ApplyFail(sim::SimTime t, uint32_t op_index, OverlayIndex m) {
                           sim::Event::Scenario(op_index, 1));
     scenario_pending_times_.push(t + options_.repair_delay);
   } else {
-    // Immediate repair; unplaceable orphans go to the stranded pool so
-    // any later recovery can retry them.
-    std::vector<OrphanEdge> leftovers = RepairOrphans(t, det->orphans);
-    stranded_orphans_.insert(stranded_orphans_.end(), leftovers.begin(),
-                             leftovers.end());
+    RepairOrphans(t, det->orphans);
   }
 }
 
@@ -733,10 +706,7 @@ void Engine::CloseOutageWindow(sim::SimTime t, OverlayIndex m) {
   for (size_t i = 0; i < captured_needs_[m].size(); ++i) {
     const TrackerId tid =
         overlay_.tracker_id(m, captured_needs_[m][i].item);
-    if (tid == kInvalidTrackerId || tid >= trackers_.size() ||
-        !tracker_active_[tid]) {
-      continue;
-    }
+    if (tid == kInvalidTrackerId || !tracker_active_[tid]) continue;
     trackers_[tid].SyncTo(t);
     metrics_.outage_out_of_sync_time +=
         trackers_[tid].out_of_sync_time() - outage_snap_[m][i];
@@ -747,69 +717,34 @@ void Engine::CloseOutageWindow(sim::SimTime t, OverlayIndex m) {
 void Engine::ApplyRecover(sim::SimTime t, OverlayIndex m) {
   CloseOutageWindow(t, m);
   failed_[m] = 0;
-  // Re-attach the member's own needs; anything no live parent can
-  // serve yet (an overlapping outage) parks in the stranded pool.
-  for (const MemberNeed& need : captured_needs_[m]) {
-    if (!TryAttachNeed(m, need)) stranded_needs_.emplace_back(m, need);
-  }
+  for (const MemberNeed& need : captured_needs_[m]) AttachNeed(m, need);
   captured_needs_[m].clear();
   outage_snap_[m].clear();
-  // This recovery may be exactly the parent other stranded needs were
-  // waiting for — retry them all.
-  if (!stranded_needs_.empty()) {
-    std::vector<std::pair<OverlayIndex, MemberNeed>> retry_needs =
-        std::move(stranded_needs_);
-    stranded_needs_.clear();
-    for (const auto& entry : retry_needs) {
-      if (!TryAttachNeed(entry.first, entry.second)) {
-        stranded_needs_.push_back(entry);
-      }
-    }
-  }
   // Orphans that waited for this member (RepairPolicy::kOnRecovery, or
-  // a deferred repair that could not place them) re-join under it;
-  // anything still unplaceable joins the stranded pool, retried at
-  // every subsequent recovery.
-  std::vector<OrphanEdge> retry = std::move(stranded_orphans_);
-  stranded_orphans_.clear();
+  // a deferred repair still inside its window) re-join under it.
   if (fail_op_[m] != kNoFailOp) {
     const std::vector<OrphanEdge> orphans =
         std::move(pending_orphans_[fail_op_[m]]);
     pending_orphans_[fail_op_[m]].clear();
     fail_op_[m] = kNoFailOp;
-    std::vector<OrphanEdge> leftovers = RepairOrphans(t, orphans, m);
-    retry.insert(retry.end(), leftovers.begin(), leftovers.end());
+    RepairOrphans(t, orphans, m);
   }
-  stranded_orphans_ = RepairOrphans(t, retry);
 }
 
-bool Engine::TryAttachNeed(OverlayIndex m, const MemberNeed& need) {
-  if (failed_[m]) return false;  // owner went down again: keep waiting
-  if (overlay_.Holds(m, need.item)) {
-    // Re-attached meanwhile as a relay (e.g. restored for its waiting
-    // orphans, possibly at a looser tolerance): restate the own need on
-    // the existing holding so the serve chain tightens to c_own and
-    // later renegotiation/leave ops on the pair stay valid.
-    const Status join = overlay_.JoinOwnInterest(m, need.item, need.c_own);
-    assert(join.ok());  // Holds() was checked above
-    (void)join;
-    disseminator_.OnToleranceAdded(need.item,
-                                   overlay_.Serving(m, need.item).c_serve,
-                                   source_values_[need.item]);
-    return true;
-  }
+void Engine::AttachNeed(OverlayIndex m, const MemberNeed& need) {
+  // The failure detached every holding of `m`, nothing attaches under a
+  // failed member, and ApplyRecover restores relay holdings only after
+  // the needs.
+  assert(!overlay_.Holds(m, need.item));
   // Old parent first (the paper's repositories remember their parents),
-  // any live legal holder otherwise. The repaired edge forces a resync
-  // push so the recovered member catches up on the next update its
-  // parent processes.
-  OverlayIndex parent = kInvalidOverlayIndex;
-  if (need.parent != kInvalidOverlayIndex &&
-      IsLegalParent(need.parent, need.item, m, need.c_own)) {
-    parent = need.parent;
-  } else {
+  // the closest live legal holder otherwise. The repaired edge forces a
+  // resync push so the recovered member catches up on the next update
+  // its parent processes.
+  OverlayIndex parent = need.parent;
+  if (!IsLegalParent(parent, need.item, m, need.c_own)) {
     parent = FindBackupParent(need.item, m, need.c_own);
+    if (parent == kInvalidOverlayIndex) return;
   }
-  if (parent == kInvalidOverlayIndex) return false;
   AttachRepairedEdge(parent, m, need.item, need.c_own);
   const Status join = overlay_.JoinOwnInterest(m, need.item, need.c_own);
   assert(join.ok());  // AttachRepairedEdge just created the holding
@@ -826,7 +761,6 @@ bool Engine::TryAttachNeed(OverlayIndex m, const MemberNeed& need) {
   if (options_.recorder != nullptr) {
     options_.recorder->Record(obs::TraceEventKind::kRepair, m, need.item);
   }
-  return true;
 }
 
 bool Engine::IsLegalParent(OverlayIndex parent, ItemId item,
@@ -852,7 +786,7 @@ bool Engine::IsLegalParent(OverlayIndex parent, ItemId item,
 }
 
 OverlayIndex Engine::FindBackupParent(ItemId item, OverlayIndex child,
-                                      Coherency c) const {
+                                      Coherency c) {
   // LeLA-style placement, restricted to what a repair can know: among
   // the live legal holders, the one closest to the orphan (preference
   // is pure comm delay at repair time; ascending index breaks ties, so
@@ -867,6 +801,12 @@ OverlayIndex Engine::FindBackupParent(ItemId item, OverlayIndex child,
       best_delay = delay;
     }
   }
+  if (best == kInvalidOverlayIndex && scenario_status_.ok()) {
+    scenario_status_ = Status::FailedPrecondition(
+        "scenario repair: no live parent can serve member " +
+        std::to_string(child) + " item " + std::to_string(item) +
+        " (is the overlay rooted at the source?)");
+  }
   return best;
 }
 
@@ -876,9 +816,9 @@ void Engine::AttachRepairedEdge(OverlayIndex parent, OverlayIndex child,
   disseminator_.OnEdgeCreated(id, item, c, kForcedResyncSeed);
 }
 
-std::vector<OrphanEdge> Engine::RepairOrphans(
-    sim::SimTime t, const std::vector<OrphanEdge>& orphans,
-    OverlayIndex preferred) {
+void Engine::RepairOrphans(sim::SimTime t,
+                           const std::vector<OrphanEdge>& orphans,
+                           OverlayIndex preferred) {
   (void)t;  // repairs are instantaneous; `t` only stamps trace records
   // The recovered member may have relayed items it never needed itself
   // (LeLA's cascading augmentation); those holdings are not captured as
@@ -908,10 +848,9 @@ std::vector<OrphanEdge> Engine::RepairOrphans(
       }
     }
   }
-  std::vector<OrphanEdge> unplaced;
   for (const OrphanEdge& orphan : orphans) {
-    // The orphan may itself have failed, left, or been repaired since
-    // it was captured.
+    // The orphan may itself have failed or been repaired since it was
+    // captured.
     if (orphan.child < failed_.size() && failed_[orphan.child]) continue;
     if (!overlay_.Holds(orphan.child, orphan.item)) continue;
     const ItemServing& serving = overlay_.Serving(orphan.child, orphan.item);
@@ -930,10 +869,7 @@ std::vector<OrphanEdge> Engine::RepairOrphans(
     } else {
       parent = FindBackupParent(orphan.item, orphan.child, c);
     }
-    if (parent == kInvalidOverlayIndex) {
-      unplaced.push_back(orphan);  // still orphaned; retried on recovery
-      continue;
-    }
+    if (parent == kInvalidOverlayIndex) continue;
     AttachRepairedEdge(parent, orphan.child, orphan.item, c);
     ++metrics_.repairs;
     if (options_.recorder != nullptr) {
@@ -942,81 +878,6 @@ std::vector<OrphanEdge> Engine::RepairOrphans(
     }
     --orphaned_pairs_;
   }
-  return unplaced;
-}
-
-void Engine::StartTrackerAt(sim::SimTime t, OverlayIndex m, ItemId item,
-                            Coherency c) {
-  const TrackerId tid = overlay_.tracker_id(m, item);
-  assert(tid != kInvalidTrackerId);
-  if (tid >= trackers_.size()) {
-    trackers_.resize(tid + 1);
-    tracker_active_.resize(tid + 1, 0);
-  }
-  trackers_[tid] =
-      FidelityTracker(c, &(*resolved_timelines_)[item], t);
-  tracker_active_[tid] = 1;
-}
-
-void Engine::ApplyInterestJoin(sim::SimTime t, OverlayIndex m, ItemId item,
-                               Coherency c) {
-  const bool holds = overlay_.Holds(m, item);
-  if (holds && overlay_.Serving(m, item).own_interest) {
-    scenario_status_ = Status::FailedPrecondition(
-        "scenario join: member " + std::to_string(m) +
-        " already has own interest in item " + std::to_string(item));
-    return;
-  }
-  if (!holds) {
-    const OverlayIndex parent = FindBackupParent(item, m, c);
-    if (parent == kInvalidOverlayIndex) {
-      scenario_status_ = Status::FailedPrecondition(
-          "scenario join: no live parent can serve member " +
-          std::to_string(m) + " item " + std::to_string(item));
-      return;
-    }
-    AttachRepairedEdge(parent, m, item, c);
-  }
-  // Own-interest flag + tracker id + serve-chain propagation (a
-  // relaying member taking on a tighter own need renegotiates upward).
-  const Status join = overlay_.JoinOwnInterest(m, item, c);
-  if (!join.ok()) {
-    scenario_status_ = join;
-    return;
-  }
-  disseminator_.OnToleranceAdded(item, overlay_.Serving(m, item).c_serve,
-                                 source_values_[item]);
-  // The pair's fidelity window opens at the join (a join-time fetch
-  // leaves the new copy synchronized); a re-join after a leave restarts
-  // the pair's accounting window.
-  StartTrackerAt(t, m, item, c);
-}
-
-void Engine::ApplyInterestLeave(sim::SimTime t, OverlayIndex m,
-                                ItemId item) {
-  if (!overlay_.Holds(m, item) ||
-      !overlay_.Serving(m, item).own_interest) {
-    scenario_status_ = Status::FailedPrecondition(
-        "scenario leave: member " + std::to_string(m) +
-        " has no own interest in item " + std::to_string(item));
-    return;
-  }
-  // Close the pair's fidelity window at the leave instant; the
-  // truncated window still aggregates.
-  const TrackerId tid = overlay_.tracker_id(m, item);
-  if (tid != kInvalidTrackerId && tid < trackers_.size() &&
-      tracker_active_[tid]) {
-    trackers_[tid].SyncTo(t);
-    trackers_[tid].Finalize(t);
-  }
-  const Status status = overlay_.DropOwnInterest(m, item);
-  if (!status.ok()) {
-    scenario_status_ = status;
-    return;
-  }
-  // The drop's garbage-collection cascade can remove orphaned holdings
-  // no incremental counter sees; leaves are the one op that recounts.
-  orphaned_pairs_ = CountOrphanedPairs();
 }
 
 void Engine::ApplyCoherencyChange(sim::SimTime t, OverlayIndex m,
@@ -1029,8 +890,7 @@ void Engine::ApplyCoherencyChange(sim::SimTime t, OverlayIndex m,
   disseminator_.OnToleranceAdded(item, overlay_.Serving(m, item).c_serve,
                                  source_values_[item]);
   const TrackerId tid = overlay_.tracker_id(m, item);
-  if (tid != kInvalidTrackerId && tid < trackers_.size() &&
-      tracker_active_[tid]) {
+  if (tid != kInvalidTrackerId && tracker_active_[tid]) {
     // Old tolerance covers [.., t), the renegotiated one applies onward.
     trackers_[tid].SyncTo(t);
     trackers_[tid].set_coherency(c);

@@ -178,7 +178,7 @@ class Engine final : public sim::EventHandler {
   /// trace pass; null rebuilds them per run.
   ///
   /// `scenario`, when non-null and non-empty, scripts mid-run world
-  /// dynamics (failures, churn, coherency renegotiation) delivered as
+  /// dynamics (failures, recoveries, coherency renegotiation) delivered as
   /// kScenario POD events; the overlay is taken by mutable reference
   /// because scenario ops repair it in place (detach, re-attach,
   /// renegotiate). A null or empty scenario never mutates the overlay
@@ -279,49 +279,39 @@ class Engine final : public sim::EventHandler {
   void HandleScenario(sim::SimTime t, uint32_t op_index, uint64_t phase);
   void ApplyFail(sim::SimTime t, uint32_t op_index, OverlayIndex m);
   void ApplyRecover(sim::SimTime t, OverlayIndex m);
-  void ApplyInterestJoin(sim::SimTime t, OverlayIndex m, ItemId item,
-                         Coherency c);
-  void ApplyInterestLeave(sim::SimTime t, OverlayIndex m, ItemId item);
   void ApplyCoherencyChange(sim::SimTime t, OverlayIndex m, ItemId item,
                             Coherency c);
   /// Re-attaches every still-orphaned edge in `orphans` per the repair
   /// policy; `preferred` (when valid) is tried first for each (the
-  /// recovered member on the on-recovery path). Returns the orphans no
-  /// live parent could take, so callers can park them for a later
-  /// recovery to retry.
-  std::vector<OrphanEdge> RepairOrphans(
-      sim::SimTime t, const std::vector<OrphanEdge>& orphans,
-      OverlayIndex preferred = kInvalidOverlayIndex);
+  /// recovered member on the on-recovery path).
+  void RepairOrphans(sim::SimTime t, const std::vector<OrphanEdge>& orphans,
+                     OverlayIndex preferred = kInvalidOverlayIndex);
   /// True when `parent` is a live holder of `item` that may serve
   /// `child` at tolerance `c` without violating Eq. (1) or creating a
   /// cycle.
   bool IsLegalParent(OverlayIndex parent, ItemId item, OverlayIndex child,
                      Coherency c) const;
   /// LeLA-style backup-parent search: the minimum-delay legal parent
-  /// for (child, item, c); kInvalidOverlayIndex when none is live.
+  /// for (child, item, c). The source holds every item at tolerance 0
+  /// and never fails, so on an overlay rooted at the source a repair
+  /// always finds a parent, at worst the source. A miss (an overlay not
+  /// rooted there) records FailedPrecondition in `scenario_status_` and
+  /// returns kInvalidOverlayIndex.
   OverlayIndex FindBackupParent(ItemId item, OverlayIndex child,
-                                Coherency c) const;
+                                Coherency c);
   /// Creates (or recycles) the repair edge parent->child and tells the
   /// policy about the new incarnation (forced-resync seed).
   void AttachRepairedEdge(OverlayIndex parent, OverlayIndex child,
                           ItemId item, Coherency c);
-  /// Re-attaches one captured own need of (live) member `m`: old parent
-  /// first, any legal live holder otherwise. False when the need cannot
-  /// be served yet (owner down again, or no live parent) — the caller
-  /// parks it for the next recovery.
-  bool TryAttachNeed(OverlayIndex m, const MemberNeed& need);
-  /// Activates (or restarts) the lazy tracker of (m, item) with an
-  /// observation window starting at `t`.
-  void StartTrackerAt(sim::SimTime t, OverlayIndex m, ItemId item,
-                      Coherency c);
+  /// Re-attaches one captured own need of just-recovered member `m`:
+  /// old parent first, the closest legal live holder otherwise.
+  void AttachNeed(OverlayIndex m, const MemberNeed& need);
   /// Closes the outage-accounting window of failed member `m` at `t`,
   /// folding its tracked pairs' staleness into the outage metrics.
   void CloseOutageWindow(sim::SimTime t, OverlayIndex m);
   /// (member, item) pairs currently detached from their item tree —
   /// the ground truth the incrementally-maintained `orphaned_pairs_`
-  /// must match (debug-asserted after every scenario event). Called for
-  /// real only on the interest-leave path, whose garbage-collection
-  /// cascade can remove orphans no incremental counter would see.
+  /// must match (debug-asserted after every scenario event).
   size_t CountOrphanedPairs() const;
 
   Overlay& overlay_;
@@ -357,8 +347,6 @@ class Engine final : public sim::EventHandler {
   /// Scripted mid-run dynamics; null or empty leaves every scenario
   /// structure below untouched.
   const Scenario* scenario_ = nullptr;
-  /// Timelines resolved by Run(), kept for mid-run tracker (re)starts.
-  const ChangeTimelines* resolved_timelines_ = nullptr;
   /// Member liveness (failed repositories neither receive nor push).
   std::vector<uint8_t> failed_;
   std::vector<sim::SimTime> fail_time_;
@@ -379,12 +367,6 @@ class Engine final : public sim::EventHandler {
   std::priority_queue<sim::SimTime, std::vector<sim::SimTime>,
                       std::greater<sim::SimTime>>
       scenario_pending_times_;
-  /// Orphans no live parent could take yet; retried at every recovery.
-  std::vector<OrphanEdge> stranded_orphans_;
-  /// Recovered members' own needs no live parent could serve yet;
-  /// retried at every later recovery (overlapping outages can leave a
-  /// member's only legal parent down at its own recovery instant).
-  std::vector<std::pair<OverlayIndex, MemberNeed>> stranded_needs_;
   /// Incrementally maintained CountOrphanedPairs() value; gates the
   /// per-source-tick orphaned_ticks increment.
   size_t orphaned_pairs_ = 0;

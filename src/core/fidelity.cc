@@ -26,24 +26,6 @@ FidelityTracker::FidelityTracker(
   source_value_ = repo_value_ = source_timeline->front().value;
 }
 
-FidelityTracker::FidelityTracker(
-    Coherency c, const std::vector<trace::Tick>* source_timeline,
-    sim::SimTime start)
-    : c_(c), start_(start), last_event_(start),
-      source_timeline_(source_timeline) {
-  assert(source_timeline != nullptr && !source_timeline->empty());
-  // A join-time fetch: both processes start at the source's value as of
-  // `start`; the cursor resumes at the first strictly later tick.
-  const std::vector<trace::Tick>& ticks = *source_timeline;
-  source_value_ = ticks.front().value;
-  source_cursor_ = 1;
-  while (source_cursor_ < ticks.size() &&
-         ticks[source_cursor_].time <= start) {
-    source_value_ = ticks[source_cursor_++].value;
-  }
-  repo_value_ = source_value_;
-}
-
 void FidelityTracker::SyncTo(sim::SimTime t) {
   if (finalized_) return;
   IntegrateSourceTo(t);
@@ -89,7 +71,7 @@ void FidelityTracker::Finalize(sim::SimTime end) {
   if (finalized_) return;
   IntegrateSourceTo(end);
   if (end > last_event_) Advance(end);
-  window_ = end - start_;
+  window_ = end;
   finalized_ = true;
 }
 

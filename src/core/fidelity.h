@@ -37,14 +37,6 @@ class FidelityTracker {
   FidelityTracker(Coherency c,
                   const std::vector<trace::Tick>* source_timeline);
 
-  /// Same, with a mid-run observation start (a repository that joins at
-  /// `start`, e.g. scenario interest churn): both processes begin at the
-  /// timeline's value at `start` (a join-time fetch) and the loss window
-  /// is [start, end].
-  FidelityTracker(Coherency c,
-                  const std::vector<trace::Tick>* source_timeline,
-                  sim::SimTime start);
-
   void OnRepositoryValue(sim::SimTime t, double value);
 
   /// Integrates both processes up to `t` without closing the window, so
@@ -55,7 +47,7 @@ class FidelityTracker {
 
   /// Coherency renegotiation: the requirement becomes `c` from the last
   /// synced instant onward (callers SyncTo(t) first so the old `c`
-  /// covers exactly [start, t)).
+  /// covers everything before `t`).
   void set_coherency(Coherency c);
   Coherency coherency() const { return c_; }
 
@@ -68,7 +60,7 @@ class FidelityTracker {
   /// Finalize()).
   sim::SimTime out_of_sync_time() const { return out_of_sync_time_; }
 
-  /// Loss of fidelity in percent of the window [start, end]; Finalize()
+  /// Loss of fidelity in percent of the window [0, end]; Finalize()
   /// must have been called.
   double LossPercent() const;
 
@@ -83,8 +75,6 @@ class FidelityTracker {
   Coherency c_ = 0.0;
   double source_value_ = 0.0;
   double repo_value_ = 0.0;
-  /// Observation-window start (0 except for mid-run joins).
-  sim::SimTime start_ = 0;
   sim::SimTime last_event_ = 0;
   sim::SimTime out_of_sync_time_ = 0;
   sim::SimTime window_ = 0;

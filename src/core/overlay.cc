@@ -85,21 +85,6 @@ void Overlay::EraseEdgeRecord(OverlayIndex parent, OverlayIndex child,
   }
 }
 
-void Overlay::PruneConnection(OverlayIndex parent, OverlayIndex child) {
-  for (ItemId item = 0; item < item_count_; ++item) {
-    const ItemServing* s = FindSlot(parent, item);
-    if (s == nullptr) continue;
-    for (const ItemEdge& e : s->children) {
-      if (e.child == child) return;  // some item still rides the channel
-    }
-  }
-  auto& children = connection_children_[parent];
-  children.erase(std::remove(children.begin(), children.end(), child),
-                 children.end());
-  auto& up = connection_parents_[child];
-  up.erase(std::remove(up.begin(), up.end(), parent), up.end());
-}
-
 void Overlay::PropagateServe(OverlayIndex m, ItemId item) {
   OverlayIndex cursor = m;
   size_t steps = 0;
@@ -110,25 +95,13 @@ void Overlay::PropagateServe(OverlayIndex m, ItemId item) {
                            ? s->c_own
                            : std::numeric_limits<Coherency>::infinity();
     for (const ItemEdge& e : s->children) target = std::min(target, e.c);
+    assert(target != std::numeric_limits<Coherency>::infinity() &&
+           "a holding with neither an own need nor a dependent");
+    if (target == s->c_serve) return;
+    s->c_serve = target;
     const OverlayIndex parent = s->parent;
-    if (target == std::numeric_limits<Coherency>::infinity()) {
-      // Neither an own need nor a dependent constrains the serve:
-      // garbage-collect the dangling holding (otherwise the parent
-      // keeps pushing updates nobody wants) and let the parent
-      // recompute — it may itself have become unconstrained.
-      if (parent != kInvalidOverlayIndex) {
-        EraseEdgeRecord(parent, cursor, item);
-        PruneConnection(parent, cursor);
-      }
-      held_[SlotIndex(cursor, item)] = 0;
-      *s = ItemServing{};
-      if (parent == kInvalidOverlayIndex) return;
-    } else {
-      if (target == s->c_serve) return;
-      s->c_serve = target;
-      if (parent == kInvalidOverlayIndex) return;  // orphan: fixed at repair
-      TightenItemEdge(parent, cursor, item, target);
-    }
+    if (parent == kInvalidOverlayIndex) return;  // orphan: fixed at repair
+    TightenItemEdge(parent, cursor, item, target);
     cursor = parent;
     if (++steps > member_count_) {
       assert(false && "cycle while propagating serve tolerance");
@@ -292,26 +265,6 @@ Status Overlay::JoinOwnInterest(OverlayIndex m, ItemId item, Coherency c) {
   if (tracker_ids_[idx] == kInvalidTrackerId) {
     tracker_ids_[idx] = next_tracker_id_++;
   }
-  PropagateServe(m, item);
-  return Status::Ok();
-}
-
-Status Overlay::DropOwnInterest(OverlayIndex m, ItemId item) {
-  if (m >= member_count_ || item >= item_count_) {
-    return Status::OutOfRange("unknown member or item");
-  }
-  if (m == kSourceOverlayIndex) {
-    return Status::InvalidArgument("the source has no droppable interest");
-  }
-  ItemServing* s = FindSlot(m, item);
-  if (s == nullptr || !s->own_interest) return Status::Ok();
-  s->own_interest = false;
-  s->c_own = 0.0;
-  // PropagateServe handles both shapes: a relaying member's serve
-  // loosens to the dependents' minimum, while a now-unconstrained
-  // childless holding is garbage-collected (edge id recycled,
-  // connection pruned) — and either effect cascades up the chain,
-  // collecting ancestors that only held the item for this member.
   PropagateServe(m, item);
   return Status::Ok();
 }

@@ -150,8 +150,8 @@ class Overlay {
 
   /// Dense tracker id of the (m, item) own-interest pair, assigned by
   /// SetOwnInterest; kInvalidTrackerId when the member never declared
-  /// interest in the item. Survives RemoveMember so a re-joining member
-  /// keeps its identity.
+  /// interest in the item. Survives RemoveMember and DetachMember so a
+  /// re-attached member keeps its identity.
   TrackerId tracker_id(OverlayIndex m, ItemId item) const {
     return tracker_ids_[SlotIndex(m, item)];
   }
@@ -185,22 +185,14 @@ class Overlay {
   /// restores validity. Removing the source or an unknown member fails.
   [[nodiscard]] Result<MemberDetachment> DetachMember(OverlayIndex m);
 
-  /// Declares (mid-run interest churn) that `m` — which must already
-  /// hold `item` — now has an own need for it at tolerance `c`: sets
-  /// the own-interest flag (minting the pair's TrackerId if it never
-  /// had one) and renegotiates the serve chain (c_serve may tighten,
-  /// propagating up to the source). Unlike SetOwnInterest this keeps
-  /// every parent edge's tolerance consistent with its child's c_serve.
+  /// Restates (a recovered member re-attaching a captured need) that
+  /// `m` — which must already hold `item` — has an own need for it at
+  /// tolerance `c`: sets the own-interest flag (minting the pair's
+  /// TrackerId if it never had one) and renegotiates the serve chain
+  /// (c_serve may tighten, propagating up to the source). Unlike
+  /// SetOwnInterest this keeps every parent edge's tolerance consistent
+  /// with its child's c_serve.
   [[nodiscard]] Status JoinOwnInterest(OverlayIndex m, ItemId item, Coherency c);
-
-  /// Drops `m`'s own interest in `item` (interest churn). A childless
-  /// holding is removed outright: the edge from its parent is erased
-  /// and its id recycled — and ancestors that only held the item for
-  /// this member are garbage-collected the same way, cascading toward
-  /// the source. A relaying member keeps the holding; its c_serve
-  /// loosens to the dependents' minimum and the change propagates up
-  /// the serving chain. No-op Ok if `m` has no own interest in `item`.
-  [[nodiscard]] Status DropOwnInterest(OverlayIndex m, ItemId item);
 
   /// Coherency renegotiation: `m`'s own tolerance for `item` becomes
   /// `c` (m must hold the item with own interest). Tightening and
@@ -235,13 +227,11 @@ class Overlay {
   /// Erases the per-item edge parent->child (which must exist) and
   /// recycles its id. Does not touch the child's serving record.
   void EraseEdgeRecord(OverlayIndex parent, OverlayIndex child, ItemId item);
-  /// Drops the parent->child connection when no item edge rides on it
-  /// any longer (keeps ConnectionChildren in sync with the d3g).
-  void PruneConnection(OverlayIndex parent, OverlayIndex child);
   /// Recomputes c_serve(m, item) = min(c_own if own, dependents' edge
   /// tolerances) and, when it changed, updates the parent's edge
-  /// tolerance and recurses upward. Stops at the source or at the first
-  /// unchanged hop.
+  /// tolerance and recurses upward. Stops at the source, at an orphan or
+  /// at the first unchanged hop. Every hop it visits holds the item for
+  /// an own need or a dependent, so the minimum is always finite.
   void PropagateServe(OverlayIndex m, ItemId item);
   /// Erases `m` from every connection list in both directions and
   /// resets its level (the shared tail of RemoveMember/DetachMember).

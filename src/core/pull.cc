@@ -37,6 +37,12 @@ Result<PullMetrics> PullEngine::Run() {
   if (options_.comp_delay < 0) {
     return Status::InvalidArgument("negative computational delay");
   }
+  // A poll fires a response time plus a TTR after the last one; bound
+  // the TTR like the trace times, so that no event time can overflow.
+  if (options_.ttr_max >= sim::kSimTimeMax / 4) {
+    return Status::InvalidArgument(
+        "ttr_max must stay below kSimTimeMax / 4 us");
+  }
   const Result<sim::SimTime> horizon_or = TraceHorizon(traces_);
   if (!horizon_or.ok()) return horizon_or.status();
   const sim::SimTime horizon = *horizon_or;
@@ -72,6 +78,15 @@ Result<PullMetrics> PullEngine::Run() {
       trackers_.emplace_back(c, &(*timelines)[item]);
       states_.push_back(state);
     }
+  }
+  // Each loop has at most one poll outstanding, so the source's backlog
+  // stays below loops x comp_delay; bound it the same way.
+  if (!(static_cast<double>(states_.size()) *
+            static_cast<double>(options_.comp_delay) <
+        static_cast<double>(sim::kSimTimeMax / 4))) {
+    return Status::InvalidArgument(
+        "comp_delay: poll loops x comp_delay must stay below "
+        "kSimTimeMax / 4 us");
   }
 
   // Kick off the poll loops, staggered inside the first TTR so the

@@ -11,10 +11,6 @@ const char* ScenarioOpKindName(ScenarioOpKind kind) {
       return "repo-fail";
     case ScenarioOpKind::kRepoRecover:
       return "repo-recover";
-    case ScenarioOpKind::kInterestJoin:
-      return "interest-join";
-    case ScenarioOpKind::kInterestLeave:
-      return "interest-leave";
     case ScenarioOpKind::kCoherencyChange:
       return "coherency-change";
   }
@@ -40,7 +36,7 @@ Result<Scenario> Scenario::Create(std::vector<ScenarioOp> ops) {
                    });
   // `failed` tracks the script's own fail/recover schedule so static
   // validation can reject contradictory scripts (double fail, recover
-  // of a live member, interest churn on a down member) without knowing
+  // of a live member, renegotiation on a down member) without knowing
   // anything about the world the scenario will run against.
   std::map<OverlayIndex, bool> failed;
   for (size_t i = 0; i < ops.size(); ++i) {
@@ -71,14 +67,11 @@ Result<Scenario> Scenario::Create(std::vector<ScenarioOp> ops) {
         }
         failed[op.member] = false;
         break;
-      case ScenarioOpKind::kInterestJoin:
       case ScenarioOpKind::kCoherencyChange:
         if (!(op.c > 0.0)) {
           return Status::InvalidArgument(OpLabel(op, i) +
                                          ": tolerance must be > 0");
         }
-        [[fallthrough]];
-      case ScenarioOpKind::kInterestLeave:
         if (op.item == kInvalidItem) {
           return Status::InvalidArgument(OpLabel(op, i) + ": invalid item");
         }
@@ -87,6 +80,10 @@ Result<Scenario> Scenario::Create(std::vector<ScenarioOp> ops) {
               OpLabel(op, i) + ": member is failed at this time");
         }
         break;
+      default:
+        return Status::InvalidArgument(
+            OpLabel(op, i) + ": unknown op kind " +
+            std::to_string(static_cast<uint32_t>(op.kind)));
     }
   }
   return Scenario(std::move(ops));
@@ -100,10 +97,8 @@ Status Scenario::ValidateAgainst(size_t member_count,
       return Status::OutOfRange(OpLabel(op, i) + ": member out of range (" +
                                 std::to_string(member_count) + " members)");
     }
-    const bool needs_item = op.kind == ScenarioOpKind::kInterestJoin ||
-                            op.kind == ScenarioOpKind::kInterestLeave ||
-                            op.kind == ScenarioOpKind::kCoherencyChange;
-    if (needs_item && op.item >= item_count) {
+    if (op.kind == ScenarioOpKind::kCoherencyChange &&
+        op.item >= item_count) {
       return Status::OutOfRange(OpLabel(op, i) + ": item out of range (" +
                                 std::to_string(item_count) + " items)");
     }
@@ -116,23 +111,12 @@ Status CheckLiveness(const ScenarioOp& op, bool member_failed) {
   if (member_failed == recover) return Status::Ok();
   const char* what = "coherency change";
   const char* state = " is failed";
-  switch (op.kind) {
-    case ScenarioOpKind::kRepoFail:
-      what = "fail";
-      state = " already failed";
-      break;
-    case ScenarioOpKind::kRepoRecover:
-      what = "recover";
-      state = " is not failed";
-      break;
-    case ScenarioOpKind::kInterestJoin:
-      what = "join";
-      break;
-    case ScenarioOpKind::kInterestLeave:
-      what = "leave";
-      break;
-    case ScenarioOpKind::kCoherencyChange:
-      break;
+  if (op.kind == ScenarioOpKind::kRepoFail) {
+    what = "fail";
+    state = " already failed";
+  } else if (recover) {
+    what = "recover";
+    state = " is not failed";
   }
   return Status::FailedPrecondition(std::string("scenario ") + what +
                                     ": member " + std::to_string(op.member) +

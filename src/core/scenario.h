@@ -15,11 +15,10 @@ namespace d3t::core {
 /// One kind of scripted mid-run world mutation. The paper's cooperative
 /// repositories are explicitly resilient — repositories fail mid-
 /// dissemination, dependents detect the silence and re-attach to backup
-/// parents, and coherency needs are renegotiated live (§4: a repository
-/// "specifies the list of data items of interest, their c values, and
-/// its degree of cooperation" when it enters; changed requirements
-/// reapply the algorithm). A Scenario scripts those dynamics against a
-/// run deterministically.
+/// parents, and coherency needs are renegotiated live (§4). A Scenario
+/// scripts those dynamics against a run deterministically. The values
+/// are pinned: raw kinds 2 and 3 (the retired interest join and leave)
+/// are unknown, and Scenario::Create rejects them like any other.
 enum class ScenarioOpKind : uint32_t {
   /// `member` crashes: its queued and in-flight deliveries are dropped,
   /// it is detached from every item tree (dependents are orphaned until
@@ -29,19 +28,11 @@ enum class ScenarioOpKind : uint32_t {
   /// `member` comes back: its captured needs are re-attached to live
   /// parents and — under RepairPolicy::kOnRecovery — its orphaned
   /// former dependents re-join under it.
-  kRepoRecover,
-  /// `member` declares a new own interest in `item` at tolerance `c`
-  /// and is attached to a live holder (its copy is assumed synchronized
-  /// at join time, as a join-time fetch would leave it).
-  kInterestJoin,
-  /// `member` drops its own interest in `item`. A childless holding is
-  /// removed outright (the edge id is recycled); a relaying member
-  /// keeps serving its dependents at the loosened effective tolerance.
-  kInterestLeave,
+  kRepoRecover = 1,
   /// Coherency renegotiation: `member`'s own tolerance for `item`
   /// becomes `c`. Tightening and loosening both propagate up the
   /// serving chain (c_serve = min(own, dependents) at every hop).
-  kCoherencyChange,
+  kCoherencyChange = 4,
 };
 
 /// Human-readable op name for diagnostics.
@@ -58,9 +49,9 @@ struct ScenarioOp {
   /// Overlay member the op targets (0 is the source and is never a
   /// legal target).
   OverlayIndex member = kInvalidOverlayIndex;
-  /// Item of an interest/coherency op; ignored by fail/recover.
+  /// Item of a coherency op; ignored by fail/recover.
   ItemId item = kInvalidItem;
-  /// Tolerance of a join/coherency op; ignored by the others.
+  /// Tolerance of a coherency op; ignored by fail/recover.
   Coherency c = 0.0;
 };
 static_assert(sizeof(ScenarioOp) == 32,
@@ -74,11 +65,11 @@ static_assert(std::is_trivially_copyable_v<ScenarioOp>,
 /// An immutable, time-sorted script of world-mutation ops, attached to
 /// a run (exp::RunSpec::scenario) and delivered through the typed event
 /// kernel. Statically validated at Create: ops are sorted by time
-/// (stable, so same-instant ops apply in authoring order), fail/recover
-/// alternate per member, no op targets the source, and no interest op
-/// targets a member while the script has it failed. An empty Scenario
-/// is the no-dynamics baseline and is guaranteed byte-identical to a
-/// run without any scenario at all.
+/// (stable, so same-instant ops apply in authoring order), every kind is
+/// known, fail/recover alternate per member, no op targets the source,
+/// and no coherency op targets a member while the script has it failed.
+/// An empty Scenario is the no-dynamics baseline and is guaranteed
+/// byte-identical to a run without any scenario at all.
 class Scenario {
  public:
   Scenario() = default;
@@ -106,9 +97,8 @@ class Scenario {
 
 /// The liveness precondition the engine checks before applying `op`,
 /// given whether `op.member` is failed right now: a fail needs a live
-/// member, a recover a failed one, and interest-join, interest-leave and
-/// coherency-change ops a live one. FailedPrecondition names the op and
-/// the member otherwise.
+/// member, a recover a failed one, and a coherency change a live one.
+/// FailedPrecondition names the op and the member otherwise.
 Status CheckLiveness(const ScenarioOp& op, bool member_failed);
 
 /// How the push engine re-attaches the subtree a failed repository

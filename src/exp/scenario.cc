@@ -40,32 +40,6 @@ ScenarioBuilder& ScenarioBuilder::RecoverRepo(sim::SimTime at,
   return *this;
 }
 
-ScenarioBuilder& ScenarioBuilder::JoinInterest(sim::SimTime at,
-                                               core::OverlayIndex member,
-                                               core::ItemId item,
-                                               core::Coherency c) {
-  ScenarioOp op;
-  op.at = at;
-  op.kind = ScenarioOpKind::kInterestJoin;
-  op.member = member;
-  op.item = item;
-  op.c = c;
-  ops_.push_back(op);
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::LeaveInterest(sim::SimTime at,
-                                                core::OverlayIndex member,
-                                                core::ItemId item) {
-  ScenarioOp op;
-  op.at = at;
-  op.kind = ScenarioOpKind::kInterestLeave;
-  op.member = member;
-  op.item = item;
-  ops_.push_back(op);
-  return *this;
-}
-
 ScenarioBuilder& ScenarioBuilder::ChangeCoherency(sim::SimTime at,
                                                   core::OverlayIndex member,
                                                   core::ItemId item,

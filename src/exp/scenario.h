@@ -18,7 +18,6 @@ namespace d3t::exp {
 ///   auto scenario = ScenarioBuilder()
 ///       .FailRepo(sim::Seconds(30), 7).RecoverAt(sim::Seconds(90))
 ///       .FailRepo(sim::Seconds(45), 12)             // never recovers
-///       .JoinInterest(sim::Seconds(60), 3, /*item=*/2, /*c=*/0.05)
 ///       .ChangeCoherency(sim::Seconds(75), 4, 0, 0.5)
 ///       .Build();
 ///
@@ -33,12 +32,6 @@ class ScenarioBuilder {
   ScenarioBuilder& RecoverAt(sim::SimTime at);
   /// Explicit-member recovery (when the chained form reads poorly).
   ScenarioBuilder& RecoverRepo(sim::SimTime at, core::OverlayIndex member);
-  /// `member` declares a new own interest in `item` at tolerance `c`.
-  ScenarioBuilder& JoinInterest(sim::SimTime at, core::OverlayIndex member,
-                                core::ItemId item, core::Coherency c);
-  /// `member` drops its own interest in `item`.
-  ScenarioBuilder& LeaveInterest(sim::SimTime at, core::OverlayIndex member,
-                                 core::ItemId item);
   /// Coherency renegotiation: `member`'s own tolerance for `item`
   /// becomes `c`.
   ScenarioBuilder& ChangeCoherency(sim::SimTime at,

@@ -46,12 +46,12 @@ struct ExperimentResult {
 struct RunSpec {
   OverlayConfig overlay;
   PolicyConfig policy;
-  /// Scripted mid-run dynamics (repository failures/recoveries,
-  /// interest churn, coherency renegotiation), applied to this run's
-  /// overlay through the typed event kernel. Empty (the default) is the
-  /// static-world baseline and reproduces scenario-free metrics
-  /// byte-identically. Build one with exp::ScenarioBuilder or
-  /// exp::MakeChurnScenario (exp/scenario.h).
+  /// Scripted mid-run dynamics (repository failures/recoveries and
+  /// coherency renegotiation), applied to this run's overlay through
+  /// the typed event kernel. Empty (the default) is the static-world
+  /// baseline and reproduces scenario-free metrics byte-identically.
+  /// Build one with exp::ScenarioBuilder or exp::MakeChurnScenario
+  /// (exp/scenario.h).
   core::Scenario scenario;
   /// Explicit per-run RNG seed. Runs of a sweep may share it (vary one
   /// knob, hold the randomness fixed); sharded multi-source runs must

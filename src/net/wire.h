@@ -160,8 +160,10 @@ static_assert(std::is_trivially_copyable_v<UpdatePayload>,
 // d3t-lint: pod-event
 struct ScenarioOpPayload {
   int64_t at_us;
-  /// core::ScenarioOpKind as a raw value; consumers range-check before
-  /// casting (the wire layer sits below core/ and cannot name the enum).
+  /// core::ScenarioOpKind as a raw value: 0 fail, 1 recover, 4
+  /// coherency change. Kinds 2 and 3 (interest join and leave) are
+  /// retired and, like any other value, unknown; consumers reject them
+  /// (the wire layer sits below core/ and cannot name the enum).
   uint32_t kind;
   uint32_t member;
   uint32_t item;

@@ -165,14 +165,16 @@ Status Node::Ingest(const net::wire::Frame& frame) {
         return Status::FailedPrecondition("scenario op before hello");
       }
       const net::wire::ScenarioOpPayload& p = frame.u.scenario;
-      if (p.kind > static_cast<uint32_t>(
-                       core::ScenarioOpKind::kCoherencyChange)) {
+      const auto kind = static_cast<core::ScenarioOpKind>(p.kind);
+      if (kind != core::ScenarioOpKind::kRepoFail &&
+          kind != core::ScenarioOpKind::kRepoRecover &&
+          kind != core::ScenarioOpKind::kCoherencyChange) {
         return Status::InvalidArgument("unknown scenario op kind");
       }
       ++scenario_frames_;
       core::ScenarioOp op;
       op.at = p.at_us;
-      op.kind = static_cast<core::ScenarioOpKind>(p.kind);
+      op.kind = kind;
       op.member = p.member;
       op.item = p.item;
       op.c = p.c;

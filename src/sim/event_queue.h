@@ -28,10 +28,10 @@ enum class EventKind : uint32_t {
   /// End-of-run hook (e.g. lazy fidelity finalization at the horizon).
   kFinalizeHook,
   /// One scripted world-mutation op of the run's Scenario (repository
-  /// failure/recovery, interest churn, coherency renegotiation): `a` =
-  /// index into the per-run scenario op table, `b` = phase (0 applies
-  /// the op; 1 is the deferred orphan repair a failure schedules after
-  /// its silence-detection window). Carrying an index keeps the event a
+  /// failure/recovery, coherency renegotiation): `a` = index into the
+  /// per-run scenario op table, `b` = phase (0 applies the op; 1 is the
+  /// deferred orphan repair a failure schedules after its
+  /// silence-detection window). Carrying an index keeps the event a
   /// POD — the op payload lives in the immutable Scenario.
   kScenario,
 };

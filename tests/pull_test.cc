@@ -67,6 +67,20 @@ TEST(PullTest, ValidatesArguments) {
                   .Run()
                   .status()
                   .IsInvalidArgument());
+  // A TTR or a source backlog reaching kSimTimeMax / 4 could overflow
+  // an event time; the error names the field.
+  bad = FastPull();
+  bad.ttr_max = sim::kSimTimeMax;
+  Status overflow = PullEngine(delays, interests, traces, bad).Run().status();
+  EXPECT_TRUE(overflow.IsInvalidArgument()) << overflow.ToString();
+  EXPECT_NE(overflow.message().find("ttr_max"), std::string::npos)
+      << overflow.ToString();
+  bad = FastPull();
+  bad.comp_delay = sim::kSimTimeMax / 2;
+  overflow = PullEngine(delays, interests, traces, bad).Run().status();
+  EXPECT_TRUE(overflow.IsInvalidArgument()) << overflow.ToString();
+  EXPECT_NE(overflow.message().find("comp_delay"), std::string::npos)
+      << overflow.ToString();
 
   // Wrong delay-model size.
   auto small = net::OverlayDelayModel::Uniform(1, 0);

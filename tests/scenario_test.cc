@@ -1,9 +1,9 @@
 // The Scenario subsystem: scripted mid-run dynamics (repository
-// failures and recoveries, interest churn, coherency renegotiation)
-// delivered through the typed event kernel, the overlay's repair
-// operations (detach / re-attach / edge-id recycling), and the repair
-// policies that put orphaned subtrees back together — the paper's
-// resilience story (§4) made executable.
+// failures and recoveries, coherency renegotiation) delivered through
+// the typed event kernel, the overlay's repair operations (detach /
+// re-attach / edge-id recycling), and the repair policies that put
+// orphaned subtrees back together — the paper's resilience story (§4)
+// made executable.
 
 #include <algorithm>
 #include <cmath>
@@ -29,14 +29,14 @@ TEST(ScenarioTest, CreateSortsOpsByTimeStably) {
   auto scenario = exp::ScenarioBuilder()
                       .RecoverRepo(sim::Seconds(90), 2)
                       .FailRepo(sim::Seconds(30), 2)
-                      .JoinInterest(sim::Seconds(30), 3, 0, 0.5)
+                      .ChangeCoherency(sim::Seconds(30), 3, 0, 0.5)
                       .Build();
   // Unsorted authoring is fine as long as the *sorted* schedule is
   // valid: fail(30) ... recover(90).
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
   ASSERT_EQ(scenario->size(), 3u);
   EXPECT_EQ(scenario->op(0).kind, ScenarioOpKind::kRepoFail);
-  EXPECT_EQ(scenario->op(1).kind, ScenarioOpKind::kInterestJoin);
+  EXPECT_EQ(scenario->op(1).kind, ScenarioOpKind::kCoherencyChange);
   EXPECT_EQ(scenario->op(2).kind, ScenarioOpKind::kRepoRecover);
 }
 
@@ -60,10 +60,10 @@ TEST(ScenarioTest, StaticValidationRejectsContradictions) {
                   .Build()
                   .status()
                   .IsInvalidArgument());
-  // Interest churn on a member the script has down.
+  // Renegotiation on a member the script has down.
   EXPECT_TRUE(exp::ScenarioBuilder()
                   .FailRepo(sim::Seconds(10), 2)
-                  .JoinInterest(sim::Seconds(20), 2, 0, 0.5)
+                  .ChangeCoherency(sim::Seconds(20), 2, 0, 0.5)
                   .Build()
                   .status()
                   .IsFailedPrecondition());
@@ -79,6 +79,23 @@ TEST(ScenarioTest, StaticValidationRejectsContradictions) {
                   .Build()
                   .status()
                   .IsFailedPrecondition());
+  // Unknown kinds, including 2 and 3 (the retired interest join and
+  // leave), even when every other field would suit a coherency change.
+  for (const uint32_t raw : {2u, 3u, 7u}) {
+    SCOPED_TRACE(raw);
+    ScenarioOp op;
+    op.at = sim::Seconds(10);
+    op.kind = static_cast<ScenarioOpKind>(raw);
+    op.member = 2;
+    op.item = 0;
+    op.c = 0.5;
+    const Status status = Scenario::Create({op}).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(
+        status.message().find("unknown op kind " + std::to_string(raw)),
+        std::string::npos)
+        << status.ToString();
+  }
 }
 
 TEST(ScenarioTest, ValidateAgainstChecksWorldRanges) {
@@ -89,11 +106,11 @@ TEST(ScenarioTest, ValidateAgainstChecksWorldRanges) {
   ASSERT_TRUE(scenario.ok());
   EXPECT_TRUE(scenario->ValidateAgainst(8, 4).ok());
   EXPECT_TRUE(scenario->ValidateAgainst(7, 4).IsOutOfRange());
-  auto interest = exp::ScenarioBuilder()
-                      .JoinInterest(sim::Seconds(10), 1, 9, 0.5)
-                      .Build();
-  ASSERT_TRUE(interest.ok());
-  EXPECT_TRUE(interest->ValidateAgainst(8, 4).IsOutOfRange());
+  auto renegotiation = exp::ScenarioBuilder()
+                           .ChangeCoherency(sim::Seconds(10), 1, 9, 0.5)
+                           .Build();
+  ASSERT_TRUE(renegotiation.ok());
+  EXPECT_TRUE(renegotiation->ValidateAgainst(8, 4).IsOutOfRange());
 }
 
 TEST(ScenarioTest, ChurnGeneratorIsDeterministicAndDisjoint) {
@@ -184,32 +201,6 @@ TEST(OverlayRepairTest, EdgeIdsStayBoundedAcrossChurn) {
   EXPECT_EQ(overlay.tracker_id(2, 0), 1u);
 }
 
-TEST(OverlayRepairTest, DropOwnInterestRemovesChildlessHolding) {
-  Overlay overlay = MakeChain();
-  const EdgeId limit_before = overlay.edge_id_limit();
-  ASSERT_TRUE(overlay.DropOwnInterest(3, 0).ok());
-  EXPECT_FALSE(overlay.Holds(3, 0));
-  EXPECT_TRUE(overlay.Validate().ok());
-  // 2's serve loosened: its own need (0.2) is now its only constraint,
-  // and the freed edge id is recycled by the next attachment.
-  EXPECT_DOUBLE_EQ(overlay.Serving(2, 0).c_serve, 0.2);
-  const EdgeId recycled = overlay.AddItemEdge(2, 3, 0, 0.4);
-  EXPECT_LT(recycled, limit_before);
-  EXPECT_EQ(overlay.edge_id_limit(), limit_before);
-}
-
-TEST(OverlayRepairTest, DropOwnInterestLoosensRelay) {
-  Overlay overlay = MakeChain();
-  // 2 relays to 3; dropping 2's own need keeps the holding but loosens
-  // its serve to the dependent's tolerance.
-  ASSERT_TRUE(overlay.DropOwnInterest(2, 0).ok());
-  EXPECT_TRUE(overlay.Holds(2, 0));
-  EXPECT_FALSE(overlay.Serving(2, 0).own_interest);
-  EXPECT_DOUBLE_EQ(overlay.Serving(2, 0).c_serve, 0.3);
-  // And the loosening propagated into 1's edge record for 2.
-  EXPECT_TRUE(overlay.Validate().ok());
-}
-
 TEST(OverlayRepairTest, CoherencyRenegotiationPropagatesBothWays) {
   Overlay overlay = MakeChain();
   // Tightening the leaf cascades up to every ancestor's serve.
@@ -231,23 +222,6 @@ TEST(OverlayRepairTest, CoherencyRenegotiationPropagatesBothWays) {
   Overlay fresh(4, 2);
   fresh.SetServing(0, 1, 0.0, kInvalidOverlayIndex);
   EXPECT_TRUE(fresh.UpdateOwnCoherency(1, 1, 0.5).IsFailedPrecondition());
-}
-
-TEST(OverlayRepairTest, LeaveCascadeCollectsRelayOnlyAncestors) {
-  // 1 holds the item only to relay it to 2 (no own interest); when 2's
-  // childless holding leaves, the now-unconstrained ancestor is
-  // garbage-collected too instead of receiving pushes forever.
-  Overlay overlay(3, 1);
-  overlay.SetServing(0, 0, 0.0, kInvalidOverlayIndex);
-  overlay.AddItemEdge(0, 1, 0, 0.2);  // relay-only holding
-  overlay.SetOwnInterest(2, 0, 0.5);
-  overlay.AddItemEdge(1, 2, 0, 0.5);
-  ASSERT_TRUE(overlay.Validate().ok());
-  ASSERT_TRUE(overlay.DropOwnInterest(2, 0).ok());
-  EXPECT_FALSE(overlay.Holds(2, 0));
-  EXPECT_FALSE(overlay.Holds(1, 0));
-  EXPECT_TRUE(overlay.ConnectionChildren(0).empty());
-  EXPECT_TRUE(overlay.Validate().ok());
 }
 
 TEST(ScenarioTest, CentralizedRepairForcesResync) {
@@ -369,6 +343,51 @@ TEST(EngineScenarioTest, FailureAndRecoveryReattachEveryOrphan) {
           << "item " << item << " not re-attached";
     }
   }
+  // A relay and one of its dependents fail together (the dependent
+  // first, so its captured needs name the relay as their parent), and
+  // the dependent recovers while the relay is still down: its needs
+  // must find another live parent, at worst the source.
+  for (const RepairPolicy repair :
+       {RepairPolicy::kFallback, RepairPolicy::kLela,
+        RepairPolicy::kOnRecovery}) {
+    for (const sim::SimTime repair_delay :
+         {sim::SimTime{0}, sim::Millis(750)}) {
+      SCOPED_TRACE(testing::Message() << "policy " << static_cast<int>(repair)
+                                      << ", repair_delay " << repair_delay);
+      EngineFixture f = BuildFixture(7, 20, 4, 3, sim::Millis(5));
+      const OverlayIndex relay = PickRelay(f.overlay);
+      ASSERT_NE(relay, kInvalidOverlayIndex);
+      OverlayIndex dependent = kInvalidOverlayIndex;
+      for (ItemId item = 0; dependent == kInvalidOverlayIndex &&
+                            item < f.overlay.item_count();
+           ++item) {
+        if (f.overlay.Holds(relay, item) &&
+            !f.overlay.Serving(relay, item).children.empty()) {
+          dependent = f.overlay.Serving(relay, item).children.front().child;
+        }
+      }
+      ASSERT_NE(dependent, kInvalidOverlayIndex);
+      auto scenario = exp::ScenarioBuilder()
+                          .FailRepo(sim::Seconds(60), dependent)
+                          .FailRepo(sim::Seconds(60), relay)
+                          .RecoverRepo(sim::Seconds(120), dependent)
+                          .RecoverRepo(sim::Seconds(200), relay)
+                          .Build();
+      ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+      const EngineMetrics metrics =
+          RunWithScenario(f, &*scenario, repair, repair_delay);
+      EXPECT_EQ(metrics.scenario_ops, 4u);
+      EXPECT_GT(metrics.repairs, 0u);
+      EXPECT_TRUE(f.overlay.Validate().ok());
+      for (const OverlayIndex m : {dependent, relay}) {
+        for (const auto& [item, c] : f.interests[m - 1]) {
+          EXPECT_TRUE(f.overlay.Holds(m, item) &&
+                      f.overlay.Serving(m, item).own_interest)
+              << "member " << m << " item " << item << " not re-attached";
+        }
+      }
+    }
+  }
 }
 
 TEST(EngineScenarioTest, RecoveryRestoresRelayOnlyHoldingsForItsOrphans) {
@@ -469,54 +488,49 @@ TEST(EngineScenarioTest, FailureDropsDeliveriesAndDegradesGracefully) {
 
 TEST(EngineScenarioTest, InterestChurnAndRenegotiationKeepOverlayValid) {
   EngineFixture f = BuildFixture(13, 12, 4, 3, sim::Millis(5));
-  // A member with an own interest to renegotiate/leave, and an item it
-  // does not yet hold to join.
+  // Two own-interest pairs of one member to renegotiate.
   OverlayIndex member = kInvalidOverlayIndex;
-  ItemId owned = kInvalidItem;
-  ItemId absent = kInvalidItem;
+  ItemId first = kInvalidItem;
+  ItemId second = kInvalidItem;
   for (OverlayIndex m = 1;
        m < f.overlay.member_count() && member == kInvalidOverlayIndex;
        ++m) {
-    ItemId has = kInvalidItem, lacks = kInvalidItem;
+    std::vector<ItemId> owned;
     for (ItemId item = 0; item < f.overlay.item_count(); ++item) {
       if (f.overlay.Holds(m, item) &&
           f.overlay.Serving(m, item).own_interest) {
-        has = item;
-      } else if (!f.overlay.Holds(m, item)) {
-        lacks = item;
+        owned.push_back(item);
       }
     }
-    if (has != kInvalidItem && lacks != kInvalidItem) {
+    if (owned.size() >= 2) {
       member = m;
-      owned = has;
-      absent = lacks;
+      first = owned[0];
+      second = owned[1];
     }
   }
   ASSERT_NE(member, kInvalidOverlayIndex);
   auto scenario =
       exp::ScenarioBuilder()
-          .ChangeCoherency(sim::Seconds(50), member, owned, 0.01)
-          .JoinInterest(sim::Seconds(100), member, absent, 0.05)
-          .LeaveInterest(sim::Seconds(250), member, owned)
+          .ChangeCoherency(sim::Seconds(50), member, first, 0.01)
+          .ChangeCoherency(sim::Seconds(100), member, second, 0.05)
+          .ChangeCoherency(sim::Seconds(250), member, first, 0.5)
           .Build();
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
   const EngineMetrics metrics = RunWithScenario(f, &*scenario);
   EXPECT_EQ(metrics.scenario_ops, 3u);
   EXPECT_TRUE(f.overlay.Validate().ok());
-  // The joined pair is attached, serving at its requested tolerance.
-  ASSERT_TRUE(f.overlay.Holds(member, absent));
-  EXPECT_TRUE(f.overlay.Serving(member, absent).own_interest);
-  EXPECT_LE(f.overlay.Serving(member, absent).c_serve, 0.05);
-  // The left pair dropped its own-interest flag.
-  if (f.overlay.Holds(member, owned)) {
-    EXPECT_FALSE(f.overlay.Serving(member, owned).own_interest);
-  }
+  // Each pair serves at its last renegotiated tolerance or tighter (a
+  // dependent may still need the tighter serve).
+  EXPECT_DOUBLE_EQ(f.overlay.Serving(member, first).c_own, 0.5);
+  EXPECT_LE(f.overlay.Serving(member, first).c_serve, 0.5);
+  EXPECT_DOUBLE_EQ(f.overlay.Serving(member, second).c_own, 0.05);
+  EXPECT_LE(f.overlay.Serving(member, second).c_serve, 0.05);
 }
 
 TEST(EngineScenarioTest, RuntimeContradictionSurfacesAsError) {
-  // Statically valid script, runtime-invalid op: leaving an interest
-  // the generated world never gave the member. The run must fail, not
-  // silently skip.
+  // Statically valid script, runtime-invalid op: renegotiating an
+  // interest the generated world never gave the member. The run must
+  // fail, not silently skip.
   EngineFixture f = BuildFixture(17, 8, 2, 3, 0);
   OverlayIndex uninterested = kInvalidOverlayIndex;
   ItemId item = 0;
@@ -528,7 +542,8 @@ TEST(EngineScenarioTest, RuntimeContradictionSurfacesAsError) {
   }
   if (uninterested == kInvalidOverlayIndex) GTEST_SKIP();
   auto scenario = exp::ScenarioBuilder()
-                      .LeaveInterest(sim::Seconds(10), uninterested, item)
+                      .ChangeCoherency(sim::Seconds(10), uninterested, item,
+                                       0.5)
                       .Build();
   ASSERT_TRUE(scenario.ok());
   auto policy = MakeDisseminator("distributed");
@@ -537,6 +552,36 @@ TEST(EngineScenarioTest, RuntimeContradictionSurfacesAsError) {
   Engine engine(f.overlay, f.delays, f.traces, *policy, options, nullptr,
                 &*scenario);
   EXPECT_TRUE(engine.Run().status().IsFailedPrecondition());
+}
+
+TEST(EngineScenarioTest, RepairWithNoLegalParentFailsTheRun) {
+  // On an overlay rooted at the source a repair always finds a parent,
+  // at worst the source. Here the source does not hold the item, so
+  // when relay 1 fails no live member can adopt its dependent 2: the
+  // run must fail rather than leave the orphan waiting.
+  EngineFixture f;
+  f.overlay = Overlay(3, 1);
+  f.overlay.SetServing(1, 0, 0.1, kSourceOverlayIndex);
+  f.overlay.SetOwnInterest(2, 0, 0.2);
+  f.overlay.AddItemEdge(1, 2, 0, 0.2);
+  f.delays = net::OverlayDelayModel::Uniform(3, sim::Millis(5));
+  Rng rng(43);
+  trace::SyntheticTraceOptions trace_options;
+  trace_options.tick_count = 60;
+  f.traces.push_back(
+      std::move(trace::GenerateSyntheticTrace(trace_options, rng)).value());
+  auto scenario =
+      exp::ScenarioBuilder().FailRepo(sim::Seconds(10), 1).Build();
+  ASSERT_TRUE(scenario.ok());
+  auto policy = MakeDisseminator("distributed");
+  EngineOptions options;
+  options.comp_delay = 0;
+  Engine engine(f.overlay, f.delays, f.traces, *policy, options, nullptr,
+                &*scenario);
+  const Status status = engine.Run().status();
+  EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
+  EXPECT_NE(status.message().find("no live parent"), std::string::npos)
+      << status.ToString();
 }
 
 // ---------------------------------------------------------------------------

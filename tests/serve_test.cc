@@ -336,13 +336,18 @@ TEST(ServeTest, RejectsMalformedTickSequences) {
 }
 
 TEST(ServeTest, RejectsUnknownScenarioKindsAndForeignFrames) {
-  {
+  // 2 and 3 are the retired interest join and leave kinds.
+  for (const uint32_t kind : {2u, 3u, 99u}) {
+    SCOPED_TRACE(kind);
     IngestFixture fx;
     ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
-    Result<size_t> bad = fx.Feed(
-        net::wire::Frame::ScenarioOp(1000, /*kind=*/99, 1, 0, 0.0));
+    Result<size_t> bad =
+        fx.Feed(net::wire::Frame::ScenarioOp(1000, kind, 1, 0, 0.5));
     ASSERT_FALSE(bad.ok());
     EXPECT_TRUE(bad.status().IsInvalidArgument());
+    EXPECT_NE(bad.status().message().find("unknown scenario op kind"),
+              std::string::npos)
+        << bad.status().ToString();
   }
   {
     // An update frame belongs on the data transport, never the feed.
