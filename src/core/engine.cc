@@ -130,6 +130,13 @@ Result<EngineMetrics> Engine::Run() {
         "comp_delay: member count x comp_delay x (1 + "
         "tag_check_cost_factor) must stay below kSimTimeMax / 4 us");
   }
+  // A failure at or before the horizon defers its repair by
+  // repair_delay; bound it the same way.
+  if (options_.repair_delay < 0 ||
+      options_.repair_delay >= sim::kSimTimeMax / 4) {
+    return Status::InvalidArgument(
+        "repair_delay must be in [0, kSimTimeMax / 4) us");
+  }
   const Result<sim::SimTime> horizon_or = TraceHorizon(traces_);
   if (!horizon_or.ok()) return horizon_or.status();
   const sim::SimTime horizon = *horizon_or;

@@ -59,6 +59,7 @@ struct EngineOptions {
   /// Silence-detection window: orphans stay detached (integrating
   /// staleness) for this long after their parent fails before the
   /// repair policy re-attaches them. 0 repairs at the failure instant.
+  /// Must be in [0, kSimTimeMax / 4).
   sim::SimTime repair_delay = 0;
   /// When non-null, every inter-node update push is serialized through
   /// the wire format over this transport (peer ids = overlay indices,

@@ -31,8 +31,11 @@ Result<PullMetrics> PullEngine::Run() {
       options_.initial_ttr > options_.ttr_max) {
     return Status::InvalidArgument("initial_ttr outside [ttr_min, ttr_max]");
   }
-  if (options_.grow_factor < 1.0 || options_.safety <= 0.0) {
-    return Status::InvalidArgument("need grow_factor >= 1 and safety > 0");
+  if (!(std::isfinite(options_.grow_factor) && options_.grow_factor >= 1.0)) {
+    return Status::InvalidArgument("grow_factor must be finite and >= 1");
+  }
+  if (!(std::isfinite(options_.safety) && options_.safety > 0.0)) {
+    return Status::InvalidArgument("safety must be finite and > 0");
   }
   if (options_.comp_delay < 0) {
     return Status::InvalidArgument("negative computational delay");

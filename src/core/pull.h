@@ -35,9 +35,10 @@ struct PullOptions {
   sim::SimTime ttr_max = sim::Seconds(30);
   sim::SimTime initial_ttr = sim::Seconds(1);
   /// Fraction of the rate-derived deadline actually used (< 1 polls
-  /// early, hedging against acceleration).
+  /// early, hedging against acceleration). Must be finite and > 0.
   double safety = 0.5;
   /// Multiplicative TTR growth after a poll that observed no violation.
+  /// Must be finite and >= 1.
   double grow_factor = 1.3;
   bool adaptive = true;
   /// Server cost to produce one poll response (busy-server model, like

@@ -1,49 +1,27 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace d3t::sim {
 
-// d3t-lint: hot
-void EventQueue::Schedule(SimTime when, Event event) {
-  assert(when >= 0);
-  const Item item{when, next_seq_++, event};
-  size_t hole = heap_.size();
-  heap_.emplace_back();
-  while (hole > 0) {
-    const size_t parent = (hole - 1) / kArity;
-    if (!item.Before(heap_[parent])) break;
-    heap_[hole] = heap_[parent];
-    hole = parent;
-  }
-  heap_[hole] = item;
+size_t EventQueue::size() const {
+  size_t n = 0;
+  for (const std::vector<Item>& bucket : buckets_) n += bucket.size();
+  return n - head_;
 }
 
 // d3t-lint: hot
-SimTime EventQueue::RunNext(EventHandler& handler) {
-  assert(!heap_.empty());
-  // Copied out before the sift: the handler may schedule further events.
-  const Item top = heap_.front();
-  const Item last = heap_.back();
-  heap_.pop_back();
-  const size_t n = heap_.size();
-  if (n > 0) {
-    size_t hole = 0;
-    for (size_t first = 1; first < n; first = hole * kArity + 1) {
-      const size_t end = std::min(first + kArity, n);
-      size_t best = first;
-      for (size_t c = first + 1; c < end; ++c) {
-        if (heap_[c].Before(heap_[best])) best = c;
-      }
-      if (!heap_[best].Before(last)) break;
-      heap_[hole] = heap_[best];
-      hole = best;
-    }
-    heap_[hole] = last;
-  }
-  handler.HandleEvent(top.when, top.event);
-  return top.when;
+void EventQueue::Refill() {
+  // Every event in bucket i agrees with its minimum on bits i-1 and up,
+  // so each lands in a lower bucket, never back in the one being read.
+  const int i = __builtin_ctzll(mask_);
+  std::vector<Item>& bucket = buckets_[i];
+  const SimTime base = base_ = min_[i];
+  min_[i] = kSimTimeMax;
+  uint64_t mask = mask_ & ~(uint64_t{1} << i);
+  for (const Item& item : bucket) mask |= Push(item, base);
+  mask_ = mask;
+  bucket.clear();
 }
 
 }  // namespace d3t::sim

@@ -1,6 +1,9 @@
 #ifndef D3T_SIM_EVENT_QUEUE_H_
 #define D3T_SIM_EVENT_QUEUE_H_
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
@@ -79,44 +82,90 @@ class EventHandler {
   ~EventHandler() = default;
 };
 
-/// A deterministic min-heap of timed events, each held inline. Ties in
-/// firing time are broken by insertion sequence, so runs are
-/// reproducible regardless of heap internals. The heap is 4-ary: a
-/// node's children sit side by side (four 32-byte items), so a pop
-/// descends half the levels of a binary heap, and both sifts move a
-/// hole rather than swapping items.
+/// A deterministic monotone radix queue of timed events, each held
+/// inline (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990). Events run in
+/// time order, ties in scheduling order. Every schedule is at or after
+/// the base, the time of the last event run, so an event is filed by
+/// its time relative to it: bucket i > 0 holds the times that first
+/// differ from the base at bit i-1, and bucket 0 holds the events due
+/// at the base, consumed FIFO. Equal times always share a bucket, and a
+/// refill moves a bucket in order, so ties need no sequence number.
 class EventQueue {
  public:
-  /// Schedules `event` at absolute time `when` (must be >= 0).
-  void Schedule(SimTime when, Event event);
+  /// Schedules `event` at absolute time `when`, which must be at least
+  /// the time of the last event run (0 before the first).
+  // d3t-lint: hot
+  void Schedule(SimTime when, Event event) {
+    assert(when >= base_);
+    mask_ |= Push(Item{when, event}, base_);
+  }
 
-  bool empty() const { return heap_.empty(); }
-  size_t size() const { return heap_.size(); }
+  bool empty() const { return mask_ == 0; }
+  size_t size() const;
 
-  /// Time of the earliest event; kSimTimeMax when empty.
+  /// Time of the earliest event; kSimTimeMax when empty. Never moves the
+  /// base, so a later Schedule may still use any time from the last
+  /// event run on.
   SimTime PeekTime() const {
-    return heap_.empty() ? kSimTimeMax : heap_.front().when;
+    return mask_ == 0 ? kSimTimeMax : min_[__builtin_ctzll(mask_)];
   }
 
   /// Pops the earliest event, hands it to `handler` and returns its
-  /// time. Must not be called when empty. The handler may schedule
-  /// further events.
-  SimTime RunNext(EventHandler& handler);
+  /// time, which becomes the base. Must not be called when empty. The
+  /// handler may schedule further events.
+  // d3t-lint: hot
+  SimTime RunNext(EventHandler& handler) {
+    assert(!empty());
+    if ((mask_ & 1) == 0) Refill();
+    std::vector<Item>& due = buckets_[0];
+    // Copied out: the handler may schedule into bucket 0 and move it.
+    const Item item = due[head_];
+    if (++head_ == due.size()) {
+      due.clear();
+      head_ = 0;
+      min_[0] = kSimTimeMax;
+      mask_ &= ~uint64_t{1};
+    }
+    handler.HandleEvent(item.when, item.event);
+    return item.when;
+  }
 
  private:
   struct Item {
     SimTime when;
-    uint64_t seq;
     Event event;
-    /// (when, seq) order. Sequence numbers are unique, so it is total.
-    bool Before(const Item& other) const {
-      return when < other.when || (when == other.when && seq < other.seq);
-    }
   };
-  static constexpr size_t kArity = 4;
+  /// Times are non-negative, so a time differs from the base in at most
+  /// bits 0..62.
+  static constexpr size_t kBuckets = 64;
 
-  std::vector<Item> heap_;
-  uint64_t next_seq_ = 0;
+  /// Appends `item` to its bucket relative to `base` and returns that
+  /// bucket's mask bit.
+  uint64_t Push(const Item& item, SimTime base) {
+    const uint64_t diff = static_cast<uint64_t>(item.when ^ base);
+    const int bucket = diff == 0 ? 0 : 64 - __builtin_clzll(diff);
+    buckets_[bucket].push_back(item);
+    min_[bucket] = std::min(min_[bucket], item.when);
+    return uint64_t{1} << bucket;
+  }
+
+  /// Makes the lowest non-empty bucket's minimum the base and files the
+  /// bucket's events below it, in order. Bucket 0 must be empty.
+  void Refill();
+
+  std::array<std::vector<Item>, kBuckets> buckets_;
+  /// min_[i] is bucket i's earliest time; kSimTimeMax when it is empty.
+  std::array<SimTime, kBuckets> min_ = [] {
+    std::array<SimTime, kBuckets> empty;
+    empty.fill(kSimTimeMax);
+    return empty;
+  }();
+  /// Bit i is set iff bucket i holds pending events.
+  uint64_t mask_ = 0;
+  /// buckets_[0][head_..] are pending.
+  size_t head_ = 0;
+  /// Time of the last event run; no pending time is before it.
+  SimTime base_ = 0;
 };
 
 }  // namespace d3t::sim

@@ -4,8 +4,10 @@
 // hash-map-based engine before the dense edge/tracker refactor; the
 // refactor must reproduce them exactly.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/pull.h"
 #include "exp/multi_source.h"
@@ -486,6 +488,60 @@ TEST(DeterminismTest, TraceDumpIsByteIdenticalAcrossReruns) {
     dump = obs::DumpTrace(recorder);
   }
   EXPECT_EQ(dumps[0], dumps[1]);
+}
+
+/// FNV-1a digest of `recorder`'s records in recording order.
+uint64_t RecordingOrderDigest(const obs::Recorder& recorder) {
+  std::vector<obs::TraceEvent> records;
+  records.reserve(recorder.size());
+  for (size_t i = 0; i < recorder.size(); ++i) {
+    records.push_back(recorder.at(i));
+  }
+  return obs::HashBytes(records.data(),
+                        records.size() * sizeof(obs::TraceEvent));
+}
+
+TEST(DeterminismTest, GoldenRecordingOrderIsPinned) {
+  // The golden metrics and the sorted DumpTrace cannot see the order in
+  // which events run within one instant; the raw recording order can.
+  // Pins the push engine (distributed, centralized) and the adaptive
+  // pull engine on the golden world, so a kernel that reorders ties
+  // fails here even when every metric holds.
+  struct OrderGolden {
+    const char* run;
+    size_t records;
+    uint64_t digest;
+  };
+  constexpr OrderGolden kGoldenOrder[] = {
+      {"distributed", 9936, 0x3469df45838ba4b7ull},
+      {"centralized", 10694, 0x525539da2b600278ull},
+      {"pull-adaptive", 6364, 0xb351e13145fe9485ull},
+  };
+  Result<SimulationSession> session = GoldenWorld().Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (const OrderGolden& golden : kGoldenOrder) {
+    SCOPED_TRACE(golden.run);
+    obs::Recorder recorder(1 << 17);
+    if (std::string(golden.run) == "pull-adaptive") {
+      const World& world = session->world();
+      core::PullOptions options;
+      options.adaptive = true;
+      options.recorder = &recorder;
+      Result<core::PullMetrics> run =
+          core::PullEngine(world.delays(), world.interests(), world.traces(),
+                           options)
+              .Run();
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+    } else {
+      RunSpec spec = GoldenSpec(golden.run);
+      spec.recorder = &recorder;
+      Result<ExperimentResult> run = session->Run(spec);
+      ASSERT_TRUE(run.ok()) << run.status().ToString();
+    }
+    ASSERT_EQ(recorder.dropped(), 0u) << "ring wrapped; pin is not valid";
+    EXPECT_EQ(recorder.size(), golden.records);
+    EXPECT_EQ(RecordingOrderDigest(recorder), golden.digest);
+  }
 }
 
 TEST(DeterminismTest, TraceDumpIsByteIdenticalAcrossKernelToggles) {

@@ -358,6 +358,36 @@ TEST(EngineTest, RejectsCompDelayWhoseBusyPeriodOverflows) {
   EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
 }
 
+TEST(EngineTest, RejectsRepairDelayOutsideTheClock) {
+  // A failure at or before the horizon schedules its repair
+  // repair_delay later: a negative delay would land in the past, and
+  // one from kSimTimeMax / 4 on could overflow the clock.
+  Scenario s = Fig4Scenario();
+  Result<core::Scenario> script = core::Scenario::Create(
+      {ScenarioOp{sim::Seconds(3), ScenarioOpKind::kRepoFail, 1}});
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  DistributedDisseminator policy;
+  EngineOptions options;
+  for (const sim::SimTime bad :
+       {sim::SimTime{-1}, -sim::Seconds(1), sim::kSimTimeMax / 4}) {
+    options.repair_delay = bad;
+    const Status status = Engine(s.overlay, s.delays, s.traces, policy,
+                                 options, nullptr, &*script)
+                              .Run()
+                              .status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.message().find("repair_delay"), std::string::npos)
+        << status.ToString();
+  }
+  options.repair_delay = sim::kSimTimeMax / 4 - 1;
+  Result<EngineMetrics> run =
+      Engine(s.overlay, s.delays, s.traces, policy, options, nullptr,
+             &*script)
+          .Run();
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(run->scenario_ops, 1u);
+}
+
 TEST(EngineTest, RejectsMismatchedDelayModel) {
   Scenario s = BuildRandomScenario(13, 5, 2, 2, 0);
   net::OverlayDelayModel wrong = net::OverlayDelayModel::Uniform(3, 0);

@@ -1,5 +1,7 @@
 #include "core/pull.h"
 
+#include <limits>
+
 #include "gtest/gtest.h"
 #include "trace/synthetic.h"
 
@@ -81,6 +83,23 @@ TEST(PullTest, ValidatesArguments) {
   EXPECT_TRUE(overflow.IsInvalidArgument()) << overflow.ToString();
   EXPECT_NE(overflow.message().find("comp_delay"), std::string::npos)
       << overflow.ToString();
+  // A NaN or infinite TTR factor is rejected, naming the field.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double value :
+       {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    bad = FastPull();
+    bad.safety = value;
+    Status status = PullEngine(delays, interests, traces, bad).Run().status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.message().find("safety"), std::string::npos)
+        << status.ToString();
+    bad = FastPull();
+    bad.grow_factor = value;
+    status = PullEngine(delays, interests, traces, bad).Run().status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_NE(status.message().find("grow_factor"), std::string::npos)
+        << status.ToString();
+  }
 
   // Wrong delay-model size.
   auto small = net::OverlayDelayModel::Uniform(1, 0);

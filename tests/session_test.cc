@@ -425,6 +425,11 @@ TEST(SessionValidationTest, RejectsNonFiniteRepairDelay) {
     spec.policy.repair_delay_ms = bad;
     ExpectRejected(*session, spec, "repair_delay_ms");
   }
+  // In range for sim::Millis, but a failure's deferred repair could
+  // overflow the microsecond clock; the engine rejects it.
+  RunSpec spec = SmallSpec();
+  spec.policy.repair_delay_ms = 9e15;
+  ExpectRejected(*session, spec, "repair_delay");
 }
 
 TEST(SessionValidationTest, RejectsBadTagCheckCostFactor) {

@@ -178,8 +178,8 @@ TEST(SimulatorTest, DispatchesTypedEventsToRegisteredHandler) {
   EXPECT_EQ(handler.seen[2].event.kind, EventKind::kSourceTick);
 }
 
-// A heap event due at now() was scheduled before the clock reached
-// now(), so it runs before every event scheduled at now() (the lane).
+// An event already due at now() was scheduled before the clock reached
+// now(), so it runs before every event scheduled at now().
 TEST(SimulatorTest, HeapEventsDueNowRunBeforeLaneEvents) {
   struct Handler : EventHandler {
     Simulator* sim = nullptr;
@@ -205,7 +205,7 @@ TEST(SimulatorTest, HeapEventsDueNowRunBeforeLaneEvents) {
 }
 
 // Same-instant events run FIFO, including those a same-instant handler
-// schedules at now(): they join the back of the lane.
+// schedules at now(): they run behind every event already due.
 TEST(SimulatorTest, SameInstantEventsRunFifo) {
   struct Handler : EventHandler {
     Simulator* sim = nullptr;
@@ -226,7 +226,7 @@ TEST(SimulatorTest, SameInstantEventsRunFifo) {
 }
 
 // An unbounded run ends once nothing is pending, also when the last
-// events fire at kSimTimeMax itself, where the empty heap's PeekTime()
+// events fire at kSimTimeMax itself, where the empty queue's PeekTime()
 // equals the horizon.
 TEST(SimulatorTest, RunToSimTimeMaxEndsWhenNothingIsPending) {
   struct Handler : EventHandler {
