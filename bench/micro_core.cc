@@ -237,29 +237,6 @@ void BM_PullEngineEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_PullEngineEndToEnd)->Unit(benchmark::kMillisecond);
 
-void BM_OverlayRemoveMember(benchmark::State& state) {
-  Rng rng(10);
-  core::InterestOptions workload;
-  workload.repository_count = 100;
-  workload.item_count = 30;
-  auto interests = core::GenerateInterests(workload, rng);
-  auto delays =
-      net::OverlayDelayModel::Uniform(101, sim::Millis(20));
-  core::LelaOptions lela;
-  lela.coop_degree = 5;
-  for (auto _ : state) {
-    state.PauseTiming();
-    Rng build_rng(11);
-    auto built =
-        core::BuildOverlay(delays, interests, 30, lela, build_rng);
-    state.ResumeTiming();
-    for (core::OverlayIndex m = 2; m <= 100; m += 2) {
-      benchmark::DoNotOptimize(built->overlay.RemoveMember(m));
-    }
-  }
-}
-BENCHMARK(BM_OverlayRemoveMember)->Unit(benchmark::kMillisecond);
-
 /// Shared fixture for the dense-vs-hash engine-run comparison: a
 /// production-scale d3g (hundreds of repositories, high fan-out, most
 /// repositories interested in most items) so the per-update edge state

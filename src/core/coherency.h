@@ -25,6 +25,12 @@ inline constexpr double kForwardingSlack = 1e-9;
 /// quantum, so no real violation is masked.
 inline constexpr double kFidelitySlack = 1e-6;
 
+/// True for a tolerance a repository may ask for: finite and > 0. Every
+/// entry that takes a tolerance rejects the rest.
+inline bool IsValidTolerance(Coherency c) {
+  return std::isfinite(c) && c > 0.0;
+}
+
 /// Eq. (1): a parent may serve a dependent only when its own coherency
 /// requirement is at least as stringent.
 inline bool SatisfiesEq1(Coherency parent_c, Coherency child_c) {

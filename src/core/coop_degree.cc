@@ -12,10 +12,13 @@ size_t ComputeCooperationDegree(const CoopDegreeInputs& inputs) {
                        static_cast<double>(inputs.avg_comp_delay);
   const double f = std::max(1.0, inputs.f);
   const double degree = std::sqrt(std::max(0.0, ratio)) * (f / 14.0);
-  const long long rounded = std::llround(degree);
-  const size_t clamped =
-      rounded < 1 ? 1 : static_cast<size_t>(rounded);
-  return std::min(clamped, inputs.max_resources);
+  // Clamp before rounding, so a product past the integer range saturates
+  // instead of wrapping; NaN (zero comm delay x infinite f) counts as 1.
+  if (!(degree >= 1.0)) return 1;
+  if (degree >= static_cast<double>(inputs.max_resources)) {
+    return inputs.max_resources;
+  }
+  return static_cast<size_t>(std::llround(degree));
 }
 
 }  // namespace d3t::core

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <limits>
 #include <map>
+#include <numeric>
 
 #include "core/coherency.h"
 
@@ -185,7 +186,6 @@ Result<EngineMetrics> Engine::Run() {
   // its item's change timeline and integrates the source process lazily.
   trackers_.assign(overlay_.tracker_id_limit(), FidelityTracker{});
   tracker_active_.assign(overlay_.tracker_id_limit(), 0);
-  uint64_t tracked_pairs = 0;
   for (OverlayIndex m = 1; m < overlay_.member_count(); ++m) {
     for (ItemId item = 0; item < overlay_.item_count(); ++item) {
       if (!overlay_.Holds(m, item)) continue;
@@ -195,7 +195,6 @@ Result<EngineMetrics> Engine::Run() {
       assert(tid != kInvalidTrackerId);
       trackers_[tid] = FidelityTracker(s.c_own, &(*timelines)[item]);
       tracker_active_[tid] = 1;
-      ++tracked_pairs;
     }
   }
 
@@ -245,38 +244,27 @@ Result<EngineMetrics> Engine::Run() {
         static_cast<double>(metrics_.outage_pair_time);
   }
 
-  // Aggregate per the paper: repository loss = mean over its items,
-  // system loss = mean over repositories that track anything.
-  metrics_.per_member_loss.assign(overlay_.member_count(), -1.0);
-  metrics_.per_member_loss[kSourceOverlayIndex] = 0.0;
-  double loss_sum = 0.0;
-  double pair_loss_sum = 0.0;
-  size_t repos_counted = 0;
+  std::vector<double> loss_sums(overlay_.member_count(), 0.0);
+  std::vector<size_t> pair_counts(overlay_.member_count(), 0);
   for (OverlayIndex m = 1; m < overlay_.member_count(); ++m) {
-    double sum = 0.0;
-    size_t count = 0;
     for (ItemId item = 0; item < overlay_.item_count(); ++item) {
       const TrackerId tid = overlay_.tracker_id(m, item);
       if (tid == kInvalidTrackerId || !tracker_active_[tid]) continue;
-      sum += trackers_[tid].LossPercent();
-      ++count;
-    }
-    if (count > 0) {
-      const double loss = sum / static_cast<double>(count);
-      metrics_.per_member_loss[m] = loss;
-      loss_sum += loss;
-      pair_loss_sum += sum;
-      ++repos_counted;
+      loss_sums[m] += trackers_[tid].LossPercent();
+      ++pair_counts[m];
     }
   }
   metrics_.loss_percent =
-      repos_counted > 0 ? loss_sum / static_cast<double>(repos_counted)
-                        : 0.0;
-  metrics_.tracked_pairs = tracked_pairs;
+      AggregateLoss(loss_sums, pair_counts, metrics_.per_member_loss);
+  // Pair loss weighs every tracked pair alike: all sums over all pairs.
+  const double pair_loss_sum =
+      std::accumulate(loss_sums.begin(), loss_sums.end(), 0.0);
+  metrics_.tracked_pairs =
+      std::accumulate(pair_counts.begin(), pair_counts.end(), uint64_t{0});
   metrics_.pair_loss_percent =
-      tracked_pairs == 0
+      metrics_.tracked_pairs == 0
           ? 0.0
-          : pair_loss_sum / static_cast<double>(tracked_pairs);
+          : pair_loss_sum / static_cast<double>(metrics_.tracked_pairs);
   if (options_.registry != nullptr) {
     PublishEngineMetrics(metrics_, *options_.registry);
   }

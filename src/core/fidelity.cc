@@ -134,6 +134,23 @@ Result<sim::SimTime> TraceHorizon(const std::vector<trace::Trace>& traces) {
   return horizon;
 }
 
+double AggregateLoss(const std::vector<double>& loss_sums,
+                     const std::vector<size_t>& pair_counts,
+                     std::vector<double>& per_member_loss) {
+  per_member_loss.assign(loss_sums.size(), -1.0);
+  per_member_loss[kSourceOverlayIndex] = 0.0;
+  double total = 0.0;
+  size_t members = 0;
+  for (size_t m = 1; m < loss_sums.size(); ++m) {
+    if (pair_counts[m] == 0) continue;
+    const double loss = loss_sums[m] / static_cast<double>(pair_counts[m]);
+    per_member_loss[m] = loss;
+    total += loss;
+    ++members;
+  }
+  return members > 0 ? total / static_cast<double>(members) : 0.0;
+}
+
 Result<const ChangeTimelines*> ResolveChangeTimelines(
     const ChangeTimelines* cache, const std::vector<trace::Trace>& traces,
     ChangeTimelines& owned) {

@@ -118,6 +118,16 @@ Status ValidateChangeTimelines(const ChangeTimelines& timelines,
 /// bound, so no event time can overflow.
 Result<sim::SimTime> TraceHorizon(const std::vector<trace::Trace>& traces);
 
+/// Loss aggregation of paper §6.2, shared by Engine and PullEngine:
+/// `loss_sums[m]` sums member m's per-item loss percents in item order
+/// and `pair_counts[m]` counts them (index 0 is the source; both the
+/// same size). Fills `per_member_loss` with each member's mean (0 for
+/// the source, -1 for a member that tracks nothing) and returns the
+/// mean over the members that track anything, 0 when none does.
+double AggregateLoss(const std::vector<double>& loss_sums,
+                     const std::vector<size_t>& pair_counts,
+                     std::vector<double>& per_member_loss);
+
 /// Borrow-or-build resolution shared by Engine and PullEngine: returns
 /// `cache` after validating it against `traces`, or — when no cache was
 /// supplied — builds the timelines into `owned` and returns its

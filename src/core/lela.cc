@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <numeric>
+
+#include "core/coherency.h"
 
 namespace d3t::core {
 
@@ -37,11 +40,9 @@ class Builder {
   /// source's holdings. Must be called (successfully) before any join.
   Status Initialize();
 
-  /// Validates and places one repository.
+  /// Validates and places repository `q` (in [1, member count)).
   Status JoinMember(OverlayIndex q, const InterestSet& needs);
 
-  const Overlay& overlay() const { return overlay_; }
-  const LelaBuildInfo& info() const { return info_; }
   Overlay TakeOverlay() { return std::move(overlay_); }
   LelaBuildInfo FinalInfo() {
     info_.levels = levels_.size();
@@ -51,13 +52,6 @@ class Builder {
  private:
   /// Flat (item, tolerance) view of the joining member's needs.
   using FlatNeeds = std::vector<std::pair<ItemId, Coherency>>;
-
-  /// Cooperation capacity offered by `m`.
-  size_t DegreeOf(OverlayIndex m) const {
-    return options_.per_member_degree.empty()
-               ? options_.coop_degree
-               : options_.per_member_degree[m];
-  }
 
   /// True when `parent` can already serve `item` at tolerance `c`: one
   /// dense array read (kNotServed compares false against any c).
@@ -170,7 +164,6 @@ Status Builder::InsertRepository(OverlayIndex q, const InterestSet& needed) {
       open_.emplace_back();
     }
     levels_[1].push_back(q);
-    info_.levels = levels_.size();
     return Status::Ok();
   }
   // One flat copy of the needs per join: every per-candidate scan below
@@ -185,7 +178,9 @@ Status Builder::InsertRepository(OverlayIndex q, const InterestSet& needed) {
     std::vector<OverlayIndex>& candidates = open_[level];
     size_t keep = 0;
     for (OverlayIndex m : candidates) {
-      if (overlay_.ConnectionChildren(m).size() >= DegreeOf(m)) continue;
+      if (overlay_.ConnectionChildren(m).size() >= options_.coop_degree) {
+        continue;
+      }
       candidates[keep++] = m;
     }
     candidates.resize(keep);
@@ -257,12 +252,11 @@ Status Builder::InsertRepository(OverlayIndex q, const InterestSet& needed) {
     }
     levels_[level + 1].push_back(q);
     // q joined with needs, so it has a connection parent and is
-    // source-reachable: parent-eligible as soon as it offers capacity.
-    if (DegreeOf(q) > 0) open_[level + 1].push_back(q);
+    // source-reachable; with coop_degree >= 1 it is parent-eligible.
+    open_[level + 1].push_back(q);
     if (overlay_.ConnectionParents(q).size() > 1) {
       ++info_.multi_parent_repositories;
     }
-    info_.levels = levels_.size();
     return Status::Ok();
   }
   return Status::CapacityExhausted(
@@ -270,21 +264,11 @@ Status Builder::InsertRepository(OverlayIndex q, const InterestSet& needed) {
 }
 
 Status Builder::Initialize() {
-  if (options_.coop_degree == 0 && options_.per_member_degree.empty()) {
+  if (options_.coop_degree == 0) {
     return Status::InvalidArgument("cooperation degree must be >= 1");
   }
-  if (!options_.per_member_degree.empty()) {
-    if (options_.per_member_degree.size() != overlay_.member_count()) {
-      return Status::InvalidArgument(
-          "per_member_degree must cover source + all repositories");
-    }
-    if (options_.per_member_degree[kSourceOverlayIndex] == 0) {
-      return Status::InvalidArgument(
-          "the source must offer at least one dependent slot");
-    }
-  }
-  if (options_.p_window < 0.0) {
-    return Status::InvalidArgument("p_window must be >= 0");
+  if (!(std::isfinite(options_.p_window) && options_.p_window >= 0.0)) {
+    return Status::InvalidArgument("p_window must be finite and >= 0");
   }
   if (delays_.member_count() != overlay_.member_count()) {
     return Status::InvalidArgument(
@@ -300,16 +284,13 @@ Status Builder::Initialize() {
 }
 
 Status Builder::JoinMember(OverlayIndex q, const InterestSet& needs) {
-  if (q == kSourceOverlayIndex || q >= overlay_.member_count()) {
-    return Status::OutOfRange("member index out of range");
-  }
   for (const auto& [item, c] : needs) {
     if (item >= overlay_.item_count()) {
       return Status::OutOfRange("interest references unknown item");
     }
-    if (c <= 0.0) {
+    if (!IsValidTolerance(c)) {
       return Status::InvalidArgument(
-          "coherency tolerances must be positive");
+          "coherency tolerances must be finite and > 0");
     }
   }
   return InsertRepository(q, needs);
@@ -347,54 +328,6 @@ Result<LelaResult> BuildOverlay(const net::OverlayDelayModel& delays,
   }
   LelaBuildInfo info = builder.FinalInfo();
   return LelaResult{builder.TakeOverlay(), info};
-}
-
-// ---------------------------------------------------------------------------
-// IncrementalLela
-
-struct IncrementalLela::Impl {
-  Impl(const net::OverlayDelayModel& delays, size_t item_count,
-       const LelaOptions& options, Rng& rng)
-      : builder(delays, delays.member_count(), item_count, options, rng),
-        joined(delays.member_count(), false) {
-    init_status = builder.Initialize();
-  }
-
-  Builder builder;
-  Status init_status;
-  std::vector<bool> joined;
-};
-
-IncrementalLela::IncrementalLela(const net::OverlayDelayModel& delays,
-                                 size_t item_count,
-                                 const LelaOptions& options, Rng& rng)
-    : impl_(std::make_unique<Impl>(delays, item_count, options, rng)) {}
-
-IncrementalLela::~IncrementalLela() = default;
-
-Status IncrementalLela::Join(OverlayIndex member, const InterestSet& needs) {
-  if (!impl_->init_status.ok()) return impl_->init_status;
-  if (member >= impl_->joined.size()) {
-    return Status::OutOfRange("member index out of range");
-  }
-  if (member != kSourceOverlayIndex && impl_->joined[member]) {
-    return Status::AlreadyExists("member already joined");
-  }
-  D3T_RETURN_IF_ERROR(impl_->builder.JoinMember(member, needs));
-  impl_->joined[member] = true;
-  return Status::Ok();
-}
-
-bool IncrementalLela::HasJoined(OverlayIndex member) const {
-  return member < impl_->joined.size() && impl_->joined[member];
-}
-
-const Overlay& IncrementalLela::overlay() const {
-  return impl_->builder.overlay();
-}
-
-const LelaBuildInfo& IncrementalLela::info() const {
-  return impl_->builder.info();
 }
 
 }  // namespace d3t::core

@@ -1,7 +1,6 @@
 #ifndef D3T_CORE_LELA_H_
 #define D3T_CORE_LELA_H_
 
-#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -35,16 +34,10 @@ enum class InsertionOrder {
 /// Options of the Level-by-Level Algorithm (paper §4).
 struct LelaOptions {
   /// Maximum number of connection dependents any member (including the
-  /// source) will serve — the degree of cooperation.
+  /// source) will serve — the degree of cooperation. Must be >= 1.
   size_t coop_degree = 5;
-  /// Optional per-member override (paper §4: each repository *specifies*
-  /// its own degree of cooperation when it joins). Indexed by overlay
-  /// member (0 = source); when non-empty it must cover all members and
-  /// takes precedence over `coop_degree`. Zero entries mean "offers no
-  /// cooperation" (never a parent).
-  std::vector<size_t> per_member_degree;
   /// The P% closeness window: candidates within (1 + p_window) of the
-  /// smallest preference become parents.
+  /// smallest preference become parents. Must be finite and >= 0.
   double p_window = 0.05;
   PreferenceFunction preference = PreferenceFunction::kP1;
   InsertionOrder insertion_order = InsertionOrder::kStringentFirst;
@@ -71,52 +64,14 @@ struct LelaResult {
 /// Builds the d3g with LeLA. `interests[i]` belongs to overlay member
 /// i + 1; member 0 is the source, which holds every item at tolerance 0.
 /// `delays` supplies repository-to-repository communication delays for
-/// the preference factor and must cover all members. `rng` breaks the
-/// random choices the paper leaves open (supplier selection during
-/// cascading augmentation, random insertion order).
+/// the preference factor and must cover all members. Every tolerance
+/// must be finite and > 0. `rng` breaks the random choices the paper
+/// leaves open (supplier selection during cascading augmentation, random
+/// insertion order).
 Result<LelaResult> BuildOverlay(const net::OverlayDelayModel& delays,
                                 const std::vector<InterestSet>& interests,
                                 size_t item_count, const LelaOptions& options,
                                 Rng& rng);
-
-/// Incremental form of LeLA — the shape the paper actually describes:
-/// repositories join a live network one at a time (§4, "when a
-/// repository wishes to enter the network it specifies the list of data
-/// items of interest, their c values, and its degree of cooperation").
-/// Capacity for members is fixed by the delay model (member 0 is the
-/// source); members may join in any order, each at most once.
-///
-///   IncrementalLela lela(delays, item_count, options, rng);
-///   lela.Join(3, needs_of_member_3);
-///   lela.Join(1, needs_of_member_1);
-///   const Overlay& overlay = lela.overlay();
-class IncrementalLela {
- public:
-  /// `rng` must outlive the builder. Invalid options surface on the
-  /// first Join().
-  IncrementalLela(const net::OverlayDelayModel& delays, size_t item_count,
-                  const LelaOptions& options, Rng& rng);
-  ~IncrementalLela();
-
-  IncrementalLela(const IncrementalLela&) = delete;
-  IncrementalLela& operator=(const IncrementalLela&) = delete;
-
-  /// Places `member` (in [1, delays.member_count())) into the d3g with
-  /// the given needs. Fails on duplicate joins, unknown members, bad
-  /// tolerances, or exhausted cooperation capacity.
-  Status Join(OverlayIndex member, const InterestSet& needs);
-
-  /// True when `member` has joined.
-  bool HasJoined(OverlayIndex member) const;
-
-  /// The overlay built so far (the source is always present).
-  const Overlay& overlay() const;
-  const LelaBuildInfo& info() const;
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
 
 }  // namespace d3t::core
 

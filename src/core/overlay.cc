@@ -178,46 +178,6 @@ std::vector<ItemId> Overlay::ItemsHeldBy(OverlayIndex m) const {
   return out;
 }
 
-Status Overlay::RemoveMember(OverlayIndex m) {
-  if (m >= member_count_) return Status::OutOfRange("unknown member");
-  if (m == kSourceOverlayIndex) {
-    return Status::InvalidArgument("cannot remove the source");
-  }
-  // Re-parent every per-item dependent to this member's per-item parent.
-  for (ItemId item = 0; item < item_count_; ++item) {
-    ItemServing* s = FindSlot(m, item);
-    if (s == nullptr) continue;
-    const OverlayIndex parent = s->parent;
-    // Copy: AddItemEdge mutates the child lists we iterate.
-    const std::vector<ItemEdge> dependents = s->children;
-    for (const ItemEdge& edge : dependents) {
-      AddItemEdge(parent, edge.child, item, edge.c);
-    }
-    // Drop m's holding and detach it from its parent's edge list (the
-    // erased edge's id goes back to the free list).
-    if (parent != kInvalidOverlayIndex) EraseEdgeRecord(parent, m, item);
-    held_[SlotIndex(m, item)] = 0;
-    *s = ItemServing{};
-  }
-  EraseMemberConnections(m);
-  return Status::Ok();
-}
-
-void Overlay::EraseMemberConnections(OverlayIndex m) {
-  for (OverlayIndex parent : connection_parents_[m]) {
-    auto& siblings = connection_children_[parent];
-    siblings.erase(std::remove(siblings.begin(), siblings.end(), m),
-                   siblings.end());
-  }
-  for (OverlayIndex child : connection_children_[m]) {
-    auto& up = connection_parents_[child];
-    up.erase(std::remove(up.begin(), up.end(), m), up.end());
-  }
-  connection_parents_[m].clear();
-  connection_children_[m].clear();
-  level_[m] = kInvalidLevel;
-}
-
 Result<MemberDetachment> Overlay::DetachMember(OverlayIndex m) {
   if (m >= member_count_) return Status::OutOfRange("unknown member");
   if (m == kSourceOverlayIndex) {
@@ -242,7 +202,19 @@ Result<MemberDetachment> Overlay::DetachMember(OverlayIndex m) {
     held_[SlotIndex(m, item)] = 0;
     *s = ItemServing{};
   }
-  EraseMemberConnections(m);
+  // Erase m from every connection list in both directions.
+  for (OverlayIndex parent : connection_parents_[m]) {
+    auto& siblings = connection_children_[parent];
+    siblings.erase(std::remove(siblings.begin(), siblings.end(), m),
+                   siblings.end());
+  }
+  for (OverlayIndex child : connection_children_[m]) {
+    auto& up = connection_parents_[child];
+    up.erase(std::remove(up.begin(), up.end(), m), up.end());
+  }
+  connection_parents_[m].clear();
+  connection_children_[m].clear();
+  level_[m] = kInvalidLevel;
   return out;
 }
 
@@ -253,7 +225,9 @@ Status Overlay::JoinOwnInterest(OverlayIndex m, ItemId item, Coherency c) {
   if (m == kSourceOverlayIndex) {
     return Status::InvalidArgument("the source needs no own interest");
   }
-  if (!(c > 0.0)) return Status::InvalidArgument("tolerance must be > 0");
+  if (!IsValidTolerance(c)) {
+    return Status::InvalidArgument("tolerance must be finite and > 0");
+  }
   const size_t idx = SlotIndex(m, item);
   if (!held_[idx]) {
     return Status::FailedPrecondition(
@@ -277,7 +251,9 @@ Status Overlay::UpdateOwnCoherency(OverlayIndex m, ItemId item,
   if (m == kSourceOverlayIndex) {
     return Status::InvalidArgument("the source's tolerance is fixed at 0");
   }
-  if (!(c > 0.0)) return Status::InvalidArgument("tolerance must be > 0");
+  if (!IsValidTolerance(c)) {
+    return Status::InvalidArgument("tolerance must be finite and > 0");
+  }
   ItemServing* s = FindSlot(m, item);
   if (s == nullptr || !s->own_interest) {
     return Status::FailedPrecondition(

@@ -150,8 +150,8 @@ class Overlay {
 
   /// Dense tracker id of the (m, item) own-interest pair, assigned by
   /// SetOwnInterest; kInvalidTrackerId when the member never declared
-  /// interest in the item. Survives RemoveMember and DetachMember so a
-  /// re-attached member keeps its identity.
+  /// interest in the item. Survives DetachMember so a re-attached
+  /// member keeps its identity.
   TrackerId tracker_id(OverlayIndex m, ItemId item) const {
     return tracker_ids_[SlotIndex(m, item)];
   }
@@ -163,42 +163,33 @@ class Overlay {
   uint32_t level(OverlayIndex m) const { return level_[m]; }
   void set_level(OverlayIndex m, uint32_t level) { level_[m] = level; }
 
-  /// Gracefully removes a repository from the overlay (a departing or
-  /// failed node). For every item the member relayed, its dependents are
-  /// re-parented to the member's own per-item parent — always legal
-  /// because c_serve(parent) <= c_serve(member) <= each dependent's
-  /// tolerance (Eq. 1 transitivity) — and the member's connections and
-  /// holdings are erased. The parent's connection fan-out can exceed the
-  /// original cooperation degree afterwards; callers that care should
-  /// re-run LeLA for the affected subtree. Removing the source or an
-  /// unknown member fails.
-  [[nodiscard]] Status RemoveMember(OverlayIndex m);
-
   /// Crash-style removal (a *failed* node, paper §4's resilience
-  /// discussion): unlike RemoveMember, dependents are NOT silently
-  /// re-parented — they keep their holdings and subtrees but are left
-  /// orphaned (per-item parent = kInvalidOverlayIndex) and returned,
-  /// together with the member's own needs, so the caller's repair
-  /// policy decides where (and when) each orphan re-attaches. All of
-  /// the member's edge ids are recycled. The overlay does not Validate
-  /// while orphans exist (their item trees are not rooted); repair
-  /// restores validity. Removing the source or an unknown member fails.
+  /// discussion): dependents are NOT re-parented — they keep their
+  /// holdings and subtrees but are left orphaned (per-item parent =
+  /// kInvalidOverlayIndex) and returned, together with the member's own
+  /// needs, so the caller's repair policy decides where (and when) each
+  /// orphan re-attaches. The member loses every holding and connection
+  /// and its level resets to kInvalidLevel; all of its edge ids are
+  /// recycled. The overlay does not Validate while orphans exist (their
+  /// item trees are not rooted); repair restores validity. Removing the
+  /// source or an unknown member fails.
   [[nodiscard]] Result<MemberDetachment> DetachMember(OverlayIndex m);
 
   /// Restates (a recovered member re-attaching a captured need) that
   /// `m` — which must already hold `item` — has an own need for it at
-  /// tolerance `c`: sets the own-interest flag (minting the pair's
-  /// TrackerId if it never had one) and renegotiates the serve chain
-  /// (c_serve may tighten, propagating up to the source). Unlike
-  /// SetOwnInterest this keeps every parent edge's tolerance consistent
-  /// with its child's c_serve.
+  /// tolerance `c` (finite and > 0): sets the own-interest flag (minting
+  /// the pair's TrackerId if it never had one) and renegotiates the
+  /// serve chain (c_serve may tighten, propagating up to the source).
+  /// Unlike SetOwnInterest this keeps every parent edge's tolerance
+  /// consistent with its child's c_serve.
   [[nodiscard]] Status JoinOwnInterest(OverlayIndex m, ItemId item, Coherency c);
 
   /// Coherency renegotiation: `m`'s own tolerance for `item` becomes
-  /// `c` (m must hold the item with own interest). Tightening and
-  /// loosening both recompute c_serve = min(c_own, dependents) at every
-  /// hop up the serving chain and keep each parent edge's tolerance
-  /// equal to its child's c_serve, so Eq. (1) holds throughout.
+  /// `c`, finite and > 0 (m must hold the item with own interest).
+  /// Tightening and loosening both recompute c_serve = min(c_own,
+  /// dependents) at every hop up the serving chain and keep each parent
+  /// edge's tolerance equal to its child's c_serve, so Eq. (1) holds
+  /// throughout.
   [[nodiscard]] Status UpdateOwnCoherency(OverlayIndex m, ItemId item, Coherency c);
 
   /// Structural validation:
@@ -233,9 +224,6 @@ class Overlay {
   /// at the first unchanged hop. Every hop it visits holds the item for
   /// an own need or a dependent, so the minimum is always finite.
   void PropagateServe(OverlayIndex m, ItemId item);
-  /// Erases `m` from every connection list in both directions and
-  /// resets its level (the shared tail of RemoveMember/DetachMember).
-  void EraseMemberConnections(OverlayIndex m);
 
   size_t member_count_ = 0;
   size_t item_count_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <string>
 
 #include "core/coherency.h"
 
@@ -71,6 +72,11 @@ Result<PullMetrics> PullEngine::Run() {
       if (item >= traces_.size()) {
         return Status::OutOfRange("interest references unknown item");
       }
+      if (!IsValidTolerance(c)) {
+        return Status::InvalidArgument(
+            "member " + std::to_string(i + 1) + ", item " +
+            std::to_string(item) + ": tolerance must be finite and > 0");
+      }
       PollState state;
       state.member = static_cast<OverlayIndex>(i + 1);
       state.item = item;
@@ -105,25 +111,15 @@ Result<PullMetrics> PullEngine::Run() {
   simulator_.ScheduleAt(horizon, sim::Event::FinalizeHook());
   simulator_.RunUntil(horizon);
 
-  metrics_.per_member_loss.assign(interests_.size() + 1, -1.0);
-  metrics_.per_member_loss[kSourceOverlayIndex] = 0.0;
-  std::vector<double> sums(interests_.size() + 1, 0.0);
-  std::vector<size_t> counts(interests_.size() + 1, 0);
+  // States run member by member, items ascending within each.
+  std::vector<double> loss_sums(interests_.size() + 1, 0.0);
+  std::vector<size_t> pair_counts(interests_.size() + 1, 0);
   for (const PollState& state : states_) {
-    sums[state.member] += trackers_[state.tracker].LossPercent();
-    ++counts[state.member];
-  }
-  double total = 0.0;
-  size_t repos = 0;
-  for (size_t m = 1; m < sums.size(); ++m) {
-    if (counts[m] == 0) continue;
-    const double loss = sums[m] / static_cast<double>(counts[m]);
-    metrics_.per_member_loss[m] = loss;
-    total += loss;
-    ++repos;
+    loss_sums[state.member] += trackers_[state.tracker].LossPercent();
+    ++pair_counts[state.member];
   }
   metrics_.loss_percent =
-      repos > 0 ? total / static_cast<double>(repos) : 0.0;
+      AggregateLoss(loss_sums, pair_counts, metrics_.per_member_loss);
   metrics_.wire_messages = metrics_.polls * 2;
   metrics_.source_utilization =
       horizon > 0 ? static_cast<double>(source_busy_total_) /

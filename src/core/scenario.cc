@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "core/coherency.h"
+
 namespace d3t::core {
 
 const char* ScenarioOpKindName(ScenarioOpKind kind) {
@@ -68,9 +70,9 @@ Result<Scenario> Scenario::Create(std::vector<ScenarioOp> ops) {
         failed[op.member] = false;
         break;
       case ScenarioOpKind::kCoherencyChange:
-        if (!(op.c > 0.0)) {
-          return Status::InvalidArgument(OpLabel(op, i) +
-                                         ": tolerance must be > 0");
+        if (!IsValidTolerance(op.c)) {
+          return Status::InvalidArgument(
+              OpLabel(op, i) + ": tolerance must be finite and > 0");
         }
         if (op.item == kInvalidItem) {
           return Status::InvalidArgument(OpLabel(op, i) + ": invalid item");

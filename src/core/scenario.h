@@ -67,7 +67,8 @@ static_assert(std::is_trivially_copyable_v<ScenarioOp>,
 /// kernel. Statically validated at Create: ops are sorted by time
 /// (stable, so same-instant ops apply in authoring order), every kind is
 /// known, fail/recover alternate per member, no op targets the source,
-/// and no coherency op targets a member while the script has it failed.
+/// every coherency op's tolerance is finite and > 0, and no coherency
+/// op targets a member while the script has it failed.
 /// An empty Scenario is the no-dynamics baseline and is guaranteed
 /// byte-identical to a run without any scenario at all.
 class Scenario {

@@ -65,6 +65,14 @@ Status ValidateRunSpec(const World& world, const RunSpec& spec) {
     return Status::InvalidArgument(
         "tag_check_cost_factor x comp_delay_ms must be <= 9e15 ms");
   }
+  if (!std::isfinite(spec.overlay.coop_f)) {
+    return Status::InvalidArgument("coop_f must be finite, got " +
+                                   std::to_string(spec.overlay.coop_f));
+  }
+  if (!(std::isfinite(spec.overlay.p_window) && spec.overlay.p_window >= 0)) {
+    return Status::InvalidArgument("p_window must be finite and >= 0, got " +
+                                   std::to_string(spec.overlay.p_window));
+  }
   // Member 0 is the source; repositories are members 1..N.
   D3T_RETURN_IF_ERROR(spec.scenario.ValidateAgainst(
       world.network().repositories + 1, world.workload().items));

@@ -67,27 +67,6 @@ RoutingTables::Row& RoutingTables::EnsureRow(NodeId from) {
   return row;
 }
 
-Result<sim::SimTime> RoutingTables::CheckedDelay(NodeId from,
-                                                 NodeId to) const {
-  if (from >= rows_.size() || to >= rows_.size()) {
-    return Status::OutOfRange("routing query endpoint out of range");
-  }
-  if (rows_[from].delay.empty()) {
-    return Status::FailedPrecondition("routing row was never computed");
-  }
-  return rows_[from].delay[to];
-}
-
-Result<uint32_t> RoutingTables::CheckedHops(NodeId from, NodeId to) const {
-  if (from >= rows_.size() || to >= rows_.size()) {
-    return Status::OutOfRange("routing query endpoint out of range");
-  }
-  if (rows_[from].hops.empty()) {
-    return Status::FailedPrecondition("routing row was never computed");
-  }
-  return rows_[from].hops[to];
-}
-
 Result<RoutingTables> RoutingTables::FloydWarshall(const Topology& topo) {
   const size_t n = topo.node_count();
   RoutingTables t(n);

@@ -36,12 +36,12 @@ class RoutingTables {
 
   explicit RoutingTables(size_t node_count);
 
-  /// Unchecked row queries: `from` must be a computed row (always true
+  /// Row queries: `from` must be a computed row (always true
   /// after Floyd-Warshall; only for requested sources with Dijkstra) and
   /// `to` in range. Debug builds assert; release builds return the
   /// unreachable sentinels for an uncomputed row rather than reading out
-  /// of bounds. Use the Checked variants when the row's validity is not
-  /// known statically.
+  /// of bounds. Test HasRow first when the row's validity is not known
+  /// statically.
   sim::SimTime Delay(NodeId from, NodeId to) const {
     assert(from < rows_.size() && "routing row out of range");
     assert(to < rows_.size() && "routing column out of range");
@@ -62,11 +62,6 @@ class RoutingTables {
     }
     return rows_[from].hops[to];
   }
-
-  /// Checked queries: OutOfRange for an endpoint beyond node_count(),
-  /// FailedPrecondition for a row that was never computed.
-  Result<sim::SimTime> CheckedDelay(NodeId from, NodeId to) const;
-  Result<uint32_t> CheckedHops(NodeId from, NodeId to) const;
 
   /// True when a row was computed (always true for Floyd-Warshall; only
   /// for requested sources with Dijkstra).

@@ -117,37 +117,6 @@ Snapshot Registry::TakeSnapshot() const {
 
 void Registry::Clear() { slots_.clear(); }
 
-void MergeSnapshot(Snapshot& into, const Snapshot& from) {
-  for (uint32_t i = 0; i < from.count; ++i) {
-    const SnapshotEntry& entry = from.entries[i];
-    SnapshotEntry* match = nullptr;
-    for (uint32_t j = 0; j < into.count; ++j) {
-      if (into.entries[j].name_hash == entry.name_hash &&
-          into.entries[j].kind == entry.kind &&
-          into.entries[j].index == entry.index) {
-        match = &into.entries[j];
-        break;
-      }
-    }
-    if (match == nullptr) {
-      if (into.count >= Snapshot::kMaxEntries) {
-        ++into.truncated;
-        continue;
-      }
-      into.entries[into.count++] = entry;
-      continue;
-    }
-    if (entry.kind == static_cast<uint32_t>(MetricKind::kGauge)) {
-      if (BitsToDouble(entry.value) > BitsToDouble(match->value)) {
-        match->value = entry.value;
-      }
-    } else {
-      match->value += entry.value;
-    }
-  }
-  into.truncated += from.truncated;
-}
-
 const SnapshotEntry* FindEntry(const Snapshot& snapshot, uint64_t name_hash,
                                uint32_t index) {
   for (uint32_t i = 0; i < snapshot.count; ++i) {

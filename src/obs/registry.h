@@ -77,7 +77,7 @@ static_assert(std::is_trivially_copyable_v<SnapshotEntry>,
               "kObsSnapshot chunks");
 
 /// A registry's state at one instant, as a fixed-size POD that can be
-/// memcpy'd, chunked onto the wire, and merged without knowing which
+/// memcpy'd, chunked onto the wire, and compared without knowing which
 /// subsystem produced it. Entries keep registration order, so two runs
 /// that register the same metrics in the same order snapshot
 /// byte-identically.
@@ -164,13 +164,6 @@ class Registry {
   std::vector<Slot> slots_;
   size_t max_metrics_;
 };
-
-/// Merges `from` into `into`: counters and histogram buckets sum,
-/// gauges keep the maximum (by double value) — the cross-member
-/// aggregations the hand-rolled report paths used to do field by field.
-/// Entries missing from `into` are appended (registration order of
-/// `from` is preserved for them).
-void MergeSnapshot(Snapshot& into, const Snapshot& from);
 
 /// First entry matching (name_hash, index), or nullptr.
 const SnapshotEntry* FindEntry(const Snapshot& snapshot, uint64_t name_hash,

@@ -1,3 +1,5 @@
+#include <limits>
+
 #include "common/random.h"
 #include "core/coherency.h"
 #include "core/coop_degree.h"
@@ -101,6 +103,12 @@ TEST(CoopDegreeTest, ClampedToResources) {
   inputs.avg_comm_delay = sim::Millis(10000);
   inputs.max_resources = 30;
   EXPECT_EQ(ComputeCooperationDegree(inputs), 30u);
+  // A product past the integer range saturates instead of wrapping to 1.
+  inputs.avg_comm_delay = sim::Millis(25);
+  for (const double f : {1e20, std::numeric_limits<double>::infinity()}) {
+    inputs.f = f;
+    EXPECT_EQ(ComputeCooperationDegree(inputs), 30u) << f;
+  }
 }
 
 TEST(CoopDegreeTest, NeverBelowOne) {

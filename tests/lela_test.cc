@@ -1,6 +1,7 @@
 #include "core/lela.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "gtest/gtest.h"
 #include "net/delay_model.h"
@@ -185,6 +186,11 @@ TEST(LelaTest, RejectsBadArguments) {
   options.p_window = -0.1;
   EXPECT_FALSE(
       BuildOverlay(UniformDelays(2), interests, 1, options, rng).ok());
+  // A NaN window used to act as a window of one.
+  options.p_window = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(BuildOverlay(UniformDelays(2), interests, 1, options, rng)
+                  .status()
+                  .IsInvalidArgument());
   // Unknown item id.
   std::vector<InterestSet> bad_item = {{{7, 0.5}}};
   EXPECT_FALSE(
@@ -194,6 +200,16 @@ TEST(LelaTest, RejectsBadArguments) {
   std::vector<InterestSet> bad_c = {{{0, 0.0}}};
   EXPECT_FALSE(
       BuildOverlay(UniformDelays(2), bad_c, 1, DefaultOptions(), rng).ok());
+  // NaN and infinite tolerances: NaN used to build an overlay that
+  // failed Validate, and +inf a holding that nothing bounds.
+  for (const double c : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    const std::vector<InterestSet> non_finite = {{{0, 0.5}}, {{0, c}}};
+    const Status status =
+        BuildOverlay(UniformDelays(3), non_finite, 1, DefaultOptions(), rng)
+            .status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << c << ": " << status.ToString();
+  }
   // Delay model too small.
   EXPECT_FALSE(
       BuildOverlay(UniformDelays(1), interests, 1, DefaultOptions(), rng)
@@ -265,140 +281,6 @@ TEST(LelaTest, DeterministicGivenSeed) {
   }
 }
 
-TEST(LelaTest, PerMemberDegreesRespected) {
-  // Paper §4: each repository specifies *its own* degree of cooperation.
-  Rng rng(30);
-  InterestOptions workload;
-  workload.repository_count = 25;
-  workload.item_count = 6;
-  auto interests = GenerateInterests(workload, rng);
-  LelaOptions options = DefaultOptions(0);
-  options.insertion_order = InsertionOrder::kIndexOrder;
-  options.per_member_degree.assign(26, 0);
-  options.per_member_degree[0] = 4;  // the source
-  for (OverlayIndex m = 1; m <= 25; ++m) {
-    // The first twelve joiners are altruistic, the rest selfish; index
-    // insertion order keeps the capacity frontier reachable.
-    options.per_member_degree[m] = (m <= 12) ? 3 : 0;
-  }
-  Result<LelaResult> built =
-      BuildOverlay(UniformDelays(26), interests, 6, options, rng);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const Overlay& overlay = built->overlay;
-  for (OverlayIndex m = 0; m < overlay.member_count(); ++m) {
-    EXPECT_LE(overlay.ConnectionChildren(m).size(),
-              options.per_member_degree[m])
-        << "member " << m;
-  }
-  // Selfish members (degree 0) never serve anyone but are still served.
-  for (size_t i = 0; i < interests.size(); ++i) {
-    const OverlayIndex m = static_cast<OverlayIndex>(i + 1);
-    for (const auto& [item, c] : interests[i]) {
-      EXPECT_TRUE(overlay.Holds(m, item));
-    }
-  }
-}
-
-TEST(LelaTest, PerMemberDegreeValidation) {
-  Rng rng(31);
-  std::vector<InterestSet> interests = {{{0, 0.5}}};
-  LelaOptions options = DefaultOptions(5);
-  options.per_member_degree = {1};  // wrong size (needs 2)
-  EXPECT_FALSE(
-      BuildOverlay(UniformDelays(2), interests, 1, options, rng).ok());
-  options.per_member_degree = {0, 5};  // source offers nothing
-  EXPECT_FALSE(
-      BuildOverlay(UniformDelays(2), interests, 1, options, rng).ok());
-}
-
-TEST(LelaTest, AllSelfishRepositoriesFallBackToSource) {
-  // When no repository cooperates, everyone must hang off the source —
-  // until its capacity runs out.
-  Rng rng(32);
-  std::vector<InterestSet> interests(5, InterestSet{{0, 0.5}});
-  LelaOptions options = DefaultOptions(0);
-  options.per_member_degree.assign(6, 0);
-  options.per_member_degree[0] = 5;
-  Result<LelaResult> built =
-      BuildOverlay(UniformDelays(6), interests, 1, options, rng);
-  ASSERT_TRUE(built.ok());
-  EXPECT_EQ(built->overlay.ConnectionChildren(0).size(), 5u);
-  // With less capacity than repositories, construction fails loudly.
-  options.per_member_degree[0] = 4;
-  Rng rng2(32);
-  EXPECT_TRUE(BuildOverlay(UniformDelays(6), interests, 1, options, rng2)
-                  .status()
-                  .IsCapacityExhausted());
-}
-
-TEST(IncrementalLelaTest, JoinOneAtATimeMatchesBatchBuild) {
-  Rng rng(40);
-  InterestOptions workload;
-  workload.repository_count = 20;
-  workload.item_count = 6;
-  auto interests = GenerateInterests(workload, rng);
-  auto delays = UniformDelays(21);
-  LelaOptions options = DefaultOptions(3);
-  options.insertion_order = InsertionOrder::kIndexOrder;
-
-  Rng batch_rng(41);
-  Result<LelaResult> batch =
-      BuildOverlay(delays, interests, 6, options, batch_rng);
-  ASSERT_TRUE(batch.ok());
-
-  Rng inc_rng(41);
-  IncrementalLela incremental(delays, 6, options, inc_rng);
-  for (OverlayIndex m = 1; m <= 20; ++m) {
-    ASSERT_TRUE(incremental.Join(m, interests[m - 1]).ok()) << m;
-    EXPECT_TRUE(incremental.HasJoined(m));
-  }
-  // Same joins in the same order with the same seed => identical d3g.
-  for (OverlayIndex m = 0; m <= 20; ++m) {
-    EXPECT_EQ(incremental.overlay().level(m), batch->overlay.level(m));
-    EXPECT_EQ(incremental.overlay().ConnectionChildren(m),
-              batch->overlay.ConnectionChildren(m));
-  }
-  EXPECT_EQ(incremental.info().levels, batch->info.levels);
-}
-
-TEST(IncrementalLelaTest, LateJoinerServedByLiveNetwork) {
-  Rng rng(42);
-  auto delays = UniformDelays(6);
-  LelaOptions options = DefaultOptions(2);
-  IncrementalLela lela(delays, 2, options, rng);
-  ASSERT_TRUE(lela.Join(1, {{0, 0.05}}).ok());
-  ASSERT_TRUE(lela.Join(2, {{0, 0.3}, {1, 0.2}}).ok());
-  ASSERT_TRUE(lela.overlay().Validate(2).ok());
-  // A repository joining later still finds a parent and its items.
-  ASSERT_TRUE(lela.Join(5, {{0, 0.9}, {1, 0.8}}).ok());
-  EXPECT_TRUE(lela.overlay().Holds(5, 0));
-  EXPECT_TRUE(lela.overlay().Holds(5, 1));
-  EXPECT_TRUE(lela.overlay().Validate(2).ok());
-  // Members 3 and 4 never joined; they hold nothing.
-  EXPECT_FALSE(lela.HasJoined(3));
-  EXPECT_FALSE(lela.overlay().Holds(3, 0));
-}
-
-TEST(IncrementalLelaTest, RejectsDuplicatesAndBadMembers) {
-  Rng rng(43);
-  auto delays = UniformDelays(3);
-  IncrementalLela lela(delays, 1, DefaultOptions(2), rng);
-  ASSERT_TRUE(lela.Join(1, {{0, 0.5}}).ok());
-  EXPECT_TRUE(lela.Join(1, {{0, 0.5}}).IsAlreadyExists());
-  EXPECT_TRUE(lela.Join(0, {{0, 0.5}}).IsOutOfRange());  // the source
-  EXPECT_TRUE(lela.Join(9, {{0, 0.5}}).IsOutOfRange());
-  EXPECT_TRUE(lela.Join(2, {{7, 0.5}}).IsOutOfRange());  // unknown item
-  EXPECT_FALSE(lela.HasJoined(2));
-}
-
-TEST(IncrementalLelaTest, BadOptionsSurfaceOnJoin) {
-  Rng rng(44);
-  auto delays = UniformDelays(3);
-  LelaOptions options = DefaultOptions(0);  // invalid degree
-  IncrementalLela lela(delays, 1, options, rng);
-  EXPECT_TRUE(lela.Join(1, {{0, 0.5}}).IsInvalidArgument());
-}
-
 TEST(LelaTest, EmptyInterestPlacedAsLeaf) {
   Rng rng(16);
   std::vector<InterestSet> interests = {{}, {{0, 0.5}}};
@@ -411,6 +293,33 @@ TEST(LelaTest, EmptyInterestPlacedAsLeaf) {
   EXPECT_TRUE(built->overlay.Validate(2).ok());
   // The data-needing repo is still served.
   EXPECT_TRUE(built->overlay.Holds(2, 0));
+}
+
+TEST(ReapplyLelaTest, ChangedNeedsRebuildCleanly) {
+  // The paper's handling of changed requirements: reapply the algorithm.
+  Rng rng(23);
+  InterestOptions workload;
+  workload.repository_count = 15;
+  workload.item_count = 5;
+  auto interests = GenerateInterests(workload, rng);
+  auto delays = net::OverlayDelayModel::Uniform(16, sim::Millis(10));
+  LelaOptions options;
+  options.coop_degree = 3;
+  Rng build1(1);
+  Result<LelaResult> before =
+      BuildOverlay(delays, interests, 5, options, build1);
+  ASSERT_TRUE(before.ok());
+
+  // Tighten one repository's tolerances and rebuild.
+  for (auto& [item, c] : interests[4]) c = 0.01;
+  Rng build2(1);
+  Result<LelaResult> after =
+      BuildOverlay(delays, interests, 5, options, build2);
+  ASSERT_TRUE(after.ok());
+  EXPECT_TRUE(after->overlay.Validate(3).ok());
+  for (const auto& [item, c] : interests[4]) {
+    EXPECT_LE(after->overlay.Serving(5, item).c_serve, 0.01);
+  }
 }
 
 }  // namespace

@@ -139,23 +139,6 @@ TEST(RegistryTest, SnapshotKeepsRegistrationOrderAndExpandsBuckets) {
   EXPECT_EQ(FindEntry(snapshot, HashMetricName("missing")), nullptr);
 }
 
-TEST(RegistryTest, MergeSumsCountersKeepsMaxGaugeAppendsMissing) {
-  Registry a;
-  a.Add(a.Counter("msgs"), 10);
-  a.Set(a.Gauge("loss"), 2.0);
-  Registry b;
-  b.Add(b.Counter("msgs"), 32);
-  b.Set(b.Gauge("loss"), 1.0);
-  b.Add(b.Counter("extra"), 7);
-
-  Snapshot merged = a.TakeSnapshot();
-  MergeSnapshot(merged, b.TakeSnapshot());
-  EXPECT_EQ(SnapshotCounter(merged, "msgs"), 42u);
-  EXPECT_DOUBLE_EQ(SnapshotGauge(merged, "loss"), 2.0);  // max wins
-  EXPECT_EQ(SnapshotCounter(merged, "extra"), 7u);
-  EXPECT_EQ(merged.count, 3u);
-}
-
 TEST(RegistryTest, SnapshotsIdenticalIsBytewise) {
   Registry a;
   a.Add(a.Counter("x"), 5);

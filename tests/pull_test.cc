@@ -111,6 +111,18 @@ TEST(PullTest, ValidatesArguments) {
   EXPECT_FALSE(
       PullEngine(delays, bad_item, traces, FastPull()).Run().ok());
 
+  // Tolerances must be finite and > 0; unchecked, each ran to an OK
+  // result. The error names the member and the item.
+  for (const double c :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(), kInf}) {
+    const std::vector<InterestSet> bad_c = {{{0, c}}};
+    const Status status =
+        PullEngine(delays, bad_c, traces, FastPull()).Run().status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << c << ": " << status.ToString();
+    EXPECT_NE(status.message().find("member 1, item 0"), std::string::npos)
+        << status.ToString();
+  }
+
   // Tick times outside [0, kSimTimeMax / 4) would overflow the clock.
   for (const std::vector<trace::Tick>& ticks :
        {std::vector<trace::Tick>{{-sim::Seconds(2), 1.0}, {0, 2.0}},

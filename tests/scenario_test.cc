@@ -73,6 +73,18 @@ TEST(ScenarioTest, StaticValidationRejectsContradictions) {
                   .Build()
                   .status()
                   .IsInvalidArgument());
+  // Infinite tolerance: it used to reach the overlay, where a Debug
+  // build aborts and a Release build serves the item at c = inf.
+  const Status infinite =
+      exp::ScenarioBuilder()
+          .ChangeCoherency(sim::Seconds(10), 2, 0,
+                           std::numeric_limits<double>::infinity())
+          .Build()
+          .status();
+  EXPECT_TRUE(infinite.IsInvalidArgument()) << infinite.ToString();
+  EXPECT_NE(infinite.message().find("coherency-change op #0"),
+            std::string::npos)
+      << infinite.ToString();
   // Chained RecoverAt with no FailRepo to chain off.
   EXPECT_TRUE(exp::ScenarioBuilder()
                   .RecoverAt(sim::Seconds(10))
@@ -177,11 +189,22 @@ TEST(OverlayRepairTest, DetachCapturesOrphansAndNeeds) {
   EXPECT_TRUE(overlay.Holds(3, 0));
   EXPECT_EQ(overlay.Serving(3, 0).parent, kInvalidOverlayIndex);
   EXPECT_FALSE(overlay.Validate().ok());
+  // The detached member holds nothing, sits on no connection list in
+  // either direction, and is unplaced.
+  EXPECT_FALSE(overlay.Holds(2, 0));
+  EXPECT_TRUE(overlay.ConnectionChildren(2).empty());
+  EXPECT_TRUE(overlay.ConnectionParents(2).empty());
+  EXPECT_EQ(overlay.level(2), Overlay::kInvalidLevel);
+  EXPECT_TRUE(overlay.ConnectionChildren(1).empty());
+  EXPECT_TRUE(overlay.ConnectionParents(3).empty());
   // Repair via the fallback parent restores validity, recycling ids:
   // no fresh id is minted.
   overlay.AddItemEdge(1, 3, 0, 0.3);
   EXPECT_TRUE(overlay.Validate().ok());
   EXPECT_EQ(overlay.edge_id_limit(), limit_before);
+  // The source and unknown members cannot be detached.
+  EXPECT_TRUE(overlay.DetachMember(0).status().IsInvalidArgument());
+  EXPECT_TRUE(overlay.DetachMember(99).status().IsOutOfRange());
 }
 
 TEST(OverlayRepairTest, EdgeIdsStayBoundedAcrossChurn) {
@@ -219,6 +242,16 @@ TEST(OverlayRepairTest, CoherencyRenegotiationPropagatesBothWays) {
   EXPECT_TRUE(overlay.UpdateOwnCoherency(0, 0, 0.5).IsInvalidArgument());
   EXPECT_TRUE(
       overlay.UpdateOwnCoherency(1, 0, -1.0).IsInvalidArgument());
+  // +inf used to trip PropagateServe's finiteness assert (a Release
+  // build served at c = inf); NaN must stay rejected too.
+  for (const double c : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_TRUE(overlay.UpdateOwnCoherency(3, 0, c).IsInvalidArgument())
+        << c;
+    EXPECT_TRUE(overlay.JoinOwnInterest(3, 0, c).IsInvalidArgument()) << c;
+  }
+  EXPECT_DOUBLE_EQ(overlay.Serving(3, 0).c_serve, 0.3);
+  EXPECT_TRUE(overlay.Validate().ok());
   Overlay fresh(4, 2);
   fresh.SetServing(0, 1, 0.0, kInvalidOverlayIndex);
   EXPECT_TRUE(fresh.UpdateOwnCoherency(1, 1, 0.5).IsFailedPrecondition());

@@ -8,6 +8,7 @@
 // precise, sticky Status.
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -358,6 +359,42 @@ TEST(ServeTest, RejectsUnknownScenarioKindsAndForeignFrames) {
     ASSERT_FALSE(foreign.ok());
     EXPECT_TRUE(foreign.status().IsInvalidArgument());
   }
+}
+
+TEST(ServeTest, FedNonFiniteToleranceFailsServe) {
+  // Fed scenario ops are validated by core::Scenario::Create at Serve().
+  // An infinite tolerance used to reach the overlay, where a Debug build
+  // aborts and a Release build serves the item at c = inf.
+  IngestFixture fx;
+  core::OverlayIndex member = 0;
+  core::ItemId item = 0;
+  const std::vector<core::InterestSet>& interests =
+      fx.session.world().interests();
+  for (size_t i = 0; i < interests.size() && member == 0; ++i) {
+    if (interests[i].empty()) continue;
+    member = static_cast<core::OverlayIndex>(i + 1);
+    item = interests[i].begin()->first;
+  }
+  ASSERT_GT(member, 0u);
+  ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
+  ASSERT_TRUE(fx.Feed(net::wire::Frame::ScenarioOp(
+                          1,
+                          static_cast<uint32_t>(
+                              core::ScenarioOpKind::kCoherencyChange),
+                          member, item,
+                          std::numeric_limits<double>::infinity()))
+                  .ok());
+  int64_t at = 0;
+  for (uint32_t i = 0; i < fx.overlay.item_count(); ++i) {
+    ASSERT_TRUE(fx.Feed(net::wire::Frame::SourceTick(i, 0, ++at, 1.0)).ok());
+  }
+  ASSERT_TRUE(fx.Feed(net::wire::Frame::Shutdown(0)).ok());
+  Result<serve::NodeReport> report = fx.node.Serve();
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(report.status().IsInvalidArgument())
+      << report.status().ToString();
+  EXPECT_NE(report.status().message().find("tolerance"), std::string::npos)
+      << report.status().ToString();
 }
 
 TEST(ServeTest, RejectsIncompleteFeeds) {

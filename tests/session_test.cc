@@ -444,6 +444,24 @@ TEST(SessionValidationTest, RejectsBadTagCheckCostFactor) {
   }
 }
 
+TEST(SessionValidationTest, RejectsNonFiniteOverlayKnobs) {
+  // Unchecked, a NaN p_window acted as a window of one candidate, and
+  // an infinite coop_f wrapped the controlled degree to 1.
+  Result<SimulationSession> session = BuildSmallSession();
+  ASSERT_TRUE(session.ok());
+  for (double bad : {kNaN, kInf, -kInf}) {
+    RunSpec spec = SmallSpec();
+    spec.overlay.controlled_cooperation = true;
+    spec.overlay.coop_f = bad;
+    ExpectRejected(*session, spec, "coop_f");
+  }
+  for (double bad : {kNaN, kInf}) {
+    RunSpec spec = SmallSpec();
+    spec.overlay.p_window = bad;
+    ExpectRejected(*session, spec, "p_window");
+  }
+}
+
 TEST(SessionOverrideTest, CustomInterestsAndTracesDriveTheRun) {
   NetworkConfig network = SmallNetwork();
   WorkloadConfig workload;
