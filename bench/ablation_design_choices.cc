@@ -1,5 +1,5 @@
-// Ablation benches for the design choices DESIGN.md calls out, beyond
-// the paper's own figures:
+// Ablation benches for three design choices beyond the paper's own
+// figures:
 //   1. insertion order: stringent-first (the paper's placement rule)
 //      vs random insertion;
 //   2. the Eq. (7) missed-update guard: distributed vs eq3-only at

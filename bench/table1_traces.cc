@@ -1,6 +1,6 @@
 // Reproduces Table 1 of the paper: characteristics of the stock-price
 // traces driving every experiment. The paper polled finance.yahoo.com;
-// we synthesize traces calibrated to the same bands (DESIGN.md §3).
+// we synthesize traces calibrated to the same bands.
 
 #include "bench/bench_util.h"
 #include "common/table.h"

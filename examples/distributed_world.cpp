@@ -124,13 +124,10 @@ d3t::Status RunNode(d3t::serve::ProcessContext& ctx,
   data.set_recorder(&recorder);
   d3t::serve::NodeOptions options;
   options.engine = engine_options;
+  options.engine.recorder = &recorder;
+  options.engine.registry = &registry;
   options.feed_self = ctx.self;
-  options.recorder = &recorder;
-  options.registry = &registry;
-  if (chaos) {
-    options.resubscribe = true;
-    options.feed_publisher = kNodes;
-  }
+  if (chaos) options.feed_publisher = kNodes;
   d3t::serve::Node node(*overlay, world.delays(ctx.self), ctx.transport,
                         data, options);
   if (chaos) {

@@ -82,15 +82,6 @@ d3t::Result<d3t::net::FaultScript> ChaosScript() {
        FaultOp{900, 0 /*drop*/, 1, kAny, 0}});
 }
 
-bool SameMetrics(const d3t::core::EngineMetrics& a,
-                 const d3t::core::EngineMetrics& b) {
-  return a.loss_percent == b.loss_percent &&
-         a.pair_loss_percent == b.pair_loss_percent &&
-         a.messages == b.messages && a.checks == b.checks &&
-         a.source_updates == b.source_updates && a.events == b.events &&
-         a.scenario_ops == b.scenario_ops && a.repairs == b.repairs;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -148,7 +139,8 @@ int main(int argc, char** argv) {
   std::vector<d3t::obs::TraceStream> streams;
   bool all_identical = true;
   for (size_t source = 0; source < world.source_count(); ++source) {
-    // Reference: the same world as one library call, no wire anywhere.
+    // Reference: the same world as one library call, no wire anywhere,
+    // publishing into its own registry.
     auto direct_overlay = BuildNodeOverlay(world, source);
     auto node_overlay = BuildNodeOverlay(world, source);
     if (!direct_overlay.ok() || !node_overlay.ok()) {
@@ -158,13 +150,15 @@ int main(int argc, char** argv) {
     }
     std::unique_ptr<d3t::core::Disseminator> policy =
         d3t::core::MakeDisseminator("distributed");
+    d3t::obs::Registry direct_registry;
+    d3t::core::EngineOptions direct_options = engine_options;
+    direct_options.registry = &direct_registry;
     d3t::core::Engine direct(*direct_overlay, world.delays(source),
-                             world.traces(), *policy, engine_options,
+                             world.traces(), *policy, direct_options,
                              /*change_timelines=*/nullptr, &*scenario);
-    auto direct_metrics = direct.Run();
-    if (!direct_metrics.ok()) {
+    if (auto run = direct.Run(); !run.ok()) {
       std::fprintf(stderr, "direct run: %s\n",
-                   direct_metrics.status().ToString().c_str());
+                   run.status().ToString().c_str());
       return 1;
     }
 
@@ -192,10 +186,9 @@ int main(int argc, char** argv) {
     data.set_recorder(&recorder);
     d3t::serve::NodeOptions options;
     options.engine = engine_options;
-    options.resubscribe = true;
+    options.engine.recorder = &recorder;
+    options.engine.registry = &registry;
     options.feed_publisher = 1;
-    options.recorder = &recorder;
-    options.registry = &registry;
     d3t::serve::Node node(*node_overlay, world.delays(source), feed, data,
                           options);
     d3t::serve::FeedPublisher publisher(
@@ -218,7 +211,8 @@ int main(int argc, char** argv) {
     d3t::net::PublishTransportMetrics(registry, "data", report->data);
     snapshots[source] = registry.TakeSnapshot();
 
-    const bool identical = SameMetrics(*direct_metrics, report->engine);
+    const bool identical =
+        d3t::obs::EntriesMatch(direct_registry, snapshots[source]).ok();
     all_identical = all_identical && identical;
     extras[source] = {
         d3t::TablePrinter::Int(static_cast<int64_t>(report->data.frames_tx)),

@@ -1,17 +1,8 @@
 #include "core/clients.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace d3t::core {
-
-namespace {
-
-Coherency QuantizeTolerance(double c) {
-  return std::round(c * 1000.0) / 1000.0;
-}
-
-}  // namespace
 
 std::vector<Client> GenerateClients(const ClientWorkloadOptions& options,
                                     Rng& rng) {
@@ -30,11 +21,7 @@ std::vector<Client> GenerateClients(const ClientWorkloadOptions& options,
           static_cast<ItemId>(rng.NextBounded(options.item_count));
       const bool stringent =
           rng.NextBernoulli(options.stringent_fraction);
-      client.c = QuantizeTolerance(
-          stringent
-              ? rng.NextDoubleInRange(options.stringent_lo,
-                                      options.stringent_hi)
-              : rng.NextDoubleInRange(options.loose_lo, options.loose_hi));
+      client.c = DrawTolerance(stringent, rng);
       clients.push_back(client);
     }
   }

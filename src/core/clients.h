@@ -20,8 +20,8 @@ struct Client {
   Coherency c = 0.0;
 };
 
-/// Parameters of the client workload generator. Tolerance mixing reuses
-/// the paper's stringent/loose ranges.
+/// Parameters of the client workload generator. Tolerances come from
+/// the paper's stringent/loose ranges (DrawTolerance).
 struct ClientWorkloadOptions {
   size_t repository_count = 100;
   size_t item_count = 100;
@@ -30,10 +30,6 @@ struct ClientWorkloadOptions {
   size_t max_clients_per_repository = 10;
   /// Fraction of clients with a stringent tolerance (the paper's T).
   double stringent_fraction = 0.5;
-  Coherency stringent_lo = 0.01;
-  Coherency stringent_hi = 0.099;
-  Coherency loose_lo = 0.1;
-  Coherency loose_hi = 0.999;
 };
 
 /// Generates a random population of clients. Every repository gets at

@@ -36,8 +36,8 @@ struct CoopDegreeInputs {
 /// monotonicities, and — like the paper's Fig. 7(b,c) — keeps the chosen
 /// degree below the regime where a node's per-dependent computational
 /// delay saturates it (which a linear response to a 10x communication-
-/// delay sweep does not; see DESIGN.md §3). A zero computational delay
-/// yields `max_resources` (communication fully dominates).
+/// delay sweep does not). A zero computational delay yields
+/// `max_resources` (communication fully dominates).
 size_t ComputeCooperationDegree(const CoopDegreeInputs& inputs);
 
 }  // namespace d3t::core

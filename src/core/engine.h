@@ -157,8 +157,8 @@ struct EngineMetrics {
 
 /// Couples traces -> source -> overlay -> repositories on a discrete-
 /// event simulator with a busy-server model of computational delay at
-/// every node (DESIGN.md §5.2) and full-path communication delays from
-/// the overlay delay model.
+/// every node and full-path communication delays from the overlay
+/// delay model.
 ///
 /// The engine is the simulator's EventHandler: every event of a run is
 /// a 16-byte POD (sim::Event) held inline in the queue — SourceTick,

@@ -5,14 +5,11 @@
 
 namespace d3t::core {
 
-namespace {
-
-Coherency QuantizeTolerance(double c) {
-  // The paper's tolerance ranges are expressed in $0.001 steps.
+Coherency DrawTolerance(bool stringent, Rng& rng) {
+  const double c = stringent ? rng.NextDoubleInRange(0.01, 0.099)
+                             : rng.NextDoubleInRange(0.1, 0.999);
   return std::round(c * 1000.0) / 1000.0;
 }
-
-}  // namespace
 
 std::vector<InterestSet> GenerateInterests(const InterestOptions& options,
                                            Rng& rng) {
@@ -21,20 +18,12 @@ std::vector<InterestSet> GenerateInterests(const InterestOptions& options,
     for (ItemId item = 0; item < options.item_count; ++item) {
       if (!rng.NextBernoulli(options.item_probability)) continue;
       const bool stringent = rng.NextBernoulli(options.stringent_fraction);
-      const Coherency c = QuantizeTolerance(
-          stringent
-              ? rng.NextDoubleInRange(options.stringent_lo,
-                                      options.stringent_hi)
-              : rng.NextDoubleInRange(options.loose_lo, options.loose_hi));
-      interest.emplace(item, c);
+      interest.emplace(item, DrawTolerance(stringent, rng));
     }
-    if (interest.empty() && options.ensure_nonempty &&
-        options.item_count > 0) {
+    if (interest.empty() && options.item_count > 0) {
       const ItemId item =
           static_cast<ItemId>(rng.NextBounded(options.item_count));
-      const Coherency c = QuantizeTolerance(rng.NextDoubleInRange(
-          options.loose_lo, options.loose_hi));
-      interest.emplace(item, c);
+      interest.emplace(item, DrawTolerance(/*stringent=*/false, rng));
     }
   }
   return interests;

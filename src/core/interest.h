@@ -15,27 +15,24 @@ namespace d3t::core {
 using InterestSet = std::map<ItemId, Coherency>;
 
 /// Parameters of the paper's workload generator (§6.1): every repository
-/// requests each item with probability `item_probability`; a fraction
-/// `stringent_fraction` (the paper's T%) of its chosen items get a
-/// stringent tolerance drawn from [stringent_lo, stringent_hi], the rest
-/// a loose tolerance from [loose_lo, loose_hi]. Tolerances are quantized
-/// to $0.001 like the paper's ranges ($0.01–$0.099 / $0.1–$0.999).
+/// requests each item with probability `item_probability`, and a
+/// fraction `stringent_fraction` (the paper's T%) of its chosen items
+/// get a stringent tolerance, the rest a loose one (DrawTolerance).
 struct InterestOptions {
   size_t repository_count = 100;
   size_t item_count = 100;
   double item_probability = 0.5;
   double stringent_fraction = 0.5;  // T in [0,1]
-  Coherency stringent_lo = 0.01;
-  Coherency stringent_hi = 0.099;
-  Coherency loose_lo = 0.1;
-  Coherency loose_hi = 0.999;
-  /// Guarantee at least one item per repository (keeps every repository
-  /// inside the overlay).
-  bool ensure_nonempty = true;
 };
+
+/// Draws one tolerance from §6.1's ranges, stringent $0.01–$0.099 or
+/// loose $0.1–$0.999, quantized to the ranges' $0.001 steps.
+Coherency DrawTolerance(bool stringent, Rng& rng);
 
 /// Generates the interest sets for all repositories. Index i of the
 /// result corresponds to overlay member i+1 (member 0 is the source).
+/// A repository whose draws chose no item gets one uniform item with a
+/// loose tolerance, so every repository stays inside the overlay.
 std::vector<InterestSet> GenerateInterests(const InterestOptions& options,
                                            Rng& rng);
 

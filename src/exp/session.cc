@@ -65,6 +65,9 @@ Status ValidateRunSpec(const World& world, const RunSpec& spec) {
     return Status::InvalidArgument(
         "tag_check_cost_factor x comp_delay_ms must be <= 9e15 ms");
   }
+  if (spec.overlay.coop_degree == 0) {
+    return Status::InvalidArgument("coop_degree must be >= 1, got 0");
+  }
   if (!std::isfinite(spec.overlay.coop_f)) {
     return Status::InvalidArgument("coop_f must be finite, got " +
                                    std::to_string(spec.overlay.coop_f));
@@ -281,7 +284,7 @@ Result<ExperimentResult> SimulationSession::Run(const RunSpec& spec) const {
   result.mean_pair_hops = world.mean_pair_hops(spec.source_index);
 
   // Effective cooperation degree.
-  size_t degree = std::max<size_t>(1, spec.overlay.coop_degree);
+  size_t degree = spec.overlay.coop_degree;
   if (spec.overlay.controlled_cooperation) {
     core::CoopDegreeInputs inputs;
     inputs.avg_comm_delay =

@@ -22,27 +22,22 @@ namespace d3t::net {
 /// parameters (min 1.5 ms, mean 4 ms) so that minimum-delay routing over
 /// the generated graph reproduces both quoted numbers: ~10 repo-to-repo
 /// hops and a 20-30 ms mean repo-to-repo delay. Both parameters are
-/// configurable for sensitivity studies (see DESIGN.md §3).
+/// configurable for sensitivity studies.
 struct TopologyGeneratorOptions {
   size_t router_count = 600;
   size_t repository_count = 100;
   /// Number of source nodes (paper base case: 1; §4 sketches the
   /// multi-source extension).
   size_t source_count = 1;
-  /// Extra shortcut links added on top of the spanning tree, as a
-  /// fraction of node count. Tuned so the 700-node network averages
-  /// ~10 repo-to-repo hops.
-  double extra_edge_fraction = 0.05;
   /// Per-link Pareto delay parameters (milliseconds).
   double link_delay_min_ms = 1.5;
   double link_delay_mean_ms = 4.0;
 };
 
 /// Generates a connected random topology: a uniformly random spanning
-/// tree over all nodes plus `extra_edge_fraction * n` shortcut links,
-/// Pareto per-link delays, one node designated the source and
-/// `repository_count` nodes designated repositories (all chosen uniformly
-/// at random).
+/// tree over all nodes plus 0.05 * n shortcut links, Pareto per-link
+/// delays, one node designated the source and `repository_count` nodes
+/// designated repositories (all chosen uniformly at random).
 Result<Topology> GenerateTopology(const TopologyGeneratorOptions& options,
                                   Rng& rng);
 

@@ -232,10 +232,8 @@ Result<ClusterReport> RunCluster(const std::vector<ProcessBody>& bodies,
   }
 
   const bool supervising = options.max_restarts > 0;
-  net::SocketOptions socket_options = options.socket;
-  socket_options.ring_bytes = options.ring_bytes;
-  if (supervising &&
-      socket_options.reconnect_attempts < options.max_restarts) {
+  net::SocketOptions socket_options;
+  if (supervising) {
     // A surviving peer must be able to redial each restarted node once
     // per restart, or supervision recovers the process but not its
     // channels.

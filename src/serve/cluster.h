@@ -87,17 +87,14 @@ struct ClusterOptions {
   /// deadline are SIGKILLed and reported as wedged — a dead or hung
   /// node is a precise error, never a hang.
   int timeout_ms = 30000;
-  /// Ring bytes per socket channel (see SocketOptions::ring_bytes).
-  size_t ring_bytes = 1 << 16;
-  /// Connect/backoff knobs for every endpoint in the cluster.
-  net::SocketOptions socket;
   /// Supervisor mode: restarts per child after an abnormal exit
   /// (nonzero code or signal). 0 — the default — keeps crashes
   /// terminal. When > 0 the parent holds every child's listener open
   /// across restarts (same port, no re-handshake), re-forks the body
-  /// with ProcessContext::incarnation bumped, and raises every
-  /// endpoint's SocketOptions::reconnect_attempts to at least this
-  /// budget so surviving peers redial the restarted node.
+  /// with ProcessContext::incarnation bumped, and sets every
+  /// endpoint's SocketOptions::reconnect_attempts to this budget so
+  /// surviving peers redial the restarted node. Every endpoint
+  /// otherwise runs on the SocketOptions defaults.
   int max_restarts = 0;
   /// Optional metrics registry (parent side; must outlive the run).
   /// RunCluster publishes run totals under "cluster.*": children

@@ -5,6 +5,8 @@
 #include <utility>
 
 #include "core/disseminator.h"
+#include "obs/recorder.h"
+#include "obs/registry.h"
 
 namespace d3t::serve {
 
@@ -36,7 +38,7 @@ Result<size_t> Node::PollFeed() {
     }
     const uint32_t seq = net::wire::FeedSeq(frame);
     if (seq != next_seq_) {
-      if (!options_.resubscribe) {
+      if (options_.feed_publisher == net::kInvalidPeerId) {
         feed_status_ = SeqGapError(seq);
         return feed_status_;
       }
@@ -85,10 +87,6 @@ Status Node::SendResubscribe() {
         " resubscribe requests sent and the feed is still missing seq " +
         std::to_string(next_seq_) + " — first unrecoverable fault");
   }
-  if (options_.feed_publisher == net::kInvalidPeerId) {
-    return Status::FailedPrecondition(
-        "resubscribe enabled without a feed_publisher peer");
-  }
   const Status sent = feed_.Send(
       options_.feed_self, options_.feed_publisher,
       net::wire::Frame::Resubscribe(options_.feed_self, next_seq_));
@@ -99,9 +97,9 @@ Status Node::SendResubscribe() {
   }
   if (!sent.ok()) return sent;
   ++resubscribes_;
-  if (options_.recorder != nullptr) {
-    options_.recorder->Record(obs::TraceEventKind::kResubscribe,
-                              options_.feed_self, next_seq_);
+  if (options_.engine.recorder != nullptr) {
+    options_.engine.recorder->Record(obs::TraceEventKind::kResubscribe,
+                                     options_.feed_self, next_seq_);
   }
   gap_outstanding_ = true;
   return Status::Ok();
@@ -109,7 +107,9 @@ Status Node::SendResubscribe() {
 
 Status Node::RequestMissing() {
   if (!feed_status_.ok()) return feed_status_;
-  if (!options_.resubscribe || feed_complete_) return Status::Ok();
+  if (options_.feed_publisher == net::kInvalidPeerId || feed_complete_) {
+    return Status::Ok();
+  }
   gap_outstanding_ = false;
   Status asked = SendResubscribe();
   if (!asked.ok()) feed_status_ = asked;
@@ -252,8 +252,6 @@ Result<NodeReport> Node::Serve() {
 
   core::EngineOptions engine_options = options_.engine;
   engine_options.wire_transport = &data_;
-  engine_options.recorder = options_.recorder;
-  engine_options.registry = options_.registry;
   core::Engine engine(overlay_, delays_, traces, *policy, engine_options,
                       /*change_timelines=*/nullptr, scenario);
   Result<core::EngineMetrics> metrics = engine.Run();
@@ -271,8 +269,8 @@ Result<NodeReport> Node::Serve() {
   report.scenario_frames = scenario_frames_;
   report.stale_frames = stale_frames_;
   report.resubscribes = resubscribes_;
-  if (options_.registry != nullptr) {
-    obs::Registry& reg = *options_.registry;
+  if (engine_options.registry != nullptr) {
+    obs::Registry& reg = *engine_options.registry;
     reg.Add(reg.Counter("node.feed_frames"), report.feed_frames);
     reg.Add(reg.Counter("node.tick_frames"), report.tick_frames);
     reg.Add(reg.Counter("node.scenario_frames"), report.scenario_frames);
@@ -456,10 +454,8 @@ bool FeedPublisher::done() const {
 // ---------------------------------------------------------------------------
 // DriveFeed
 
-Status DriveFeed(FeedPublisher& publisher, Node& node,
-                 DriveFeedOptions options) {
-  const int max_idle = options.max_idle_rounds > 0 ? options.max_idle_rounds
-                                                   : 1;
+Status DriveFeed(FeedPublisher& publisher, Node& node) {
+  constexpr int kMaxIdleRounds = 64;
   int idle = 0;
   while (!node.feed_complete()) {
     const size_t pumped = publisher.Pump();
@@ -471,7 +467,7 @@ Status DriveFeed(FeedPublisher& publisher, Node& node,
       continue;
     }
     ++idle;
-    if (idle >= max_idle) {
+    if (idle >= kMaxIdleRounds) {
       return Status::IoError(
           "feed wedged: no frames moved for " + std::to_string(idle) +
           " rounds with the node still waiting for feed seq " +

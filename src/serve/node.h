@@ -12,8 +12,6 @@
 #include "core/scenario.h"
 #include "net/delay_model.h"
 #include "net/transport.h"
-#include "obs/recorder.h"
-#include "obs/registry.h"
 #include "trace/trace.h"
 
 namespace d3t::serve {
@@ -37,32 +35,26 @@ struct NodeOptions {
   /// Dissemination policy name (core::MakeDisseminator).
   std::string policy = "distributed";
   /// Engine timing/kernel options. `wire_transport` is overwritten by
-  /// Serve() with the node's data transport.
+  /// Serve() with the node's data transport. `recorder` also records
+  /// this node's own resubscribe requests, and `registry` also receives
+  /// the feed-side "node.*" counters (both may be null and must outlive
+  /// the node). Attaching the recorder to the transports themselves
+  /// remains the caller's call (set_recorder on feed/data).
   core::EngineOptions engine;
-  /// Feed recovery. Every feed frame carries a sequence number; by
-  /// default (false) a gap is a precise sticky error — the PR 7/8
-  /// strict protocol. With resubscribe on, the node instead answers a
-  /// gap with a kResubscribe frame to `feed_publisher` asking for a
-  /// retransmit from the first missing seq, silently drops the
-  /// out-of-order and stale-duplicate frames the fault left behind,
-  /// and resumes ingesting when the retransmission arrives.
-  bool resubscribe = false;
-  /// Where kResubscribe frames go (the publisher's peer id on the feed
-  /// transport). Required when `resubscribe` is true.
+  /// Feed recovery, on exactly when this names a peer: where
+  /// kResubscribe frames go (the publisher's peer id on the feed
+  /// transport). Every feed frame carries a sequence number; by default
+  /// (kInvalidPeerId) a gap is a precise sticky error — the strict
+  /// protocol. With a publisher peer, the node instead answers a gap
+  /// with a kResubscribe frame asking for a retransmit from the first
+  /// missing seq, silently drops the out-of-order and stale-duplicate
+  /// frames the fault left behind, and resumes ingesting when the
+  /// retransmission arrives.
   net::PeerId feed_publisher = net::kInvalidPeerId;
   /// Recovery budget: resubscribe requests this node may send before
   /// declaring the feed unrecoverable with a precise error. Bounds the
   /// work a hostile fault script can extract — never a hang.
   uint32_t max_resubscribes = 32;
-  /// Optional observability (both may be null; must outlive the node).
-  /// The recorder is forwarded to the engine (EngineOptions::recorder
-  /// is overwritten by Serve(), like wire_transport) and records this
-  /// node's own resubscribe requests; the registry receives the
-  /// engine's "engine.*" metrics plus the feed-side "node.*" counters.
-  /// Attaching the recorder to the transports themselves remains the
-  /// caller's call (set_recorder on feed/data).
-  obs::Recorder* recorder = nullptr;
-  obs::Registry* registry = nullptr;
 };
 
 /// Everything a completed Serve() reports.
@@ -103,7 +95,7 @@ class Node {
   /// Next feed sequence number this node expects (== frames ingested).
   uint32_t feed_next_seq() const { return next_seq_; }
 
-  /// Re-requests the feed from the node's cursor (resubscribe mode
+  /// Re-requests the feed from the node's cursor (recovery mode
   /// only; no-op otherwise or once the feed completed). The recovery
   /// nudge for faults no later frame ever exposes — a dropped feed
   /// tail, a lost resubscribe, a lost retransmission. Consumes
@@ -262,22 +254,15 @@ class FeedPublisher {
   std::vector<net::wire::Frame> batch_;
 };
 
-/// Knobs of DriveFeed's wedge detection.
-struct DriveFeedOptions {
-  /// Consecutive publisher+node rounds with zero frames moved before
-  /// the feed is declared wedged (a precise error, never a hang). Every
-  /// 8th idle round nudges Node::RequestMissing, so recovery gets
-  /// several chances before the verdict.
-  int max_idle_rounds = 64;
-};
-
 /// Drives one publisher/node pair to feed completion: alternates
 /// Pump()/PollFeed(), nudges the node's recovery when progress stalls,
 /// and converts a persistent stall into a precise wedge error naming
-/// the sequence number the node is stuck on. Deterministic — progress
-/// is counted in frames, not time — and total: every path terminates.
-Status DriveFeed(FeedPublisher& publisher, Node& node,
-                 DriveFeedOptions options = {});
+/// the sequence number the node is stuck on. 64 consecutive rounds
+/// with zero frames moved declare the feed wedged; every 8th idle
+/// round nudges Node::RequestMissing, so recovery gets several chances
+/// before the verdict. Deterministic — progress is counted in frames,
+/// not time — and total: every path terminates.
+Status DriveFeed(FeedPublisher& publisher, Node& node);
 
 }  // namespace d3t::serve
 

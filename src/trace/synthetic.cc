@@ -5,6 +5,17 @@
 
 namespace d3t::trace {
 
+namespace {
+
+/// Mean inter-tick interval: the paper polled about once a second.
+constexpr sim::SimTime kMeanInterval = sim::Seconds(1.0);
+/// Uniform jitter on each interval, as a fraction of the mean.
+constexpr double kIntervalJitter = 0.2;
+/// Strength of the pull toward the band center, in [0, 1].
+constexpr double kMeanReversion = 0.4;
+
+}  // namespace
+
 double RoundToCents(double value) {
   return std::round(value * 100.0) / 100.0;
 }
@@ -17,17 +28,10 @@ Result<Trace> GenerateSyntheticTrace(const SyntheticTraceOptions& options,
   if (options.max_price <= options.min_price || options.min_price <= 0.0) {
     return Status::InvalidArgument("need max_price > min_price > 0");
   }
-  if (options.mean_interval <= 0) {
-    return Status::InvalidArgument("mean_interval must be positive");
-  }
 
   const double center = 0.5 * (options.min_price + options.max_price);
   const double half_width = 0.5 * (options.max_price - options.min_price);
-  double price = options.initial_price > 0.0
-                     ? std::clamp(options.initial_price, options.min_price,
-                                  options.max_price)
-                     : center;
-  price = RoundToCents(price);
+  double price = RoundToCents(center);
 
   std::vector<Tick> ticks;
   ticks.reserve(options.tick_count);
@@ -36,15 +40,17 @@ Result<Trace> GenerateSyntheticTrace(const SyntheticTraceOptions& options,
     ticks.push_back(Tick{now, price});
 
     // Next timestamp: mean interval with uniform jitter, at least 1 us.
-    const double jitter = rng.NextDoubleInRange(-options.interval_jitter,
-                                                options.interval_jitter);
+    const double jitter =
+        rng.NextDoubleInRange(-kIntervalJitter, kIntervalJitter);
     sim::SimTime step = std::max<sim::SimTime>(
-        1, static_cast<sim::SimTime>(
-               static_cast<double>(options.mean_interval) * (1.0 + jitter)));
-    if (i == 0 && options.randomize_phase) {
-      // Spread the polling phase of this trace relative to the others.
-      step += static_cast<sim::SimTime>(
-          rng.NextDouble() * static_cast<double>(options.mean_interval));
+        1, static_cast<sim::SimTime>(static_cast<double>(kMeanInterval) *
+                                     (1.0 + jitter)));
+    if (i == 0) {
+      // Polling loops for different tickers are not synchronized: a
+      // random phase in [0, kMeanInterval) keeps the traces from
+      // ticking in lockstep and hitting the source in bursts.
+      step += static_cast<sim::SimTime>(rng.NextDouble() *
+                                        static_cast<double>(kMeanInterval));
     }
     now += step;
 
@@ -60,7 +66,7 @@ Result<Trace> GenerateSyntheticTrace(const SyntheticTraceOptions& options,
     // Direction biased toward the band center (mean reversion).
     const double displacement =
         half_width > 0.0 ? (price - center) / half_width : 0.0;
-    const double p_up = 0.5 - 0.5 * options.mean_reversion * displacement;
+    const double p_up = 0.5 - 0.5 * kMeanReversion * displacement;
     const double direction = rng.NextBernoulli(p_up) ? 1.0 : -1.0;
 
     price = RoundToCents(price + direction * move);

@@ -12,37 +12,25 @@ namespace d3t::trace {
 
 /// Parameters of the synthetic stock-price walk. The walk is a bounded,
 /// cent-quantized random walk with mild mean reversion toward the band
-/// center: with probability `move_probability` a tick moves by one cent
-/// plus an exponentially distributed number of extra cents; the move
-/// direction is biased toward the band center so the price stays inside
+/// center: it starts at the band center, and with probability
+/// `move_probability` a tick moves by one cent plus an exponentially
+/// distributed number of extra cents; the move direction is biased
+/// toward the band center so the price stays inside
 /// [min_price, max_price] like the intraday traces of the paper's
-/// Table 1.
+/// Table 1. Ticks come about once a second, as the paper polled them.
 struct SyntheticTraceOptions {
   std::string name = "TICK";
   size_t tick_count = 10000;       // paper: 10,000 polled values
-  double initial_price = 0.0;      // 0 => band center
   double min_price = 20.0;
   double max_price = 21.0;
-  /// Mean inter-tick interval; the paper polled ~once per second.
-  sim::SimTime mean_interval = sim::Seconds(1.0);
-  /// Uniform jitter applied to each interval, as a fraction of the mean.
-  double interval_jitter = 0.2;
-  /// When true, the gap between the first and second tick includes a
-  /// random phase in [0, mean_interval). Polling loops for different
-  /// tickers are not synchronized, so without this every generated trace
-  /// would tick in lockstep and updates would hit the source in
-  /// unrealistic bursts.
-  bool randomize_phase = true;
   /// Probability that a tick's value differs from the previous tick.
   double move_probability = 0.35;
   /// Mean extra cents beyond the mandatory one-cent move.
   double mean_extra_cents = 1.5;
-  /// Strength of the pull toward the band center, in [0, 1].
-  double mean_reversion = 0.4;
 };
 
 /// Generates one synthetic trace. Returns InvalidArgument for empty
-/// bands, non-positive intervals or zero ticks.
+/// bands or zero ticks.
 Result<Trace> GenerateSyntheticTrace(const SyntheticTraceOptions& options,
                                      Rng& rng);
 

@@ -86,9 +86,23 @@ std::string DiffEngineMetrics(const core::EngineMetrics& a,
   if (a.source_checks != b.source_checks) return "source_checks";
   if (a.source_updates != b.source_updates) return "source_updates";
   if (a.events != b.events) return "events";
+  if (a.delivery_batches != b.delivery_batches) return "delivery_batches";
+  if (a.coalesced_messages != b.coalesced_messages) {
+    return "coalesced_messages";
+  }
+  if (a.process_wakeups != b.process_wakeups) return "process_wakeups";
   if (a.horizon != b.horizon) return "horizon";
   if (a.scenario_ops != b.scenario_ops) return "scenario_ops";
   if (a.repairs != b.repairs) return "repairs";
+  if (a.orphaned_ticks != b.orphaned_ticks) return "orphaned_ticks";
+  if (a.dropped_jobs != b.dropped_jobs) return "dropped_jobs";
+  if (a.outage_pair_time != b.outage_pair_time) return "outage_pair_time";
+  if (a.outage_out_of_sync_time != b.outage_out_of_sync_time) {
+    return "outage_out_of_sync_time";
+  }
+  if (a.outage_loss_percent != b.outage_loss_percent) {
+    return "outage_loss_percent";
+  }
   return "";
 }
 
@@ -141,7 +155,6 @@ struct ChaosWorld {
     node_options.engine.repair_policy = policy;
     node_options.engine.repair_delay = sim::Millis(750);
     node_options.policy = kPolicy;
-    node_options.resubscribe = true;
     node_options.feed_publisher = 1;
     serve::Node node(overlay, world.delays(), feed, data, node_options);
     serve::FeedPublisher publisher(world.traces(),
@@ -247,7 +260,6 @@ TEST(ChaosTest, ResubscribeBudgetExhaustionSurfacesThroughDriveFeed) {
   net::FaultInjectingTransport feed(inner, MakeScript(std::move(ops)), 1);
   net::InProcTransport data(overlay.member_count(), 64);
   serve::NodeOptions node_options;
-  node_options.resubscribe = true;
   node_options.feed_publisher = 1;
   node_options.max_resubscribes = 4;
   serve::Node node(overlay, world.delays(), feed, data, node_options);

@@ -304,8 +304,8 @@ TEST(ClusterTest, ProcessBoundaryPreservesEngineMetricsByteForByte) {
     obs::Registry registry;
     NodeOptions options;
     options.engine = engine_options;
+    options.engine.registry = &registry;
     options.feed_self = ctx.self;
-    options.registry = &registry;
     Node node(*overlay, world.delays(0), ctx.transport, data, options);
     const int64_t deadline = net::MonotonicMillis() + 30000;
     while (!node.feed_complete()) {

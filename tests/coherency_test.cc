@@ -197,14 +197,9 @@ TEST(InterestTest, TBoundaries) {
 TEST(InterestTest, EnsureNonemptyWorks) {
   InterestOptions options;
   options.item_probability = 0.0;
-  options.ensure_nonempty = true;
   Rng rng(7);
   for (const auto& interest : GenerateInterests(options, rng)) {
     EXPECT_EQ(interest.size(), 1u);
-  }
-  options.ensure_nonempty = false;
-  for (const auto& interest : GenerateInterests(options, rng)) {
-    EXPECT_TRUE(interest.empty());
   }
 }
 

@@ -21,6 +21,7 @@
 #include "net/fault_transport.h"
 #include "net/transport.h"
 #include "net/wire.h"
+#include "obs/registry.h"
 #include "serve/node.h"
 #include "sim/time.h"
 #include "trace/trace.h"
@@ -89,9 +90,17 @@ void ExpectIdentical(const core::EngineMetrics& a,
   EXPECT_EQ(a.source_checks, b.source_checks);
   EXPECT_EQ(a.source_updates, b.source_updates);
   EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.delivery_batches, b.delivery_batches);
+  EXPECT_EQ(a.coalesced_messages, b.coalesced_messages);
+  EXPECT_EQ(a.process_wakeups, b.process_wakeups);
   EXPECT_EQ(a.horizon, b.horizon);
   EXPECT_EQ(a.scenario_ops, b.scenario_ops);
   EXPECT_EQ(a.repairs, b.repairs);
+  EXPECT_EQ(a.orphaned_ticks, b.orphaned_ticks);
+  EXPECT_EQ(a.dropped_jobs, b.dropped_jobs);
+  EXPECT_EQ(a.outage_pair_time, b.outage_pair_time);
+  EXPECT_EQ(a.outage_out_of_sync_time, b.outage_out_of_sync_time);
+  EXPECT_EQ(a.outage_loss_percent, b.outage_loss_percent);
 }
 
 // Drives the feed to completion via the library's own loop and asserts
@@ -148,6 +157,33 @@ TEST(ServeTest, PipelineIsByteIdenticalToDirectRun) {
     summed_tx += peer.frames_tx;
   }
   EXPECT_EQ(summed_tx, report->data.frames_tx);
+}
+
+TEST(ServeTest, EngineRegistryReceivesEngineAndNodeEntries) {
+  // NodeOptions::engine is the registry's one home: the engine's
+  // "engine.*" metrics and the node's "node.*" counters both land in it.
+  const exp::SimulationSession session = SmallSession();
+  const exp::World& world = session.world();
+  core::Overlay overlay = BuildFixtureOverlay(world);
+  net::InProcTransport feed(2, 32);
+  net::InProcTransport data(overlay.member_count(), 64);
+  obs::Registry registry;
+  serve::NodeOptions node_options;
+  node_options.engine.registry = &registry;
+  serve::Node node(overlay, world.delays(), feed, data, node_options);
+  serve::FeedPublisher publisher(world.traces(), /*scenario=*/nullptr,
+                                 overlay.member_count(), kSeed, feed,
+                                 /*self=*/1, {0});
+  DriveFeedOk(publisher, node);
+
+  Result<serve::NodeReport> report = node.Serve();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_GT(report->engine.messages, 0u);
+  const obs::Snapshot snapshot = registry.TakeSnapshot();
+  EXPECT_EQ(obs::SnapshotCounter(snapshot, "engine.messages"),
+            report->engine.messages);
+  EXPECT_EQ(obs::SnapshotCounter(snapshot, "node.feed_frames"),
+            report->feed_frames);
 }
 
 TEST(ServeTest, ScenarioOpsTravelTheFeedAndReplayIdentically) {
@@ -505,7 +541,6 @@ TEST(ServeTest, ResubscribeRecoversDroppedFeedFramesByteIdentically) {
   net::InProcTransport data(overlay.member_count(), 64);
   serve::NodeOptions node_options;
   node_options.engine = options;
-  node_options.resubscribe = true;
   node_options.feed_publisher = 1;
   serve::Node node(overlay, world.delays(), feed, data, node_options);
   serve::FeedPublisher publisher(world.traces(), nullptr,
@@ -525,7 +560,6 @@ TEST(ServeTest, ResubscribeRecoversDroppedFeedFramesByteIdentically) {
 
 TEST(ServeTest, ResubscribeBudgetExhaustionIsPrecise) {
   serve::NodeOptions node_options;
-  node_options.resubscribe = true;
   node_options.feed_publisher = 1;
   node_options.max_resubscribes = 1;
   IngestFixture fx(node_options);

@@ -444,11 +444,18 @@ TEST(SessionValidationTest, RejectsBadTagCheckCostFactor) {
   }
 }
 
-TEST(SessionValidationTest, RejectsNonFiniteOverlayKnobs) {
-  // Unchecked, a NaN p_window acted as a window of one candidate, and
-  // an infinite coop_f wrapped the controlled degree to 1.
+TEST(SessionValidationTest, RejectsBadOverlayKnobs) {
+  // Unchecked, a NaN p_window acted as a window of one candidate, an
+  // infinite coop_f wrapped the controlled degree to 1, and a degree of
+  // 0 ran silently at degree 1.
   Result<SimulationSession> session = BuildSmallSession();
   ASSERT_TRUE(session.ok());
+  for (bool controlled : {false, true}) {
+    RunSpec spec = SmallSpec();
+    spec.overlay.coop_degree = 0;
+    spec.overlay.controlled_cooperation = controlled;
+    ExpectRejected(*session, spec, "coop_degree");
+  }
   for (double bad : {kNaN, kInf, -kInf}) {
     RunSpec spec = SmallSpec();
     spec.overlay.controlled_cooperation = true;

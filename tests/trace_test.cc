@@ -57,9 +57,6 @@ TEST(SyntheticTest, RejectsBadOptions) {
   options.min_price = 10;
   options.max_price = 9;
   EXPECT_FALSE(GenerateSyntheticTrace(options, rng).ok());
-  options = SyntheticTraceOptions{};
-  options.mean_interval = 0;
-  EXPECT_FALSE(GenerateSyntheticTrace(options, rng).ok());
 }
 
 TEST(SyntheticTest, StaysInsideBand) {
