@@ -26,7 +26,7 @@ namespace {
 // Raw queue: typed POD events held inline
 
 /// Minimal handler: typed dispatch costs one virtual call.
-class CountingHandler : public sim::EventHandler {
+class CountingHandler final : public sim::EventHandler {
  public:
   void HandleEvent(sim::SimTime, const sim::Event& event) override {
     sum_ += event.a;
@@ -66,7 +66,7 @@ BENCHMARK(BM_EventQueuePodDispatch)->Arg(1024)->Arg(16384);
 // pending counts measured on those workloads at seed 42: ~630 on
 // churn_repair, ~5,900 on paper_sweep.
 
-class RescheduleHandler : public sim::EventHandler {
+class RescheduleHandler final : public sim::EventHandler {
  public:
   RescheduleHandler(sim::Simulator& sim, uint64_t budget)
       : sim_(sim), budget_(budget) {}

@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
-#include <unordered_map>
 
 #include "core/coherency.h"
 #include "core/engine.h"
@@ -22,100 +21,6 @@
 
 namespace d3t {
 namespace {
-
-/// The pre-refactor (seed) data layout, kept here as the hash-map
-/// baseline for BM_EngineRun*. It reproduces every hash-map operation
-/// the seed stack performed per processed update:
-///  * per dependent-edge check: a `try_emplace` on last-sent state keyed
-///    by a packed (node, item, child) 64-bit key (seed
-///    DistributedDisseminator::ShouldPush);
-///  * per job: a (member, item) -> tracker find (seed
-///    Engine::ProcessNext resolved its fidelity tracker by hashing);
-///  * per simulation event (one per job plus one per pushed message): an
-///    event-id insert + erase (the seed EventQueue maintained an
-///    id -> slot map on every Schedule/RunNext).
-/// The refactored library indexes flat vectors by the overlay-assigned
-/// dense EdgeId/TrackerId and dropped the event-id map entirely.
-class HashMapDistributedDisseminator : public core::Disseminator {
- public:
-  std::string name() const override { return "distributed-hashmap"; }
-
-  void Initialize(const core::Overlay& overlay,
-                  const std::vector<double>& initial_values) override {
-    overlay_ = &overlay;
-    initial_values_ = initial_values;
-    last_sent_.clear();
-    tracker_index_.clear();
-    event_ids_.clear();
-    next_event_id_ = 0;
-    size_t trackers = 0;
-    for (core::OverlayIndex m = 1; m < overlay.member_count(); ++m) {
-      for (core::ItemId item = 0; item < overlay.item_count(); ++item) {
-        if (!overlay.Holds(m, item)) continue;
-        if (!overlay.Serving(m, item).own_interest) continue;
-        tracker_index_[PackTrackerKey(m, item)] = trackers++;
-      }
-    }
-  }
-
-  core::BeginDecision BeginUpdate(sim::SimTime, core::OverlayIndex node,
-                                  core::ItemId item, double, double) override {
-    auto it = tracker_index_.find(PackTrackerKey(node, item));
-    benchmark::DoNotOptimize(it);
-    PayEventIdCost();  // the event that delivered this job
-    return core::BeginDecision{};
-  }
-
-  bool ShouldPush(sim::SimTime, core::OverlayIndex node, core::ItemId item,
-                  const core::ItemEdge& edge, double value,
-                  double /*tag*/) override {
-    const core::Coherency parent_c =
-        node == core::kSourceOverlayIndex
-            ? 0.0
-            : overlay_->Serving(node, item).c_serve;
-    auto it = last_sent_
-                  .try_emplace(PackEdgeKey(node, item, edge.child),
-                               initial_values_[item])
-                  .first;
-    if (core::ShouldForwardDistributed(value, it->second, edge.c,
-                                       parent_c)) {
-      it->second = value;
-      PayEventIdCost();  // the delivery event this push schedules
-      return true;
-    }
-    return false;
-  }
-
- private:
-  static uint64_t PackEdgeKey(core::OverlayIndex node, core::ItemId item,
-                              core::OverlayIndex child) {
-    return (static_cast<uint64_t>(node) << 44) |
-           (static_cast<uint64_t>(item) << 20) |
-           static_cast<uint64_t>(child);
-  }
-  static uint64_t PackTrackerKey(core::OverlayIndex m, core::ItemId item) {
-    return (static_cast<uint64_t>(m) << 32) | item;
-  }
-
-  /// One Schedule-time insert + one RunNext-time erase, against a map
-  /// held at a realistic pending-event population.
-  void PayEventIdCost() {
-    event_ids_.emplace(next_event_id_, next_event_id_);
-    ++next_event_id_;
-    if (next_event_id_ > kPendingEvents) {
-      event_ids_.erase(next_event_id_ - kPendingEvents);
-    }
-  }
-
-  static constexpr uint64_t kPendingEvents = 256;
-
-  const core::Overlay* overlay_ = nullptr;
-  std::vector<double> initial_values_;
-  std::unordered_map<uint64_t, double> last_sent_;
-  std::unordered_map<uint64_t, size_t> tracker_index_;
-  std::unordered_map<uint64_t, uint64_t> event_ids_;
-  uint64_t next_event_id_ = 0;
-};
 
 void BM_ForwardingPredicate(benchmark::State& state) {
   Rng rng(2);
@@ -237,11 +142,10 @@ void BM_PullEngineEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_PullEngineEndToEnd)->Unit(benchmark::kMillisecond);
 
-/// Shared fixture for the dense-vs-hash engine-run comparison: a
-/// production-scale d3g (hundreds of repositories, high fan-out, most
-/// repositories interested in most items) so the per-update edge state
-/// no longer fits a cache-resident hash map — the regime the dense
-/// EdgeId layout is built for.
+/// Fixture for BM_EngineRunDense: a production-scale d3g (hundreds of
+/// repositories, high fan-out, most repositories interested in most
+/// items), so the per-update edge state is far larger than a cache-
+/// resident table — the regime the dense EdgeId layout is built for.
 struct EngineRunFixture {
   EngineRunFixture() : delays(net::OverlayDelayModel::Uniform(1, 0)) {
     Rng rng(12);
@@ -275,9 +179,9 @@ struct EngineRunFixture {
   std::vector<trace::Trace> traces;
 };
 
-void RunEngineBenchmark(benchmark::State& state,
-                        core::Disseminator& policy) {
+void BM_EngineRunDense(benchmark::State& state) {
   static EngineRunFixture fixture;
+  core::DistributedDisseminator policy;
   uint64_t checks = 0;
   for (auto _ : state) {
     core::Engine engine(*fixture.overlay, fixture.delays, fixture.traces,
@@ -290,18 +194,7 @@ void RunEngineBenchmark(benchmark::State& state,
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(checks));
 }
-
-void BM_EngineRunDense(benchmark::State& state) {
-  core::DistributedDisseminator policy;
-  RunEngineBenchmark(state, policy);
-}
 BENCHMARK(BM_EngineRunDense)->Unit(benchmark::kMillisecond);
-
-void BM_EngineRunHashBaseline(benchmark::State& state) {
-  HashMapDistributedDisseminator policy;
-  RunEngineBenchmark(state, policy);
-}
-BENCHMARK(BM_EngineRunHashBaseline)->Unit(benchmark::kMillisecond);
 
 void BM_EngineEndToEnd(benchmark::State& state) {
   Rng rng(8);

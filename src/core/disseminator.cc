@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "core/coherency.h"
 
@@ -10,39 +11,30 @@ namespace d3t::core {
 
 namespace {
 
-/// Grows EdgeId-indexed `state` to cover edges created since the last
-/// sync (or Initialize), seeding each new slot from its item's initial
-/// value; existing entries keep their values. Fresh edge ids are
-/// monotonic, so `state.size()` marks the admitted prefix and the sync
-/// is O(new edges) via Overlay::edge_item. Ids *recycled* across a
-/// structural mutation land below the prefix and are reseeded through
-/// the explicit OnEdgeCreated notification instead (the engine sends
-/// one for every repair edge, recycled or not).
-void SyncEdgeState(const Overlay& overlay,
+/// Seed for the state covering an edge created after Initialize (a
+/// scenario repair): -infinity makes the next update the serving node
+/// processes unconditionally push, modeling the new parent bringing its
+/// fresh dependent up to date.
+constexpr double kForcedResyncSeed =
+    -std::numeric_limits<double>::infinity();
+
+/// Initialize body shared by the last-sent-keeping policies: one slot
+/// per edge id the overlay has handed out, seeded from its item's
+/// initial value.
+void SeedEdgeState(const Overlay& overlay,
                    const std::vector<double>& initial_values,
                    std::vector<double>& state) {
-  const size_t known = state.size();
-  state.resize(overlay.edge_id_limit(), 0.0);
-  for (EdgeId id = static_cast<EdgeId>(known); id < state.size(); ++id) {
+  state.resize(overlay.edge_id_limit());
+  for (EdgeId id = 0; id < state.size(); ++id) {
     state[id] = initial_values[overlay.edge_item(id)];
   }
 }
 
 /// OnEdgeCreated body shared by the last-sent-keeping policies: admit
-/// the id (growing the flat vector if it is fresh) and seed its slot.
-void ResetEdgeSlot(std::vector<double>& state, EdgeId id,
-                   double last_sent_seed) {
-  if (id >= state.size()) state.resize(id + 1, last_sent_seed);
-  state[id] = last_sent_seed;
-}
-
-/// True when the edge was never registered with an Overlay (hand-built
-/// aggregate): dense state cannot be indexed for it. Asserted in debug;
-/// in release such an edge never pushes.
-bool InvalidEdge(const ItemEdge& edge) {
-  assert(edge.id != kInvalidEdgeId &&
-         "ShouldPush requires edges created by an Overlay");
-  return edge.id == kInvalidEdgeId;
+/// the id (growing the flat vector if it is fresh) and force a resync.
+void ResetEdgeSlot(std::vector<double>& state, EdgeId id) {
+  if (id >= state.size()) state.resize(id + 1, kForcedResyncSeed);
+  state[id] = kForcedResyncSeed;
 }
 
 }  // namespace
@@ -53,40 +45,20 @@ bool InvalidEdge(const ItemEdge& edge) {
 void DistributedDisseminator::Initialize(
     const Overlay& overlay, const std::vector<double>& initial_values) {
   overlay_ = &overlay;
-  initial_values_ = initial_values;
-  last_sent_.clear();
-  SyncToOverlay();
-}
-
-void DistributedDisseminator::SyncToOverlay() {
-  SyncEdgeState(*overlay_, initial_values_, last_sent_);
+  SeedEdgeState(overlay, initial_values, last_sent_);
 }
 
 void DistributedDisseminator::OnEdgeCreated(EdgeId id, ItemId /*item*/,
-                                            Coherency /*c*/,
-                                            double last_sent_seed) {
-  ResetEdgeSlot(last_sent_, id, last_sent_seed);
-}
-
-BeginDecision DistributedDisseminator::BeginUpdate(sim::SimTime,
-                                                   OverlayIndex, ItemId,
-                                                   double, double) {
-  return BeginDecision{};
+                                            Coherency /*c*/) {
+  ResetEdgeSlot(last_sent_, id);
 }
 
 // d3t-lint: hot
 bool DistributedDisseminator::ShouldPush(sim::SimTime, OverlayIndex node,
                                          ItemId item, const ItemEdge& edge,
                                          double value, double /*tag*/) {
-  if (InvalidEdge(edge)) return false;
-  if (edge.id >= last_sent_.size()) {
-    SyncToOverlay();
-    if (edge.id >= last_sent_.size()) {
-      // The edge belongs to a different overlay than Initialize saw.
-      assert(false && "edge not part of the initialized overlay");
-      return false;
-    }
-  }
+  assert(edge.id < last_sent_.size() && "edge unknown to the policy");
+  if (edge.id >= last_sent_.size()) return false;
   // c_serve is read live (a dense-matrix access, not a hash lookup): a
   // caller may retighten a node's serving tolerance between pushes.
   const Coherency parent_c =
@@ -105,40 +77,20 @@ bool DistributedDisseminator::ShouldPush(sim::SimTime, OverlayIndex node,
 
 void Eq3OnlyDisseminator::Initialize(
     const Overlay& overlay, const std::vector<double>& initial_values) {
-  overlay_ = &overlay;
-  initial_values_ = initial_values;
-  last_sent_.clear();
-  SyncToOverlay();
-}
-
-void Eq3OnlyDisseminator::SyncToOverlay() {
-  SyncEdgeState(*overlay_, initial_values_, last_sent_);
+  SeedEdgeState(overlay, initial_values, last_sent_);
 }
 
 void Eq3OnlyDisseminator::OnEdgeCreated(EdgeId id, ItemId /*item*/,
-                                        Coherency /*c*/,
-                                        double last_sent_seed) {
-  ResetEdgeSlot(last_sent_, id, last_sent_seed);
-}
-
-BeginDecision Eq3OnlyDisseminator::BeginUpdate(sim::SimTime, OverlayIndex,
-                                               ItemId, double, double) {
-  return BeginDecision{};
+                                        Coherency /*c*/) {
+  ResetEdgeSlot(last_sent_, id);
 }
 
 // d3t-lint: hot
 bool Eq3OnlyDisseminator::ShouldPush(sim::SimTime, OverlayIndex /*node*/,
                                      ItemId /*item*/, const ItemEdge& edge,
                                      double value, double /*tag*/) {
-  if (InvalidEdge(edge)) return false;
-  if (edge.id >= last_sent_.size()) {
-    SyncToOverlay();
-    if (edge.id >= last_sent_.size()) {
-      // The edge belongs to a different overlay than Initialize saw.
-      assert(false && "edge not part of the initialized overlay");
-      return false;
-    }
-  }
+  assert(edge.id < last_sent_.size() && "edge unknown to the policy");
+  if (edge.id >= last_sent_.size()) return false;
   double& last = last_sent_[edge.id];
   if (ViolatesEq3(value, last, edge.c)) {
     last = value;
@@ -209,25 +161,23 @@ bool CentralizedDisseminator::ShouldPush(sim::SimTime, OverlayIndex /*node*/,
 }
 
 void CentralizedDisseminator::OnEdgeCreated(EdgeId /*id*/, ItemId item,
-                                            Coherency c,
-                                            double last_sent_seed) {
+                                            Coherency c) {
   // The centralized source keys its state by tolerance class, not by
-  // edge: seeding the repaired edge's class with `last_sent_seed`
-  // (-infinity on repairs) makes the next source update violate the
-  // class and flow down every edge at or below `c` — the resync reaches
-  // the re-attached child (the other members of the class just see one
-  // redundant refresh).
+  // edge: priming the repaired edge's class with kForcedResyncSeed makes
+  // the next source update violate the class and flow down every edge at
+  // or below `c` — the resync reaches the re-attached child (the other
+  // members of the class just see one redundant refresh).
   if (item >= per_item_.size()) return;
   auto& states = per_item_[item];
   auto it = std::lower_bound(
       states.begin(), states.end(), c,
       [](const ToleranceState& s, Coherency value) { return s.c < value; });
   if (it != states.end() && it->c == c) {
-    it->last_sent = last_sent_seed;
+    it->last_sent = kForcedResyncSeed;
   } else {
     // Unknown class (a repair at a renegotiated tolerance): admit it,
     // already primed to fire.
-    states.insert(it, ToleranceState{c, last_sent_seed});
+    states.insert(it, ToleranceState{c, kForcedResyncSeed});
   }
 }
 
@@ -246,21 +196,8 @@ void CentralizedDisseminator::OnToleranceAdded(ItemId item, Coherency c,
   states.insert(it, ToleranceState{c, source_value});
 }
 
-size_t CentralizedDisseminator::UniqueToleranceCount(ItemId item) const {
-  return item < per_item_.size() ? per_item_[item].size() : 0;
-}
-
 // ---------------------------------------------------------------------------
 // AllUpdatesDisseminator
-
-void AllUpdatesDisseminator::Initialize(const Overlay&,
-                                        const std::vector<double>&) {}
-
-BeginDecision AllUpdatesDisseminator::BeginUpdate(sim::SimTime,
-                                                  OverlayIndex, ItemId,
-                                                  double, double) {
-  return BeginDecision{};
-}
 
 bool AllUpdatesDisseminator::ShouldPush(sim::SimTime, OverlayIndex, ItemId,
                                         const ItemEdge&, double, double) {
@@ -272,12 +209,7 @@ bool AllUpdatesDisseminator::ShouldPush(sim::SimTime, OverlayIndex, ItemId,
 
 void TemporalDisseminator::Initialize(const Overlay& overlay,
                                       const std::vector<double>&) {
-  last_push_time_.assign(overlay.edge_id_limit(), -period_);
-}
-
-BeginDecision TemporalDisseminator::BeginUpdate(sim::SimTime, OverlayIndex,
-                                                ItemId, double, double) {
-  return BeginDecision{};
+  last_push_time_.assign(overlay.edge_id_limit(), -kPeriod);
 }
 
 // d3t-lint: hot
@@ -285,16 +217,13 @@ bool TemporalDisseminator::ShouldPush(sim::SimTime now,
                                       OverlayIndex /*node*/,
                                       ItemId /*item*/, const ItemEdge& edge,
                                       double /*value*/, double /*tag*/) {
-  // Pushing every `period` bounds staleness in time: the "simpler
+  // Pushing every kPeriod bounds staleness in time: the "simpler
   // problem" of §1.1. The first change after a quiet stretch is pushed
-  // immediately (every edge starts one full period in the past). Edges
-  // created after Initialize get the same starting point on first use.
-  if (InvalidEdge(edge)) return false;
-  if (edge.id >= last_push_time_.size()) {
-    last_push_time_.resize(edge.id + 1, -period_);
-  }
+  // immediately (every edge starts one full period in the past).
+  assert(edge.id < last_push_time_.size() && "edge unknown to the policy");
+  if (edge.id >= last_push_time_.size()) return false;
   sim::SimTime& last = last_push_time_[edge.id];
-  if (now - last >= period_) {
+  if (now - last >= kPeriod) {
     last = now;
     return true;
   }
@@ -302,14 +231,13 @@ bool TemporalDisseminator::ShouldPush(sim::SimTime now,
 }
 
 void TemporalDisseminator::OnEdgeCreated(EdgeId id, ItemId /*item*/,
-                                         Coherency /*c*/,
-                                         double /*last_sent_seed*/) {
+                                         Coherency /*c*/) {
   // A (re-)created edge starts one full period in the past so its first
   // update goes out immediately, exactly like an Initialize-time edge.
   if (id >= last_push_time_.size()) {
-    last_push_time_.resize(id + 1, -period_);
+    last_push_time_.resize(id + 1, -kPeriod);
   }
-  last_push_time_[id] = -period_;
+  last_push_time_[id] = -kPeriod;
 }
 
 // ---------------------------------------------------------------------------
@@ -325,9 +253,7 @@ std::unique_ptr<Disseminator> MakeDisseminator(const std::string& name) {
   if (name == "all-updates") {
     return std::make_unique<AllUpdatesDisseminator>();
   }
-  if (name == "temporal") {
-    return std::make_unique<TemporalDisseminator>(sim::Seconds(5.0));
-  }
+  if (name == "temporal") return std::make_unique<TemporalDisseminator>();
   return nullptr;
 }
 

@@ -37,27 +37,29 @@ class Disseminator {
  public:
   virtual ~Disseminator() = default;
 
-  /// Human-readable policy name for reports.
-  virtual std::string name() const = 0;
-
   /// Resets policy state for a run. `initial_values[item]` is the value
-  /// every member starts synchronized at.
-  virtual void Initialize(const Overlay& overlay,
-                          const std::vector<double>& initial_values) = 0;
+  /// every member starts synchronized at. Default: no state.
+  virtual void Initialize(const Overlay& /*overlay*/,
+                          const std::vector<double>& /*initial_values*/) {}
 
   /// Called once when `node` starts processing an update for `item`.
   /// `incoming_tag` is the tag the update arrived with (unused at the
-  /// source, which originates tags).
-  virtual BeginDecision BeginUpdate(sim::SimTime now, OverlayIndex node,
-                                    ItemId item, double value,
-                                    double incoming_tag) = 0;
+  /// source, which originates tags). Default: no tag, no drop, no
+  /// extra checks.
+  virtual BeginDecision BeginUpdate(sim::SimTime /*now*/,
+                                    OverlayIndex /*node*/, ItemId /*item*/,
+                                    double /*value*/,
+                                    double /*incoming_tag*/) {
+    return BeginDecision{};
+  }
 
   /// Called for each child edge of (node, item) in tree order; returns
   /// true when the update must be pushed to `edge.child`. May update
-  /// internal bookkeeping (e.g. last-sent values). `edge` must have been
-  /// created by an Overlay (the stateful policies index dense per-edge
-  /// state by `edge.id`); a hand-built edge with an invalid id is never
-  /// pushed.
+  /// internal bookkeeping (e.g. last-sent values). The stateful policies
+  /// index dense per-edge state by `edge.id`, so the edge must be known
+  /// to them: present at Initialize or announced through OnEdgeCreated.
+  /// An unknown edge (a hand-built one with kInvalidEdgeId included) is
+  /// never pushed.
   virtual bool ShouldPush(sim::SimTime now, OverlayIndex node, ItemId item,
                           const ItemEdge& edge, double value,
                           double tag) = 0;
@@ -65,19 +67,14 @@ class Disseminator {
   /// Mid-run structural mutation (scenario repair): edge `id` —
   /// possibly a *recycled* slot whose previous incarnation carried a
   /// different edge — now carries `item` at tolerance `c` toward a
-  /// (re-)attached child. Stateful policies must reset whatever state
-  /// covers the edge (per-edge slots, or the tolerance class `c` for
-  /// the centralized source); `last_sent_seed` is the value the new
-  /// edge should treat as last pushed (-infinity forces a resync push
-  /// on the next update the serving node processes). Default: no-op
-  /// (stateless policies).
-  virtual void OnEdgeCreated(EdgeId id, ItemId item, Coherency c,
-                             double last_sent_seed) {
-    (void)id;
-    (void)item;
-    (void)c;
-    (void)last_sent_seed;
-  }
+  /// (re-)attached child. This is the only way an edge created after
+  /// Initialize reaches a policy. Stateful policies reset whatever state
+  /// covers the edge (per-edge slots, or the tolerance class `c` for the
+  /// centralized source) so that the next update the serving node
+  /// processes is pushed along it: the new parent brings its fresh
+  /// dependent up to date. Default: no-op (stateless policies).
+  virtual void OnEdgeCreated(EdgeId /*id*/, ItemId /*item*/,
+                             Coherency /*c*/) {}
 
   /// Mid-run coherency renegotiation introduced serving tolerance `c`
   /// for `item` (kCoherencyChange, or a recovered member re-attaching at
@@ -85,12 +82,8 @@ class Disseminator {
   /// centralized source) must admit the new class; `source_value` is the
   /// source's current value for the item. Default: no-op (per-edge
   /// policies read edge.c live).
-  virtual void OnToleranceAdded(ItemId item, Coherency c,
-                                double source_value) {
-    (void)item;
-    (void)c;
-    (void)source_value;
-  }
+  virtual void OnToleranceAdded(ItemId /*item*/, Coherency /*c*/,
+                                double /*source_value*/) {}
 };
 
 /// The distributed (repository-based) policy of §5.1: push when Eq. (3)
@@ -99,24 +92,15 @@ class Disseminator {
 /// under zero delays.
 class DistributedDisseminator : public Disseminator {
  public:
-  std::string name() const override { return "distributed"; }
   void Initialize(const Overlay& overlay,
                   const std::vector<double>& initial_values) override;
-  BeginDecision BeginUpdate(sim::SimTime now, OverlayIndex node, ItemId item,
-                            double value, double incoming_tag) override;
   bool ShouldPush(sim::SimTime now, OverlayIndex node, ItemId item,
                   const ItemEdge& edge, double value, double tag) override;
-  void OnEdgeCreated(EdgeId id, ItemId item, Coherency c,
-                     double last_sent_seed) override;
+  void OnEdgeCreated(EdgeId id, ItemId item, Coherency c) override;
 
  private:
-  void SyncToOverlay();
-
   const Overlay* overlay_ = nullptr;
-  std::vector<double> initial_values_;
-  /// EdgeId-indexed last value pushed on each edge. Rebuilt by
-  /// Initialize; edges created afterwards are admitted by SyncToOverlay
-  /// on first use.
+  /// EdgeId-indexed last value pushed on each edge.
   std::vector<double> last_sent_;
 };
 
@@ -126,21 +110,13 @@ class DistributedDisseminator : public Disseminator {
 /// therefore loses fidelity even with zero delays.
 class Eq3OnlyDisseminator : public Disseminator {
  public:
-  std::string name() const override { return "eq3-only"; }
   void Initialize(const Overlay& overlay,
                   const std::vector<double>& initial_values) override;
-  BeginDecision BeginUpdate(sim::SimTime now, OverlayIndex node, ItemId item,
-                            double value, double incoming_tag) override;
   bool ShouldPush(sim::SimTime now, OverlayIndex node, ItemId item,
                   const ItemEdge& edge, double value, double tag) override;
-  void OnEdgeCreated(EdgeId id, ItemId item, Coherency c,
-                     double last_sent_seed) override;
+  void OnEdgeCreated(EdgeId id, ItemId item, Coherency c) override;
 
  private:
-  void SyncToOverlay();
-
-  const Overlay* overlay_ = nullptr;
-  std::vector<double> initial_values_;
   /// EdgeId-indexed last value pushed on each edge.
   std::vector<double> last_sent_;
 };
@@ -149,23 +125,19 @@ class Eq3OnlyDisseminator : public Disseminator {
 /// set of unique tolerances per item and the last value sent for each;
 /// an update violating any tolerance is tagged with the largest violated
 /// tolerance and flows down every edge whose tolerance is <= the tag.
+/// The source's BeginUpdate reports the number of classes it scanned as
+/// `extra_checks` (its state-space overhead).
 class CentralizedDisseminator : public Disseminator {
  public:
-  std::string name() const override { return "centralized"; }
   void Initialize(const Overlay& overlay,
                   const std::vector<double>& initial_values) override;
   BeginDecision BeginUpdate(sim::SimTime now, OverlayIndex node, ItemId item,
                             double value, double incoming_tag) override;
   bool ShouldPush(sim::SimTime now, OverlayIndex node, ItemId item,
                   const ItemEdge& edge, double value, double tag) override;
-  void OnEdgeCreated(EdgeId id, ItemId item, Coherency c,
-                     double last_sent_seed) override;
+  void OnEdgeCreated(EdgeId id, ItemId item, Coherency c) override;
   void OnToleranceAdded(ItemId item, Coherency c,
                         double source_value) override;
-
-  /// Number of unique tolerances tracked for `item` (source state-space
-  /// overhead, §5.2).
-  size_t UniqueToleranceCount(ItemId item) const;
 
  private:
   struct ToleranceState {
@@ -180,11 +152,6 @@ class CentralizedDisseminator : public Disseminator {
 /// paper's T=100% "disseminate everything" comparison, Fig. 8).
 class AllUpdatesDisseminator : public Disseminator {
  public:
-  std::string name() const override { return "all-updates"; }
-  void Initialize(const Overlay& overlay,
-                  const std::vector<double>& initial_values) override;
-  BeginDecision BeginUpdate(sim::SimTime now, OverlayIndex node, ItemId item,
-                            double value, double incoming_tag) override;
   bool ShouldPush(sim::SimTime now, OverlayIndex node, ItemId item,
                   const ItemEdge& edge, double value, double tag) override;
 };
@@ -192,34 +159,26 @@ class AllUpdatesDisseminator : public Disseminator {
 /// Time-domain coherency (paper §1.1: requirements "in units of time",
 /// e.g. never out-of-sync by more than 5 minutes — the simpler problem
 /// the paper contrasts against). Pushes an update along an edge iff at
-/// least `period` has elapsed since the last push on that edge, i.e. a
+/// least `kPeriod` has elapsed since the last push on that edge, i.e. a
 /// rate limiter that bounds staleness in time rather than value.
 class TemporalDisseminator : public Disseminator {
  public:
-  explicit TemporalDisseminator(sim::SimTime period) : period_(period) {}
+  static constexpr sim::SimTime kPeriod = sim::Seconds(5.0);
 
-  std::string name() const override { return "temporal"; }
   void Initialize(const Overlay& overlay,
                   const std::vector<double>& initial_values) override;
-  BeginDecision BeginUpdate(sim::SimTime now, OverlayIndex node, ItemId item,
-                            double value, double incoming_tag) override;
   bool ShouldPush(sim::SimTime now, OverlayIndex node, ItemId item,
                   const ItemEdge& edge, double value, double tag) override;
-  void OnEdgeCreated(EdgeId id, ItemId item, Coherency c,
-                     double last_sent_seed) override;
-
-  sim::SimTime period() const { return period_; }
+  void OnEdgeCreated(EdgeId id, ItemId item, Coherency c) override;
 
  private:
-  sim::SimTime period_ = sim::Seconds(5.0);
-  /// EdgeId-indexed time of the last push on each edge; -period_ until
+  /// EdgeId-indexed time of the last push on each edge; -kPeriod until
   /// an edge first pushes, so the first update always goes out.
   std::vector<sim::SimTime> last_push_time_;
 };
 
 /// Factory by policy name ("distributed", "centralized", "eq3-only",
-/// "all-updates", "temporal" — the latter with a 5-second default
-/// period); returns nullptr for unknown names.
+/// "all-updates", "temporal"); returns nullptr for unknown names.
 std::unique_ptr<Disseminator> MakeDisseminator(const std::string& name);
 
 /// Every name MakeDisseminator accepts, in factory order. Callers that

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <map>
 #include <numeric>
 
@@ -13,12 +12,6 @@
 namespace d3t::core {
 
 namespace {
-
-/// Seed for the per-edge state of a repair edge: -infinity makes
-/// the next update the parent processes unconditionally push, modeling
-/// the new parent bringing its fresh dependent up to date.
-constexpr double kForcedResyncSeed =
-    -std::numeric_limits<double>::infinity();
 
 // Whoever adds a field to EngineMetrics must publish it below as well,
 // or it silently drops out of the cross-process identity check (a
@@ -741,9 +734,9 @@ void Engine::AttachNeed(OverlayIndex m, const MemberNeed& need) {
     if (parent == kInvalidOverlayIndex) return;
   }
   AttachRepairedEdge(parent, m, need.item, need.c_own);
-  const Status join = overlay_.JoinOwnInterest(m, need.item, need.c_own);
-  assert(join.ok());  // AttachRepairedEdge just created the holding
-  (void)join;
+  // The fresh holding has no dependents and already serves at c_own, so
+  // restating the need changes no serve tolerance.
+  overlay_.SetOwnInterest(m, need.item, need.c_own);
   // The re-join serves at c_own, which can be a tolerance class the
   // source never tracked (the pre-failure serve was tighter when
   // dependents rode the edge) — admit it.
@@ -808,7 +801,7 @@ OverlayIndex Engine::FindBackupParent(ItemId item, OverlayIndex child,
 void Engine::AttachRepairedEdge(OverlayIndex parent, OverlayIndex child,
                                 ItemId item, Coherency c) {
   const EdgeId id = overlay_.AddItemEdge(parent, child, item, c);
-  disseminator_.OnEdgeCreated(id, item, c, kForcedResyncSeed);
+  disseminator_.OnEdgeCreated(id, item, c);
 }
 
 void Engine::RepairOrphans(sim::SimTime t,

@@ -301,7 +301,7 @@ class Engine final : public sim::EventHandler {
   OverlayIndex FindBackupParent(ItemId item, OverlayIndex child,
                                 Coherency c);
   /// Creates (or recycles) the repair edge parent->child and tells the
-  /// policy about the new incarnation (forced-resync seed).
+  /// policy about the new incarnation, which resyncs on its next update.
   void AttachRepairedEdge(OverlayIndex parent, OverlayIndex child,
                           ItemId item, Coherency c);
   /// Re-attaches one captured own need of just-recovered member `m`:

@@ -218,31 +218,6 @@ Result<MemberDetachment> Overlay::DetachMember(OverlayIndex m) {
   return out;
 }
 
-Status Overlay::JoinOwnInterest(OverlayIndex m, ItemId item, Coherency c) {
-  if (m >= member_count_ || item >= item_count_) {
-    return Status::OutOfRange("unknown member or item");
-  }
-  if (m == kSourceOverlayIndex) {
-    return Status::InvalidArgument("the source needs no own interest");
-  }
-  if (!IsValidTolerance(c)) {
-    return Status::InvalidArgument("tolerance must be finite and > 0");
-  }
-  const size_t idx = SlotIndex(m, item);
-  if (!held_[idx]) {
-    return Status::FailedPrecondition(
-        "member must hold the item before declaring own interest");
-  }
-  ItemServing& s = servings_[idx];
-  s.own_interest = true;
-  s.c_own = c;
-  if (tracker_ids_[idx] == kInvalidTrackerId) {
-    tracker_ids_[idx] = next_tracker_id_++;
-  }
-  PropagateServe(m, item);
-  return Status::Ok();
-}
-
 Status Overlay::UpdateOwnCoherency(OverlayIndex m, ItemId item,
                                    Coherency c) {
   if (m >= member_count_ || item >= item_count_) {

@@ -96,8 +96,8 @@ class Overlay {
   size_t item_count() const { return item_count_; }
 
   /// Marks a member's own interest in an item (used for fidelity
-  /// accounting and by LeLA). Also tightens c_serve to c if the member
-  /// already holds the item.
+  /// accounting, by LeLA and by recovery restating a captured need).
+  /// Also tightens c_serve to c if the member already holds the item.
   void SetOwnInterest(OverlayIndex m, ItemId item, Coherency c);
 
   /// Declares that `m` holds `item`, served at tolerance `c_serve` by
@@ -144,8 +144,8 @@ class Overlay {
   EdgeId edge_id_limit() const { return next_edge_id_; }
   /// Item the edge with this id carries (valid for every id ever handed
   /// out; recycled ids report the item of their current incarnation).
-  /// Lets policies seed per-edge state for ids in [known,
-  /// edge_id_limit()) without rescanning the overlay.
+  /// Lets policies seed per-edge state at Initialize without rescanning
+  /// the overlay.
   ItemId edge_item(EdgeId id) const { return edge_items_[id]; }
 
   /// Dense tracker id of the (m, item) own-interest pair, assigned by
@@ -174,15 +174,6 @@ class Overlay {
   /// item trees are not rooted); repair restores validity. Removing the
   /// source or an unknown member fails.
   [[nodiscard]] Result<MemberDetachment> DetachMember(OverlayIndex m);
-
-  /// Restates (a recovered member re-attaching a captured need) that
-  /// `m` — which must already hold `item` — has an own need for it at
-  /// tolerance `c` (finite and > 0): sets the own-interest flag (minting
-  /// the pair's TrackerId if it never had one) and renegotiates the
-  /// serve chain (c_serve may tighten, propagating up to the source).
-  /// Unlike SetOwnInterest this keeps every parent edge's tolerance
-  /// consistent with its child's c_serve.
-  [[nodiscard]] Status JoinOwnInterest(OverlayIndex m, ItemId item, Coherency c);
 
   /// Coherency renegotiation: `m`'s own tolerance for `item` becomes
   /// `c`, finite and > 0 (m must hold the item with own interest).

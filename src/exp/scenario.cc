@@ -69,9 +69,10 @@ Result<core::Scenario> MakeChurnScenario(const ChurnOptions& options) {
   if (options.horizon <= 0) {
     return Status::InvalidArgument("churn needs a positive horizon");
   }
+  // Written so that a NaN bound fails: it compares false either way.
   if (!(options.min_outage_fraction > 0.0) ||
-      options.max_outage_fraction < options.min_outage_fraction ||
-      options.max_outage_fraction >= 1.0) {
+      !(options.max_outage_fraction >= options.min_outage_fraction) ||
+      !(options.max_outage_fraction < 1.0)) {
     return Status::InvalidArgument(
         "need 0 < min_outage_fraction <= max_outage_fraction < 1");
   }

@@ -25,8 +25,9 @@ Result<Trace> GenerateSyntheticTrace(const SyntheticTraceOptions& options,
   if (options.tick_count == 0) {
     return Status::InvalidArgument("tick_count must be positive");
   }
-  if (options.max_price <= options.min_price || options.min_price <= 0.0) {
-    return Status::InvalidArgument("need max_price > min_price > 0");
+  if (!std::isfinite(options.min_price) || !std::isfinite(options.max_price) ||
+      options.max_price <= options.min_price || options.min_price <= 0.0) {
+    return Status::InvalidArgument("need finite max_price > min_price > 0");
   }
 
   const double center = 0.5 * (options.min_price + options.max_price);

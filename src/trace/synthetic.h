@@ -29,8 +29,8 @@ struct SyntheticTraceOptions {
   double mean_extra_cents = 1.5;
 };
 
-/// Generates one synthetic trace. Returns InvalidArgument for empty
-/// bands or zero ticks.
+/// Generates one synthetic trace. Returns InvalidArgument for empty or
+/// non-finite bands or zero ticks.
 Result<Trace> GenerateSyntheticTrace(const SyntheticTraceOptions& options,
                                      Rng& rng);
 

@@ -498,7 +498,9 @@ Topology ShapedTopology(Shape shape, uint64_t seed) {
     for (uint64_t i = rng.NextBounded(n); i > 0; --i) {
       const NodeId a = static_cast<NodeId>(rng.NextBounded(n));
       const NodeId b = static_cast<NodeId>(rng.NextBounded(n));
-      if (a != b) EXPECT_TRUE(graph.AddLink(a, b, rng.NextInRange(0, 3)).ok());
+      if (a != b) {
+        EXPECT_TRUE(graph.AddLink(a, b, rng.NextInRange(0, 3)).ok());
+      }
     }
     std::vector<NodeId> spots(n);
     for (NodeId v = 0; v < n; ++v) spots[v] = v;

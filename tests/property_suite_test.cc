@@ -27,7 +27,7 @@ namespace {
 // Event queue vs reference
 
 /// Records the `b` payload word of every event it receives.
-struct PayloadRecorder : sim::EventHandler {
+struct PayloadRecorder final : sim::EventHandler {
   std::vector<uint64_t> fired;
   void HandleEvent(sim::SimTime, const sim::Event& event) override {
     fired.push_back(event.b);
@@ -40,9 +40,9 @@ using ReferenceOrder = std::map<std::pair<sim::SimTime, uint64_t>, uint64_t>;
 /// Drives a Simulator against the reference: every event it fires must
 /// be the reference's earliest, and each schedules up to three more
 /// while the budget lasts, ~40% at now() and the rest later.
-struct ReferenceCheckedHandler : sim::EventHandler {
-  ReferenceCheckedHandler(sim::Simulator& sim, Rng& rng)
-      : sim(sim), rng(rng) {}
+struct ReferenceCheckedHandler final : sim::EventHandler {
+  ReferenceCheckedHandler(sim::Simulator& simulator, Rng& random)
+      : sim(simulator), rng(random) {}
 
   void Schedule(sim::SimTime when) {
     if (budget == 0) return;

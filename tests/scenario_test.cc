@@ -155,6 +155,29 @@ TEST(ScenarioTest, ChurnGeneratorIsDeterministicAndDisjoint) {
   EXPECT_TRUE(differs);
 }
 
+TEST(ScenarioTest, ChurnRejectsBadOptions) {
+  exp::ChurnOptions good;
+  good.repositories = 4;
+  good.horizon = sim::Seconds(600);
+  ASSERT_TRUE(exp::MakeChurnScenario(good).ok());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<exp::ChurnOptions> bad(7, good);
+  bad[0].repositories = 0;
+  bad[1].horizon = 0;
+  bad[2].min_outage_fraction = 0.0;
+  bad[3].max_outage_fraction = 0.5 * good.min_outage_fraction;
+  bad[4].max_outage_fraction = 1.0;
+  // NaN fails every ordered comparison, so each bound must be checked
+  // in the form NaN fails; a NaN fraction would otherwise reach the
+  // outage duration's float-to-int cast.
+  bad[5].min_outage_fraction = nan;
+  bad[6].max_outage_fraction = nan;
+  for (size_t i = 0; i < bad.size(); ++i) {
+    EXPECT_TRUE(exp::MakeChurnScenario(bad[i]).status().IsInvalidArgument())
+        << "case " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Overlay repair operations
 
@@ -215,7 +238,7 @@ TEST(OverlayRepairTest, EdgeIdsStayBoundedAcrossChurn) {
     overlay.AddItemEdge(1, 3, 0, 0.3);  // repair the orphan
     // Member 2 re-joins as a leaf under 1.
     overlay.AddItemEdge(1, 2, 0, 0.2);
-    ASSERT_TRUE(overlay.JoinOwnInterest(2, 0, 0.2).ok());
+    overlay.SetOwnInterest(2, 0, 0.2);
     ASSERT_TRUE(overlay.Validate().ok()) << "round " << round;
   }
   // Long-lived churn must not grow the dense per-edge id space.
@@ -248,7 +271,6 @@ TEST(OverlayRepairTest, CoherencyRenegotiationPropagatesBothWays) {
                          std::numeric_limits<double>::quiet_NaN()}) {
     EXPECT_TRUE(overlay.UpdateOwnCoherency(3, 0, c).IsInvalidArgument())
         << c;
-    EXPECT_TRUE(overlay.JoinOwnInterest(3, 0, c).IsInvalidArgument()) << c;
   }
   EXPECT_DOUBLE_EQ(overlay.Serving(3, 0).c_serve, 0.3);
   EXPECT_TRUE(overlay.Validate().ok());
@@ -274,8 +296,7 @@ TEST(ScenarioTest, CentralizedRepairForcesResync) {
   BeginDecision quiet = policy.BeginUpdate(0, 0, 0, 10.05, 0.0);
   EXPECT_TRUE(quiet.drop);
   // Repair of the 0.5-class edge: the class is primed to fire.
-  policy.OnEdgeCreated(edge, 0, 0.5,
-                       -std::numeric_limits<double>::infinity());
+  policy.OnEdgeCreated(edge, 0, 0.5);
   BeginDecision resync = policy.BeginUpdate(0, 0, 0, 10.05, 0.0);
   EXPECT_FALSE(resync.drop);
   EXPECT_DOUBLE_EQ(resync.tag, 0.5);

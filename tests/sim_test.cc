@@ -16,7 +16,7 @@ TEST(TimeTest, Conversions) {
 }
 
 /// Records every event it receives, in dispatch order.
-struct RecordingHandler : EventHandler {
+struct RecordingHandler final : EventHandler {
   struct Seen {
     SimTime t;
     Event event;
@@ -35,9 +35,9 @@ struct RecordingHandler : EventHandler {
 
 /// Handler that keeps re-scheduling itself on `sim` at `now() + step`
 /// until it has run `limit` times.
-struct ChainHandler : EventHandler {
-  ChainHandler(Simulator& sim, SimTime step, int limit)
-      : sim(sim), step(step), limit(limit) {}
+struct ChainHandler final : EventHandler {
+  ChainHandler(Simulator& simulator, SimTime step_size, int max_runs)
+      : sim(simulator), step(step_size), limit(max_runs) {}
   void HandleEvent(SimTime t, const Event&) override {
     times.push_back(t);
     if (static_cast<int>(times.size()) < limit) {
@@ -107,7 +107,7 @@ TEST(EventQueueTest, TypedEventsDispatchThroughHandler) {
 
 // HandleEvent, the queue's one callback, may schedule further events.
 TEST(EventQueueTest, CallbackMaySchedule) {
-  struct Rescheduler : EventHandler {
+  struct Rescheduler final : EventHandler {
     EventQueue* q = nullptr;
     int count = 0;
     void HandleEvent(SimTime t, const Event&) override {
@@ -181,7 +181,7 @@ TEST(SimulatorTest, DispatchesTypedEventsToRegisteredHandler) {
 // An event already due at now() was scheduled before the clock reached
 // now(), so it runs before every event scheduled at now().
 TEST(SimulatorTest, HeapEventsDueNowRunBeforeLaneEvents) {
-  struct Handler : EventHandler {
+  struct Handler final : EventHandler {
     Simulator* sim = nullptr;
     std::vector<uint32_t> order;
     void HandleEvent(SimTime t, const Event& event) override {
@@ -207,7 +207,7 @@ TEST(SimulatorTest, HeapEventsDueNowRunBeforeLaneEvents) {
 // Same-instant events run FIFO, including those a same-instant handler
 // schedules at now(): they run behind every event already due.
 TEST(SimulatorTest, SameInstantEventsRunFifo) {
-  struct Handler : EventHandler {
+  struct Handler final : EventHandler {
     Simulator* sim = nullptr;
     std::vector<uint32_t> order;
     void HandleEvent(SimTime t, const Event& event) override {
@@ -229,7 +229,7 @@ TEST(SimulatorTest, SameInstantEventsRunFifo) {
 // events fire at kSimTimeMax itself, where the empty queue's PeekTime()
 // equals the horizon.
 TEST(SimulatorTest, RunToSimTimeMaxEndsWhenNothingIsPending) {
-  struct Handler : EventHandler {
+  struct Handler final : EventHandler {
     Simulator* sim = nullptr;
     std::vector<SimTime> times;
     void HandleEvent(SimTime t, const Event& event) override {
@@ -274,7 +274,7 @@ TEST(SimulatorTest, HorizonBehindTheClockLeavesSameInstantEventsPending) {
 TEST(SimulatorTest, ManyEventsStressOrder) {
   // Checks time order, that each event fires at its own scheduled time
   // (carried in its payload) and that now() tracks it.
-  struct OrderChecker : EventHandler {
+  struct OrderChecker final : EventHandler {
     Simulator* sim = nullptr;
     SimTime last = -1;
     bool monotone = true;

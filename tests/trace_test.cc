@@ -1,6 +1,9 @@
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "gtest/gtest.h"
@@ -53,10 +56,20 @@ TEST(SyntheticTest, RejectsBadOptions) {
   SyntheticTraceOptions options;
   options.tick_count = 0;
   EXPECT_FALSE(GenerateSyntheticTrace(options, rng).ok());
-  options = SyntheticTraceOptions{};
-  options.min_price = 10;
-  options.max_price = 9;
-  EXPECT_FALSE(GenerateSyntheticTrace(options, rng).ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // An inverted band, then non-finite bounds, which an ordering check
+  // alone lets through into a trace of NaN or inf values.
+  const std::vector<std::pair<double, double>> bands = {
+      {10.0, 9.0}, {20.0, nan}, {nan, 21.0}, {20.0, inf}, {-inf, 21.0}};
+  for (const auto& [lo, hi] : bands) {
+    options = SyntheticTraceOptions{};
+    options.min_price = lo;
+    options.max_price = hi;
+    EXPECT_TRUE(
+        GenerateSyntheticTrace(options, rng).status().IsInvalidArgument())
+        << lo << ".." << hi;
+  }
 }
 
 TEST(SyntheticTest, StaysInsideBand) {
