@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -59,43 +60,57 @@ void BM_EncodeDecodeRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_EncodeDecodeRoundTrip);
 
-// One engine-shaped hop: Send encodes into the destination ring, Poll
-// decodes back out — the per-message cost wire mode adds to a push.
-void BM_InProcSendPoll(benchmark::State& state) {
-  net::InProcTransport bus(/*peer_count=*/32, /*per_peer_capacity=*/64);
+// The engine's framed leg (Engine::SendFramedUpdate): the 101 members
+// of a paper §6.1 base-case overlay, each with a 64-slot ring; every hop
+// Sends one update between a seeded pseudo-random pair of distinct
+// members and then Polls the destination until its ring is empty. The
+// hops spread over every ring the way a run's pushes do, so the bench
+// sees which slots a hop touches as well as what it computes.
+constexpr uint32_t kHopPeers = 101;
+constexpr size_t kHopRingSlots = 64;
+
+void RunEngineHops(benchmark::State& state, net::Transport& bus) {
+  constexpr size_t kPairs = 4096;  // a power of two: the index wraps by mask
+  Rng rng(/*seed=*/0xD37A);
+  std::vector<std::pair<uint32_t, uint32_t>> pairs(kPairs);
+  for (auto& [from, to] : pairs) {
+    from = static_cast<uint32_t>(rng.NextBounded(kHopPeers));
+    to = static_cast<uint32_t>(
+        (from + 1 + rng.NextBounded(kHopPeers - 1)) % kHopPeers);
+  }
   net::wire::Frame out;
   uint32_t i = 0;
   for (auto _ : state) {
-    const net::wire::Frame frame = BenchFrame(i);
-    benchmark::DoNotOptimize(
-        bus.Send(frame.u.update.src, frame.u.update.dst, frame).ok());
-    benchmark::DoNotOptimize(bus.Poll(frame.u.update.dst, &out, nullptr));
+    const auto [from, to] = pairs[i & (kPairs - 1)];
+    const net::wire::Frame frame = net::wire::Frame::Update(
+        from, to, /*arrival_us=*/1000 * int64_t{i}, /*item=*/i % 8,
+        /*value=*/static_cast<double>(i), /*tag=*/0.25);
+    benchmark::DoNotOptimize(bus.Send(from, to, frame).ok());
+    while (bus.Poll(to, &out, nullptr)) benchmark::DoNotOptimize(out);
     ++i;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
+
+// One engine hop through InProcTransport: Send encodes into the
+// destination's ring slot, Poll decodes back out. This is the
+// per-message cost wire mode adds to a push.
+void BM_InProcSendPoll(benchmark::State& state) {
+  net::InProcTransport bus(kHopPeers, kHopRingSlots);
+  RunEngineHops(state, bus);
+}
 BENCHMARK(BM_InProcSendPoll);
 
-// The same hop through an empty-script FaultInjectingTransport:
+// The same hops through an empty-script FaultInjectingTransport:
 // measured against BM_InProcSendPoll, the delta is the wrapper's
 // per-hop tax (a send-counter bump, an exhausted-script check and a
 // wedge-window check) — pinned here to stay negligible, since serving
 // stacks are expected to leave the wrapper in place and feed it an
 // empty script outside chaos drills.
 void BM_FaultFreeWrapperOverhead(benchmark::State& state) {
-  net::InProcTransport bus(/*peer_count=*/32, /*per_peer_capacity=*/64);
+  net::InProcTransport bus(kHopPeers, kHopRingSlots);
   net::FaultInjectingTransport wrapped(bus, net::FaultScript(), /*seed=*/1);
-  net::wire::Frame out;
-  uint32_t i = 0;
-  for (auto _ : state) {
-    const net::wire::Frame frame = BenchFrame(i);
-    benchmark::DoNotOptimize(
-        wrapped.Send(frame.u.update.src, frame.u.update.dst, frame).ok());
-    benchmark::DoNotOptimize(
-        wrapped.Poll(frame.u.update.dst, &out, nullptr));
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+  RunEngineHops(state, wrapped);
 }
 BENCHMARK(BM_FaultFreeWrapperOverhead);
 

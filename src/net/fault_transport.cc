@@ -182,8 +182,10 @@ Status FaultInjectingTransport::Send(PeerId from, PeerId to,
                               : static_cast<size_t>(op.arg) % n;
       const int bit = static_cast<int>(SplitMix64(rng_state_) % 8);
       image[byte] = static_cast<uint8_t>(image[byte] ^ (1u << bit));
-      Result<wire::Frame> decoded = wire::Decode(image, n);
-      if (decoded.ok()) return Forward(from, to, *decoded);
+      wire::Frame decoded;
+      if (wire::DecodeInto(image, n, &decoded).ok()) {
+        return Forward(from, to, decoded);
+      }
       ++extra_totals_.decode_errors;
       ++extra_[to].decode_errors;
       CountDrop(from);

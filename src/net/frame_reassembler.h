@@ -51,6 +51,10 @@ class ByteRing {
   void Consume(size_t n);
 
  private:
+  /// Index one past the last readable byte, wrapped by compare rather
+  /// than `%` (head_ and count_ never exceed the capacity).
+  size_t Tail() const;
+
   size_t head_ = 0;
   size_t count_ = 0;
   std::vector<uint8_t> bytes_;
@@ -58,12 +62,13 @@ class ByteRing {
 
 /// Header-driven frame reassembly over a ByteRing: the one deframing
 /// loop every byte-stream transport shares. The receiver recovers frame
-/// boundaries from wire headers alone (PeekFrameSize), waits on partial
-/// frames, and resyncs byte by byte past corruption — exactly what a
-/// TCP reader does, independent of how the bytes arrived (in-process
-/// ring, loopback socket, a file replayed through a ring). Extracted
-/// from StreamTransport so SocketTransport deframes with the same code,
-/// not a copy of it.
+/// boundaries from wire headers alone, waits on partial frames, and
+/// resyncs byte by byte past corruption — exactly what a TCP reader
+/// does, independent of how the bytes arrived (in-process ring,
+/// loopback socket, a file replayed through a ring). A frame that lies
+/// contiguous in the ring decodes in place; only one the ring's wrap
+/// splits is copied out first. Extracted from StreamTransport so
+/// SocketTransport deframes with the same code, not a copy of it.
 class FrameReassembler {
  public:
   enum class Outcome {

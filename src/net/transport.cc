@@ -57,7 +57,9 @@ Status InProcTransport::Send(PeerId from, PeerId to,
     ++totals_.backpressure_stalls;
     return Status::CapacityExhausted("ring full");
   }
-  Slot& slot = slots_[to * capacity_ + (ring.head + ring.count) % capacity_];
+  size_t tail = ring.head + ring.count;
+  if (tail >= capacity_) tail -= capacity_;
+  Slot& slot = slots_[to * capacity_ + tail];
   const size_t encoded = wire::Encode(frame, slot.bytes, sizeof(slot.bytes));
   if (encoded == 0) {
     return Status::InvalidArgument("unencodable frame");
@@ -82,9 +84,11 @@ bool InProcTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
   Ring& ring = rings_[self];
   while (ring.count > 0) {
     const Slot& slot = slots_[self * capacity_ + ring.head];
-    ring.head = (ring.head + 1) % capacity_;
-    --ring.count;
-    Result<wire::Frame> decoded = wire::Decode(slot.bytes, slot.size);
+    // A ring Poll empties restarts at slot 0, so a destination drained
+    // after every Send (the engine's pattern) reuses one slot. Only an
+    // empty ring moves, so FIFO order cannot change.
+    if (--ring.count == 0 || ++ring.head == capacity_) ring.head = 0;
+    const Status decoded = wire::DecodeInto(slot.bytes, slot.size, out);
     if (!decoded.ok()) {
       // A slot was encoded by Send and can only fail to decode if its
       // bytes were corrupted in place; count and keep draining.
@@ -92,7 +96,7 @@ bool InProcTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
       ++totals_.decode_errors;
       if (recorder_ != nullptr) {
         recorder_->Record(obs::TraceEventKind::kDecodeError, self, 0, 0,
-                          static_cast<uint16_t>(decoded.status().code()));
+                          static_cast<uint16_t>(decoded.code()));
       }
       continue;
     }
@@ -102,9 +106,8 @@ bool InProcTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
     totals_.bytes_rx += slot.size;
     if (recorder_ != nullptr) {
       recorder_->Record(obs::TraceEventKind::kFrameRx, self,
-                        static_cast<uint64_t>(decoded->type), slot.from);
+                        static_cast<uint64_t>(out->type), slot.from);
     }
-    *out = *decoded;
     if (from != nullptr) *from = slot.from;
     return true;
   }

@@ -31,7 +31,7 @@ struct TransportMetrics {
   uint64_t bytes_rx = 0;
   /// Sends refused because the destination ring was full.
   uint64_t backpressure_stalls = 0;
-  /// Received bytes that failed wire::Decode (or header resync steps).
+  /// Received bytes that failed wire::DecodeInto (or header resync steps).
   uint64_t decode_errors = 0;
   /// Scripted faults executed by a FaultInjectingTransport wrapper
   /// (0 on plain transports).
@@ -107,11 +107,13 @@ void PublishTransportMetrics(obs::Registry& registry, const char* prefix,
 
 /// Deterministic in-process bus: one fixed-capacity ring of encoded
 /// frame slots per destination. Every frame genuinely round-trips the
-/// wire format — Send encodes into the slot, Poll decodes out of it —
-/// so a simulator run routed through this transport exercises the
-/// exact serialization a socket transport would, with delivery order
-/// (FIFO per destination, across senders) fully deterministic. This is
-/// the transport the byte-identity pin runs over.
+/// wire format — Send encodes into the slot, Poll decodes out of it
+/// straight into the caller's frame — so a simulator run routed through
+/// this transport exercises the exact serialization a socket transport
+/// would, with delivery order (FIFO per destination, across senders)
+/// fully deterministic. A ring that Poll empties restarts at slot 0, so
+/// a destination drained after every Send reuses one cache-resident
+/// slot. This is the transport the byte-identity pin runs over.
 class InProcTransport : public Transport {
  public:
   /// `per_peer_capacity` frames of ring per destination, pre-allocated

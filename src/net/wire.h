@@ -34,9 +34,10 @@ namespace d3t::net::wire {
 /// machine; a cross-machine socket transport would pin little-endian
 /// here and swap on big-endian hosts.
 ///
-/// Decode() is the only entry point for untrusted bytes. It never reads
-/// past `size`, and it rejects truncated, over-length, wrong-version,
-/// wrong-type and checksum-corrupt input with a precise Status.
+/// DecodeInto() is the only entry point for untrusted bytes. It never
+/// reads past `size`, and it rejects truncated, over-length,
+/// wrong-version, wrong-type and checksum-corrupt input with a precise
+/// Status.
 
 inline constexpr uint16_t kMagic = 0xD37A;
 /// v2: feed frames (hello / source-tick / scenario-op / shutdown) carry
@@ -321,13 +322,24 @@ size_t Encode(const Frame& frame, uint8_t* out, size_t cap);
 /// stream deframers call this to learn how many bytes to wait for.
 Result<size_t> PeekFrameSize(const uint8_t* data, size_t size);
 
-/// Decodes one frame from the front of `data`. Never reads beyond
-/// `size`. On success `*consumed` (when non-null) is set to the bytes
-/// the frame occupied; trailing bytes are ignored (they belong to the
-/// next frame). Errors: IoError for truncation and checksum mismatch,
+/// Decodes one frame from the front of `data` straight into `*out`.
+/// Never reads beyond `size`, and checks the header once. On success
+/// `*out` holds the frame and `*consumed` (when non-null) the bytes it
+/// occupied; trailing bytes are ignored (they belong to the next
+/// frame). On failure neither `*out` nor `*consumed` is written.
+/// Errors: IoError for truncation and checksum mismatch,
 /// InvalidArgument for bad magic/version/type/length.
-Result<Frame> Decode(const uint8_t* data, size_t size,
-                     size_t* consumed = nullptr);
+Status DecodeInto(const uint8_t* data, size_t size, Frame* out,
+                  size_t* consumed = nullptr);
+
+/// DecodeInto returning the frame by value.
+inline Result<Frame> Decode(const uint8_t* data, size_t size,
+                            size_t* consumed = nullptr) {
+  Frame frame;
+  Status status = DecodeInto(data, size, &frame, consumed);
+  if (!status.ok()) return status;
+  return frame;
+}
 
 }  // namespace d3t::net::wire
 

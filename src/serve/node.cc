@@ -80,6 +80,12 @@ Status Node::SeqGapError(uint32_t seq) const {
       ", " + std::to_string(seq) + ") — dropped or reordered feed");
 }
 
+Status Node::MisaddressedError(const char* kind, uint32_t node) const {
+  return Status::InvalidArgument(
+      std::string(kind) + " frame addressed to node " + std::to_string(node) +
+      ", but this node is " + std::to_string(options_.feed_self));
+}
+
 Status Node::SendResubscribe() {
   if (resubscribes_ >= options_.max_resubscribes) {
     return Status::IoError(
@@ -126,6 +132,9 @@ Status Node::Ingest(const net::wire::Frame& frame) {
         return Status::FailedPrecondition("duplicate hello frame");
       }
       const net::wire::HelloPayload& p = frame.u.hello;
+      if (p.node != options_.feed_self) {
+        return MisaddressedError("hello", p.node);
+      }
       if (p.member_count != overlay_.member_count()) {
         return Status::InvalidArgument(
             "hello member count does not match this node's overlay");
@@ -184,6 +193,9 @@ Status Node::Ingest(const net::wire::Frame& frame) {
     case net::wire::FrameType::kShutdown: {
       if (!hello_seen_) {
         return Status::FailedPrecondition("shutdown before hello");
+      }
+      if (frame.u.shutdown.node != options_.feed_self) {
+        return MisaddressedError("shutdown", frame.u.shutdown.node);
       }
       // Completeness check: name EVERY item the feed never delivered a
       // tick for, as ranges — a degradation report an operator can act

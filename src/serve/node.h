@@ -30,7 +30,8 @@ namespace d3t::serve {
 /// How a Node runs its engine once the feed completes.
 struct NodeOptions {
   /// This node's address on the feed transport (the publisher sends
-  /// frames addressed to it here).
+  /// frames addressed to it here). A kHello or kShutdown frame naming
+  /// another node is a sticky InvalidArgument.
   net::PeerId feed_self = 0;
   /// Dissemination policy name (core::MakeDisseminator).
   std::string policy = "distributed";
@@ -112,6 +113,8 @@ class Node {
   Status Ingest(const net::wire::Frame& frame);
   /// Sticky-error text for a frame whose seq does not match the cursor.
   Status SeqGapError(uint32_t seq) const;
+  /// Sticky-error text for a `kind` frame addressed to another `node`.
+  Status MisaddressedError(const char* kind, uint32_t node) const;
   /// Sends one kResubscribe for the cursor; budget-checked.
   Status SendResubscribe();
   /// Ingested feed as the engine's trace library.

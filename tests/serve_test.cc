@@ -338,6 +338,31 @@ TEST(ServeTest, RejectsDuplicateHelloAndWorldMismatch) {
     ASSERT_FALSE(polled.ok());
     EXPECT_TRUE(polled.status().IsInvalidArgument());
   }
+  {
+    // A hello addressed to another node is not this node's feed.
+    IngestFixture fx;
+    net::wire::Frame misaddressed = fx.Hello();
+    misaddressed.u.hello.node = 5;
+    Result<size_t> polled = fx.Feed(misaddressed);
+    ASSERT_FALSE(polled.ok());
+    EXPECT_TRUE(polled.status().IsInvalidArgument());
+    EXPECT_EQ(polled.status().message(),
+              "hello frame addressed to node 5, but this node is 0");
+  }
+  {
+    // Nor is a shutdown addressed to another node: the feed stays open.
+    IngestFixture fx;
+    ASSERT_TRUE(fx.Feed(fx.Hello()).ok());
+    for (uint32_t item = 0; item < fx.overlay.item_count(); ++item) {
+      ASSERT_TRUE(fx.Feed(net::wire::Frame::SourceTick(item, 0, 0, 1.0)).ok());
+    }
+    Result<size_t> polled = fx.Feed(net::wire::Frame::Shutdown(6));
+    ASSERT_FALSE(polled.ok());
+    EXPECT_TRUE(polled.status().IsInvalidArgument());
+    EXPECT_EQ(polled.status().message(),
+              "shutdown frame addressed to node 6, but this node is 0");
+    EXPECT_FALSE(fx.node.feed_complete());
+  }
 }
 
 TEST(ServeTest, RejectsMalformedTickSequences) {

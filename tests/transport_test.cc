@@ -9,8 +9,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <vector>
 
+#include "common/random.h"
 #include "net/fault_transport.h"
 #include "net/frame_reassembler.h"
 #include "net/transport.h"
@@ -93,6 +95,87 @@ TEST(InProcTransportTest, MetricsAttributeTxToSenderRxToReceiver) {
   EXPECT_EQ(bus.peer_metrics(2).bytes_rx, frame_bytes);
   EXPECT_EQ(bus.metrics().frames_tx, 2u);
   EXPECT_EQ(bus.metrics().frames_rx, 1u);
+}
+
+TEST(InProcTransportTest, RingWrapsFifoUnderPartialDrains) {
+  // A seeded interleaving of Sends from random senders and partial Poll
+  // drains on one 3-slot ring, checked against a std::deque model. The
+  // ring wraps whenever a partial drain leaves frames behind, restarts
+  // at slot 0 whenever a drain empties it, and stalls exactly when the
+  // model holds three frames.
+  constexpr size_t kCapacity = 3;
+  constexpr PeerId kPeers = 4;
+  constexpr PeerId kSelf = 0;
+  InProcTransport bus(kPeers, kCapacity);
+  struct Queued {
+    PeerId from;
+    uint32_t item;
+  };
+  std::deque<Queued> model;
+  size_t model_head = 0;  // the slot the model expects Poll to read next
+  std::vector<uint64_t> sent(kPeers, 0);
+  std::vector<uint64_t> stalls(kPeers, 0);
+  uint64_t received = 0;
+  uint64_t wrapped_sends = 0;
+  uint32_t next_item = 0;
+  Rng rng(0x51075);
+  for (int step = 0; step < 4000; ++step) {
+    if (rng.NextBounded(2) == 0) {
+      const auto from = static_cast<PeerId>(1 + rng.NextBounded(kPeers - 1));
+      const Status result =
+          bus.Send(from, kSelf, TestUpdate(from, kSelf, next_item));
+      if (model.size() == kCapacity) {
+        EXPECT_TRUE(result.IsCapacityExhausted()) << result.ToString();
+        ++stalls[from];
+      } else {
+        ASSERT_TRUE(result.ok()) << result.ToString();
+        if (model_head + model.size() >= kCapacity) ++wrapped_sends;
+        model.push_back({from, next_item});
+        ++sent[from];
+      }
+      ++next_item;
+      continue;
+    }
+    const size_t drain = rng.NextBounded(kCapacity + 1);
+    for (size_t i = 0; i < drain; ++i) {
+      wire::Frame frame;
+      PeerId from = kInvalidPeerId;
+      const bool polled = bus.Poll(kSelf, &frame, &from);
+      ASSERT_EQ(polled, !model.empty()) << "step " << step;
+      if (!polled) break;
+      EXPECT_EQ(from, model.front().from);
+      EXPECT_EQ(frame.type, wire::FrameType::kUpdate);
+      EXPECT_EQ(frame.u.update.src, model.front().from);
+      EXPECT_EQ(frame.u.update.dst, kSelf);
+      EXPECT_EQ(frame.u.update.item, model.front().item);
+      model.pop_front();
+      model_head = model.empty() ? 0 : (model_head + 1) % kCapacity;
+      ++received;
+    }
+  }
+  // The interleaving reached every case it is meant to check.
+  EXPECT_GT(wrapped_sends, 100u);
+  uint64_t total_sent = 0;
+  uint64_t total_stalls = 0;
+  const uint64_t frame_bytes = wire::EncodedSize(wire::FrameType::kUpdate);
+  for (PeerId peer = 1; peer < kPeers; ++peer) {
+    SCOPED_TRACE(peer);
+    EXPECT_GT(stalls[peer], 0u);
+    EXPECT_EQ(bus.peer_metrics(peer).frames_tx, sent[peer]);
+    EXPECT_EQ(bus.peer_metrics(peer).bytes_tx, sent[peer] * frame_bytes);
+    EXPECT_EQ(bus.peer_metrics(peer).backpressure_stalls, stalls[peer]);
+    EXPECT_EQ(bus.peer_metrics(peer).frames_rx, 0u);
+    total_sent += sent[peer];
+    total_stalls += stalls[peer];
+  }
+  EXPECT_EQ(bus.peer_metrics(kSelf).frames_rx, received);
+  EXPECT_EQ(bus.peer_metrics(kSelf).bytes_rx, received * frame_bytes);
+  EXPECT_EQ(bus.peer_metrics(kSelf).frames_tx, 0u);
+  EXPECT_EQ(bus.metrics().frames_tx, total_sent);
+  EXPECT_EQ(bus.metrics().frames_rx, received);
+  EXPECT_EQ(bus.metrics().backpressure_stalls, total_stalls);
+  EXPECT_EQ(bus.metrics().decode_errors, 0u);
+  EXPECT_EQ(total_sent - received, model.size());
 }
 
 TEST(InProcTransportTest, RejectsOutOfRangePeers) {

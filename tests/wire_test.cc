@@ -3,7 +3,8 @@
 // bit-flipped, wrong-version, wrong-magic, unknown-type, retired-type,
 // over-length buffers) proving Decode rejects corrupt input with a
 // precise Status and never reads out of bounds (the suite runs under
-// ASan/UBSan in CI).
+// ASan/UBSan in CI), while the in-place DecodeInto returns the same
+// Status and writes nothing.
 
 #include <cstdint>
 #include <cstring>
@@ -64,6 +65,25 @@ std::string Hex(const uint8_t* data, size_t size) {
     out += kDigits[data[i] & 0xF];
   }
   return out;
+}
+
+// Runs the in-place decoder on bytes Decode rejected with `expected`: it
+// must return the same Status and write nothing, neither into a
+// sentinel-filled frame nor into the consumed count.
+void ExpectInPlaceRejects(const uint8_t* data, size_t size,
+                          const Status& expected) {
+  ASSERT_FALSE(expected.ok());
+  uint8_t sentinel[sizeof(Frame)];
+  std::memset(sentinel, 0xA5, sizeof(sentinel));
+  Frame out;
+  std::memcpy(static_cast<void*>(&out), sentinel, sizeof(out));
+  size_t consumed = 0xA5A5;
+  const Status status = DecodeInto(data, size, &out, &consumed);
+  EXPECT_EQ(status.code(), expected.code()) << status.ToString();
+  EXPECT_EQ(status.message(), expected.message());
+  EXPECT_EQ(std::memcmp(&out, sentinel, sizeof(out)), 0)
+      << "a failed decode wrote into the frame";
+  EXPECT_EQ(consumed, 0xA5A5u);
 }
 
 // Textbook Fletcher-16, reduced mod 255 after every byte, over header
@@ -141,17 +161,22 @@ TEST(WireTest, EncodedBytesArePinned) {
 
 TEST(WireTest, ChecksumMatchesReferenceFletcher) {
   // The codec may accumulate however it likes; the header checksum must
-  // equal the per-byte-reduced definition for every kind, including the
-  // largest frame with every payload byte 0xFF (the largest sums any
-  // frame can reach).
+  // equal the per-byte-reduced definition for every kind, including
+  // every kind with all payload bytes 0xFF (the largest sums a frame of
+  // that length can reach, met by every block of the codec's sums) and
+  // all 0x00.
   Rng rng(0xF1E7C4E5);
   std::vector<Frame> frames;
   for (int round = 0; round < 100; ++round) {
     for (const Frame& frame : RandomFrames(rng)) frames.push_back(frame);
   }
-  ObsSnapshotPayload saturated;
-  std::memset(&saturated, 0xFF, sizeof(saturated));
-  frames.push_back(Frame::ObsSnapshot(saturated));
+  for (const Frame& kind : RandomFrames(rng)) {
+    for (const int fill : {0x00, 0xFF}) {
+      Frame frame = kind;
+      std::memset(&frame.u, fill, sizeof(frame.u));
+      frames.push_back(frame);
+    }
+  }
   for (const Frame& frame : frames) {
     SCOPED_TRACE(FrameTypeName(frame.type));
     uint8_t buf[kMaxFrameSize];
@@ -266,6 +291,7 @@ TEST(WireTest, TruncationAtEveryLengthFails) {
       Result<Frame> decoded = Decode(prefix.data(), prefix.size());
       ASSERT_FALSE(decoded.ok()) << "size=" << size;
       EXPECT_TRUE(decoded.status().IsIoError()) << "size=" << size;
+      ExpectInPlaceRejects(prefix.data(), prefix.size(), decoded.status());
     }
   }
 }
@@ -287,6 +313,10 @@ TEST(WireTest, EverySingleBitFlipIsDetected) {
         Result<Frame> decoded = Decode(corrupt.data(), corrupt.size());
         EXPECT_FALSE(decoded.ok())
             << "byte=" << byte << " bit=" << bit << " survived";
+        if (!decoded.ok()) {
+          ExpectInPlaceRejects(corrupt.data(), corrupt.size(),
+                               decoded.status());
+        }
       }
     }
   }
@@ -307,6 +337,7 @@ TEST(WireTest, WrongMagicVersionTypeAndLengthAreRejectedPrecisely) {
   std::vector<uint8_t> bad = corrupt_header(0, 0x00);
   Result<Frame> decoded = Decode(bad.data(), bad.size());
   ASSERT_FALSE(decoded.ok());
+  ExpectInPlaceRejects(bad.data(), bad.size(), decoded.status());
   EXPECT_TRUE(decoded.status().IsInvalidArgument());
   EXPECT_NE(decoded.status().ToString().find("magic"), std::string::npos);
 
@@ -314,6 +345,7 @@ TEST(WireTest, WrongMagicVersionTypeAndLengthAreRejectedPrecisely) {
   bad = corrupt_header(2, kVersion + 1);
   decoded = Decode(bad.data(), bad.size());
   ASSERT_FALSE(decoded.ok());
+  ExpectInPlaceRejects(bad.data(), bad.size(), decoded.status());
   EXPECT_TRUE(decoded.status().IsInvalidArgument());
   EXPECT_NE(decoded.status().ToString().find("version"), std::string::npos);
 
@@ -321,6 +353,7 @@ TEST(WireTest, WrongMagicVersionTypeAndLengthAreRejectedPrecisely) {
   bad = corrupt_header(3, 99);
   decoded = Decode(bad.data(), bad.size());
   ASSERT_FALSE(decoded.ok());
+  ExpectInPlaceRejects(bad.data(), bad.size(), decoded.status());
   EXPECT_TRUE(decoded.status().IsInvalidArgument());
   EXPECT_NE(decoded.status().ToString().find("type"), std::string::npos);
 
@@ -331,6 +364,7 @@ TEST(WireTest, WrongMagicVersionTypeAndLengthAreRejectedPrecisely) {
   bad[5] = 0xFF;
   decoded = Decode(bad.data(), bad.size());
   ASSERT_FALSE(decoded.ok());
+  ExpectInPlaceRejects(bad.data(), bad.size(), decoded.status());
   EXPECT_TRUE(decoded.status().IsInvalidArgument());
   EXPECT_NE(decoded.status().ToString().find("over-length"),
             std::string::npos);
@@ -339,6 +373,7 @@ TEST(WireTest, WrongMagicVersionTypeAndLengthAreRejectedPrecisely) {
   bad = corrupt_header(4, static_cast<uint8_t>(sizeof(UpdatePayload)));
   decoded = Decode(bad.data(), bad.size());
   ASSERT_FALSE(decoded.ok());
+  ExpectInPlaceRejects(bad.data(), bad.size(), decoded.status());
   EXPECT_TRUE(decoded.status().IsInvalidArgument());
 }
 
