@@ -114,31 +114,9 @@ void BM_FaultFreeWrapperOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultFreeWrapperOverhead);
 
-// The byte-stream path adds header-driven deframing (PeekFrameSize +
-// resync scan) on top of the same encode/decode.
-void BM_StreamSendPoll(benchmark::State& state) {
-  net::StreamTransport stream(/*peer_count=*/2,
-                              /*per_channel_bytes=*/4096);
-  if (!stream.Connect(0, 1).ok()) {
-    state.SkipWithError("connect failed");
-    return;
-  }
-  net::wire::Frame out;
-  uint32_t i = 0;
-  for (auto _ : state) {
-    const net::wire::Frame frame = net::wire::Frame::Update(
-        0, 1, 1000 * i, i % 8, static_cast<double>(i), 0.25);
-    benchmark::DoNotOptimize(stream.Send(0, 1, frame).ok());
-    benchmark::DoNotOptimize(stream.Poll(1, &out, nullptr));
-    ++i;
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
-}
-BENCHMARK(BM_StreamSendPoll);
-
-// The real-socket path on top of that: two loopback-TCP endpoints in
-// one process, each hop crossing the kernel (send(2) out of the tx
-// ring, recv(2) into the rx ring) before the same deframing.
+// The real-socket path: two loopback-TCP endpoints in one process, each
+// hop crossing the kernel (send(2) out of the tx ring, recv(2) into the
+// rx ring) before header-driven deframing.
 void BM_SocketSendPoll(benchmark::State& state) {
   net::SocketTransport tx(/*peer_count=*/2, /*self=*/0);
   net::SocketTransport rx(/*peer_count=*/2, /*self=*/1);

@@ -1,6 +1,6 @@
 // Live serving mode: the paper's cooperating repositories as long-lived
 // nodes instead of library calls. A three-source world is served by
-// three nodes; each node learns its world over a byte-stream feed (a
+// three nodes; each node learns its world over a framed feed (a
 // kHello handshake, every source tick as a kSourceTick frame, a
 // scripted failure/recovery as kScenarioOp frames, kShutdown), then
 // replays it through a core::Engine whose every inter-member push
@@ -17,9 +17,9 @@
 // flight-recorder ring as one merged Chrome-trace JSON (open in
 // chrome://tracing or Perfetto; one process track per node).
 //
-// The feed ring is deliberately tiny (512 bytes, ~16 frames), so the
-// publisher genuinely stalls on backpressure and resumes — the stalls
-// column counts those pauses. The feed also crosses a scripted
+// The feed ring is deliberately tiny (12 frames), so the publisher
+// genuinely stalls on backpressure and resumes — the stalls column
+// counts those pauses. The feed also crosses a scripted
 // net::FaultInjectingTransport (drops, a duplicate, a corrupted byte,
 // a reorder, a connection reset) with resubscribe recovery on: the
 // faultsInj/decodeErr/reconn columns show the damage, the identical
@@ -162,23 +162,17 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    // The served node: feed over a tiny byte-stream ring (publisher is
-    // peer 1, the node peer 0) crossed by the chaos wrapper, data over
-    // a per-member frame bus.
-    d3t::net::StreamTransport stream(2, /*per_channel_bytes=*/512);
-    // Feed downstream plus the node's resubscribe backchannel.
-    for (auto [from, to] : {std::pair<int, int>{1, 0}, {0, 1}}) {
-      if (auto s = stream.Connect(from, to); !s.ok()) {
-        std::fprintf(stderr, "connect: %s\n", s.ToString().c_str());
-        return 1;
-      }
-    }
+    // The served node: feed over a tiny frame bus (publisher is peer 1,
+    // the node peer 0) crossed by the chaos wrapper, data over a
+    // per-member frame bus.
+    d3t::net::InProcTransport feed_bus(2, /*per_peer_capacity=*/12);
     auto script = ChaosScript();
     if (!script.ok()) {
       std::fprintf(stderr, "script: %s\n", script.status().ToString().c_str());
       return 1;
     }
-    d3t::net::FaultInjectingTransport feed(stream, *script, kSeed + source);
+    d3t::net::FaultInjectingTransport feed(feed_bus, *script,
+                                           kSeed + source);
     d3t::net::InProcTransport data(node_overlay->member_count(), 64);
     d3t::obs::Registry registry;
     d3t::obs::Recorder recorder;

@@ -66,8 +66,6 @@ FaultInjectingTransport::FaultInjectingTransport(Transport& inner,
   // frame can be held back per kDelayFrame op, so the script length
   // bounds the delay queue.
   delayed_.reserve(script_.size());
-  extra_.resize(inner_.peer_count());
-  merged_.resize(inner_.peer_count());
 }
 
 bool FaultInjectingTransport::Matches(const FaultOp& op, PeerId from,
@@ -82,10 +80,7 @@ bool FaultInjectingTransport::Wedged(PeerId from, PeerId to,
          (from == wedge_peer_ || to == wedge_peer_);
 }
 
-void FaultInjectingTransport::CountDrop(PeerId from) {
-  ++extra_totals_.frames_dropped;
-  if (from < extra_.size()) ++extra_[from].frames_dropped;
-}
+void FaultInjectingTransport::CountDrop() { ++extra_totals_.frames_dropped; }
 
 Status FaultInjectingTransport::Forward(PeerId from, PeerId to,
                                         const wire::Frame& frame) {
@@ -106,10 +101,10 @@ void FaultInjectingTransport::ReleaseDue() {
       continue;
     }
     if (Wedged(d.from, d.to, sends_)) {
-      CountDrop(d.from);
+      CountDrop();
       continue;
     }
-    if (!Forward(d.from, d.to, d.frame).ok()) CountDrop(d.from);
+    if (!Forward(d.from, d.to, d.frame).ok()) CountDrop();
   }
   delayed_.resize(keep);
 }
@@ -119,7 +114,7 @@ void FaultInjectingTransport::DropDelayedMatching(const FaultOp& op) {
   for (size_t i = 0; i < delayed_.size(); ++i) {
     Delayed& d = delayed_[i];
     if (Matches(op, d.from, d.to)) {
-      CountDrop(d.from);
+      CountDrop();
       continue;
     }
     delayed_[keep++] = d;
@@ -134,22 +129,22 @@ Status FaultInjectingTransport::Send(PeerId from, PeerId to,
   const uint64_t idx = sends_++;
 
   if (Wedged(from, to, idx)) {
-    CountDrop(from);
+    CountDrop();
     return Status::Ok();
   }
 
   // Ops execute strictly in script order: the head op arms once its
   // at_send has passed and fires on the first matching send. An op
   // whose filter never matches holds the script (by design — scripts
-  // are validated against the workload they target).
+  // are validated against the workload they target). An out-of-range
+  // send fires nothing: it reaches the inner transport's refusal.
   if (next_op_ >= script_.size() || script_.op(next_op_).at_send > idx ||
-      !Matches(script_.op(next_op_), from, to) || from >= extra_.size() ||
-      to >= extra_.size()) {
+      !Matches(script_.op(next_op_), from, to) ||
+      from >= inner_.peer_count() || to >= inner_.peer_count()) {
     return Forward(from, to, frame);
   }
   const FaultOp op = script_.op(next_op_++);
   ++extra_totals_.faults_injected;
-  ++extra_[from].faults_injected;
   if (recorder_ != nullptr) {
     recorder_->Record(obs::TraceEventKind::kFaultInjected, from, op.kind,
                       to);
@@ -157,7 +152,7 @@ Status FaultInjectingTransport::Send(PeerId from, PeerId to,
 
   switch (static_cast<FaultKind>(op.kind)) {
     case FaultKind::kDropFrame: {
-      CountDrop(from);
+      CountDrop();
       return Status::Ok();
     }
     case FaultKind::kDuplicateFrame: {
@@ -166,7 +161,7 @@ Status FaultInjectingTransport::Send(PeerId from, PeerId to,
         // The duplicate may be refused by backpressure; that loss is
         // the fault's own problem, not the sender's.
         Status dup = Forward(from, to, frame);
-        if (!dup.ok()) CountDrop(from);
+        if (!dup.ok()) CountDrop();
       }
       return first;
     }
@@ -187,8 +182,7 @@ Status FaultInjectingTransport::Send(PeerId from, PeerId to,
         return Forward(from, to, decoded);
       }
       ++extra_totals_.decode_errors;
-      ++extra_[to].decode_errors;
-      CountDrop(from);
+      CountDrop();
       return Status::Ok();
     }
     case FaultKind::kDelayFrame: {
@@ -201,9 +195,8 @@ Status FaultInjectingTransport::Send(PeerId from, PeerId to,
       // delayed frame on a matching path are lost; the transport-level
       // reconnect (counted here) restores the path for later sends.
       ++extra_totals_.reconnects;
-      ++extra_[from].reconnects;
       DropDelayedMatching(op);
-      CountDrop(from);
+      CountDrop();
       return Status::Ok();
     }
     case FaultKind::kWedgePeer: {
@@ -211,7 +204,7 @@ Status FaultInjectingTransport::Send(PeerId from, PeerId to,
                     : (op.from != kAnyPeer) ? op.from
                                             : to;
       wedge_until_ = (op.arg == 0) ? UINT64_MAX : idx + op.arg;
-      CountDrop(from);
+      CountDrop();
       return Status::Ok();
     }
   }
@@ -228,13 +221,6 @@ const TransportMetrics& FaultInjectingTransport::metrics() const {
   merged_totals_ = inner_.metrics();
   AddCounters(merged_totals_, extra_totals_);
   return merged_totals_;
-}
-
-const TransportMetrics& FaultInjectingTransport::peer_metrics(
-    PeerId peer) const {
-  merged_[peer] = inner_.peer_metrics(peer);
-  AddCounters(merged_[peer], extra_[peer]);
-  return merged_[peer];
 }
 
 }  // namespace d3t::net

@@ -27,7 +27,8 @@ enum class FaultKind : uint32_t {
   /// Swallow the frame; the peer never sees it.
   kDropFrame = 0,
   /// Deliver the frame twice (the second copy may itself be refused by
-  /// backpressure; that refusal is not charged to the sender).
+  /// backpressure; that refusal is a counted drop, not the sender's
+  /// error).
   kDuplicateFrame = 1,
   /// Flip one bit of the encoded image before delivery. The wire
   /// checksum catches every single-bit flip, so the receiver counts a
@@ -105,11 +106,10 @@ class FaultScript {
 /// for later sends), and delayed frames re-enter ahead of the frame
 /// whose send released them, preserving a deterministic total order.
 ///
-/// Metrics: metrics()/peer_metrics() return the inner transport's
-/// counters plus the wrapper's own (`faults_injected`,
-/// `frames_dropped`, `reconnects`, and decode errors charged to the
-/// receiver of a corrupted frame) — so a chaos run's damage is legible
-/// through the ordinary TransportMetrics surface.
+/// Metrics: metrics() returns the inner transport's counters plus the
+/// wrapper's own (`faults_injected`, `frames_dropped`, `reconnects`,
+/// and one decode error per corrupted frame) — so a chaos run's damage
+/// is legible through the ordinary TransportMetrics surface.
 class FaultInjectingTransport : public Transport {
  public:
   /// Wraps `inner` (not owned; must outlive the wrapper). `seed` feeds
@@ -121,7 +121,6 @@ class FaultInjectingTransport : public Transport {
   Status Send(PeerId from, PeerId to, const wire::Frame& frame) override;
   bool Poll(PeerId self, wire::Frame* out, PeerId* from) override;
   const TransportMetrics& metrics() const override;
-  const TransportMetrics& peer_metrics(PeerId peer) const override;
 
   /// Ops executed so far (monotone, <= script.size()).
   size_t faults_applied() const { return next_op_; }
@@ -151,7 +150,7 @@ class FaultInjectingTransport : public Transport {
   bool Wedged(PeerId from, PeerId to, uint64_t at) const;
   void ReleaseDue();
   Status Forward(PeerId from, PeerId to, const wire::Frame& frame);
-  void CountDrop(PeerId from);
+  void CountDrop();
   void DropDelayedMatching(const FaultOp& op);
 
   Transport& inner_;
@@ -168,9 +167,7 @@ class FaultInjectingTransport : public Transport {
   std::vector<Delayed> delayed_;
   /// The wrapper's own damage counters, merged over the inner
   /// transport's counters on demand.
-  std::vector<TransportMetrics> extra_;
   TransportMetrics extra_totals_;
-  mutable std::vector<TransportMetrics> merged_;
   mutable TransportMetrics merged_totals_;
   obs::Recorder* recorder_ = nullptr;
 };

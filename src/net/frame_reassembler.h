@@ -9,9 +9,8 @@
 
 namespace d3t::net {
 
-/// Fixed-capacity byte ring used as a userspace send/recv buffer by the
-/// byte-stream transports (StreamTransport's in-process channels and
-/// SocketTransport's per-peer TCP buffers). Capacity is fixed at
+/// Fixed-capacity byte ring used as a userspace send/recv buffer
+/// (SocketTransport's per-peer TCP buffers). Capacity is fixed at
 /// construction; the mutation paths never touch the allocator — a ring
 /// that cannot take more bytes refuses them, and the caller counts the
 /// stall.
@@ -60,15 +59,14 @@ class ByteRing {
   std::vector<uint8_t> bytes_;
 };
 
-/// Header-driven frame reassembly over a ByteRing: the one deframing
-/// loop every byte-stream transport shares. The receiver recovers frame
-/// boundaries from wire headers alone, waits on partial frames, and
-/// resyncs byte by byte past corruption — exactly what a TCP reader
-/// does, independent of how the bytes arrived (in-process ring,
-/// loopback socket, a file replayed through a ring). A frame that lies
-/// contiguous in the ring decodes in place; only one the ring's wrap
-/// splits is copied out first. Extracted from StreamTransport so
-/// SocketTransport deframes with the same code, not a copy of it.
+/// Header-driven frame reassembly over a ByteRing: the deframing loop
+/// behind SocketTransport, kept apart from the socket so tests drive it
+/// on byte rings directly. The receiver recovers frame boundaries from
+/// wire headers alone, waits on partial frames, and resyncs byte by
+/// byte past corruption — exactly what a TCP reader does, independent
+/// of how the bytes arrived. A frame that lies contiguous in the ring
+/// decodes in place; only one the ring's wrap splits is copied out
+/// first.
 class FrameReassembler {
  public:
   enum class Outcome {

@@ -145,8 +145,7 @@ SocketTransport::SocketTransport(size_t peer_count, PeerId self,
       options_(options),
       ring_bytes_(std::max(options.ring_bytes, wire::kMaxFrameSize)),
       out_(peer_count),
-      in_(peer_count),
-      per_peer_(peer_count) {}
+      in_(peer_count) {}
 
 SocketTransport::~SocketTransport() {
   for (OutChannel& ch : out_) {
@@ -434,7 +433,6 @@ Status SocketTransport::FlushOut(PeerId to) {
       if (fd.ok()) {
         --ch.reconnects_left;
         ch.fd = *fd;
-        ++per_peer_[to].reconnects;
         ++totals_.reconnects;
         continue;
       }
@@ -525,14 +523,11 @@ Status SocketTransport::SendBatch(PeerId from, PeerId to,
       Status flushed = FlushOut(to);
       if (!flushed.ok()) return flushed;
       if (ch.tx.free_space() < encoded) {
-        ++per_peer_[to].backpressure_stalls;
         ++totals_.backpressure_stalls;
         return Status::CapacityExhausted("socket tx ring full");
       }
     }
     (void)ch.tx.Append(scratch, encoded);
-    ++per_peer_[to].frames_tx;
-    per_peer_[to].bytes_tx += encoded;
     ++totals_.frames_tx;
     totals_.bytes_tx += encoded;
     if (recorder_ != nullptr) {
@@ -555,7 +550,6 @@ bool SocketTransport::DeframeBuffered(PeerId peer, wire::Frame* out,
       if (ch.eof && !ch.failed && !ch.rx.empty()) {
         // FIN landed inside a frame: the sender died mid-write.
         ch.failed = true;
-        ++per_peer_[peer].decode_errors;
         ++totals_.decode_errors;
         if (options_.reconnect_attempts == 0) {
           StickChannelError(
@@ -572,15 +566,12 @@ bool SocketTransport::DeframeBuffered(PeerId peer, wire::Frame* out,
       return false;
     }
     if (outcome == FrameReassembler::Outcome::kResync) {
-      ++per_peer_[peer].decode_errors;
       ++totals_.decode_errors;
       if (recorder_ != nullptr) {
         recorder_->Record(obs::TraceEventKind::kDecodeError, self_);
       }
       continue;
     }
-    ++per_peer_[peer].frames_rx;
-    per_peer_[peer].bytes_rx += frame_size;
     ++totals_.frames_rx;
     totals_.bytes_rx += frame_size;
     if (recorder_ != nullptr) {

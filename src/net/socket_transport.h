@@ -68,20 +68,18 @@ struct SocketOptions {
 
 /// Loopback-TCP implementation of the Transport boundary: one process's
 /// endpoint in a multi-process cluster. Nothing above the interface
-/// changes — the same fixed-size rings as the in-process transports now
-/// buffer a real socket (tx: bytes the kernel would not take yet; rx:
-/// bytes received but not yet deframed), backpressure is still a
-/// counted CapacityExhausted stall when a tx ring fills, and deframing
-/// is the shared FrameReassembler — header-driven boundaries, byte-wise
-/// resync — reading exactly the byte stream StreamTransport models.
+/// changes — fixed-size byte rings buffer a real socket (tx: bytes the
+/// kernel would not take yet; rx: bytes received but not yet deframed),
+/// backpressure is still a counted CapacityExhausted stall when a tx
+/// ring fills, and deframing is FrameReassembler — header-driven
+/// boundaries, byte-wise resync.
 ///
-/// Topology: directed channels, as in StreamTransport. For a channel
-/// A -> B, A calls ConnectPeer(B) against B's listener and opens with
-/// an 8-byte preamble identifying A; B's Poll accepts the connection,
-/// reads the preamble and registers the inbound channel. Send requires
-/// `from` == the endpoint's own id (a socket transport is one process's
-/// view of the cluster, unlike the in-process buses that carry all
-/// peers).
+/// Topology: directed channels. For a channel A -> B, A calls
+/// ConnectPeer(B) against B's listener and opens with an 8-byte
+/// preamble identifying A; B's Poll accepts the connection, reads the
+/// preamble and registers the inbound channel. Send requires `from` ==
+/// the endpoint's own id (a socket transport is one process's view of
+/// the cluster, unlike InProcTransport, which carries all peers).
 ///
 /// Error taxonomy (all IoError, distinguished by message): "connection
 /// refused" after the retry budget, "connection reset by peer" /
@@ -185,9 +183,6 @@ class SocketTransport final : public Transport {
   /// since callers poll until false.
   bool Poll(PeerId self, wire::Frame* out, PeerId* from) override;
   const TransportMetrics& metrics() const override { return totals_; }
-  const TransportMetrics& peer_metrics(PeerId peer) const override {
-    return per_peer_[peer];
-  }
   void set_recorder(obs::Recorder* recorder) override {
     recorder_ = recorder;
   }
@@ -242,7 +237,6 @@ class SocketTransport final : public Transport {
   std::vector<InChannel> in_;     // indexed by source peer
   std::vector<PendingAccept> pending_;
   Status channel_status_;
-  std::vector<TransportMetrics> per_peer_;
   TransportMetrics totals_;
   obs::Recorder* recorder_ = nullptr;
 };

@@ -1,7 +1,5 @@
 #include "net/transport.h"
 
-#include <algorithm>
-#include <cstring>
 #include <string>
 
 namespace d3t::net {
@@ -42,8 +40,7 @@ Status Transport::SendBatch(PeerId from, PeerId to, const wire::Frame* frames,
 InProcTransport::InProcTransport(size_t peer_count, size_t per_peer_capacity)
     : capacity_(per_peer_capacity == 0 ? 1 : per_peer_capacity),
       slots_(peer_count * capacity_),
-      rings_(peer_count),
-      per_peer_(peer_count) {}
+      rings_(peer_count) {}
 
 // d3t-lint: hot
 Status InProcTransport::Send(PeerId from, PeerId to,
@@ -53,7 +50,6 @@ Status InProcTransport::Send(PeerId from, PeerId to,
   }
   Ring& ring = rings_[to];
   if (ring.count == capacity_) {
-    ++per_peer_[from].backpressure_stalls;
     ++totals_.backpressure_stalls;
     return Status::CapacityExhausted("ring full");
   }
@@ -67,8 +63,6 @@ Status InProcTransport::Send(PeerId from, PeerId to,
   slot.from = from;
   slot.size = static_cast<uint32_t>(encoded);
   ++ring.count;
-  ++per_peer_[from].frames_tx;
-  per_peer_[from].bytes_tx += encoded;
   ++totals_.frames_tx;
   totals_.bytes_tx += encoded;
   if (recorder_ != nullptr) {
@@ -92,7 +86,6 @@ bool InProcTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
     if (!decoded.ok()) {
       // A slot was encoded by Send and can only fail to decode if its
       // bytes were corrupted in place; count and keep draining.
-      ++per_peer_[self].decode_errors;
       ++totals_.decode_errors;
       if (recorder_ != nullptr) {
         recorder_->Record(obs::TraceEventKind::kDecodeError, self, 0, 0,
@@ -100,8 +93,6 @@ bool InProcTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
       }
       continue;
     }
-    ++per_peer_[self].frames_rx;
-    per_peer_[self].bytes_rx += slot.size;
     ++totals_.frames_rx;
     totals_.bytes_rx += slot.size;
     if (recorder_ != nullptr) {
@@ -110,128 +101,6 @@ bool InProcTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
     }
     if (from != nullptr) *from = slot.from;
     return true;
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// StreamTransport
-
-StreamTransport::StreamTransport(size_t peer_count, size_t per_channel_bytes)
-    : channel_bytes_(std::max<size_t>(per_channel_bytes, wire::kMaxFrameSize)),
-      inbound_(peer_count),
-      per_peer_(peer_count) {}
-
-Status StreamTransport::Connect(PeerId from, PeerId to) {
-  if (from >= inbound_.size() || to >= inbound_.size()) {
-    return Status::InvalidArgument("peer out of range");
-  }
-  std::vector<Channel>& channels = inbound_[to];
-  for (const Channel& ch : channels) {
-    if (ch.from == from) {
-      return Status::FailedPrecondition("channel already connected");
-    }
-  }
-  Channel ch;
-  ch.from = from;
-  ch.ring = ByteRing(channel_bytes_);
-  // Ascending sender order keeps Poll's scan deterministic regardless
-  // of Connect call order.
-  auto pos = std::find_if(
-      channels.begin(), channels.end(),
-      [from](const Channel& existing) { return existing.from > from; });
-  channels.insert(pos, std::move(ch));
-  return Status::Ok();
-}
-
-StreamTransport::Channel* StreamTransport::FindChannel(PeerId from,
-                                                       PeerId to) {
-  if (to >= inbound_.size()) return nullptr;
-  for (Channel& ch : inbound_[to]) {
-    if (ch.from == from) return &ch;
-  }
-  return nullptr;
-}
-
-// d3t-lint: hot
-Status StreamTransport::Append(Channel& ch, PeerId from, const uint8_t* data,
-                               size_t size) {
-  if (!ch.ring.Append(data, size)) {
-    ++per_peer_[from].backpressure_stalls;
-    ++totals_.backpressure_stalls;
-    return Status::CapacityExhausted("channel ring full");
-  }
-  return Status::Ok();
-}
-
-// d3t-lint: hot
-Status StreamTransport::Send(PeerId from, PeerId to,
-                             const wire::Frame& frame) {
-  if (from >= inbound_.size() || to >= inbound_.size()) {
-    return Status::InvalidArgument("peer out of range");
-  }
-  Channel* ch = FindChannel(from, to);
-  if (ch == nullptr) {
-    return Status::FailedPrecondition("channel not connected");
-  }
-  uint8_t scratch[wire::kMaxFrameSize];
-  const size_t encoded = wire::Encode(frame, scratch, sizeof(scratch));
-  if (encoded == 0) {
-    return Status::InvalidArgument("unencodable frame");
-  }
-  Status appended = Append(*ch, from, scratch, encoded);
-  if (!appended.ok()) return appended;
-  ++per_peer_[from].frames_tx;
-  per_peer_[from].bytes_tx += encoded;
-  ++totals_.frames_tx;
-  totals_.bytes_tx += encoded;
-  if (recorder_ != nullptr) {
-    recorder_->Record(obs::TraceEventKind::kFrameTx, from,
-                      static_cast<uint64_t>(frame.type), to);
-  }
-  return Status::Ok();
-}
-
-Status StreamTransport::SendRaw(PeerId from, PeerId to, const uint8_t* data,
-                                size_t size) {
-  if (from >= inbound_.size() || to >= inbound_.size()) {
-    return Status::InvalidArgument("peer out of range");
-  }
-  Channel* ch = FindChannel(from, to);
-  if (ch == nullptr) {
-    return Status::FailedPrecondition("channel not connected");
-  }
-  return Append(*ch, from, data, size);
-}
-
-// d3t-lint: hot
-bool StreamTransport::Poll(PeerId self, wire::Frame* out, PeerId* from) {
-  if (self >= inbound_.size()) return false;
-  for (Channel& ch : inbound_[self]) {
-    for (;;) {
-      size_t frame_size = 0;
-      const FrameReassembler::Outcome outcome =
-          FrameReassembler::Next(ch.ring, out, &frame_size);
-      if (outcome == FrameReassembler::Outcome::kNeedMore) break;
-      if (outcome == FrameReassembler::Outcome::kResync) {
-        ++per_peer_[self].decode_errors;
-        ++totals_.decode_errors;
-        if (recorder_ != nullptr) {
-          recorder_->Record(obs::TraceEventKind::kDecodeError, self);
-        }
-        continue;
-      }
-      ++per_peer_[self].frames_rx;
-      per_peer_[self].bytes_rx += frame_size;
-      ++totals_.frames_rx;
-      totals_.bytes_rx += frame_size;
-      if (recorder_ != nullptr) {
-        recorder_->Record(obs::TraceEventKind::kFrameRx, self,
-                          static_cast<uint64_t>(out->type), ch.from);
-      }
-      if (from != nullptr) *from = ch.from;
-      return true;
-    }
   }
   return false;
 }

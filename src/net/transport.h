@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "net/frame_reassembler.h"
 #include "net/wire.h"
 #include "obs/recorder.h"
 #include "obs/registry.h"
@@ -46,9 +45,8 @@ struct TransportMetrics {
 
 /// Boundary between the engines and the medium their frames cross.
 /// All buffers are pre-registered at construction (fixed-size rings,
-/// bounded per-peer queues); Send/Poll never allocate. Attribution:
-/// tx bytes/frames and stalls are charged to the sender, rx bytes/
-/// frames and decode errors to the receiver.
+/// bounded per-peer queues); Send/Poll never allocate. A transport
+/// keeps one set of counters, totals over all its peers.
 ///
 /// Implementations are single-threaded by contract — one engine loop
 /// owns a transport, the way it owns its EventQueue.
@@ -83,19 +81,14 @@ class Transport {
   /// skipped, never returned.
   virtual bool Poll(PeerId self, wire::Frame* out, PeerId* from) = 0;
 
-  /// Aggregate counters across all peers.
+  /// Counters across all peers.
   virtual const TransportMetrics& metrics() const = 0;
-
-  /// Counters attributed to one peer (tx/stalls as sender, rx/decode
-  /// errors as receiver).
-  virtual const TransportMetrics& peer_metrics(PeerId peer) const = 0;
 
   /// Attaches a flight recorder: frame tx/rx and decode errors are
   /// recorded at the recorder's current *logical* clock (the driving
   /// engine owns set_now(); the transport never consults a wall clock).
-  /// Null detaches. The default implementation ignores the recorder —
-  /// recording stays opt-in per transport.
-  virtual void set_recorder(obs::Recorder* recorder) { (void)recorder; }
+  /// Null detaches.
+  virtual void set_recorder(obs::Recorder* recorder) = 0;
 };
 
 /// Publishes a TransportMetrics struct into the registry as counters
@@ -124,9 +117,6 @@ class InProcTransport : public Transport {
   Status Send(PeerId from, PeerId to, const wire::Frame& frame) override;
   bool Poll(PeerId self, wire::Frame* out, PeerId* from) override;
   const TransportMetrics& metrics() const override { return totals_; }
-  const TransportMetrics& peer_metrics(PeerId peer) const override {
-    return per_peer_[peer];
-  }
   void set_recorder(obs::Recorder* recorder) override {
     recorder_ = recorder;
   }
@@ -147,56 +137,6 @@ class InProcTransport : public Transport {
   /// lives at slots_[r * capacity_ + i].
   std::vector<Slot> slots_;
   std::vector<Ring> rings_;
-  std::vector<TransportMetrics> per_peer_;
-  TransportMetrics totals_;
-  obs::Recorder* recorder_ = nullptr;
-};
-
-/// Loopback byte-stream transport: frames cross directed byte rings
-/// with no slot structure — the receiver recovers frame boundaries
-/// from the wire header alone via the shared FrameReassembler, exactly
-/// as a TCP reader would. Channels are pre-registered via Connect
-/// (from → to) so the sender of every byte is known without in-band
-/// addressing; Poll scans a peer's inbound channels in ascending
-/// sender order and resyncs byte-by-byte past corrupt headers.
-class StreamTransport : public Transport {
- public:
-  /// `per_channel_bytes` of ring per registered channel.
-  StreamTransport(size_t peer_count, size_t per_channel_bytes);
-
-  /// Registers the directed channel `from` → `to`, allocating its byte
-  /// ring. Sending on an unregistered channel is FailedPrecondition.
-  Status Connect(PeerId from, PeerId to);
-
-  size_t peer_count() const override { return inbound_.size(); }
-  Status Send(PeerId from, PeerId to, const wire::Frame& frame) override;
-  bool Poll(PeerId self, wire::Frame* out, PeerId* from) override;
-  const TransportMetrics& metrics() const override { return totals_; }
-  const TransportMetrics& peer_metrics(PeerId peer) const override {
-    return per_peer_[peer];
-  }
-  void set_recorder(obs::Recorder* recorder) override {
-    recorder_ = recorder;
-  }
-
-  /// Appends raw bytes to the `from` → `to` channel without encoding —
-  /// the adversarial seam: tests inject truncated or corrupt byte
-  /// sequences and watch Poll resync past them.
-  Status SendRaw(PeerId from, PeerId to, const uint8_t* data, size_t size);
-
- private:
-  struct Channel {
-    PeerId from = kInvalidPeerId;
-    ByteRing ring;
-  };
-
-  Channel* FindChannel(PeerId from, PeerId to);
-  Status Append(Channel& ch, PeerId from, const uint8_t* data, size_t size);
-
-  size_t channel_bytes_;
-  /// inbound_[to] = channels addressed to `to`, ascending by sender.
-  std::vector<std::vector<Channel>> inbound_;
-  std::vector<TransportMetrics> per_peer_;
   TransportMetrics totals_;
   obs::Recorder* recorder_ = nullptr;
 };

@@ -272,10 +272,6 @@ Result<NodeReport> Node::Serve() {
   NodeReport report;
   report.engine = std::move(metrics).value();
   report.data = data_.metrics();
-  report.per_peer.reserve(overlay_.member_count());
-  for (net::PeerId peer = 0; peer < overlay_.member_count(); ++peer) {
-    report.per_peer.push_back(data_.peer_metrics(peer));
-  }
   report.feed_frames = feed_frames_;
   report.tick_frames = tick_frames_;
   report.scenario_frames = scenario_frames_;

@@ -61,10 +61,8 @@ struct NodeOptions {
 /// Everything a completed Serve() reports.
 struct NodeReport {
   core::EngineMetrics engine;
-  /// Aggregate counters of the data transport (all peers).
+  /// Counters of the data transport (all peers).
   net::TransportMetrics data;
-  /// Per-peer data-transport counters, indexed by overlay member.
-  std::vector<net::TransportMetrics> per_peer;
   /// Feed-side ingest accounting.
   uint64_t feed_frames = 0;
   uint64_t tick_frames = 0;

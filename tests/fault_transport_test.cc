@@ -1,8 +1,8 @@
 // FaultInjectingTransport: scripted, seeded chaos over any Transport.
 // Pins the per-kind semantics (drop, duplicate, corrupt, delay, reset,
 // wedge), the send-counter time axis, script validation, transparency
-// of the empty script, deterministic replay, and the merged metrics
-// surface (inner counters + injected damage).
+// of the empty script and of out-of-range sends, deterministic replay,
+// and the merged metrics surface (inner counters + injected damage).
 
 #include <cstdint>
 #include <vector>
@@ -80,9 +80,30 @@ TEST(FaultTransportTest, DropFrameSwallowsOneSend) {
   EXPECT_EQ(DrainTicks(chaos, 1), (std::vector<uint32_t>{0, 2}));
   EXPECT_EQ(chaos.metrics().faults_injected, 1u);
   EXPECT_EQ(chaos.metrics().frames_dropped, 1u);
-  // The drop is charged to the sender.
-  EXPECT_EQ(chaos.peer_metrics(0).frames_dropped, 1u);
-  EXPECT_EQ(chaos.peer_metrics(1).frames_dropped, 0u);
+  // The dropped frame never reached the inner transport.
+  const uint64_t tick_bytes = wire::EncodedSize(wire::FrameType::kSourceTick);
+  EXPECT_EQ(chaos.metrics().frames_tx, 2u);
+  EXPECT_EQ(chaos.metrics().bytes_tx, 2 * tick_bytes);
+  EXPECT_EQ(chaos.metrics().frames_rx, 2u);
+  EXPECT_EQ(chaos.metrics().bytes_rx, 2 * tick_bytes);
+}
+
+TEST(FaultTransportTest, OutOfRangeSendFiresNoOp) {
+  // A send naming a peer the inner transport lacks fires nothing: it
+  // reaches the inner transport's refusal, and the armed op waits for
+  // the next in-range send.
+  InProcTransport inner(2, 8);
+  FaultInjectingTransport chaos(
+      inner, Script({FaultOp{0, 0 /*kDropFrame*/, kAnyPeer, kAnyPeer, 0}}),
+      1);
+  EXPECT_TRUE(chaos.Send(0, 5, Tick(7, 0)).IsInvalidArgument());
+  EXPECT_TRUE(chaos.Send(5, 1, Tick(7, 1)).IsInvalidArgument());
+  EXPECT_EQ(chaos.faults_applied(), 0u);
+  EXPECT_EQ(chaos.metrics().faults_injected, 0u);
+  ASSERT_TRUE(chaos.Send(0, 1, Tick(7, 2)).ok());  // dropped by the op
+  ASSERT_TRUE(chaos.Send(0, 1, Tick(7, 3)).ok());
+  EXPECT_EQ(chaos.faults_applied(), 1u);
+  EXPECT_EQ(DrainTicks(chaos, 1), (std::vector<uint32_t>{3}));
 }
 
 TEST(FaultTransportTest, PeerFilterSkipsNonMatchingSends) {
@@ -122,9 +143,12 @@ TEST(FaultTransportTest, CorruptByteBecomesReceiverDecodeError) {
   EXPECT_EQ(chaos.metrics().faults_injected, 1u);
   EXPECT_EQ(chaos.metrics().frames_dropped, 1u);
   EXPECT_EQ(chaos.metrics().decode_errors, 1u);
-  // Decode errors are charged to the receiver, the drop to the sender.
-  EXPECT_EQ(chaos.peer_metrics(1).decode_errors, 1u);
-  EXPECT_EQ(chaos.peer_metrics(0).frames_dropped, 1u);
+  // The wrapper caught the flip itself: only the intact frame crossed.
+  const uint64_t tick_bytes = wire::EncodedSize(wire::FrameType::kSourceTick);
+  EXPECT_EQ(chaos.metrics().frames_tx, 1u);
+  EXPECT_EQ(chaos.metrics().bytes_tx, tick_bytes);
+  EXPECT_EQ(chaos.metrics().frames_rx, 1u);
+  EXPECT_EQ(chaos.metrics().bytes_rx, tick_bytes);
 }
 
 TEST(FaultTransportTest, DelayFrameReordersPastLaterSends) {

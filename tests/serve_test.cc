@@ -146,17 +146,14 @@ TEST(ServeTest, PipelineIsByteIdenticalToDirectRun) {
   EXPECT_EQ(report->scenario_frames, 0u);
   EXPECT_EQ(report->feed_frames, total_ticks + 2);
 
-  // Data-side accounting: every engine message crossed the wire, and
-  // per-peer counters sum to the aggregate.
+  // Data-side accounting: every engine message crossed the wire.
+  const uint64_t update_bytes =
+      net::wire::EncodedSize(net::wire::FrameType::kUpdate);
   EXPECT_EQ(report->data.frames_tx, report->engine.messages);
   EXPECT_EQ(report->data.frames_rx, report->engine.messages);
+  EXPECT_EQ(report->data.bytes_tx, report->engine.messages * update_bytes);
+  EXPECT_EQ(report->data.bytes_rx, report->engine.messages * update_bytes);
   EXPECT_EQ(report->data.decode_errors, 0u);
-  ASSERT_EQ(report->per_peer.size(), overlay.member_count());
-  uint64_t summed_tx = 0;
-  for (const net::TransportMetrics& peer : report->per_peer) {
-    summed_tx += peer.frames_tx;
-  }
-  EXPECT_EQ(summed_tx, report->data.frames_tx);
 }
 
 TEST(ServeTest, EngineRegistryReceivesEngineAndNodeEntries) {
@@ -235,9 +232,8 @@ TEST(ServeTest, ScenarioOpsTravelTheFeedAndReplayIdentically) {
 }
 
 TEST(ServeTest, StreamFeedWithBackpressureDeliversIdentically) {
-  // Same pipeline, but the feed crosses the byte-stream transport with
-  // a ring far smaller than the feed — Pump/Poll must interleave under
-  // real backpressure, with frame boundaries recovered from headers.
+  // Same pipeline, but the feed crosses a ring far smaller than the
+  // feed — Pump/Poll must interleave under real backpressure.
   const exp::SimulationSession session = SmallSession();
   const exp::World& world = session.world();
   core::EngineOptions options;
@@ -245,8 +241,7 @@ TEST(ServeTest, StreamFeedWithBackpressureDeliversIdentically) {
       RunDirect(world, options, /*scenario=*/nullptr);
 
   core::Overlay overlay = BuildFixtureOverlay(world);
-  net::StreamTransport feed(2, /*per_channel_bytes=*/256);
-  ASSERT_TRUE(feed.Connect(/*from=*/1, /*to=*/0).ok());
+  net::InProcTransport feed(2, /*per_peer_capacity=*/6);
   net::InProcTransport data(overlay.member_count(), 64);
   serve::NodeOptions node_options;
   serve::Node node(overlay, world.delays(), feed, data, node_options);

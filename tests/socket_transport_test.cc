@@ -89,10 +89,12 @@ TEST(SocketTransportTest, ConnectSendPollRoundTripsInOrder) {
       kFrames * wire::EncodedSize(wire::FrameType::kUpdate);
   EXPECT_EQ(tx.metrics().frames_tx, kFrames);
   EXPECT_EQ(tx.metrics().bytes_tx, wire_bytes);
-  EXPECT_EQ(tx.peer_metrics(1).frames_tx, kFrames);  // charged per remote
+  EXPECT_EQ(tx.metrics().frames_rx, 0u);
+  EXPECT_EQ(tx.metrics().bytes_rx, 0u);
   EXPECT_EQ(rx.metrics().frames_rx, kFrames);
   EXPECT_EQ(rx.metrics().bytes_rx, wire_bytes);
-  EXPECT_EQ(rx.peer_metrics(0).frames_rx, kFrames);
+  EXPECT_EQ(rx.metrics().frames_tx, 0u);
+  EXPECT_EQ(rx.metrics().bytes_tx, 0u);
   EXPECT_EQ(rx.metrics().decode_errors, 0u);
   EXPECT_EQ(tx.pending_tx_bytes(), 0u);
   EXPECT_TRUE(tx.channel_status().ok());
@@ -279,8 +281,8 @@ TEST(SocketTransportTest, ResyncsPastGarbageInjectedOnTheWire) {
   EXPECT_EQ(from, 0u);
   EXPECT_EQ(frame.u.update.item, 4u);
   EXPECT_EQ(rx.metrics().decode_errors, sizeof(garbage));
-  EXPECT_EQ(rx.peer_metrics(0).decode_errors, sizeof(garbage));
   EXPECT_EQ(rx.metrics().frames_rx, 1u);
+  EXPECT_EQ(rx.metrics().bytes_rx, encoded);
   close(raw);
 }
 
@@ -437,8 +439,8 @@ TEST(SocketTransportTest, PeerConnectingBehindBufferedFramesIsRegistered) {
   }
   EXPECT_EQ(next[0], kBurst);
   EXPECT_EQ(next[1], kLate);
-  EXPECT_EQ(rx.peer_metrics(0).frames_rx, kBurst);
-  EXPECT_EQ(rx.peer_metrics(1).frames_rx, kLate);
+  EXPECT_EQ(rx.metrics().frames_rx, kBurst + kLate);
+  EXPECT_EQ(rx.metrics().bytes_rx, (kBurst + kLate) * kUpdateBytes);
   EXPECT_EQ(rx.metrics().decode_errors, 0u);
 }
 
@@ -468,13 +470,13 @@ TEST(SocketTransportTest, SendBatchStallsOnceAndResumesWithoutGapOrDuplicate) {
 
   // Exactly what `sent` admitted Send calls and one refused one count.
   auto expect_tx = [&tx](uint64_t frames_tx, uint64_t stalls) {
-    for (const TransportMetrics* m : {&tx.metrics(), &tx.peer_metrics(1)}) {
-      EXPECT_EQ(m->frames_tx, frames_tx);
-      EXPECT_EQ(m->bytes_tx, frames_tx * kUpdateBytes);
-      EXPECT_EQ(m->backpressure_stalls, stalls);
-      EXPECT_EQ(m->frames_rx, 0u);
-      EXPECT_EQ(m->decode_errors, 0u);
-    }
+    const TransportMetrics& m = tx.metrics();
+    EXPECT_EQ(m.frames_tx, frames_tx);
+    EXPECT_EQ(m.bytes_tx, frames_tx * kUpdateBytes);
+    EXPECT_EQ(m.backpressure_stalls, stalls);
+    EXPECT_EQ(m.frames_rx, 0u);
+    EXPECT_EQ(m.bytes_rx, 0u);
+    EXPECT_EQ(m.decode_errors, 0u);
   };
   expect_tx(sent, 1);
 
