@@ -1,15 +1,16 @@
 // Distributed mode: the live_node world as four REAL processes. Three
 // repository nodes and a feed publisher each run in their own forked
-// process, wired over loopback TCP by serve::RunCluster — the publisher
-// streams each node's feed (kHello, every source tick, a scripted
-// failure/recovery, kShutdown) through a net::SocketTransport, each
-// node replays it through a core::Engine, which publishes its
-// EngineMetrics into the node's obs::Registry as "engine.*" entries,
-// and ships the registry snapshot back to the collector as a
-// kObsSnapshot stream. The parent runs the same three worlds as direct
-// library calls, each into its own registry, and requires every one of
-// those entries in the node's snapshot: doubles bit-for-bit, the
-// per-member loss vector by length + FNV-1a digest.
+// process, wired over loopback TCP by serve::RunCluster — one
+// serve::FeedPublisher streams every node's feed (kHello, every source
+// tick, a scripted failure/recovery, kShutdown) from one
+// net::SocketTransport endpoint, each node replays its feed through a
+// core::Engine, which publishes its EngineMetrics into the node's
+// obs::Registry as "engine.*" entries, and ships the registry snapshot
+// back to the collector as a kObsSnapshot stream. The parent runs the
+// same three worlds as direct library calls, each into its own
+// registry, and requires every one of those entries in the node's
+// snapshot: doubles bit-for-bit, the per-member loss vector by length +
+// FNV-1a digest.
 //
 //   $ ./build/examples/distributed_world
 //   $ ./build/examples/distributed_world --chaos [--trace-out=PATH]
@@ -69,8 +70,8 @@ namespace {
 constexpr uint64_t kSeed = 4242;
 constexpr size_t kNodes = 3;
 
-// Same overlay construction (same RNG stream) in the direct run, the
-// forked node and the publisher — the three must agree on the world.
+// Same overlay construction (same RNG stream) in the direct run and the
+// forked node — the two must agree on the world.
 d3t::Result<d3t::core::Overlay> BuildNodeOverlay(
     const d3t::exp::World& world, size_t source) {
   d3t::core::LelaOptions lela;
@@ -210,17 +211,17 @@ d3t::Result<d3t::net::FaultScript> ChaosScript() {
        FaultOp{3000, 0 /*drop*/, kAny, 0, 0}});
 }
 
-// Body of the feed-publisher process: one FeedPublisher per node (each
-// node's overlay sizes its kHello), all multiplexed over one socket
-// endpoint. Under chaos the frames cross a FaultInjectingTransport,
-// and after the last frame the publisher lingers, serving resubscribes
-// (a restarted node rewinds its cursor and undoes done()), until the
-// feed stays quiet for a grace period.
+// Body of the feed-publisher process: one FeedPublisher serves all
+// three nodes over one socket endpoint, routing each resubscribe by the
+// node that sent it. Every source's delay model covers the same
+// repositories plus one source, so one kHello member count fits every
+// node. Under chaos the frames cross a FaultInjectingTransport, and
+// after the last frame the publisher lingers, serving resubscribes (a
+// restarted node rewinds its cursor and undoes done()), until the feed
+// stays quiet for a grace period.
 d3t::Status RunPublisher(d3t::serve::ProcessContext& ctx,
                          const d3t::exp::World& world,
-                         const d3t::core::Scenario& scenario,
-                         const std::vector<size_t>& member_counts,
-                         bool chaos) {
+                         const d3t::core::Scenario& scenario, bool chaos) {
   for (d3t::net::PeerId node = 0; node < kNodes; ++node) {
     d3t::Status connected = ctx.transport.ConnectPeer(node, ctx.ports[node]);
     if (!connected.ok()) return connected;
@@ -234,54 +235,31 @@ d3t::Status RunPublisher(d3t::serve::ProcessContext& ctx,
   d3t::net::FaultInjectingTransport faulty(ctx.transport, script, kSeed);
   d3t::net::Transport& wire =
       chaos ? static_cast<d3t::net::Transport&>(faulty) : ctx.transport;
-  // One feed per node multiplexed over one endpoint: inbound frames
-  // are dispatched here (poll_inbound=false), routed to the owning
-  // feed by the resubscribing node's id. The replay window is
-  // unbounded — loopback buffering keeps whole feeds in flight, so a
-  // restarted node legitimately rewinds all the way to seq 0.
+  // The replay window is unbounded — loopback buffering keeps whole
+  // feeds in flight, so a restarted node legitimately rewinds all the
+  // way to seq 0.
   d3t::serve::FeedPublisherOptions feed_options;
   feed_options.replay_window = UINT32_MAX;
-  feed_options.poll_inbound = false;
-  std::vector<std::unique_ptr<d3t::serve::FeedPublisher>> feeds;
-  for (d3t::net::PeerId node = 0; node < kNodes; ++node) {
-    feeds.push_back(std::make_unique<d3t::serve::FeedPublisher>(
-        world.traces(), &scenario, member_counts[node], kSeed, wire,
-        ctx.self, std::vector<d3t::net::PeerId>{node}, feed_options));
-  }
+  d3t::serve::FeedPublisher feed(world.traces(), &scenario,
+                                 world.delays().member_count(), kSeed, wire,
+                                 ctx.self, {0, 1, 2}, feed_options);
   uint64_t seen_resubs = 0;
   int quiet = 0;
   for (;;) {
-    d3t::net::wire::Frame in;
-    d3t::net::PeerId from = d3t::net::kInvalidPeerId;
-    while (wire.Poll(ctx.self, &in, &from)) {
-      if (in.type != d3t::net::wire::FrameType::kResubscribe ||
-          in.u.resubscribe.node >= kNodes) {
-        return d3t::Status::InvalidArgument(
-            "unexpected inbound frame at the publisher");
-      }
-      (void)feeds[in.u.resubscribe.node]->HandleResubscribe(in, from);
-      // errors surface via the owning feed's status() below
-    }
-    size_t sent = 0;
-    bool all_done = true;
-    uint64_t resubs = 0;
-    for (auto& feed : feeds) {
-      sent += feed->Pump();
-      if (!feed->status().ok()) return feed->status();
-      all_done = all_done && feed->done();
-      resubs += feed->resubscribes_handled();
-    }
+    const size_t sent = feed.Pump();
+    if (!feed.status().ok()) return feed.status();
     d3t::Status pumped = ctx.transport.Pump();
     if (!pumped.ok()) return pumped;
     if (!chaos) {
-      if (all_done) break;
+      if (feed.done()) break;
       if (sent == 0) {
         d3t::Status waited = ctx.transport.WaitIo(20000);
         if (!waited.ok()) return waited;
       }
       continue;
     }
-    if (all_done && sent == 0 && resubs == seen_resubs) {
+    const uint64_t resubs = feed.resubscribes_handled();
+    if (feed.done() && sent == 0 && resubs == seen_resubs) {
       // Done AND quiet. A crashed node's replacement may still be on
       // its way to resubscribing, so hold the feed open for a grace
       // period before declaring the cluster fed. (WaitIo's timeout is
@@ -360,7 +338,6 @@ int main(int argc, char** argv) {
   // (ThreadPool use is scoped inside world building above, so the forks
   // below start thread-free.)
   std::vector<d3t::obs::Registry> direct(kNodes);
-  std::vector<size_t> member_counts(kNodes, 0);
   for (size_t source = 0; source < kNodes; ++source) {
     auto overlay = BuildNodeOverlay(world, source);
     if (!overlay.ok()) {
@@ -368,7 +345,6 @@ int main(int argc, char** argv) {
                    overlay.status().ToString().c_str());
       return 1;
     }
-    member_counts[source] = overlay->member_count();
     std::unique_ptr<d3t::core::Disseminator> policy =
         d3t::core::MakeDisseminator("distributed");
     d3t::core::EngineOptions direct_options = engine_options;
@@ -397,8 +373,7 @@ int main(int argc, char** argv) {
     });
   }
   bodies.push_back([&](d3t::serve::ProcessContext& ctx) {
-    d3t::Status run =
-        RunPublisher(ctx, world, *scenario, member_counts, chaos);
+    d3t::Status run = RunPublisher(ctx, world, *scenario, chaos);
     if (!run.ok()) {
       std::fprintf(stderr, "publisher: %s\n", run.ToString().c_str());
     }
@@ -494,8 +469,8 @@ int main(int argc, char** argv) {
                    cluster->restarts[1]);
     }
   }
-  const uint64_t frames_collected = cluster_registry.counter_value(
-      cluster_registry.Counter("cluster.frames_collected"));
+  const uint64_t frames_collected = d3t::obs::SnapshotCounter(
+      cluster_registry.TakeSnapshot(), "cluster.frames_collected");
   std::printf(
       "\n%zu processes over loopback TCP%s, %llu frames collected, "
       "byte-identical to direct runs: %s\n",

@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace d3t {
 
@@ -13,52 +12,11 @@ void StreamingStats::Add(double x) {
     max_ = std::max(max_, x);
   }
   ++count_;
-  sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void StreamingStats::Merge(const StreamingStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const size_t total = count_ + other.count_;
-  m2_ += other.m2_ + delta * delta * static_cast<double>(count_) *
-                         static_cast<double>(other.count_) /
-                         static_cast<double>(total);
-  mean_ = (mean_ * static_cast<double>(count_) +
-           other.mean_ * static_cast<double>(other.count_)) /
-          static_cast<double>(total);
-  count_ = total;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double StreamingStats::min() const { return count_ == 0 ? 0.0 : min_; }
 double StreamingStats::max() const { return count_ == 0 ? 0.0 : max_; }
-
-double StreamingStats::variance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_);
-}
-
-double StreamingStats::stddev() const { return std::sqrt(variance()); }
-
-double QuantileSketch::Quantile(double q) const {
-  if (samples_.empty()) return 0.0;
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  const size_t rank = static_cast<size_t>(
-      q * static_cast<double>(samples_.size() - 1) + 0.5);
-  return samples_[rank];
-}
 
 }  // namespace d3t

@@ -2,52 +2,25 @@
 #define D3T_COMMON_STATS_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace d3t {
 
-/// Constant-memory running statistics (Welford's algorithm for variance).
-/// Used for trace calibration, delay reporting and experiment metrics.
+/// Constant-memory running count, mean, min and max. Used for trace
+/// calibration, delay reporting and experiment metrics.
 class StreamingStats {
  public:
   void Add(double x);
-
-  /// Merges another accumulator into this one (parallel Welford merge).
-  void Merge(const StreamingStats& other);
 
   size_t count() const { return count_; }
   double mean() const { return count_ == 0 ? 0.0 : mean_; }
   double min() const;
   double max() const;
-  double sum() const { return sum_; }
-  /// Population variance; 0 for fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
 
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double sum_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Stores samples to answer arbitrary quantile queries. Memory is O(n);
-/// intended for experiment post-processing, not hot simulation paths.
-class QuantileSketch {
- public:
-  void Add(double x) { samples_.push_back(x); }
-  size_t count() const { return samples_.size(); }
-
-  /// Quantile in [0,1] by nearest-rank on the sorted samples. Returns 0
-  /// when empty.
-  double Quantile(double q) const;
-
- private:
-  mutable std::vector<double> samples_;
-  mutable bool sorted_ = false;
 };
 
 }  // namespace d3t

@@ -38,8 +38,6 @@ class ScenarioBuilder {
                                    core::OverlayIndex member,
                                    core::ItemId item, core::Coherency c);
 
-  size_t op_count() const { return ops_.size(); }
-
   /// Sorts and statically validates the script (core::Scenario::Create).
   /// A RecoverAt with no preceding FailRepo fails here.
   Result<core::Scenario> Build() const;

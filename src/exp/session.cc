@@ -10,6 +10,7 @@
 #include "common/thread_pool.h"
 #include "core/coop_degree.h"
 #include "core/disseminator.h"
+#include "core/lela.h"
 #include "net/routing.h"
 #include "net/topology_generator.h"
 #include "trace/synthetic.h"
@@ -317,7 +318,6 @@ Result<ExperimentResult> SimulationSession::Run(const RunSpec& spec) const {
   if (!built.ok()) return built.status();
   // Defense in depth: never simulate on a malformed overlay.
   D3T_RETURN_IF_ERROR(built->overlay.Validate(degree));
-  result.build_info = built->info;
   result.shape = built->overlay.ComputeShape();
 
   std::unique_ptr<core::Disseminator> policy =

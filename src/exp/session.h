@@ -11,7 +11,6 @@
 #include "common/result.h"
 #include "core/engine.h"
 #include "core/interest.h"
-#include "core/lela.h"
 #include "core/scenario.h"
 #include "exp/config.h"
 #include "net/delay_model.h"
@@ -26,7 +25,6 @@ namespace d3t::exp {
 struct ExperimentResult {
   core::EngineMetrics metrics;
   core::OverlayShape shape;
-  core::LelaBuildInfo build_info;
   /// Degree actually enforced (after controlled cooperation).
   size_t effective_degree = 0;
   /// Mean repository-to-repository delay of the (possibly rescaled)

@@ -128,6 +128,12 @@ Status FaultInjectingTransport::Send(PeerId from, PeerId to,
   ReleaseDue();
   const uint64_t idx = sends_++;
 
+  // An out-of-range send still advances the script's time axis, but
+  // fires nothing and drops nothing, even inside a wedge window: it
+  // reaches the inner transport's refusal.
+  if (from >= inner_.peer_count() || to >= inner_.peer_count()) {
+    return Forward(from, to, frame);
+  }
   if (Wedged(from, to, idx)) {
     CountDrop();
     return Status::Ok();
@@ -136,11 +142,9 @@ Status FaultInjectingTransport::Send(PeerId from, PeerId to,
   // Ops execute strictly in script order: the head op arms once its
   // at_send has passed and fires on the first matching send. An op
   // whose filter never matches holds the script (by design — scripts
-  // are validated against the workload they target). An out-of-range
-  // send fires nothing: it reaches the inner transport's refusal.
+  // are validated against the workload they target).
   if (next_op_ >= script_.size() || script_.op(next_op_).at_send > idx ||
-      !Matches(script_.op(next_op_), from, to) ||
-      from >= inner_.peer_count() || to >= inner_.peer_count()) {
+      !Matches(script_.op(next_op_), from, to)) {
     return Forward(from, to, frame);
   }
   const FaultOp op = script_.op(next_op_++);

@@ -122,8 +122,6 @@ class FaultInjectingTransport : public Transport {
   bool Poll(PeerId self, wire::Frame* out, PeerId* from) override;
   const TransportMetrics& metrics() const override;
 
-  /// Ops executed so far (monotone, <= script.size()).
-  size_t faults_applied() const { return next_op_; }
   /// Frames currently held back by kDelayFrame ops.
   size_t delayed_frames() const { return delayed_.size(); }
 

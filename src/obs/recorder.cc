@@ -28,8 +28,6 @@ const char* TraceEventKindName(TraceEventKind kind) {
       return "resubscribe";
     case TraceEventKind::kPullPoll:
       return "pull-poll";
-    case TraceEventKind::kFeedFrame:
-      return "feed-frame";
   }
   return "unknown";
 }

@@ -26,7 +26,6 @@ enum class TraceEventKind : uint16_t {
   kFaultInjected = 9,  // actor=peer, arg=fault kind
   kResubscribe = 10,   // actor=node, arg=expected seq, arg2=got seq
   kPullPoll = 11,      // actor=member, arg=item, code=phase
-  kFeedFrame = 12,     // actor=node, arg=frame type, arg2=feed seq
 };
 
 const char* TraceEventKindName(TraceEventKind kind);

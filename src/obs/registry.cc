@@ -14,9 +14,9 @@ uint64_t HashBytes(const void* data, size_t size) {
   return hash;
 }
 
-Registry::Registry(size_t max_metrics)
-    : max_metrics_(std::min(max_metrics, Snapshot::kMaxEntries)) {
-  slots_.reserve(max_metrics_);
+Registry::Registry(size_t capacity)
+    : capacity_(std::min(capacity, Snapshot::kMaxEntries)) {
+  slots_.reserve(capacity_);
 }
 
 MetricId Registry::Register(const std::string& name, MetricKind kind) {
@@ -26,7 +26,7 @@ MetricId Registry::Register(const std::string& name, MetricKind kind) {
     return slots_[i].kind == kind ? static_cast<MetricId>(i)
                                   : kInvalidMetricId;
   }
-  if (slots_.size() >= max_metrics_) return kInvalidMetricId;
+  if (slots_.size() >= capacity_) return kInvalidMetricId;
   Slot slot;
   slot.name = name;
   slot.hash = hash;
@@ -47,41 +47,11 @@ MetricId Registry::Histogram(const std::string& name) {
   return Register(name, MetricKind::kHistogram);
 }
 
-uint64_t Registry::counter_value(MetricId id) const {
-  if (id >= slots_.size() || slots_[id].kind != MetricKind::kCounter) {
-    return 0;
-  }
-  return slots_[id].value;
-}
-
-double Registry::gauge_value(MetricId id) const {
-  if (id >= slots_.size() || slots_[id].kind != MetricKind::kGauge) {
-    return 0.0;
-  }
-  return BitsToDouble(slots_[id].value);
-}
-
-uint64_t Registry::histogram_count(MetricId id) const {
-  if (id >= slots_.size() || slots_[id].kind != MetricKind::kHistogram) {
-    return 0;
-  }
-  uint64_t total = 0;
-  for (uint64_t bucket : slots_[id].buckets) total += bucket;
-  return total;
-}
-
 const std::string* Registry::NameOf(uint64_t name_hash) const {
   for (const Slot& slot : slots_) {
     if (slot.hash == name_hash) return &slot.name;
   }
   return nullptr;
-}
-
-MetricKind Registry::KindOf(uint64_t name_hash) const {
-  for (const Slot& slot : slots_) {
-    if (slot.hash == name_hash) return slot.kind;
-  }
-  return MetricKind::kCounter;
 }
 
 Snapshot Registry::TakeSnapshot() const {
@@ -114,8 +84,6 @@ Snapshot Registry::TakeSnapshot() const {
   }
   return snapshot;
 }
-
-void Registry::Clear() { slots_.clear(); }
 
 const SnapshotEntry* FindEntry(const Snapshot& snapshot, uint64_t name_hash,
                                uint32_t index) {

@@ -101,7 +101,7 @@ static_assert(std::is_trivially_copyable_v<Snapshot>,
 /// linear scans keep the layer free of unordered containers.
 class Registry {
  public:
-  explicit Registry(size_t max_metrics = Snapshot::kMaxEntries);
+  explicit Registry(size_t capacity = Snapshot::kMaxEntries);
 
   /// Registers (or finds) a metric. Re-registering a name with the same
   /// kind returns the existing id — publishers can re-derive ids
@@ -132,23 +132,13 @@ class Registry {
     ++slots_[id].buckets[bucket];
   }
 
-  /// Readbacks (cold).
-  uint64_t counter_value(MetricId id) const;
-  double gauge_value(MetricId id) const;
-  uint64_t histogram_count(MetricId id) const;
-
-  size_t metric_count() const { return slots_.size(); }
-  size_t max_metrics() const { return max_metrics_; }
-
   /// The registered name behind a snapshot entry's hash, or nullptr.
   const std::string* NameOf(uint64_t name_hash) const;
-  /// The kind registered under a name hash (kCounter if unknown).
-  MetricKind KindOf(uint64_t name_hash) const;
 
+  /// The one readback: every value leaves the registry through a
+  /// snapshot (read it with SnapshotCounter, SnapshotGauge, FindEntry
+  /// or EntriesMatch).
   Snapshot TakeSnapshot() const;
-
-  /// Drops every metric (names included).
-  void Clear();
 
  private:
   struct Slot {
@@ -162,7 +152,7 @@ class Registry {
   MetricId Register(const std::string& name, MetricKind kind);
 
   std::vector<Slot> slots_;
-  size_t max_metrics_;
+  size_t capacity_;
 };
 
 /// First entry matching (name_hash, index), or nullptr.

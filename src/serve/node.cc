@@ -369,13 +369,6 @@ net::wire::Frame FeedPublisher::FrameAt(const Sub& sub, uint32_t seq) const {
   return net::wire::Frame::Shutdown(sub.peer, seq);
 }
 
-Status FeedPublisher::HandleResubscribe(const net::wire::Frame& frame,
-                                        net::PeerId from) {
-  const Status handled = HandleInbound(frame, from);
-  if (!handled.ok() && status_.ok()) status_ = handled;
-  return handled;
-}
-
 Status FeedPublisher::HandleInbound(const net::wire::Frame& frame,
                                     net::PeerId from) {
   if (frame.type != net::wire::FrameType::kResubscribe) {
@@ -383,7 +376,13 @@ Status FeedPublisher::HandleInbound(const net::wire::Frame& frame,
         std::string("unexpected frame kind on publisher: ") +
         net::wire::FrameTypeName(frame.type));
   }
-  const uint32_t resume = frame.u.resubscribe.resume_seq;
+  const net::wire::ResubscribePayload& p = frame.u.resubscribe;
+  if (p.node != from) {
+    return Status::InvalidArgument(
+        "resubscribe for node " + std::to_string(p.node) +
+        " arrived from peer " + std::to_string(from));
+  }
+  const uint32_t resume = p.resume_seq;
   for (Sub& sub : subs_) {
     if (sub.peer != from) continue;
     if (resume > sub.high_water) {
@@ -415,15 +414,13 @@ size_t FeedPublisher::Pump() {
   size_t sent = 0;
   // Recovery requests first: a rewound cursor changes what this call
   // sends.
-  if (options_.poll_inbound) {
-    net::wire::Frame in;
-    net::PeerId from = net::kInvalidPeerId;
-    while (feed_.Poll(self_, &in, &from)) {
-      const Status handled = HandleInbound(in, from);
-      if (!handled.ok()) {
-        status_ = handled;
-        return sent;
-      }
+  net::wire::Frame in;
+  net::PeerId from = net::kInvalidPeerId;
+  while (feed_.Poll(self_, &in, &from)) {
+    const Status handled = HandleInbound(in, from);
+    if (!handled.ok()) {
+      status_ = handled;
+      return sent;
     }
   }
   const uint32_t total = TotalFrames();

@@ -155,13 +155,6 @@ struct FeedPublisherOptions {
   /// work, not a storage bound; a resubscribe past it is a precise
   /// unrecoverable-loss error. UINT32_MAX = replay anything.
   uint32_t replay_window = 1024;
-  /// When true (default) Pump() drains the transport's inbound queue
-  /// itself. Several publishers multiplexed over one endpoint (one
-  /// feed per subscriber, distinct member counts) must set this false
-  /// and route each inbound frame to the owning publisher via
-  /// HandleResubscribe — otherwise whichever feed pumps first consumes
-  /// frames addressed to a sibling's subscriber.
-  bool poll_inbound = true;
 };
 
 /// Feed side of the protocol: publishes a trace library (and optional
@@ -176,7 +169,13 @@ struct FeedPublisherOptions {
 /// schedule entries 1..N, shutdown N+1). Pump() also drains inbound
 /// kResubscribe frames: a subscriber that lost frames asks for a
 /// retransmit from its cursor, and the publisher rewinds — bounded by
-/// FeedPublisherOptions::replay_window — and resends from there.
+/// FeedPublisherOptions::replay_window — and resends from there. A
+/// resubscribe is routed by the peer that sent it and must name that
+/// peer as its node.
+///
+/// One publisher per feed endpoint: Pump() consumes every frame
+/// addressed to `self`, so all of an endpoint's subscribers belong on
+/// one publisher's list. Their kHello frames share one member count.
 class FeedPublisher {
  public:
   /// `scenario` may be null (no scripted dynamics). All referenced
@@ -189,28 +188,23 @@ class FeedPublisher {
 
   /// Sends as many pending frames as the transport accepts, handing
   /// them to Transport::SendBatch a batch at a time; returns the number
-  /// sent this call. Backpressure (CapacityExhausted) is a normal pause,
+  /// sent this call. Subscribers are served in list order, each until
+  /// its ring fills. Backpressure (CapacityExhausted) is a normal pause,
   /// any other send failure is sticky in status(). Inbound kResubscribe
   /// frames are handled first — a rewound cursor changes what this call
-  /// sends.
+  /// sends — and any other inbound frame is a sticky InvalidArgument.
   size_t Pump();
 
   /// True once every subscriber received its full feed + kShutdown
   /// (a later resubscribe can rewind a cursor and undo this).
   bool done() const;
 
-  /// First non-backpressure send failure, if any — including a
-  /// resubscribe that fell outside the replay window.
+  /// First non-backpressure send failure or rejected inbound frame, if
+  /// any — including a resubscribe that fell outside the replay window.
   const Status& status() const { return status_; }
 
   /// kResubscribe requests honored (cursor rewinds).
   uint64_t resubscribes_handled() const { return resubscribes_handled_; }
-
-  /// Feeds one externally-polled inbound frame to this publisher (for
-  /// multiplexed endpoints running with poll_inbound=false; route by
-  /// the frame's ResubscribePayload::node). Non-Ok results are sticky
-  /// in status(), exactly as if Pump() had polled the frame itself.
-  Status HandleResubscribe(const net::wire::Frame& frame, net::PeerId from);
 
  private:
   /// One schedule entry: a trace tick (op_index == SIZE_MAX) or a

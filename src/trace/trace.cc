@@ -33,7 +33,6 @@ TraceStats Trace::ComputeStats() const {
   StreamingStats changed_deltas;
   StreamingStats intervals;
   size_t changes = 0;
-  double max_abs_change = 0.0;
   for (size_t i = 0; i < ticks_.size(); ++i) {
     values.Add(ticks_[i].value);
     if (i > 0) {
@@ -43,22 +42,18 @@ TraceStats Trace::ComputeStats() const {
       if (delta > 0.0) {
         ++changes;
         changed_deltas.Add(delta);
-        max_abs_change = std::max(max_abs_change, delta);
       }
     }
   }
   stats.min_value = values.min();
   stats.max_value = values.max();
-  stats.mean_value = values.mean();
   stats.change_fraction =
       ticks_.size() > 1
           ? static_cast<double>(changes) /
                 static_cast<double>(ticks_.size() - 1)
           : 0.0;
   stats.mean_abs_change = changed_deltas.mean();
-  stats.max_abs_change = max_abs_change;
   stats.mean_interval_us = intervals.mean();
-  stats.duration = ticks_.back().time - ticks_.front().time;
   return stats;
 }
 

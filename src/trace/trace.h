@@ -22,16 +22,12 @@ struct TraceStats {
   size_t tick_count = 0;
   double min_value = 0.0;
   double max_value = 0.0;
-  double mean_value = 0.0;
   /// Fraction of ticks whose value differs from the previous tick.
   double change_fraction = 0.0;
   /// Mean |delta| over the ticks that changed (dollars).
   double mean_abs_change = 0.0;
-  /// Largest |delta| between consecutive ticks (dollars).
-  double max_abs_change = 0.0;
   /// Mean inter-tick interval (microseconds).
   double mean_interval_us = 0.0;
-  sim::SimTime duration = 0;
 };
 
 /// A time series of values for one data item (e.g. one stock ticker).

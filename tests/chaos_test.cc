@@ -164,7 +164,7 @@ struct ChaosWorld {
     const Status driven = serve::DriveFeed(publisher, node);
     if (!driven.ok()) return "DriveFeed: " + driven.ToString();
     // A script that never fired proves nothing — guard the harness.
-    if (!script.empty() && feed.faults_applied() == 0) {
+    if (!script.empty() && feed.metrics().faults_injected == 0) {
       return "harness bug: no scripted fault fired";
     }
     Result<serve::NodeReport> served = node.Serve();

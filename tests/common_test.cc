@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <set>
@@ -149,7 +150,7 @@ TEST(RngTest, ParetoRespectsMinimum) {
 TEST(RngTest, ParetoWithMeanMatchesDistribution) {
   Rng rng(21);
   StreamingStats stats;
-  QuantileSketch quantiles;
+  std::vector<double> samples;
   // Pareto(min 2, mean 15) is exactly the paper's delay model; its tail
   // index is 15/13 ~= 1.15, deep in the infinite-variance regime, so the
   // sample mean converges very slowly — check the median (analytically
@@ -157,10 +158,12 @@ TEST(RngTest, ParetoWithMeanMatchesDistribution) {
   for (int i = 0; i < 200000; ++i) {
     const double v = rng.NextParetoWithMean(2.0, 15.0);
     stats.Add(v);
-    quantiles.Add(v);
+    samples.push_back(v);
   }
+  const auto median = samples.begin() + samples.size() / 2;
+  std::nth_element(samples.begin(), median, samples.end());
   EXPECT_GE(stats.min(), 2.0);
-  EXPECT_NEAR(quantiles.Quantile(0.5), 3.65, 0.15);
+  EXPECT_NEAR(*median, 3.65, 0.15);
   EXPECT_GT(stats.mean(), 8.0);
   EXPECT_LT(stats.mean(), 40.0);
 }
@@ -184,9 +187,15 @@ TEST(RngTest, ExponentialMean) {
 TEST(RngTest, GaussianMoments) {
   Rng rng(25);
   StreamingStats stats;
-  for (int i = 0; i < 200000; ++i) stats.Add(rng.NextGaussian());
+  StreamingStats squares;
+  for (int i = 0; i < 200000; ++i) {
+    const double v = rng.NextGaussian();
+    stats.Add(v);
+    squares.Add(v * v);
+  }
   EXPECT_NEAR(stats.mean(), 0.0, 0.02);
-  EXPECT_NEAR(stats.stddev(), 1.0, 0.02);
+  // With mean 0, the mean of squares is the variance.
+  EXPECT_NEAR(squares.mean(), 1.0, 0.04);
 }
 
 TEST(RngTest, ShufflePreservesElements) {
@@ -210,7 +219,7 @@ TEST(RngTest, ForkIndependentStreams) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamingStats / QuantileSketch
+// StreamingStats
 
 TEST(StatsTest, EmptyIsZero) {
   StreamingStats s;
@@ -218,7 +227,6 @@ TEST(StatsTest, EmptyIsZero) {
   EXPECT_EQ(s.mean(), 0.0);
   EXPECT_EQ(s.min(), 0.0);
   EXPECT_EQ(s.max(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
 }
 
 TEST(StatsTest, BasicMoments) {
@@ -226,51 +234,8 @@ TEST(StatsTest, BasicMoments) {
   for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.Add(v);
   EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
   EXPECT_EQ(s.min(), 2.0);
   EXPECT_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(StatsTest, MergeMatchesSequential) {
-  StreamingStats a, b, all;
-  Rng rng(31);
-  for (int i = 0; i < 1000; ++i) {
-    double v = rng.NextGaussian() * 3 + 1;
-    (i % 2 == 0 ? a : b).Add(v);
-    all.Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-  EXPECT_EQ(a.min(), all.min());
-  EXPECT_EQ(a.max(), all.max());
-}
-
-TEST(StatsTest, MergeWithEmpty) {
-  StreamingStats a, b;
-  a.Add(1.0);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 1u);
-  b.Merge(a);
-  EXPECT_EQ(b.count(), 1u);
-  EXPECT_EQ(b.mean(), 1.0);
-}
-
-TEST(QuantileTest, NearestRank) {
-  QuantileSketch q;
-  for (int i = 1; i <= 100; ++i) q.Add(i);
-  EXPECT_EQ(q.Quantile(0.0), 1.0);
-  EXPECT_EQ(q.Quantile(1.0), 100.0);
-  EXPECT_NEAR(q.Quantile(0.5), 50.0, 1.0);
-  EXPECT_NEAR(q.Quantile(0.9), 90.0, 1.0);
-}
-
-TEST(QuantileTest, EmptyReturnsZero) {
-  QuantileSketch q;
-  EXPECT_EQ(q.Quantile(0.5), 0.0);
 }
 
 // ---------------------------------------------------------------------------

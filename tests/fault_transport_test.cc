@@ -62,7 +62,6 @@ TEST(FaultTransportTest, EmptyScriptIsTransparent) {
     ASSERT_TRUE(chaos.Send(0, 1, Tick(7, i)).ok());
   }
   EXPECT_EQ(DrainTicks(chaos, 1), (std::vector<uint32_t>{0, 1, 2}));
-  EXPECT_EQ(chaos.faults_applied(), 0u);
   EXPECT_EQ(chaos.metrics().faults_injected, 0u);
   EXPECT_EQ(chaos.metrics().frames_dropped, 0u);
   EXPECT_EQ(chaos.metrics().frames_tx, inner.metrics().frames_tx);
@@ -98,11 +97,10 @@ TEST(FaultTransportTest, OutOfRangeSendFiresNoOp) {
       1);
   EXPECT_TRUE(chaos.Send(0, 5, Tick(7, 0)).IsInvalidArgument());
   EXPECT_TRUE(chaos.Send(5, 1, Tick(7, 1)).IsInvalidArgument());
-  EXPECT_EQ(chaos.faults_applied(), 0u);
   EXPECT_EQ(chaos.metrics().faults_injected, 0u);
   ASSERT_TRUE(chaos.Send(0, 1, Tick(7, 2)).ok());  // dropped by the op
   ASSERT_TRUE(chaos.Send(0, 1, Tick(7, 3)).ok());
-  EXPECT_EQ(chaos.faults_applied(), 1u);
+  EXPECT_EQ(chaos.metrics().faults_injected, 1u);
   EXPECT_EQ(DrainTicks(chaos, 1), (std::vector<uint32_t>{3}));
 }
 
@@ -209,6 +207,20 @@ TEST(FaultTransportTest, WedgePeerForeverNeverReopens) {
   }
   EXPECT_TRUE(DrainTicks(chaos, 1).empty());
   EXPECT_EQ(chaos.metrics().frames_dropped, 5u);
+}
+
+TEST(FaultTransportTest, OutOfRangeSendInsideAWedgeWindowIsRefused) {
+  // The peer range is checked before the wedge window: a send naming a
+  // peer the inner transport lacks is refused even when it touches the
+  // wedged peer, and counts no drop.
+  InProcTransport inner(2, 8);
+  FaultInjectingTransport chaos(
+      inner, Script({FaultOp{0, 5 /*kWedgePeer*/, kAnyPeer, 1, 0}}), 1);
+  ASSERT_TRUE(chaos.Send(0, 1, Tick(7, 0)).ok());  // triggers + dropped
+  ASSERT_EQ(chaos.metrics().frames_dropped, 1u);
+  EXPECT_TRUE(chaos.Send(1, 9, Tick(7, 1)).IsInvalidArgument());
+  EXPECT_TRUE(chaos.Send(9, 1, Tick(7, 2)).IsInvalidArgument());
+  EXPECT_EQ(chaos.metrics().frames_dropped, 1u);
 }
 
 TEST(FaultTransportTest, ReplayIsDeterministic) {

@@ -128,6 +128,7 @@ TEST(LelaTest, AugmentationRecruitsUninterestedParents) {
   EXPECT_TRUE(overlay.Holds(1, 1));
   EXPECT_FALSE(overlay.Serving(1, 1).own_interest);
   EXPECT_EQ(overlay.Serving(2, 1).parent, 1u);
+  EXPECT_GT(built->info.demand_edges, 0u);
   EXPECT_GT(built->info.augmented_edges, 0u);
 }
 

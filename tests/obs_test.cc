@@ -80,7 +80,7 @@ TEST(RegistryTest, RegistrationIsIdempotentAndKindChecked) {
   EXPECT_EQ(registry.Counter("engine.messages"), a);
   // Same name under a different kind is a registration error.
   EXPECT_EQ(registry.Gauge("engine.messages"), kInvalidMetricId);
-  EXPECT_EQ(registry.metric_count(), 1u);
+  EXPECT_EQ(registry.TakeSnapshot().count, 1u);
 }
 
 TEST(RegistryTest, FullRegistryReturnsInvalidAndMutationsAreNoOps) {
@@ -92,7 +92,7 @@ TEST(RegistryTest, FullRegistryReturnsInvalidAndMutationsAreNoOps) {
   registry.Add(overflow, 100);  // must not crash or touch anything
   registry.Set(overflow, 1.0);
   registry.Observe(overflow, 1);
-  EXPECT_EQ(registry.metric_count(), 2u);
+  EXPECT_EQ(registry.TakeSnapshot().count, 2u);
 }
 
 TEST(RegistryTest, CountersGaugesHistogramsReadBack) {
@@ -107,9 +107,16 @@ TEST(RegistryTest, CountersGaugesHistogramsReadBack) {
   registry.Observe(h, 0);
   registry.Observe(h, 1);
   registry.Observe(h, 1023);
-  EXPECT_EQ(registry.counter_value(c), 42u);
-  EXPECT_DOUBLE_EQ(registry.gauge_value(g), -0.5);
-  EXPECT_EQ(registry.histogram_count(h), 3u);
+  const Snapshot snapshot = registry.TakeSnapshot();
+  EXPECT_EQ(SnapshotCounter(snapshot, "c"), 42u);
+  EXPECT_DOUBLE_EQ(SnapshotGauge(snapshot, "g"), -0.5);
+  // 0 and 1 share bucket 0; 1023 lands in bucket 9.
+  const SnapshotEntry* low = FindEntry(snapshot, HashMetricName("h"), 0);
+  const SnapshotEntry* high = FindEntry(snapshot, HashMetricName("h"), 9);
+  ASSERT_NE(low, nullptr);
+  ASSERT_NE(high, nullptr);
+  EXPECT_EQ(low->value, 2u);
+  EXPECT_EQ(high->value, 1u);
 }
 
 TEST(RegistryTest, SnapshotKeepsRegistrationOrderAndExpandsBuckets) {

@@ -573,9 +573,79 @@ TEST(ServeTest, ResubscribeRecoversDroppedFeedFramesByteIdentically) {
   ExpectIdentical(direct, report->engine);
   // Recovery genuinely ran: faults fired, the node asked, the
   // publisher rewound.
-  EXPECT_EQ(feed.faults_applied(), 3u);
+  EXPECT_EQ(feed.metrics().faults_injected, 3u);
   EXPECT_GT(report->resubscribes, 0u);
   EXPECT_EQ(report->resubscribes, publisher.resubscribes_handled());
+}
+
+TEST(ServeTest, OnePublisherFeedsEverySubscriberThroughFaults) {
+  // One publisher at peer 1 serves nodes at peers 0 and 2 over one
+  // endpoint. It routes each node's resubscribe by sender, so every
+  // node recovers its own drops and still serves byte-identically.
+  const exp::SimulationSession session = SmallSession();
+  const exp::World& world = session.world();
+  core::EngineOptions options;
+  const core::EngineMetrics direct =
+      RunDirect(world, options, /*scenario=*/nullptr);
+
+  core::Overlay overlay0 = BuildFixtureOverlay(world);
+  core::Overlay overlay2 = BuildFixtureOverlay(world);
+  net::InProcTransport inner(3, 32);
+  // Publisher->node drops aimed at each node; the nodes' resubscribe
+  // requests (from 0 and 2) are untouched.
+  Result<net::FaultScript> script = net::FaultScript::Create(
+      {net::FaultOp{5, 0, /*from=*/1, /*to=*/0, 0},
+       net::FaultOp{50, 0, 1, 2, 0},
+       net::FaultOp{300, 0, 1, 0, 0}});
+  ASSERT_TRUE(script.ok()) << script.status().ToString();
+  net::FaultInjectingTransport feed(inner, *script, /*seed=*/9);
+  net::InProcTransport data0(overlay0.member_count(), 64);
+  net::InProcTransport data2(overlay2.member_count(), 64);
+  serve::NodeOptions node_options;
+  node_options.engine = options;
+  node_options.feed_publisher = 1;
+  node_options.feed_self = 0;
+  serve::Node node0(overlay0, world.delays(), feed, data0, node_options);
+  node_options.feed_self = 2;
+  serve::Node node2(overlay2, world.delays(), feed, data2, node_options);
+  serve::FeedPublisher publisher(world.traces(), nullptr,
+                                 overlay0.member_count(), kSeed, feed,
+                                 /*self=*/1, {0, 2});
+
+  // DriveFeed's loop over two nodes: a feed that moves no frame for 64
+  // rounds is wedged, and every 8th idle round nudges recovery.
+  int idle = 0;
+  while (!node0.feed_complete() || !node2.feed_complete()) {
+    size_t moved = publisher.Pump();
+    ASSERT_TRUE(publisher.status().ok()) << publisher.status().ToString();
+    for (serve::Node* node : {&node0, &node2}) {
+      Result<size_t> polled = node->PollFeed();
+      ASSERT_TRUE(polled.ok()) << polled.status().ToString();
+      moved += *polled;
+    }
+    if (moved > 0) {
+      idle = 0;
+      continue;
+    }
+    ASSERT_LT(++idle, 64) << "feed wedged";
+    if (idle % 8 == 0) {
+      ASSERT_TRUE(node0.RequestMissing().ok());
+      ASSERT_TRUE(node2.RequestMissing().ok());
+    }
+  }
+  ASSERT_TRUE(publisher.done());
+
+  Result<serve::NodeReport> report0 = node0.Serve();
+  Result<serve::NodeReport> report2 = node2.Serve();
+  ASSERT_TRUE(report0.ok()) << report0.status().ToString();
+  ASSERT_TRUE(report2.ok()) << report2.status().ToString();
+  ExpectIdentical(direct, report0->engine);
+  ExpectIdentical(direct, report2->engine);
+  EXPECT_EQ(feed.metrics().faults_injected, 3u);
+  EXPECT_GT(report0->resubscribes, 0u);
+  EXPECT_GT(report2->resubscribes, 0u);
+  EXPECT_EQ(report0->resubscribes + report2->resubscribes,
+            publisher.resubscribes_handled());
 }
 
 TEST(ServeTest, ResubscribeBudgetExhaustionIsPrecise) {
@@ -635,6 +705,23 @@ TEST(ServeTest, ResubscribeFromUnknownPeerIsRejected) {
   EXPECT_NE(publisher.status().message().find("unknown peer 3"),
             std::string::npos)
       << publisher.status().message();
+}
+
+TEST(ServeTest, ResubscribeNamingAnotherNodeIsRejected) {
+  // A resubscribe rewinds the cursor of the peer that sent it, so it
+  // must name that peer: node 0 cannot speak for node 2.
+  std::vector<trace::Trace> traces;
+  traces.emplace_back("item0", std::vector<trace::Tick>{{0, 1.0}});
+  net::InProcTransport feed(3, 32);
+  serve::FeedPublisher publisher(traces, nullptr, 4, 77, feed, /*self=*/1,
+                                 {0, 2});
+  ASSERT_TRUE(feed.Send(0, 1, net::wire::Frame::Resubscribe(2, 0)).ok());
+  publisher.Pump();
+  ASSERT_FALSE(publisher.status().ok());
+  EXPECT_TRUE(publisher.status().IsInvalidArgument());
+  EXPECT_EQ(publisher.status().message(),
+            "resubscribe for node 2 arrived from peer 0");
+  EXPECT_EQ(publisher.resubscribes_handled(), 0u);
 }
 
 }  // namespace

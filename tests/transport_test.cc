@@ -640,7 +640,8 @@ TEST(SendBatchTest, FaultInjectingDefaultMatchesSendLoop) {
   const SendRun b = Drive(looped, false, frames, 16, 5);
   ExpectSameRun(a, b);
   EXPECT_EQ(a.totals.faults_injected, 4u);
-  EXPECT_EQ(batched.faults_applied(), looped.faults_applied());
+  EXPECT_EQ(batched.metrics().faults_injected,
+            looped.metrics().faults_injected);
 }
 
 TEST(SendBatchTest, ReportsTheAdmittedPrefixBeforeARefusal) {
