@@ -103,16 +103,15 @@ d3t::Status ShipObs(d3t::serve::ProcessContext& ctx,
   return d3t::Status::Ok();
 }
 
-// Body of one repository-node process: ingest the socket feed, serve
-// the engine, report back. Under chaos the node runs resubscribe
-// recovery against the publisher, and node 1's first incarnation
-// SIGKILLs itself mid-feed to exercise the supervisor restart path.
+// Body of one repository-node process: ingest the socket feed (the
+// scenario script arrives on it as frames), serve the engine, report
+// back. Under chaos the node runs resubscribe recovery against the
+// publisher, and node 1's first incarnation SIGKILLs itself mid-feed to
+// exercise the supervisor restart path.
 d3t::Status RunNode(d3t::serve::ProcessContext& ctx,
                     const d3t::exp::World& world,
-                    const d3t::core::Scenario& scenario,
                     const d3t::core::EngineOptions& engine_options,
                     bool chaos) {
-  (void)scenario;  // scripted dynamics arrive over the feed as frames
   auto overlay = BuildNodeOverlay(world, ctx.self);
   if (!overlay.ok()) return overlay.status();
   d3t::net::InProcTransport data(overlay->member_count(), 64);
@@ -364,7 +363,7 @@ int main(int argc, char** argv) {
   std::vector<d3t::serve::ProcessBody> bodies;
   for (size_t node = 0; node < kNodes; ++node) {
     bodies.push_back([&](d3t::serve::ProcessContext& ctx) {
-      d3t::Status run = RunNode(ctx, world, *scenario, engine_options, chaos);
+      d3t::Status run = RunNode(ctx, world, engine_options, chaos);
       if (!run.ok()) {
         std::fprintf(stderr, "node %u (incarnation %d): %s\n", ctx.self,
                      ctx.incarnation, run.ToString().c_str());

@@ -128,7 +128,8 @@ struct SourceTickPayload {
   int64_t at_us;
   double value;
   /// Feed sequence number: position of this frame in the publisher's
-  /// total order (hello = 0, then schedule entries, then shutdown).
+  /// total order (hello = 0, then every tick item by item, then the
+  /// scenario ops, then shutdown).
   uint32_t seq;
   uint32_t reserved;
 };

@@ -1,6 +1,6 @@
 #include "obs/registry.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace d3t::obs {
 
@@ -14,10 +14,7 @@ uint64_t HashBytes(const void* data, size_t size) {
   return hash;
 }
 
-Registry::Registry(size_t capacity)
-    : capacity_(std::min(capacity, Snapshot::kMaxEntries)) {
-  slots_.reserve(capacity_);
-}
+Registry::Registry() { slots_.reserve(Snapshot::kMaxEntries); }
 
 MetricId Registry::Register(const std::string& name, MetricKind kind) {
   const uint64_t hash = HashMetricName(name.c_str());
@@ -26,7 +23,7 @@ MetricId Registry::Register(const std::string& name, MetricKind kind) {
     return slots_[i].kind == kind ? static_cast<MetricId>(i)
                                   : kInvalidMetricId;
   }
-  if (slots_.size() >= capacity_) return kInvalidMetricId;
+  if (slots_.size() >= Snapshot::kMaxEntries) return kInvalidMetricId;
   Slot slot;
   slot.name = name;
   slot.hash = hash;

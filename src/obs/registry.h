@@ -101,7 +101,8 @@ static_assert(std::is_trivially_copyable_v<Snapshot>,
 /// linear scans keep the layer free of unordered containers.
 class Registry {
  public:
-  explicit Registry(size_t capacity = Snapshot::kMaxEntries);
+  /// Holds up to Snapshot::kMaxEntries metrics, as one snapshot does.
+  Registry();
 
   /// Registers (or finds) a metric. Re-registering a name with the same
   /// kind returns the existing id — publishers can re-derive ids
@@ -152,7 +153,6 @@ class Registry {
   MetricId Register(const std::string& name, MetricKind kind);
 
   std::vector<Slot> slots_;
-  size_t capacity_;
 };
 
 /// First entry matching (name_hash, index), or nullptr.

@@ -44,7 +44,6 @@ Result<size_t> Node::PollFeed() {
       }
       if (seq < next_seq_) {
         // Stale duplicate — replay overlap or an injected duplicate.
-        ++stale_frames_;
         continue;
       }
       // Gap: something between next_seq_ and seq is missing. Ask the
@@ -144,7 +143,6 @@ Status Node::Ingest(const net::wire::Frame& frame) {
             "hello item count does not match this node's overlay");
       }
       hello_seen_ = true;
-      world_seed_ = p.world_seed;
       ticks_.assign(p.item_count, {});
       return Status::Ok();
     }
@@ -165,7 +163,6 @@ Status Node::Ingest(const net::wire::Frame& frame) {
         return Status::InvalidArgument(
             "source tick times must be strictly increasing");
       }
-      ++tick_frames_;
       ticks.push_back(trace::Tick{p.at_us, p.value});
       return Status::Ok();
     }
@@ -180,7 +177,6 @@ Status Node::Ingest(const net::wire::Frame& frame) {
           kind != core::ScenarioOpKind::kCoherencyChange) {
         return Status::InvalidArgument("unknown scenario op kind");
       }
-      ++scenario_frames_;
       core::ScenarioOp op;
       op.at = p.at_us;
       op.kind = kind;
@@ -273,16 +269,10 @@ Result<NodeReport> Node::Serve() {
   report.engine = std::move(metrics).value();
   report.data = data_.metrics();
   report.feed_frames = feed_frames_;
-  report.tick_frames = tick_frames_;
-  report.scenario_frames = scenario_frames_;
-  report.stale_frames = stale_frames_;
   report.resubscribes = resubscribes_;
   if (engine_options.registry != nullptr) {
     obs::Registry& reg = *engine_options.registry;
     reg.Add(reg.Counter("node.feed_frames"), report.feed_frames);
-    reg.Add(reg.Counter("node.tick_frames"), report.tick_frames);
-    reg.Add(reg.Counter("node.scenario_frames"), report.scenario_frames);
-    reg.Add(reg.Counter("node.stale_frames"), report.stale_frames);
     reg.Add(reg.Counter("node.resubscribes"), report.resubscribes);
   }
   return report;
@@ -297,45 +287,21 @@ FeedPublisher::FeedPublisher(const std::vector<trace::Trace>& traces,
                              net::Transport& feed, net::PeerId self,
                              std::vector<net::PeerId> subscribers,
                              FeedPublisherOptions options)
-    : scenario_(scenario),
+    : traces_(traces),
+      scenario_(scenario),
       member_count_(member_count),
-      item_count_(traces.size()),
       world_seed_(world_seed),
       feed_(feed),
       self_(self),
       options_(options),
       status_(Status::Ok()),
       batch_(kSendBatch) {
-  // Merged schedule: every tick of every trace plus every scenario op,
-  // time-sorted. Ticks are appended item-major first so the stable
-  // sort keeps trace order within an instant and ticks ahead of ops —
-  // the order a live source would emit them.
-  size_t total = scenario_ == nullptr ? 0 : scenario_->size();
-  for (const trace::Trace& trace : traces) total += trace.size();
-  schedule_.reserve(total);
-  for (uint32_t item = 0; item < traces.size(); ++item) {
-    const auto& ticks = traces[item].ticks();
-    for (uint32_t i = 0; i < ticks.size(); ++i) {
-      Entry e;
-      e.at_us = ticks[i].time;
-      e.item = item;
-      e.tick_index = i;
-      e.value = ticks[i].value;
-      schedule_.push_back(e);
-    }
+  tick_offsets_.reserve(traces_.size() + 1);
+  tick_offsets_.push_back(0);
+  for (const trace::Trace& trace : traces_) {
+    tick_offsets_.push_back(tick_offsets_.back() +
+                            static_cast<uint32_t>(trace.size()));
   }
-  if (scenario_ != nullptr) {
-    for (size_t i = 0; i < scenario_->size(); ++i) {
-      Entry e;
-      e.at_us = scenario_->op(i).at;
-      e.op_index = i;
-      schedule_.push_back(e);
-    }
-  }
-  std::stable_sort(schedule_.begin(), schedule_.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.at_us < b.at_us;
-                   });
   subs_.reserve(subscribers.size());
   for (net::PeerId peer : subscribers) {
     Sub sub;
@@ -345,23 +311,33 @@ FeedPublisher::FeedPublisher(const std::vector<trace::Trace>& traces,
 }
 
 uint32_t FeedPublisher::TotalFrames() const {
-  return static_cast<uint32_t>(schedule_.size()) + 2;  // hello + shutdown
+  const size_t ops = scenario_ == nullptr ? 0 : scenario_->size();
+  // hello + ticks + ops + shutdown
+  return tick_offsets_.back() + static_cast<uint32_t>(ops) + 2;
 }
 
 net::wire::Frame FeedPublisher::FrameAt(const Sub& sub, uint32_t seq) const {
   if (seq == 0) {
     return net::wire::Frame::Hello(sub.peer,
                                    static_cast<uint32_t>(member_count_),
-                                   static_cast<uint32_t>(item_count_),
+                                   static_cast<uint32_t>(traces_.size()),
                                    world_seed_, /*seq=*/0);
   }
-  if (seq <= schedule_.size()) {
-    const Entry& e = schedule_[seq - 1];
-    if (e.op_index == SIZE_MAX) {
-      return net::wire::Frame::SourceTick(e.item, e.tick_index, e.at_us,
-                                          e.value, seq);
-    }
-    const core::ScenarioOp& op = scenario_->op(e.op_index);
+  const uint32_t index = seq - 1;
+  if (index < tick_offsets_.back()) {
+    // The last item whose first tick is at or before `index`; an item
+    // with no ticks shares its offset with the next and is skipped.
+    const auto next = std::upper_bound(tick_offsets_.begin(),
+                                       tick_offsets_.end(), index);
+    const auto item = static_cast<uint32_t>(next - tick_offsets_.begin() - 1);
+    const uint32_t tick_index = index - tick_offsets_[item];
+    const trace::Tick& tick = traces_[item].ticks()[tick_index];
+    return net::wire::Frame::SourceTick(item, tick_index, tick.time,
+                                        tick.value, seq);
+  }
+  const size_t op_index = index - tick_offsets_.back();
+  if (scenario_ != nullptr && op_index < scenario_->size()) {
+    const core::ScenarioOp& op = scenario_->op(op_index);
     return net::wire::Frame::ScenarioOp(op.at,
                                         static_cast<uint32_t>(op.kind),
                                         op.member, op.item, op.c, seq);

@@ -63,13 +63,9 @@ struct NodeReport {
   core::EngineMetrics engine;
   /// Counters of the data transport (all peers).
   net::TransportMetrics data;
-  /// Feed-side ingest accounting.
+  /// Feed frames polled, stale and out-of-order ones included.
   uint64_t feed_frames = 0;
-  uint64_t tick_frames = 0;
-  uint64_t scenario_frames = 0;
-  /// Feed-recovery accounting: stale/out-of-order frames dropped, and
-  /// kResubscribe requests sent (both 0 on a fault-free feed).
-  uint64_t stale_frames = 0;
+  /// kResubscribe requests sent (0 on a fault-free feed).
   uint64_t resubscribes = 0;
 };
 
@@ -127,14 +123,11 @@ class Node {
   bool hello_seen_ = false;
   bool feed_complete_ = false;
   Status feed_status_;
-  uint64_t world_seed_ = 0;
   /// Per-item ingested ticks, trace order. ticks_[item][0] is the
   /// synchronized initial value (tick_index 0 on the wire).
   std::vector<std::vector<trace::Tick>> ticks_;
   std::vector<core::ScenarioOp> scenario_ops_;
   uint64_t feed_frames_ = 0;
-  uint64_t tick_frames_ = 0;
-  uint64_t scenario_frames_ = 0;
   /// Feed cursor: seq of the next frame to ingest. Frames below it are
   /// stale duplicates, frames above it expose a gap.
   uint32_t next_seq_ = 0;
@@ -142,7 +135,6 @@ class Node {
   /// dedupes requests across the burst of out-of-order frames one gap
   /// produces.
   bool gap_outstanding_ = false;
-  uint64_t stale_frames_ = 0;
   uint64_t resubscribes_ = 0;
 };
 
@@ -150,23 +142,25 @@ class Node {
 struct FeedPublisherOptions {
   /// Bounded replay ring: how far behind its high-water mark (the
   /// largest seq ever sent to that subscriber) the publisher will
-  /// rewind a cursor for a kResubscribe. The schedule itself is
-  /// immutable, so the window is a policy bound on retransmission
-  /// work, not a storage bound; a resubscribe past it is a precise
-  /// unrecoverable-loss error. UINT32_MAX = replay anything.
+  /// rewind a cursor for a kResubscribe. Every frame is rebuilt from
+  /// the caller's traces and script, so the window is a policy bound
+  /// on retransmission work, not a storage bound; a resubscribe past
+  /// it is a precise unrecoverable-loss error. UINT32_MAX = replay
+  /// anything.
   uint32_t replay_window = 1024;
 };
 
 /// Feed side of the protocol: publishes a trace library (and optional
 /// scenario script) as frames to a set of subscriber nodes, respecting
 /// transport backpressure — Pump() sends until a ring fills, then
-/// returns so the consumer can drain; call it again until done(). Tick
-/// and scenario entries are merged into one time-sorted schedule per
-/// subscriber (stable: ticks before ops at equal times, trace order
-/// within a time), each preceded by kHello and closed by kShutdown.
+/// returns so the consumer can drain; call it again until done(). The
+/// feed is the library as stored: kHello, every tick of item 0, then
+/// of item 1 and so on, the script's ops in script order, and
+/// kShutdown. A node replays only after kShutdown, so no consumer
+/// needs the ticks in time order.
 ///
 /// Every frame is stamped with its feed sequence number (hello = 0,
-/// schedule entries 1..N, shutdown N+1). Pump() also drains inbound
+/// ticks 1..T, ops T+1..T+K, shutdown T+K+1). Pump() also drains inbound
 /// kResubscribe frames: a subscriber that lost frames asks for a
 /// retransmit from its cursor, and the publisher rewinds — bounded by
 /// FeedPublisherOptions::replay_window — and resends from there. A
@@ -179,7 +173,7 @@ struct FeedPublisherOptions {
 class FeedPublisher {
  public:
   /// `scenario` may be null (no scripted dynamics). All referenced
-  /// objects must outlive the publisher.
+  /// objects, `traces` included, must outlive the publisher.
   FeedPublisher(const std::vector<trace::Trace>& traces,
                 const core::Scenario* scenario, size_t member_count,
                 uint64_t world_seed, net::Transport& feed, net::PeerId self,
@@ -207,38 +201,32 @@ class FeedPublisher {
   uint64_t resubscribes_handled() const { return resubscribes_handled_; }
 
  private:
-  /// One schedule entry: a trace tick (op_index == SIZE_MAX) or a
-  /// scenario op.
-  struct Entry {
-    int64_t at_us = 0;
-    uint32_t item = 0;
-    uint32_t tick_index = 0;
-    double value = 0.0;
-    size_t op_index = SIZE_MAX;
-  };
   struct Sub {
     net::PeerId peer = net::kInvalidPeerId;
-    /// Seq of the next frame to send (0 = hello .. N+1 = shutdown).
+    /// Seq of the next frame to send (0 = hello .. T+K+1 = shutdown).
     uint32_t next_seq = 0;
     /// Largest next_seq ever reached — the replay window anchors here,
     /// so a rewind cannot widen what a later rewind may ask for.
     uint32_t high_water = 0;
   };
 
-  /// Frames in one full feed: hello + schedule + shutdown.
+  /// Frames in one full feed: hello + ticks + ops + shutdown.
   uint32_t TotalFrames() const;
   /// Builds (and seq-stamps) the frame at `seq` for `sub`.
   net::wire::Frame FrameAt(const Sub& sub, uint32_t seq) const;
   Status HandleInbound(const net::wire::Frame& frame, net::PeerId from);
 
+  const std::vector<trace::Trace>& traces_;
   const core::Scenario* scenario_;
   size_t member_count_;
-  size_t item_count_;
   uint64_t world_seed_;
   net::Transport& feed_;
   net::PeerId self_;
   FeedPublisherOptions options_;
-  std::vector<Entry> schedule_;
+  /// tick_offsets_[item] counts the ticks of the items before `item`,
+  /// so item's tick i has seq tick_offsets_[item] + i + 1; the last
+  /// entry is T, the library's tick count.
+  std::vector<uint32_t> tick_offsets_;
   std::vector<Sub> subs_;
   Status status_;
   uint64_t resubscribes_handled_ = 0;

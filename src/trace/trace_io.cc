@@ -1,8 +1,8 @@
 #include "trace/trace_io.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -14,11 +14,16 @@ Status SaveTraceCsv(const Trace& trace, const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return Status::IoError("cannot open for write: " + path);
   out << "# " << trace.name() << "\n";
+  // Each value as the shortest text that reads back to the same double,
+  // so LoadTraceCsv returns exactly what was saved (a cent price still
+  // prints as "20.53"). A row is at most 20 + 1 + 24 + 1 bytes.
   char buf[64];
   for (const Tick& tick : trace.ticks()) {
-    std::snprintf(buf, sizeof(buf), "%lld,%.4f\n",
-                  static_cast<long long>(tick.time), tick.value);
-    out << buf;
+    char* end = std::to_chars(buf, buf + sizeof(buf), tick.time).ptr;
+    *end++ = ',';
+    end = std::to_chars(end, buf + sizeof(buf), tick.value).ptr;
+    *end++ = '\n';
+    out.write(buf, end - buf);
   }
   if (!out) return Status::IoError("write failed: " + path);
   return Status::Ok();

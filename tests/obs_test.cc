@@ -84,15 +84,22 @@ TEST(RegistryTest, RegistrationIsIdempotentAndKindChecked) {
 }
 
 TEST(RegistryTest, FullRegistryReturnsInvalidAndMutationsAreNoOps) {
-  Registry registry(2);
-  EXPECT_NE(registry.Counter("a"), kInvalidMetricId);
-  EXPECT_NE(registry.Counter("b"), kInvalidMetricId);
-  const MetricId overflow = registry.Counter("c");
+  // A registry holds as many metrics as one snapshot carries.
+  Registry registry;
+  for (size_t i = 0; i < Snapshot::kMaxEntries; ++i) {
+    EXPECT_NE(registry.Counter("c" + std::to_string(i)), kInvalidMetricId);
+  }
+  const MetricId overflow = registry.Counter("overflow");
   EXPECT_EQ(overflow, kInvalidMetricId);
   registry.Add(overflow, 100);  // must not crash or touch anything
   registry.Set(overflow, 1.0);
   registry.Observe(overflow, 1);
-  EXPECT_EQ(registry.TakeSnapshot().count, 2u);
+  const Snapshot snapshot = registry.TakeSnapshot();
+  EXPECT_EQ(snapshot.count, Snapshot::kMaxEntries);
+  EXPECT_EQ(snapshot.truncated, 0u);
+  for (uint32_t i = 0; i < snapshot.count; ++i) {
+    EXPECT_EQ(snapshot.entries[i].value, 0u);
+  }
 }
 
 TEST(RegistryTest, CountersGaugesHistogramsReadBack) {

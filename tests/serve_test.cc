@@ -16,6 +16,7 @@
 #include "core/disseminator.h"
 #include "core/engine.h"
 #include "core/lela.h"
+#include "core/scenario.h"
 #include "exp/scenario.h"
 #include "exp/session.h"
 #include "net/fault_transport.h"
@@ -103,6 +104,12 @@ void ExpectIdentical(const core::EngineMetrics& a,
   EXPECT_EQ(a.outage_loss_percent, b.outage_loss_percent);
 }
 
+uint64_t TotalTicks(const exp::World& world) {
+  uint64_t ticks = 0;
+  for (const trace::Trace& trace : world.traces()) ticks += trace.size();
+  return ticks;
+}
+
 // Drives the feed to completion via the library's own loop and asserts
 // it succeeded (serve::DriveFeed converts deadlock into a precise
 // wedge error, so a protocol bug fails here instead of hanging).
@@ -138,13 +145,7 @@ TEST(ServeTest, PipelineIsByteIdenticalToDirectRun) {
   ExpectIdentical(direct, report->engine);
 
   // Feed accounting: one hello + every tick + one shutdown.
-  uint64_t total_ticks = 0;
-  for (const trace::Trace& trace : world.traces()) {
-    total_ticks += trace.size();
-  }
-  EXPECT_EQ(report->tick_frames, total_ticks);
-  EXPECT_EQ(report->scenario_frames, 0u);
-  EXPECT_EQ(report->feed_frames, total_ticks + 2);
+  EXPECT_EQ(report->feed_frames, TotalTicks(world) + 2);
 
   // Data-side accounting: every engine message crossed the wire.
   const uint64_t update_bytes =
@@ -227,7 +228,8 @@ TEST(ServeTest, ScenarioOpsTravelTheFeedAndReplayIdentically) {
   Result<serve::NodeReport> report = node.Serve();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ExpectIdentical(direct, report->engine);
-  EXPECT_EQ(report->scenario_frames, scenario->size());
+  // One hello + every tick + every op + one shutdown.
+  EXPECT_EQ(report->feed_frames, TotalTicks(world) + scenario->size() + 2);
   EXPECT_EQ(report->engine.scenario_ops, direct.scenario_ops);
 }
 
@@ -257,6 +259,99 @@ TEST(ServeTest, StreamFeedWithBackpressureDeliversIdentically) {
   // past, and no byte was corrupted in transit.
   EXPECT_GT(feed.metrics().backpressure_stalls, 0u);
   EXPECT_EQ(feed.metrics().decode_errors, 0u);
+}
+
+// The encoded bytes of `frame`: two frames are the same frame exactly
+// when these match.
+std::vector<uint8_t> FrameBytes(const net::wire::Frame& frame) {
+  std::vector<uint8_t> bytes(net::wire::kMaxFrameSize);
+  bytes.resize(net::wire::Encode(frame, bytes.data(), bytes.size()));
+  return bytes;
+}
+
+TEST(ServeTest, FeedIsTheLibraryAsStoredAndRewindsAcrossItsBoundaries) {
+  // Traces of unequal length, so each item boundary sits at its own
+  // seq, and ticks whose times interleave across items and with the
+  // ops, so a time-merged feed would order them differently.
+  std::vector<trace::Trace> traces;
+  traces.emplace_back("item0", std::vector<trace::Tick>{
+                                   {0, 10.0}, {2000, 10.5}, {4000, 11.0}});
+  traces.emplace_back("item1", std::vector<trace::Tick>{{500, 20.0}});
+  traces.emplace_back("item2", std::vector<trace::Tick>{{0, 30.0},
+                                                        {1000, 30.25},
+                                                        {3000, 30.5},
+                                                        {5000, 30.75},
+                                                        {7000, 31.0}});
+  core::ScenarioOp fail;
+  fail.at = 1500;
+  fail.kind = core::ScenarioOpKind::kRepoFail;
+  fail.member = 2;
+  core::ScenarioOp recover = fail;
+  recover.at = 6000;
+  recover.kind = core::ScenarioOpKind::kRepoRecover;
+  Result<core::Scenario> scenario = core::Scenario::Create({fail, recover});
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+
+  net::InProcTransport feed(2, 32);
+  serve::FeedPublisher publisher(traces, &*scenario, /*member_count=*/4,
+                                 /*world_seed=*/77, feed, /*self=*/1, {0});
+  publisher.Pump();
+  ASSERT_TRUE(publisher.done()) << publisher.status().ToString();
+  std::vector<net::wire::Frame> frames;
+  net::wire::Frame frame;
+  while (feed.Poll(0, &frame, nullptr)) frames.push_back(frame);
+
+  // hello 0, ticks 1..9 item by item, ops 10..11, shutdown 12.
+  ASSERT_EQ(frames.size(), 13u);
+  for (uint32_t seq = 0; seq < frames.size(); ++seq) {
+    EXPECT_EQ(net::wire::FeedSeq(frames[seq]), seq);
+  }
+  ASSERT_EQ(frames[0].type, net::wire::FrameType::kHello);
+  EXPECT_EQ(frames[0].u.hello.node, 0u);
+  EXPECT_EQ(frames[0].u.hello.member_count, 4u);
+  EXPECT_EQ(frames[0].u.hello.item_count, 3u);
+  EXPECT_EQ(frames[0].u.hello.world_seed, 77u);
+  uint32_t seq = 1;
+  for (uint32_t item = 0; item < traces.size(); ++item) {
+    const std::vector<trace::Tick>& ticks = traces[item].ticks();
+    for (uint32_t i = 0; i < ticks.size(); ++i, ++seq) {
+      SCOPED_TRACE(seq);
+      ASSERT_EQ(frames[seq].type, net::wire::FrameType::kSourceTick);
+      const net::wire::SourceTickPayload& tick = frames[seq].u.source_tick;
+      EXPECT_EQ(tick.item, item);
+      EXPECT_EQ(tick.tick_index, i);
+      EXPECT_EQ(tick.at_us, ticks[i].time);
+      EXPECT_EQ(tick.value, ticks[i].value);
+    }
+  }
+  for (size_t i = 0; i < scenario->size(); ++i, ++seq) {
+    SCOPED_TRACE(seq);
+    ASSERT_EQ(frames[seq].type, net::wire::FrameType::kScenarioOp);
+    const core::ScenarioOp& op = scenario->op(i);
+    const net::wire::ScenarioOpPayload& sent = frames[seq].u.scenario;
+    EXPECT_EQ(sent.at_us, op.at);
+    EXPECT_EQ(sent.kind, static_cast<uint32_t>(op.kind));
+    EXPECT_EQ(sent.member, op.member);
+  }
+  ASSERT_EQ(frames[seq].type, net::wire::FrameType::kShutdown);
+  EXPECT_EQ(frames[seq].u.shutdown.node, 0u);
+
+  // Rewind to the first tick of item 1, the last tick of item 2, the
+  // first op and the shutdown: each resend is the pinned tail.
+  for (const uint32_t resume : {4u, 9u, 10u, 12u}) {
+    SCOPED_TRACE(resume);
+    ASSERT_TRUE(
+        feed.Send(0, 1, net::wire::Frame::Resubscribe(0, resume)).ok());
+    publisher.Pump();
+    ASSERT_TRUE(publisher.done()) << publisher.status().ToString();
+    for (uint32_t expect = resume; expect < frames.size(); ++expect) {
+      ASSERT_TRUE(feed.Poll(0, &frame, nullptr)) << "seq " << expect;
+      EXPECT_EQ(FrameBytes(frame), FrameBytes(frames[expect]))
+          << "seq " << expect;
+    }
+    EXPECT_FALSE(feed.Poll(0, &frame, nullptr));
+  }
+  EXPECT_EQ(publisher.resubscribes_handled(), 4u);
 }
 
 // ---------------------------------------------------------------------------

@@ -193,21 +193,28 @@ TEST(LibraryTest, PresetBandsRespected) {
 // CSV I/O
 
 TEST(TraceIoTest, RoundTrip) {
+  // Loading a saved trace returns every value exactly: a synthetic cent
+  // price series, and values finer than any fixed number of decimals.
   Rng rng(10);
   SyntheticTraceOptions options;
   options.name = "RT";
   options.tick_count = 200;
-  Result<Trace> original = GenerateSyntheticTrace(options, rng);
-  ASSERT_TRUE(original.ok());
+  Result<Trace> synthetic = GenerateSyntheticTrace(options, rng);
+  ASSERT_TRUE(synthetic.ok());
+  Trace fine("fine",
+             {{0, 1e-5}, {1, 2e-5}, {2, 3e-5}, {3, 60.0123456789}});
   const std::string path = testing::TempDir() + "/d3t_trace_rt.csv";
-  ASSERT_TRUE(SaveTraceCsv(*original, path).ok());
-  Result<Trace> loaded = LoadTraceCsv(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->name(), "RT");
-  ASSERT_EQ(loaded->size(), original->size());
-  for (size_t i = 0; i < loaded->size(); ++i) {
-    EXPECT_EQ(loaded->ticks()[i].time, original->ticks()[i].time);
-    EXPECT_NEAR(loaded->ticks()[i].value, original->ticks()[i].value, 1e-4);
+  for (const Trace* original : {&*synthetic, &fine}) {
+    SCOPED_TRACE(original->name());
+    ASSERT_TRUE(SaveTraceCsv(*original, path).ok());
+    Result<Trace> loaded = LoadTraceCsv(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->name(), original->name());
+    ASSERT_EQ(loaded->size(), original->size());
+    for (size_t i = 0; i < loaded->size(); ++i) {
+      EXPECT_EQ(loaded->ticks()[i].time, original->ticks()[i].time);
+      EXPECT_EQ(loaded->ticks()[i].value, original->ticks()[i].value);
+    }
   }
   std::remove(path.c_str());
 }
