@@ -49,39 +49,45 @@ void BM_FloydWarshall(benchmark::State& state) {
 }
 BENCHMARK(BM_FloydWarshall)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecond);
 
-void BM_DijkstraRows(benchmark::State& state) {
+// Routing topologies: Args are {routers, repositories}. The last shape
+// is the large_world workload's (6,000 routers, 1,000 repositories),
+// routed on one thread so host parallelism cannot blur the number.
+net::Topology RoutingTopology(const benchmark::State& state) {
   Rng rng(4);
   net::TopologyGeneratorOptions options;
   options.router_count = static_cast<size_t>(state.range(0));
-  options.repository_count = 20;
-  Result<net::Topology> topo = net::GenerateTopology(options, rng);
+  options.repository_count = static_cast<size_t>(state.range(1));
+  return net::GenerateTopology(options, rng).value();
+}
+
+void RoutingShapes(benchmark::internal::Benchmark* bench) {
+  bench->Args({100, 20})->Args({300, 20})->Args({2000, 20})
+      ->Args({6000, 1000})->Unit(benchmark::kMillisecond);
+}
+
+void BM_DijkstraRows(benchmark::State& state) {
+  const net::Topology topo = RoutingTopology(state);
   std::vector<net::NodeId> rows;
-  rows.push_back(topo->SourceNode());
-  for (net::NodeId repo : topo->RepositoryNodes()) rows.push_back(repo);
+  rows.push_back(topo.SourceNode());
+  for (net::NodeId repo : topo.RepositoryNodes()) rows.push_back(repo);
   for (auto _ : state) {
-    auto routing = net::RoutingTables::DijkstraRows(*topo, rows);
+    auto routing = net::RoutingTables::DijkstraRows(topo, rows);
     benchmark::DoNotOptimize(routing);
   }
 }
-BENCHMARK(BM_DijkstraRows)->Arg(100)->Arg(300)->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DijkstraRows)->Apply(RoutingShapes);
 
 // The production routing path on BM_DijkstraRows's topologies: build the
 // member core, then one Dijkstra row per member on it, packed into the
 // member x member model.
 void BM_MemberCoreRouting(benchmark::State& state) {
-  Rng rng(4);
-  net::TopologyGeneratorOptions options;
-  options.router_count = static_cast<size_t>(state.range(0));
-  options.repository_count = 20;
-  Result<net::Topology> topo = net::GenerateTopology(options, rng);
+  const net::Topology topo = RoutingTopology(state);
   for (auto _ : state) {
-    auto models = net::OverlayDelayModel::FromTopologyAllSources(*topo, 1);
+    auto models = net::OverlayDelayModel::FromTopologyAllSources(topo, 1);
     benchmark::DoNotOptimize(models);
   }
 }
-BENCHMARK(BM_MemberCoreRouting)->Arg(100)->Arg(300)->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MemberCoreRouting)->Apply(RoutingShapes);
 
 void BM_LelaBuild(benchmark::State& state) {
   const size_t repos = static_cast<size_t>(state.range(0));

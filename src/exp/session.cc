@@ -224,12 +224,10 @@ Result<SimulationSession> SessionBuilder::BuildInternal(
   }
 
   // Pair statistics of each delay model are World-invariant; computing
-  // them here spares every run its own O(member^2) matrix scans (three
-  // per run before — two delay passes plus hops — which at 10k
-  // repositories is ~300M accumulator adds per sweep point).
+  // them here, in one fused pass per model, spares every run its own
+  // O(member^2) matrix scans.
   for (const net::OverlayDelayModel& delays : world->delays_) {
-    world->pair_delay_stats_.push_back(delays.PairDelayStats());
-    world->mean_pair_hops_.push_back(delays.MeanPairHops());
+    world->pair_stats_.push_back(delays.ComputePairStats());
   }
 
   // Compacted per-item change timelines are trace-invariant, so one copy

@@ -92,10 +92,10 @@ class World {
   /// that rescales the delay model recomputes delay stats from its
   /// scaled copy (hops are never rescaled).
   const StreamingStats& pair_delay_stats(size_t source_index = 0) const {
-    return pair_delay_stats_[source_index];
+    return pair_stats_[source_index].delay;
   }
   double mean_pair_hops(size_t source_index = 0) const {
-    return mean_pair_hops_[source_index];
+    return pair_stats_[source_index].mean_hops;
   }
   const std::vector<trace::Trace>& traces() const { return traces_; }
   /// Per-item compacted change timelines of traces(), built exactly once
@@ -129,8 +129,7 @@ class World {
   WorkloadConfig workload_;
   uint64_t seed_ = 0;
   std::vector<net::OverlayDelayModel> delays_;
-  std::vector<StreamingStats> pair_delay_stats_;
-  std::vector<double> mean_pair_hops_;
+  std::vector<net::OverlayDelayModel::PairStats> pair_stats_;
   std::vector<trace::Trace> traces_;
   core::ChangeTimelines change_timelines_;
   std::vector<core::InterestSet> interests_;

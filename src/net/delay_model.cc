@@ -1,6 +1,7 @@
 #include "net/delay_model.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -133,7 +134,7 @@ OverlayDelayModel::FromTopologyAllSources(const Topology& topo,
   // One row task per distinct member node: a source fills row 0 of its
   // own model; a repository fills row r+1 of every model. Tasks write
   // disjoint rows, so fanning them out over the pool is deterministic
-  // regardless of scheduling.
+  // whichever worker claims which row.
   struct RowTask {
     NodeId node;
     /// Source index owning the row, or SIZE_MAX for a repository row.
@@ -150,13 +151,15 @@ OverlayDelayModel::FromTopologyAllSources(const Topology& topo,
     tasks.push_back({repos[r], SIZE_MAX, static_cast<OverlayIndex>(r + 1)});
   }
 
+  /// A worker's search storage, reused by every row it routes.
   struct Scratch {
     std::vector<sim::SimTime> delay;
     std::vector<uint32_t> hops;
+    RadixFrontier frontier;
   };
   auto run_task = [&](const RowTask& task, Scratch& scratch) -> Status {
     core.ShortestPathsFrom(core.CoreIndex(task.node), scratch.delay,
-                           scratch.hops);
+                           scratch.hops, scratch.frontier);
     const size_t first = task.source_index == SIZE_MAX ? 0 : task.source_index;
     const size_t last =
         task.source_index == SIZE_MAX ? models.size() : task.source_index + 1;
@@ -183,14 +186,18 @@ OverlayDelayModel::FromTopologyAllSources(const Topology& topo,
     return models;
   }
 
-  // Per-row statuses keep the first (lowest-row) error deterministic.
+  // Workers claim rows from a shared cursor, so a slow worker routes
+  // fewer rows instead of holding up a fixed share. Per-row statuses
+  // keep the first (lowest-row) error deterministic.
   std::vector<Status> statuses(tasks.size(), Status::Ok());
+  std::atomic<size_t> next_task{0};
   ThreadPool pool(std::min(worker_threads, tasks.size()));
-  const size_t shard_count = pool.thread_count();
-  for (size_t shard = 0; shard < shard_count; ++shard) {
-    pool.Submit([&, shard] {
+  for (size_t worker = 0; worker < pool.thread_count(); ++worker) {
+    pool.Submit([&] {
       Scratch scratch;
-      for (size_t i = shard; i < tasks.size(); i += shard_count) {
+      for (size_t i = next_task.fetch_add(1, std::memory_order_relaxed);
+           i < tasks.size();
+           i = next_task.fetch_add(1, std::memory_order_relaxed)) {
         statuses[i] = run_task(tasks[i], scratch);
       }
     });
@@ -218,26 +225,20 @@ OverlayDelayModel OverlayDelayModel::Uniform(size_t member_count,
   return model;
 }
 
-StreamingStats OverlayDelayModel::PairDelayStats() const {
-  StreamingStats stats;
+OverlayDelayModel::PairStats OverlayDelayModel::ComputePairStats() const {
+  // The delay and hop chains are independent, so interleaving them lets
+  // one's divide overlap the other's; each still adds its pairs in
+  // row-major order, so every bit matches two separate passes.
+  StreamingStats delays;
+  StreamingStats hops;
   for (OverlayIndex i = 0; i < count_; ++i) {
     for (OverlayIndex j = 0; j < count_; ++j) {
       if (i == j) continue;
-      stats.Add(static_cast<double>(delay_[Idx(i, j)]));
+      delays.Add(static_cast<double>(delay_[Idx(i, j)]));
+      hops.Add(static_cast<double>(hops_[Idx(i, j)]));
     }
   }
-  return stats;
-}
-
-double OverlayDelayModel::MeanPairHops() const {
-  StreamingStats stats;
-  for (OverlayIndex i = 0; i < count_; ++i) {
-    for (OverlayIndex j = 0; j < count_; ++j) {
-      if (i == j) continue;
-      stats.Add(static_cast<double>(hops_[Idx(i, j)]));
-    }
-  }
-  return stats.mean();
+  return PairStats{delays, hops.mean()};
 }
 
 Result<OverlayDelayModel> OverlayDelayModel::ScaledToMeanDelay(

@@ -54,16 +54,17 @@ class OverlayDelayModel {
 
   /// The default builder: builds the topology's MemberCore once, then
   /// routes one member row at a time on it (Dijkstra through two
-  /// core-sized scratch buffers) straight into the compressed member x
-  /// member model(s) — one per source node, in SourceNodes() order —
-  /// without ever materializing a physical-node routing table. The core
-  /// keeps every member-to-member (delay, hops) exactly, so the result
-  /// is byte-identical to FloydWarshall or DijkstraRows +
-  /// FromRoutingWithSource, while each row searches ~24% of the nodes of
-  /// a generated topology.
+  /// core-sized scratch buffers and a RadixFrontier, reused row to row)
+  /// straight into the compressed member x member model(s) — one per
+  /// source node, in SourceNodes() order — without ever materializing a
+  /// physical-node routing table. The core keeps every member-to-member
+  /// (delay, hops) exactly, so the result is byte-identical to
+  /// FloydWarshall or DijkstraRows + FromRoutingWithSource, while each
+  /// row searches ~24% of the nodes of a generated topology.
   /// Rows are independent, so `worker_threads` > 1 fans them out over a
-  /// pool; results do not depend on the thread count. Fails if the
-  /// topology is disconnected or has no source.
+  /// pool whose workers claim rows from a shared cursor; results do not
+  /// depend on the thread count. Fails if the topology is disconnected
+  /// or has no source.
   static Result<std::vector<OverlayDelayModel>> FromTopologyAllSources(
       const Topology& topo, size_t worker_threads = 1);
 
@@ -88,11 +89,18 @@ class OverlayDelayModel {
   /// models).
   NodeId PhysicalNode(OverlayIndex m) const { return physical_[m]; }
 
-  /// Mean/min/max of off-diagonal pair delays (microseconds).
-  StreamingStats PairDelayStats() const;
+  /// Statistics of the off-diagonal pairs.
+  struct PairStats {
+    /// Mean/min/max of pair delays (microseconds).
+    StreamingStats delay;
+    /// Mean pair hop count.
+    double mean_hops = 0.0;
+  };
+  /// Fills both statistics in one row-major pass over the pairs.
+  PairStats ComputePairStats() const;
 
-  /// Mean off-diagonal pair hop count.
-  double MeanPairHops() const;
+  StreamingStats PairDelayStats() const { return ComputePairStats().delay; }
+  double MeanPairHops() const { return ComputePairStats().mean_hops; }
 
   /// Returns a copy whose mean pair delay equals `target_mean` (all pair
   /// delays scaled by a common factor). Used by the communication-delay

@@ -1,8 +1,7 @@
 #include "net/routing.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <utility>
 
 namespace d3t::net {
@@ -18,27 +17,24 @@ bool PathBeats(sim::SimTime delay, uint64_t hops, sim::SimTime best_delay,
 
 /// Dijkstra from `src` over `node_count` nodes on (delay, hops) keys.
 /// `for_each_arc(u, relax)` calls relax(v, delay, hops) for each arc
-/// leaving u.
+/// leaving u. The frontier pops equal delays in any order, so a node may
+/// be expanded before a fewer-hop path of the same delay reaches it. Such
+/// a path can only arrive over a zero-delay arc; it pushes the node
+/// again, and the node is expanded again with the better label. Each arc
+/// adds at least one hop, so the labels settle on the least (delay, hops)
+/// whatever the pop order.
 template <typename ForEachArc>
 void Dijkstra(size_t node_count, NodeId src, const ForEachArc& for_each_arc,
-              std::vector<sim::SimTime>& delay, std::vector<uint32_t>& hops) {
+              std::vector<sim::SimTime>& delay, std::vector<uint32_t>& hops,
+              RadixFrontier& frontier) {
   delay.assign(node_count, RoutingTables::kUnreachableDelay);
   hops.assign(node_count, RoutingTables::kUnreachableHops);
-  struct Entry {
-    sim::SimTime delay;
-    uint32_t hops;
-    NodeId node;
-    bool operator>(const Entry& other) const {
-      return PathBeats(other.delay, other.hops, delay, hops);
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> pq;
+  frontier.Reset();
   delay[src] = 0;
   hops[src] = 0;
-  pq.push({0, 0, src});
-  while (!pq.empty()) {
-    const Entry top = pq.top();
-    pq.pop();
+  frontier.Push({0, 0, src});
+  while (!frontier.empty()) {
+    const RadixFrontier::Entry top = frontier.Pop();
     if (PathBeats(delay[top.node], hops[top.node], top.delay, top.hops)) {
       continue;  // superseded
     }
@@ -48,13 +44,58 @@ void Dijkstra(size_t node_count, NodeId src, const ForEachArc& for_each_arc,
       if (PathBeats(nd, nh, delay[v], hops[v])) {
         delay[v] = nd;
         hops[v] = nh;
-        pq.push({nd, nh, v});
+        frontier.Push({nd, nh, v});
       }
     });
   }
 }
 
 }  // namespace
+
+void RadixFrontier::Reset() {
+  for (uint64_t mask = mask_; mask != 0; mask &= mask - 1) {
+    buckets_[__builtin_ctzll(mask)].clear();
+  }
+  mask_ = 0;
+  base_ = 0;
+}
+
+uint64_t RadixFrontier::File(const Entry& entry) {
+  const uint64_t diff = static_cast<uint64_t>(entry.delay ^ base_);
+  const int bucket = diff == 0 ? 0 : 64 - __builtin_clzll(diff);
+  buckets_[bucket].push_back(entry);
+  return uint64_t{1} << bucket;
+}
+
+void RadixFrontier::Push(const Entry& entry) {
+  assert(entry.delay >= base_ && "frontier key below the base");
+  mask_ |= File(entry);
+}
+
+RadixFrontier::Entry RadixFrontier::Pop() {
+  assert(!empty());
+  if ((mask_ & 1) == 0) Refill();
+  std::vector<Entry>& due = buckets_[0];
+  const Entry entry = due.back();
+  due.pop_back();
+  if (due.empty()) mask_ &= ~uint64_t{1};
+  return entry;
+}
+
+void RadixFrontier::Refill() {
+  // Every entry in bucket i agrees with its least delay on bits i-1 and
+  // up, so each lands in a lower bucket, never back in the one being
+  // read.
+  const int i = __builtin_ctzll(mask_);
+  std::vector<Entry>& bucket = buckets_[i];
+  sim::SimTime base = bucket.front().delay;
+  for (const Entry& entry : bucket) base = std::min(base, entry.delay);
+  base_ = base;
+  uint64_t mask = mask_ & ~(uint64_t{1} << i);
+  for (const Entry& entry : bucket) mask |= File(entry);
+  mask_ = mask;
+  bucket.clear();
+}
 
 RoutingTables::RoutingTables(size_t node_count) : rows_(node_count) {}
 
@@ -117,26 +158,28 @@ Result<RoutingTables> RoutingTables::FloydWarshall(const Topology& topo) {
 
 void RoutingTables::ShortestPathsFrom(const Topology& topo, NodeId src,
                                       std::vector<sim::SimTime>& delay,
-                                      std::vector<uint32_t>& hops) {
+                                      std::vector<uint32_t>& hops,
+                                      RadixFrontier& frontier) {
   assert(src < topo.node_count());
   Dijkstra(
       topo.node_count(), src,
       [&topo](NodeId u, const auto& relax) {
         for (const auto& [v, w] : topo.neighbors(u)) relax(v, w, 1);
       },
-      delay, hops);
+      delay, hops, frontier);
 }
 
 Result<RoutingTables> RoutingTables::DijkstraRows(
     const Topology& topo, const std::vector<NodeId>& rows) {
   RoutingTables t(topo.node_count());
+  RadixFrontier frontier;
   for (NodeId src : rows) {
     if (src >= topo.node_count()) {
       return Status::OutOfRange("dijkstra row out of range");
     }
     if (t.HasRow(src)) continue;  // duplicate request
     Row& row = t.rows_[src];
-    ShortestPathsFrom(topo, src, row.delay, row.hops);
+    ShortestPathsFrom(topo, src, row.delay, row.hops, frontier);
     for (NodeId j = 0; j < topo.node_count(); ++j) {
       if (row.delay[j] >= kUnreachableDelay) {
         return Status::FailedPrecondition("topology is disconnected");
@@ -232,7 +275,8 @@ MemberCore::MemberCore(const Topology& topo)
 
 void MemberCore::ShortestPathsFrom(NodeId core_src,
                                    std::vector<sim::SimTime>& delay,
-                                   std::vector<uint32_t>& hops) const {
+                                   std::vector<uint32_t>& hops,
+                                   RadixFrontier& frontier) const {
   assert(core_src < node_count());
   Dijkstra(
       node_count(), core_src,
@@ -241,7 +285,7 @@ void MemberCore::ShortestPathsFrom(NodeId core_src,
           relax(arcs_[a].to, arcs_[a].delay, arcs_[a].hops);
         }
       },
-      delay, hops);
+      delay, hops, frontier);
 }
 
 }  // namespace d3t::net

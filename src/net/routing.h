@@ -1,7 +1,9 @@
 #ifndef D3T_NET_ROUTING_H_
 #define D3T_NET_ROUTING_H_
 
+#include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -10,6 +12,50 @@
 #include "sim/time.h"
 
 namespace d3t::net {
+
+/// The frontier of a shortest-path search: a monotone radix heap of
+/// (delay, hops, node) entries keyed on delay (Ahuja, Mehlhorn, Orlin &
+/// Tarjan, JACM 1990), as in sim::EventQueue. Link delays are
+/// non-negative, so every push is at or after the base, the delay of the
+/// last entry popped, and an entry is filed by its delay relative to it:
+/// bucket i > 0 holds the delays that first differ from the base at bit
+/// i-1, and bucket 0 the delays equal to it. Equal delays pop in no
+/// fixed order. The buckets keep their capacity, so successive searches
+/// through one frontier allocate nothing once it is warm.
+class RadixFrontier {
+ public:
+  struct Entry {
+    sim::SimTime delay;
+    uint32_t hops;
+    NodeId node;
+  };
+
+  /// Empties the frontier and puts the base back at 0.
+  void Reset();
+  bool empty() const { return mask_ == 0; }
+  /// Files `entry`, whose delay must be at least the base.
+  void Push(const Entry& entry);
+  /// Removes and returns an entry of least delay, which becomes the
+  /// base. Must not be called when empty.
+  Entry Pop();
+
+ private:
+  /// Delays are non-negative, so one differs from the base in at most
+  /// bits 0..62.
+  static constexpr size_t kBuckets = 64;
+
+  /// Appends `entry` to its bucket and returns that bucket's mask bit.
+  uint64_t File(const Entry& entry);
+  /// Makes the lowest non-empty bucket's least delay the base and files
+  /// the bucket's entries below it. Bucket 0 must be empty.
+  void Refill();
+
+  std::array<std::vector<Entry>, kBuckets> buckets_;
+  /// Bit i is set iff bucket i holds entries.
+  uint64_t mask_ = 0;
+  /// Delay of the last entry popped; no entry is below it.
+  sim::SimTime base_ = 0;
+};
 
 /// All-pairs shortest-path tables (delay and hop count), stored as a
 /// *row table*: only rows that were actually computed are allocated.
@@ -76,18 +122,21 @@ class RoutingTables {
   static Result<RoutingTables> FloydWarshall(const Topology& topo);
 
   /// Runs Dijkstra from each node in `rows` only; other rows are never
-  /// allocated. O(|rows| * E log V) time and O(|rows| * V) memory — used
-  /// for large networks. Duplicate row requests are computed once.
+  /// allocated. O(|rows| * (E + V log C)) time, C the largest path
+  /// delay, and O(|rows| * V) memory — used for large networks.
+  /// Duplicate row requests are computed once.
   static Result<RoutingTables> DijkstraRows(const Topology& topo,
                                             const std::vector<NodeId>& rows);
 
   /// Streaming single-row shortest paths: fills `delay`/`hops` (resized
   /// to the node count, unreachable entries left at the sentinels) with
-  /// the shortest paths from `src`, allocating nothing beyond the two
-  /// caller-owned buffers and the search's heap. `src` must be in range.
+  /// the shortest paths from `src`, searching through `frontier`. It
+  /// allocates nothing beyond growing the three caller-owned buffers.
+  /// `src` must be in range.
   static void ShortestPathsFrom(const Topology& topo, NodeId src,
                                 std::vector<sim::SimTime>& delay,
-                                std::vector<uint32_t>& hops);
+                                std::vector<uint32_t>& hops,
+                                RadixFrontier& frontier);
 
  private:
   /// One computed row; `delay`/`hops` are empty until routed.
@@ -123,7 +172,8 @@ class RoutingTables {
 /// (delay, hops) distances between core nodes therefore equal those
 /// between the same physical nodes. On generated topologies the core
 /// holds ~24% of the nodes. Arcs are stored as CSR arrays. Immutable
-/// once built, so concurrent ShortestPathsFrom calls are safe.
+/// once built, so concurrent ShortestPathsFrom calls, each through its
+/// own frontier, are safe.
 class MemberCore {
  public:
   explicit MemberCore(const Topology& topo);
@@ -140,7 +190,8 @@ class MemberCore {
   /// resized to node_count() and indexed by core index. `core_src` must
   /// be a core index.
   void ShortestPathsFrom(NodeId core_src, std::vector<sim::SimTime>& delay,
-                         std::vector<uint32_t>& hops) const;
+                         std::vector<uint32_t>& hops,
+                         RadixFrontier& frontier) const;
 
  private:
   struct Arc {

@@ -221,24 +221,29 @@ Status Node::Ingest(const net::wire::Frame& frame) {
   }
 }
 
-Result<std::vector<trace::Trace>> Node::MaterializeTraces() const {
+Result<std::vector<trace::Trace>> Node::TakeTraces() {
   if (!feed_status_.ok()) return feed_status_;
   if (!feed_complete_) {
     return Status::FailedPrecondition(
         "serve before the feed completed (no shutdown frame yet)");
   }
-  // Materialize the ingested feed as the engine's trace library. Copies
-  // (not moves) so a node can be served repeatedly from one feed.
+  if (served_) {
+    return Status::FailedPrecondition(
+        "node already served: the first Serve() took the ingested feed");
+  }
+  served_ = true;
   std::vector<trace::Trace> traces;
   traces.reserve(ticks_.size());
   for (size_t item = 0; item < ticks_.size(); ++item) {
-    traces.emplace_back("item" + std::to_string(item), ticks_[item]);
+    traces.emplace_back("item" + std::to_string(item),
+                        std::move(ticks_[item]));
   }
+  ticks_.clear();
   return traces;
 }
 
 Result<NodeReport> Node::Serve() {
-  Result<std::vector<trace::Trace>> traces_result = MaterializeTraces();
+  Result<std::vector<trace::Trace>> traces_result = TakeTraces();
   if (!traces_result.ok()) return traces_result.status();
   const std::vector<trace::Trace>& traces = *traces_result;
 

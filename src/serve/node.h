@@ -100,7 +100,9 @@ class Node {
 
   /// Replays the ingested feed through a core::Engine with every
   /// inter-member push framed over the data transport, and returns the
-  /// combined report. FailedPrecondition before feed_complete().
+  /// combined report. The feed's ticks move into the engine's trace
+  /// library, so a node serves once: FailedPrecondition before
+  /// feed_complete() and on a second call.
   Result<NodeReport> Serve();
 
  private:
@@ -111,8 +113,8 @@ class Node {
   Status MisaddressedError(const char* kind, uint32_t node) const;
   /// Sends one kResubscribe for the cursor; budget-checked.
   Status SendResubscribe();
-  /// Ingested feed as the engine's trace library.
-  Result<std::vector<trace::Trace>> MaterializeTraces() const;
+  /// Moves the ingested feed into the engine's trace library.
+  Result<std::vector<trace::Trace>> TakeTraces();
 
   core::Overlay& overlay_;
   const net::OverlayDelayModel& delays_;
@@ -122,9 +124,12 @@ class Node {
 
   bool hello_seen_ = false;
   bool feed_complete_ = false;
+  /// True once Serve() took the ingested ticks.
+  bool served_ = false;
   Status feed_status_;
-  /// Per-item ingested ticks, trace order. ticks_[item][0] is the
-  /// synchronized initial value (tick_index 0 on the wire).
+  /// Per-item ingested ticks, trace order, until Serve() takes them.
+  /// ticks_[item][0] is the synchronized initial value (tick_index 0 on
+  /// the wire).
   std::vector<std::vector<trace::Tick>> ticks_;
   std::vector<core::ScenarioOp> scenario_ops_;
   uint64_t feed_frames_ = 0;

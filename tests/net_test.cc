@@ -1,11 +1,13 @@
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "common/stats.h"
 #include "gtest/gtest.h"
 #include "net/delay_model.h"
 #include "net/routing.h"
@@ -292,11 +294,68 @@ TEST(RoutingTest, StreamingRowMatchesDijkstraTables) {
   ASSERT_TRUE(dj.ok());
   std::vector<sim::SimTime> delay;
   std::vector<uint32_t> hops;
-  RoutingTables::ShortestPathsFrom(*topo, 4, delay, hops);
+  RadixFrontier frontier;
+  RoutingTables::ShortestPathsFrom(*topo, 4, delay, hops, frontier);
   ASSERT_EQ(delay.size(), topo->node_count());
   for (NodeId j = 0; j < topo->node_count(); ++j) {
     EXPECT_EQ(delay[j], dj->Delay(4, j)) << "col " << j;
     EXPECT_EQ(hops[j], dj->Hops(4, j)) << "col " << j;
+  }
+}
+
+TEST(RoutingTest, DijkstraRowsMatchFloydWarshallOnWideDelays) {
+  // Link delays drawn log-uniformly from 0 to 2^40 us, with extra zeros
+  // and repeats, reach every bucket a 41-bit key files into, refill
+  // across wide gaps, and re-expand nodes whose label improves over a
+  // zero-delay link after they were expanded. Every row must match
+  // Floyd-Warshall in delay and hops.
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::vector<sim::SimTime> drawn;
+    auto draw_delay = [&rng, &drawn] {
+      sim::SimTime delay = 0;
+      const uint64_t kind = rng.NextBounded(8);
+      if (kind == 1 && !drawn.empty()) {
+        delay = drawn[rng.NextBounded(drawn.size())];
+      } else if (kind > 1) {
+        const uint64_t bits = rng.NextBounded(41);
+        if (bits > 0) {
+          const uint64_t low = uint64_t{1} << (bits - 1);
+          delay = static_cast<sim::SimTime>(low + rng.NextBounded(low));
+        }
+      }
+      drawn.push_back(delay);
+      return delay;
+    };
+    const NodeId n = static_cast<NodeId>(4 + rng.NextBounded(40));
+    Topology topo(n);
+    for (NodeId v = 1; v < n; ++v) {
+      const NodeId parent = static_cast<NodeId>(rng.NextBounded(v));
+      ASSERT_TRUE(topo.AddLink(v, parent, draw_delay()).ok());
+    }
+    for (uint64_t i = rng.NextBounded(2 * n); i > 0; --i) {
+      const NodeId a = static_cast<NodeId>(rng.NextBounded(n));
+      const NodeId b = static_cast<NodeId>(rng.NextBounded(n));
+      if (a != b) {
+        ASSERT_TRUE(topo.AddLink(a, b, draw_delay()).ok());
+      }
+    }
+    std::vector<NodeId> rows(n);
+    for (NodeId v = 0; v < n; ++v) rows[v] = v;
+    rng.Shuffle(rows);
+    Result<RoutingTables> floyd = RoutingTables::FloydWarshall(topo);
+    Result<RoutingTables> dijkstra = RoutingTables::DijkstraRows(topo, rows);
+    ASSERT_TRUE(floyd.ok());
+    ASSERT_TRUE(dijkstra.ok());
+    for (NodeId i = 0; i < n; ++i) {
+      for (NodeId j = 0; j < n; ++j) {
+        ASSERT_EQ(dijkstra->Delay(i, j), floyd->Delay(i, j))
+            << "row " << i << " col " << j;
+        ASSERT_EQ(dijkstra->Hops(i, j), floyd->Hops(i, j))
+            << "row " << i << " col " << j;
+      }
+    }
   }
 }
 
@@ -329,8 +388,9 @@ TEST(RoutingTest, MemberCorePrunesLeavesAndContractsChains) {
 
   std::vector<sim::SimTime> full_delay, core_delay;
   std::vector<uint32_t> full_hops, core_hops;
-  RoutingTables::ShortestPathsFrom(topo, 0, full_delay, full_hops);
-  core.ShortestPathsFrom(core.CoreIndex(0), core_delay, core_hops);
+  RadixFrontier frontier;
+  RoutingTables::ShortestPathsFrom(topo, 0, full_delay, full_hops, frontier);
+  core.ShortestPathsFrom(core.CoreIndex(0), core_delay, core_hops, frontier);
   ASSERT_EQ(core_delay.size(), core.node_count());
   for (NodeId n : {0u, 3u, 4u, 9u}) {
     EXPECT_EQ(core_delay[core.CoreIndex(n)], full_delay[n]) << "node " << n;
@@ -611,8 +671,9 @@ TEST(DelayModelTest, StreamingBuilderMatchesRoutedExtraction) {
   // FromTopologyAllSources routes each member row on the member core. It
   // must match both full-graph references, DijkstraRows and
   // FloydWarshall through FromRoutingWithSource, in every delay and hop
-  // count, at any worker thread count, on every shape the core's
-  // reductions meet.
+  // count, at any worker thread count (which rows each worker claims
+  // from the shared cursor must not matter; 3 workers split most
+  // shapes' rows unevenly), on every shape the core's reductions meet.
   for (Shape shape :
        {Shape::kBase, Shape::kThreeSources, Shape::kParallelLinks,
         Shape::kZeroDelays, Shape::kRepositoryInChain,
@@ -630,7 +691,7 @@ TEST(DelayModelTest, StreamingBuilderMatchesRoutedExtraction) {
       Result<RoutingTables> floyd = RoutingTables::FloydWarshall(topo);
       ASSERT_TRUE(dijkstra.ok());
       ASSERT_TRUE(floyd.ok());
-      for (size_t threads : {1u, 4u}) {
+      for (size_t threads : {1u, 3u, 4u}) {
         Result<std::vector<OverlayDelayModel>> streamed =
             OverlayDelayModel::FromTopologyAllSources(topo, threads);
         ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
@@ -673,7 +734,7 @@ TEST(DelayModelTest, HopCountsAreCanonicalOnEqualDelayPaths) {
     EXPECT_EQ(routing->Hops(0, 3), 2u);
     EXPECT_EQ(routing->Hops(3, 0), 2u);
   }
-  for (size_t threads : {1u, 4u}) {
+  for (size_t threads : {1u, 3u, 4u}) {
     Result<std::vector<OverlayDelayModel>> models =
         OverlayDelayModel::FromTopologyAllSources(topo, threads);
     ASSERT_TRUE(models.ok());
@@ -681,6 +742,49 @@ TEST(DelayModelTest, HopCountsAreCanonicalOnEqualDelayPaths) {
     EXPECT_EQ(model.Delay(0, 1), sim::Millis(3));
     EXPECT_EQ(model.Hops(0, 1), 2u) << threads << " threads";
     EXPECT_EQ(model.Hops(1, 0), 2u) << threads << " threads";
+  }
+}
+
+uint64_t Bits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return bits;
+}
+
+TEST(DelayModelTest, PairStatsMatchSequentialStreamingStats) {
+  // Eq. (2)'s cooperation degree and ScaledToMeanDelay read the mean
+  // pair delay's bits, so the fused pass must equal, bit for bit, one
+  // StreamingStats per statistic filled in row-major off-diagonal order.
+  for (size_t source_count : {1u, 3u}) {
+    SCOPED_TRACE(std::to_string(source_count) + " sources");
+    Rng rng(42);
+    TopologyGeneratorOptions options;  // 600 routers + 100 repositories
+    options.source_count = source_count;
+    Result<Topology> topo = GenerateTopology(options, rng);
+    ASSERT_TRUE(topo.ok());
+    Result<std::vector<OverlayDelayModel>> models =
+        OverlayDelayModel::FromTopologyAllSources(*topo);
+    ASSERT_TRUE(models.ok()) << models.status().ToString();
+    ASSERT_EQ(models->size(), source_count);
+    for (const OverlayDelayModel& model : *models) {
+      StreamingStats delays;
+      StreamingStats hops;
+      for (OverlayIndex i = 0; i < model.member_count(); ++i) {
+        for (OverlayIndex j = 0; j < model.member_count(); ++j) {
+          if (i == j) continue;
+          delays.Add(static_cast<double>(model.Delay(i, j)));
+          hops.Add(static_cast<double>(model.Hops(i, j)));
+        }
+      }
+      const OverlayDelayModel::PairStats fused = model.ComputePairStats();
+      EXPECT_EQ(fused.delay.count(), delays.count());
+      EXPECT_EQ(Bits(fused.delay.mean()), Bits(delays.mean()));
+      EXPECT_EQ(Bits(fused.delay.min()), Bits(delays.min()));
+      EXPECT_EQ(Bits(fused.delay.max()), Bits(delays.max()));
+      EXPECT_EQ(Bits(fused.mean_hops), Bits(hops.mean()));
+      EXPECT_EQ(Bits(model.PairDelayStats().mean()), Bits(delays.mean()));
+      EXPECT_EQ(Bits(model.MeanPairHops()), Bits(hops.mean()));
+    }
   }
 }
 

@@ -157,6 +157,39 @@ TEST(ServeTest, PipelineIsByteIdenticalToDirectRun) {
   EXPECT_EQ(report->data.decode_errors, 0u);
 }
 
+TEST(ServeTest, ServesOnceBecauseServingTakesTheIngestedFeed) {
+  // Serve() moves the ingested ticks into the engine's trace library
+  // instead of copying them, so the node serves once; a second call is
+  // a precise FailedPrecondition, not a run on an empty library.
+  const exp::SimulationSession session = SmallSession();
+  const exp::World& world = session.world();
+  const core::EngineMetrics direct =
+      RunDirect(world, core::EngineOptions{}, /*scenario=*/nullptr);
+  core::Overlay overlay = BuildFixtureOverlay(world);
+  net::InProcTransport feed(2, 32);
+  net::InProcTransport data(overlay.member_count(), 64);
+  serve::NodeOptions node_options;
+  node_options.policy = kPolicy;
+  serve::Node node(overlay, world.delays(), feed, data, node_options);
+  serve::FeedPublisher publisher(world.traces(), /*scenario=*/nullptr,
+                                 overlay.member_count(), kSeed, feed,
+                                 /*self=*/1, {0});
+  DriveFeedOk(publisher, node);
+
+  Result<serve::NodeReport> first = node.Serve();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ExpectIdentical(direct, first->engine);
+  EXPECT_EQ(first->feed_frames, TotalTicks(world) + 2);
+  EXPECT_EQ(first->data.frames_rx, first->engine.messages);
+
+  Result<serve::NodeReport> second = node.Serve();
+  ASSERT_FALSE(second.ok());
+  EXPECT_TRUE(second.status().IsFailedPrecondition())
+      << second.status().ToString();
+  EXPECT_EQ(second.status().message(),
+            "node already served: the first Serve() took the ingested feed");
+}
+
 TEST(ServeTest, EngineRegistryReceivesEngineAndNodeEntries) {
   // NodeOptions::engine is the registry's one home: the engine's
   // "engine.*" metrics and the node's "node.*" counters both land in it.
