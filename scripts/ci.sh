@@ -51,6 +51,10 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# Every build and test step runs one job per core: a bare -j leaves make
+# with no job limit.
+JOBS="$(nproc 2>/dev/null || echo 1)"
+
 if [[ -n "${D3T_LINT:-}" ]]; then
   echo "== d3t-lint: fixture selftest =="
   python3 tools/lint/d3t_lint.py --selftest
@@ -66,7 +70,7 @@ if [[ -n "${D3T_BENCH_SMOKE:-}" ]]; then
     -DD3T_BUILD_BENCH=ON \
     -DD3T_BUILD_TESTS=OFF \
     -DD3T_BUILD_EXAMPLES=OFF
-  cmake --build "$BUILD_DIR" -j
+  cmake --build "$BUILD_DIR" -j "$JOBS"
   # One measured iteration per google-benchmark binary. The `1x`
   # iteration syntax needs google-benchmark >= 1.8; probe flag support
   # via --benchmark_list_tests (parses flags, runs nothing) so the
@@ -117,7 +121,7 @@ if [[ -n "${D3T_DISTRIBUTED_SMOKE:-}" || -n "${D3T_CHAOS_SMOKE:-}" ]]; then
     -DD3T_BUILD_TESTS=OFF \
     -DD3T_BUILD_BENCH=OFF \
     -DD3T_BUILD_EXAMPLES=ON
-  cmake --build "$BUILD_DIR" -j
+  cmake --build "$BUILD_DIR" -j "$JOBS"
   TRACE_DIR=trace-results
   mkdir -p "$TRACE_DIR"
   if [[ -n "${D3T_CHAOS_SMOKE:-}" ]]; then
@@ -142,10 +146,10 @@ if [[ -n "${D3T_SANITIZE:-}" ]]; then
 fi
 
 cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]+"${CMAKE_ARGS[@]}"}"
-cmake --build "$BUILD_DIR" -j
+cmake --build "$BUILD_DIR" -j "$JOBS"
 if [[ -n "${D3T_TEST_FILTER:-}" ]]; then
-  # -R must precede the bare -j, which would otherwise consume it.
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -R "$D3T_TEST_FILTER" -j
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
+    -R "$D3T_TEST_FILTER"
 else
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -j
+  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 fi

@@ -190,6 +190,8 @@ Result<EngineMetrics> Engine::Run() {
       tracker_active_[tid] = 1;
     }
   }
+  // Every run ends with the log replayed, so it starts empty.
+  tracked_values_.reserve(kTrackedValueLogCapacity);
 
   // Scenario runtime state. The liveness bitmap is always allocated (a
   // single byte test on the delivery path); everything else stays empty
@@ -462,11 +464,15 @@ sim::SimTime Engine::ProcessOneJob(sim::SimTime start, OverlayIndex node,
     options_.recorder->RecordAt(start, obs::TraceEventKind::kJobProcessed,
                                 node, job.item, obs::DoubleBits(job.value));
   }
-  // Apply the value locally (refreshes this repository's copy).
+  // Apply the value locally (refreshes this repository's copy); its
+  // tracker hears of it when the log is next replayed.
   if (node != kSourceOverlayIndex) {
     const TrackerId tid = overlay_.tracker_id(node, job.item);
     if (tid != kInvalidTrackerId && tracker_active_[tid]) {
-      trackers_[tid].OnRepositoryValue(start, job.value);
+      tracked_values_.push_back(TrackedValue{tid, start, job.value});
+      if (tracked_values_.size() == kTrackedValueLogCapacity) {
+        FlushTrackedValues();
+      }
     }
   }
 
@@ -565,7 +571,15 @@ void Engine::DrainWireFrames(OverlayIndex to) {
   }
 }
 
+void Engine::FlushTrackedValues() {
+  for (const TrackedValue& logged : tracked_values_) {
+    trackers_[logged.tracker].OnRepositoryValue(logged.start, logged.value);
+  }
+  tracked_values_.clear();
+}
+
 void Engine::FinalizeTrackers(sim::SimTime t) {
+  FlushTrackedValues();
   // Close the outage windows of members still down at the horizon
   // before finalizing (SyncTo inside needs live trackers).
   for (OverlayIndex m = 0; m < failed_.size(); ++m) {
@@ -594,6 +608,9 @@ size_t Engine::CountOrphanedPairs() const {
 
 void Engine::HandleScenario(sim::SimTime t, uint32_t op_index,
                             uint64_t phase) {
+  // Ops read trackers and rewrite the overlay their ids came from, so
+  // every logged value lands first.
+  FlushTrackedValues();
   // One heap entry per scheduled scenario event; events fire in time
   // order, so the top is this event's own time.
   assert(!scenario_pending_times_.empty() &&
@@ -662,6 +679,7 @@ void Engine::ApplyFail(sim::SimTime t, uint32_t op_index, OverlayIndex m) {
   captured_needs_[m] = std::move(det->needs);
   // Snapshot each tracked pair's staleness at the failure instant so
   // the recovery (or the horizon) can attribute the outage's share.
+  assert(tracked_values_.empty());
   outage_snap_[m].clear();
   outage_snap_[m].reserve(captured_needs_[m].size());
   for (const MemberNeed& need : captured_needs_[m]) {
@@ -690,6 +708,7 @@ void Engine::ApplyFail(sim::SimTime t, uint32_t op_index, OverlayIndex m) {
 }
 
 void Engine::CloseOutageWindow(sim::SimTime t, OverlayIndex m) {
+  assert(tracked_values_.empty());
   const sim::SimTime dt = t - fail_time_[m];
   for (size_t i = 0; i < captured_needs_[m].size(); ++i) {
     const TrackerId tid =
@@ -879,6 +898,7 @@ void Engine::ApplyCoherencyChange(sim::SimTime t, OverlayIndex m,
                                  source_values_[item]);
   const TrackerId tid = overlay_.tracker_id(m, item);
   if (tid != kInvalidTrackerId && tracker_active_[tid]) {
+    assert(tracked_values_.empty());
     // Old tolerance covers [.., t), the renegotiated one applies onward.
     trackers_[tid].SyncTo(t);
     trackers_[tid].set_coherency(c);

@@ -167,7 +167,13 @@ struct EngineMetrics {
 /// FinalizeHook — decoded by one switch. Fidelity trackers are
 /// lazy: they integrate the source process straight from the trace
 /// timeline on repository-value changes and at the FinalizeHook, so a
-/// source tick costs O(1) instead of O(holders of the item).
+/// source tick costs O(1) instead of O(holders of the item). The event
+/// loop does not call them either: a job that refreshes a tracked pair
+/// appends a 24-byte {tracker, start, value} record to a flat log, and
+/// the log is replayed into the trackers, in call order, when it holds
+/// kTrackedValueLogCapacity records, before every scenario event and
+/// at the FinalizeHook — so a tracker is current whenever something
+/// reads it, and every metric is byte-identical to calling it inline.
 class Engine final : public sim::EventHandler {
  public:
   /// All referenced objects must outlive the engine. `traces[i]` is the
@@ -209,6 +215,21 @@ class Engine final : public sim::EventHandler {
   static_assert(std::is_trivially_copyable_v<Job>,
                 "delivery-batch job slots must stay trivially copyable "
                 "— they are memcpy'd through pooled batch spans");
+  /// One logged FidelityTracker::OnRepositoryValue call.
+  // d3t-lint: pod-event
+  struct TrackedValue {
+    TrackerId tracker = kInvalidTrackerId;
+    sim::SimTime start = 0;
+    double value = 0.0;
+  };
+  static_assert(sizeof(TrackedValue) == 24,
+                "tracked-value records are 24-byte PODs; the log's fixed "
+                "size is kTrackedValueLogCapacity of them");
+  static_assert(std::is_trivially_copyable_v<TrackedValue>,
+                "tracked-value records must stay trivially copyable");
+  /// Records the tracked-value log holds before it replays itself into
+  /// the trackers (384 KiB of records, the same for every world).
+  static constexpr size_t kTrackedValueLogCapacity = size_t{1} << 14;
   static constexpr uint32_t kNoBatch = UINT32_MAX;
   /// One scheduled delivery event: every job arriving at `node` at
   /// `arrival`. The first job is stored inline so the common singleton
@@ -270,6 +291,10 @@ class Engine final : public sim::EventHandler {
   /// they carry. The first malformed frame (wrong type or address,
   /// unknown item, arrival before the clock) poisons `wire_status_`.
   void DrainWireFrames(OverlayIndex to);
+  /// Replays the tracked-value log into the trackers in call order and
+  /// empties it. Each tracker thus receives exactly the calls the loop
+  /// logged for it, in order, before anything reads it.
+  void FlushTrackedValues();
   void FinalizeTrackers(sim::SimTime t);
 
   // -- Scenario runtime (inert without a scenario) --------------------
@@ -343,6 +368,10 @@ class Engine final : public sim::EventHandler {
   /// timeline and never receives per-tick source pushes.
   std::vector<FidelityTracker> trackers_;
   std::vector<uint8_t> tracker_active_;
+  /// Repository values of tracked pairs, logged by ProcessOneJob in call
+  /// order and not yet replayed into `trackers_` (see
+  /// FlushTrackedValues). Reserved to kTrackedValueLogCapacity by Run().
+  std::vector<TrackedValue> tracked_values_;
   EngineMetrics metrics_;
 
   /// Scripted mid-run dynamics; null or empty leaves every scenario

@@ -47,16 +47,31 @@ void FidelityTracker::Advance(sim::SimTime t) {
 }
 
 void FidelityTracker::IntegrateSourceTo(sim::SimTime t) {
+  // Every caller returns first once finalized, so the walk runs on
+  // locals with no check per tick. A poll repeating the previous value
+  // (absent from a compacted timeline) only splits a constant interval,
+  // which leaves the integer sum and the violation flag as they were.
   const std::vector<trace::Tick>& ticks = *source_timeline_;
-  while (source_cursor_ < ticks.size() && ticks[source_cursor_].time <= t) {
-    const trace::Tick& tick = ticks[source_cursor_++];
-    // A poll repeating the previous value is not a source update
-    // (already absent from a compacted timeline).
-    if (tick.value == source_value_) continue;
-    Advance(tick.time);
-    source_value_ = tick.value;
-    violated_ = MeasuredViolation(source_value_, repo_value_, c_);
+  const size_t end = ticks.size();
+  const double bound = c_ + kFidelitySlack;
+  const double repo = repo_value_;
+  size_t cursor = source_cursor_;
+  double source = source_value_;
+  sim::SimTime last = last_event_;
+  sim::SimTime out = out_of_sync_time_;
+  bool violated = violated_;
+  for (; cursor < end && ticks[cursor].time <= t; ++cursor) {
+    const trace::Tick& tick = ticks[cursor];
+    out += violated ? tick.time - last : 0;
+    last = tick.time;
+    source = tick.value;
+    violated = std::abs(source - repo) > bound;
   }
+  source_cursor_ = cursor;
+  source_value_ = source;
+  last_event_ = last;
+  out_of_sync_time_ = out;
+  violated_ = violated;
 }
 
 void FidelityTracker::OnRepositoryValue(sim::SimTime t, double value) {

@@ -23,9 +23,16 @@ namespace d3t::core {
 /// *compacted* timeline (initial tick plus value changes only, e.g.
 /// Engine's per-item change timeline) so the per-tracker walk skips
 /// value-repeating polls; a raw Trace::ticks() works too, at one extra
-/// compare per repeat, and gives bit-identical results: splitting a
+/// step per repeat, and gives bit-identical results: splitting a
 /// constant-violation interval at extra event points never changes the
-/// integer out-of-sync sum.
+/// integer out-of-sync sum. The walk keeps its state in locals and adds
+/// each interval with a conditional add, not a branch, so its cost is
+/// one dependent step per source change it crosses.
+///
+/// Results depend only on the order of one tracker's own calls, never
+/// on when they are made: Engine logs the repository values its event
+/// loop produces and replays them in batches, before anything reads a
+/// tracker (PullEngine calls its trackers directly).
 class FidelityTracker {
  public:
   FidelityTracker() = default;

@@ -160,16 +160,6 @@ void Overlay::TightenItemEdge(OverlayIndex parent, OverlayIndex child,
   }
 }
 
-bool Overlay::Holds(OverlayIndex m, ItemId item) const {
-  return held_[SlotIndex(m, item)] != 0;
-}
-
-const ItemServing& Overlay::Serving(OverlayIndex m, ItemId item) const {
-  const ItemServing* s = FindSlot(m, item);
-  assert(s != nullptr);
-  return *s;
-}
-
 std::vector<ItemId> Overlay::ItemsHeldBy(OverlayIndex m) const {
   std::vector<ItemId> out;
   for (ItemId item = 0; item < item_count_; ++item) {

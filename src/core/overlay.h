@@ -1,6 +1,7 @@
 #ifndef D3T_CORE_OVERLAY_H_
 #define D3T_CORE_OVERLAY_H_
 
+#include <cassert>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -118,10 +119,15 @@ class Overlay {
                        Coherency c);
 
   /// True when `m` holds `item` (either own interest or serving others).
-  bool Holds(OverlayIndex m, ItemId item) const;
+  bool Holds(OverlayIndex m, ItemId item) const {
+    return held_[SlotIndex(m, item)] != 0;
+  }
 
   /// Serving record; Holds() must be true.
-  const ItemServing& Serving(OverlayIndex m, ItemId item) const;
+  const ItemServing& Serving(OverlayIndex m, ItemId item) const {
+    assert(Holds(m, item));
+    return servings_[SlotIndex(m, item)];
+  }
 
   /// Items held by `m`, ascending.
   std::vector<ItemId> ItemsHeldBy(OverlayIndex m) const;

@@ -265,7 +265,8 @@ Result<ExperimentResult> SimulationSession::Run(const RunSpec& spec) const {
   if (spec.policy.comm_delay_mean_ms != 0.0) {
     // A negative mean forces all-zero delays.
     Result<net::OverlayDelayModel> rescaled = delays_ptr->ScaledToMeanDelay(
-        std::max<sim::SimTime>(0, sim::Millis(spec.policy.comm_delay_mean_ms)));
+        std::max<sim::SimTime>(0, sim::Millis(spec.policy.comm_delay_mean_ms)),
+        world.pair_delay_stats(spec.source_index).mean());
     if (!rescaled.ok()) return rescaled.status();
     scaled = std::move(rescaled).value();
     delays_ptr = &*scaled;

@@ -242,7 +242,7 @@ OverlayDelayModel::PairStats OverlayDelayModel::ComputePairStats() const {
 }
 
 Result<OverlayDelayModel> OverlayDelayModel::ScaledToMeanDelay(
-    sim::SimTime target_mean) const {
+    sim::SimTime target_mean, double current_mean) const {
   constexpr PackedDelay kMaxPacked = std::numeric_limits<PackedDelay>::max();
   auto out_of_range = [target_mean] {
     return Status::OutOfRange(
@@ -251,8 +251,7 @@ Result<OverlayDelayModel> OverlayDelayModel::ScaledToMeanDelay(
         "store");
   };
   OverlayDelayModel out = *this;
-  const double current = PairDelayStats().mean();
-  if (current <= 0.0 || target_mean <= 0) {
+  if (current_mean <= 0.0 || target_mean <= 0) {
     for (auto& d : out.delay_) d = 0;
     if (target_mean <= 0) return out;
     // Degenerate input model: fall back to a uniform target delay.
@@ -265,7 +264,7 @@ Result<OverlayDelayModel> OverlayDelayModel::ScaledToMeanDelay(
     }
     return out;
   }
-  const double factor = static_cast<double>(target_mean) / current;
+  const double factor = static_cast<double>(target_mean) / current_mean;
   for (auto& d : out.delay_) {
     const double scaled = std::round(static_cast<double>(d) * factor);
     if (scaled > kMaxPacked) return out_of_range();

@@ -104,10 +104,13 @@ class OverlayDelayModel {
 
   /// Returns a copy whose mean pair delay equals `target_mean` (all pair
   /// delays scaled by a common factor). Used by the communication-delay
-  /// sweeps (Figs. 5 and 7b). A zero target zeroes all delays.
-  /// OutOfRange when a scaled pair delay does not fit the 32-bit
-  /// microsecond store.
-  Result<OverlayDelayModel> ScaledToMeanDelay(sim::SimTime target_mean) const;
+  /// sweeps (Figs. 5 and 7b). `current_mean` must be this model's
+  /// PairDelayStats().mean(); callers pass it in because they hold it
+  /// already (exp::World caches it), which spares an O(members^2) pass.
+  /// A zero target zeroes all delays. OutOfRange when a scaled pair
+  /// delay does not fit the 32-bit microsecond store.
+  Result<OverlayDelayModel> ScaledToMeanDelay(sim::SimTime target_mean,
+                                              double current_mean) const;
 
  private:
   /// Packed pair entries; see the class comment.

@@ -664,5 +664,93 @@ TEST(DeterminismTest, GoldenPullMetricsOnFixedScenario) {
   }
 }
 
+TEST(DeterminismTest, GoldenScenarioMetricsOnBaseCaseWorld) {
+  // Absolute pins for a scripted run at §6.1's base case (100
+  // repositories, 600 routers, 100 items), where the other scenario pins
+  // only compare two runs of one engine. Each run delivers well over
+  // 100k messages, so the engine's tracked-value log fills many times
+  // over, and it is flushed before every scenario op reads a tracker:
+  // four fail/recover episodes (the last still down at the horizon),
+  // two renegotiations, and repairs deferred by a silence window.
+  struct ScenarioGolden {
+    const char* policy;
+    uint64_t loss_percent_bits;
+    uint64_t pair_loss_percent_bits;
+    uint64_t per_member_loss_digest;
+    sim::SimTime outage_pair_time;
+    sim::SimTime outage_out_of_sync_time;
+    uint64_t outage_loss_percent_bits;
+    uint64_t messages;
+    uint64_t events;
+  };
+  // loss 37.230937584409638 %, outage loss 41.683632358535377 %
+  // (distributed); loss 35.836941278990807 % (centralized).
+  constexpr ScenarioGolden kGolden[] = {
+      {"distributed", 0x40429d8f5cde3a73ull, 0x4042929c3010ebe0ull,
+       0xad4f99d7f96f8749ull, 61625477744, 25687737582,
+       0x4044d78143df32caull, 116137, 343620},
+      {"centralized", 0x4041eb20e44ef80eull, 0x4041e133bb460af3ull,
+       0x43aece3389497031ull, 61625477744, 24743048733,
+       0x40441349806ddfb6ull, 211899, 540687},
+  };
+  constexpr uint64_t kSeed = 31;
+  WorkloadConfig workload;
+  workload.ticks = 1000;
+  SessionBuilder builder;
+  builder.SetNetwork(NetworkConfig{}).SetWorkload(workload).SetSeed(kSeed);
+  Result<SimulationSession> session = builder.Build();
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  // Renegotiate the first and the last own interest of two members that
+  // never fail.
+  const std::vector<core::InterestSet>& interests =
+      session->world().interests();
+  ASSERT_EQ(interests.size(), 100u);
+  const core::InterestSet& first = interests[11];
+  const core::InterestSet& second = interests[63];
+  ASSERT_FALSE(first.empty());
+  ASSERT_FALSE(second.empty());
+  Result<core::Scenario> scenario =
+      exp::ScenarioBuilder()
+          .FailRepo(sim::Seconds(120), 7)
+          .RecoverAt(sim::Seconds(420))
+          .FailRepo(sim::Seconds(200), 23)
+          .RecoverAt(sim::Seconds(650))
+          .FailRepo(sim::Seconds(300), 51)
+          .RecoverAt(sim::Seconds(520))
+          .FailRepo(sim::Seconds(760), 88)
+          .ChangeCoherency(sim::Seconds(250), 12, first.begin()->first, 0.02)
+          .ChangeCoherency(sim::Seconds(600), 64, second.rbegin()->first,
+                           0.75)
+          .Build();
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  for (const ScenarioGolden& golden : kGolden) {
+    SCOPED_TRACE(golden.policy);
+    RunSpec spec;
+    spec.policy.policy = golden.policy;
+    spec.policy.repair_delay_ms = 400.0;
+    spec.scenario = *scenario;
+    spec.seed = kSeed;
+    Result<ExperimentResult> run = session->Run(spec);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const core::EngineMetrics& m = run->metrics;
+    EXPECT_EQ(m.scenario_ops, 9u);
+    EXPECT_EQ(obs::DoubleBits(m.loss_percent), golden.loss_percent_bits)
+        << m.loss_percent;
+    EXPECT_EQ(obs::DoubleBits(m.pair_loss_percent),
+              golden.pair_loss_percent_bits)
+        << m.pair_loss_percent;
+    EXPECT_EQ(obs::HashBytes(m.per_member_loss.data(),
+                             m.per_member_loss.size() * sizeof(double)),
+              golden.per_member_loss_digest);
+    EXPECT_EQ(m.outage_pair_time, golden.outage_pair_time);
+    EXPECT_EQ(m.outage_out_of_sync_time, golden.outage_out_of_sync_time);
+    EXPECT_EQ(obs::DoubleBits(m.outage_loss_percent),
+              golden.outage_loss_percent_bits)
+        << m.outage_loss_percent;
+    EXPECT_EQ(m.messages, golden.messages);
+    EXPECT_EQ(m.events, golden.events);
+  }
+}
+
 }  // namespace
 }  // namespace d3t::exp

@@ -441,7 +441,8 @@ TEST(DelayModelTest, UniformModel) {
 
 TEST(DelayModelTest, ScalingHitsTargetMean) {
   OverlayDelayModel model = OverlayDelayModel::Uniform(5, sim::Millis(10));
-  Result<OverlayDelayModel> scaled = model.ScaledToMeanDelay(sim::Millis(25));
+  Result<OverlayDelayModel> scaled = model.ScaledToMeanDelay(
+      sim::Millis(25), model.PairDelayStats().mean());
   ASSERT_TRUE(scaled.ok()) << scaled.status().ToString();
   EXPECT_NEAR(scaled->PairDelayStats().mean(),
               static_cast<double>(sim::Millis(25)), 1.0);
@@ -451,7 +452,8 @@ TEST(DelayModelTest, ScalingHitsTargetMean) {
 
 TEST(DelayModelTest, ScalingToZero) {
   OverlayDelayModel model = OverlayDelayModel::Uniform(3, sim::Millis(10));
-  Result<OverlayDelayModel> zero = model.ScaledToMeanDelay(0);
+  Result<OverlayDelayModel> zero =
+      model.ScaledToMeanDelay(0, model.PairDelayStats().mean());
   ASSERT_TRUE(zero.ok()) << zero.status().ToString();
   EXPECT_EQ(zero->Delay(0, 1), 0);
   EXPECT_EQ(zero->Delay(1, 2), 0);
@@ -459,7 +461,8 @@ TEST(DelayModelTest, ScalingToZero) {
 
 TEST(DelayModelTest, ScalingFromZeroFallsBackToUniform) {
   OverlayDelayModel zero = OverlayDelayModel::Uniform(3, 0);
-  Result<OverlayDelayModel> scaled = zero.ScaledToMeanDelay(sim::Millis(5));
+  Result<OverlayDelayModel> scaled =
+      zero.ScaledToMeanDelay(sim::Millis(5), zero.PairDelayStats().mean());
   ASSERT_TRUE(scaled.ok()) << scaled.status().ToString();
   EXPECT_EQ(scaled->Delay(0, 1), sim::Millis(5));
   EXPECT_EQ(scaled->Delay(2, 1), sim::Millis(5));
@@ -470,16 +473,21 @@ TEST(DelayModelTest, ScalingPastThePackedStoreIsOutOfRange) {
   // largest pair that fits, and one microsecond more, on both paths.
   constexpr sim::SimTime kMaxPacked = 4294967295;
   OverlayDelayModel model = OverlayDelayModel::Uniform(3, sim::Millis(10));
-  Result<OverlayDelayModel> fits = model.ScaledToMeanDelay(kMaxPacked);
+  const double mean = model.PairDelayStats().mean();
+  Result<OverlayDelayModel> fits = model.ScaledToMeanDelay(kMaxPacked, mean);
   ASSERT_TRUE(fits.ok()) << fits.status().ToString();
   EXPECT_EQ(fits->Delay(1, 2), kMaxPacked);
-  EXPECT_TRUE(model.ScaledToMeanDelay(kMaxPacked + 1).status().IsOutOfRange());
-  EXPECT_TRUE(model.ScaledToMeanDelay(sim::Seconds(1e9))
+  EXPECT_TRUE(
+      model.ScaledToMeanDelay(kMaxPacked + 1, mean).status().IsOutOfRange());
+  EXPECT_TRUE(model.ScaledToMeanDelay(sim::Seconds(1e9), mean)
                   .status()
                   .IsOutOfRange());
   OverlayDelayModel zero = OverlayDelayModel::Uniform(3, 0);
-  EXPECT_TRUE(zero.ScaledToMeanDelay(kMaxPacked).ok());
-  EXPECT_TRUE(zero.ScaledToMeanDelay(kMaxPacked + 1).status().IsOutOfRange());
+  const double zero_mean = zero.PairDelayStats().mean();
+  EXPECT_TRUE(zero.ScaledToMeanDelay(kMaxPacked, zero_mean).ok());
+  EXPECT_TRUE(zero.ScaledToMeanDelay(kMaxPacked + 1, zero_mean)
+                  .status()
+                  .IsOutOfRange());
 }
 
 /// Topology shapes for the routed builders: each one holds a structure

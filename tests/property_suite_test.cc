@@ -142,9 +142,12 @@ TEST(PropertySuite, EventQueueMatchesReferenceOrdering) {
 TEST(PropertySuite, FidelityTrackerMatchesBruteForceReplay) {
   // The tracker sees the source process only through its bound raw
   // timeline — value-repeating polls included — caught up on repository
-  // updates and at Finalize. The reference replays both processes event
-  // by event, a source tick applying before a repository update at the
-  // same instant.
+  // updates, at SyncTo snapshots and at Finalize. The reference replays
+  // both processes event by event, a source tick applying before a
+  // repository update at the same instant. Between the updates, each
+  // seed takes SyncTo snapshots (the outage accounting's reads), which
+  // must equal the reference's sum at that instant, and renegotiates c
+  // at one or two of them, the reference switching c there.
   for (uint64_t seed : {21u, 22u, 23u, 24u, 25u}) {
     Rng rng(seed);
     const core::Coherency c = rng.NextDoubleInRange(0.05, 0.5);
@@ -160,39 +163,74 @@ TEST(PropertySuite, FidelityTrackerMatchesBruteForceReplay) {
                                : initial + rng.NextDoubleInRange(-1.0, 1.0);
       ticks.push_back({t, value});
     }
+    // The first source tick at or after `at`, or `at` past the last.
+    auto snap_to_tick = [&](sim::SimTime at) {
+      auto next = std::lower_bound(
+          ticks.begin(), ticks.end(), at,
+          [](const trace::Tick& tick, sim::SimTime when) {
+            return tick.time < when;
+          });
+      return next != ticks.end() ? next->time : at;
+    };
 
-    std::vector<trace::Tick> repo_events;
+    struct Op {
+      sim::SimTime at = 0;
+      bool sync = false;      // SyncTo snapshot; a repository update else
+      double value = 0.0;     // the update's value
+      core::Coherency c = -1; // a sync's renegotiated c; < 0 keeps it
+    };
+    std::vector<Op> ops;
     sim::SimTime rt = 0;
     for (int i = 0; i < 40; ++i) {
       rt += 1 + static_cast<sim::SimTime>(rng.NextBounded(100));
-      if (rng.NextBernoulli(0.3)) {
-        // Land exactly on the next source tick.
-        auto next = std::lower_bound(
-            ticks.begin(), ticks.end(), rt,
-            [](const trace::Tick& tick, sim::SimTime at) {
-              return tick.time < at;
-            });
-        if (next != ticks.end()) rt = next->time;
-      }
-      repo_events.push_back({rt, initial + rng.NextDoubleInRange(-1.0, 1.0)});
+      // Land exactly on the next source tick.
+      if (rng.NextBernoulli(0.3)) rt = snap_to_tick(rt);
+      ops.push_back(
+          {rt, false, initial + rng.NextDoubleInRange(-1.0, 1.0), -1});
     }
     // Source ticks past the last repository update: Finalize integrates
     // that tail on its own.
-    ASSERT_GT(ticks.back().time, repo_events.back().time) << "seed " << seed;
+    ASSERT_GT(ticks.back().time, rt) << "seed " << seed;
     const sim::SimTime end = ticks.back().time + 10;
+    const size_t first_sync = ops.size();
+    for (int i = 0; i < 12; ++i) {
+      sim::SimTime at = static_cast<sim::SimTime>(
+          rng.NextBounded(static_cast<uint64_t>(end) + 1));
+      if (rng.NextBernoulli(0.3)) at = snap_to_tick(at);
+      ops.push_back({at, true, 0.0, -1});
+    }
+    const size_t renegotiations = 1 + rng.NextBounded(2);
+    for (size_t i = 0; i < renegotiations; ++i) {
+      ops[first_sync + rng.NextBounded(12)].c =
+          rng.NextDoubleInRange(0.01, 0.8);
+    }
+    // Updates sort ahead of syncs at the same instant.
+    std::stable_sort(ops.begin(), ops.end(), [](const Op& a, const Op& b) {
+      return a.at < b.at;
+    });
 
     core::FidelityTracker tracker(c, &ticks);
-    for (const trace::Tick& event : repo_events) {
-      tracker.OnRepositoryValue(event.time, event.value);
+    std::vector<sim::SimTime> snapshots;
+    for (const Op& op : ops) {
+      if (!op.sync) {
+        tracker.OnRepositoryValue(op.at, op.value);
+        continue;
+      }
+      tracker.SyncTo(op.at);
+      snapshots.push_back(tracker.out_of_sync_time());
+      if (op.c >= 0) tracker.set_coherency(op.c);
     }
     tracker.Finalize(end);
 
     // Brute force: piecewise-constant replay between event times.
     double source = initial, repo = initial;
+    core::Coherency current_c = c;
     sim::SimTime out_of_sync = 0;
     sim::SimTime prev = 0;
     auto advance = [&](sim::SimTime at) {
-      if (std::abs(source - repo) > c + 1e-6) out_of_sync += at - prev;
+      if (std::abs(source - repo) > current_c + 1e-6) {
+        out_of_sync += at - prev;
+      }
       prev = at;
     };
     size_t cursor = 1;
@@ -202,14 +240,22 @@ TEST(PropertySuite, FidelityTrackerMatchesBruteForceReplay) {
         source = ticks[cursor].value;
       }
     };
-    for (const trace::Tick& event : repo_events) {
-      replay_source_until(event.time);
-      advance(event.time);
-      repo = event.value;
+    size_t snapshot = 0;
+    for (const Op& op : ops) {
+      replay_source_until(op.at);
+      advance(op.at);
+      if (!op.sync) {
+        repo = op.value;
+        continue;
+      }
+      EXPECT_EQ(snapshots[snapshot++], out_of_sync)
+          << "seed " << seed << " sync at " << op.at;
+      if (op.c >= 0) current_c = op.c;
     }
     replay_source_until(end);
     advance(end);
 
+    EXPECT_EQ(tracker.coherency(), current_c) << "seed " << seed;
     EXPECT_EQ(tracker.out_of_sync_time(), out_of_sync) << "seed " << seed;
     EXPECT_EQ(tracker.LossPercent(),
               100.0 * static_cast<double>(out_of_sync) /
